@@ -34,10 +34,8 @@ from repro.baselines import (
 from repro.clocktree import ClockTree
 from repro.evaluation import ClockTreeMetrics, evaluate_tree
 from repro.flow import CtsConfig, SingleSideCTS
-from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig
+from repro.ir.stages import build_inserter, build_refiner, build_router
 from repro.netlist.design import Design
-from repro.refinement import SkewRefiner
-from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech.pdk import Pdk
 
 #: Base flow keys :meth:`FlowCache.warm` can pre-compute in parallel.
@@ -57,44 +55,42 @@ class OursRun:
 
 
 def _run_ours(pdk: Pdk, design: Design, config: CtsConfig, selection: str) -> OursRun:
-    """Hierarchical routing + concurrent insertion + skew refinement."""
+    """Hierarchical routing + concurrent insertion + skew refinement.
+
+    The stage engines come from the flow's own construction points, so the
+    final metrics equal ``DoubleSideCTS(pdk, config).run(design)``; the run
+    keeps an object tree because the figure benches read it.
+    """
     config = config.with_updates(selection=selection)
+    backends = config.resolved_backends()
+    timing = backends.timing
     start = time.perf_counter()
-    clock_net = design.require_clock_net()
-    router = HierarchicalClockRouter(
-        pdk,
-        high_cluster_size=config.high_cluster_size,
-        low_cluster_size=config.low_cluster_size,
-        seed=config.seed,
+    tree = build_router(pdk, config).route(design.require_clock_net()).tree
+    insertion = build_inserter(pdk, config, timing, backends.dp).run(
+        tree, fanout_threshold=config.fanout_threshold
     )
-    routing = router.route(clock_net)
-    inserter = ConcurrentInserter(
-        pdk,
-        InsertionConfig(
-            weights=config.moes_weights,
-            selection=config.selection,
-            max_segment_length=config.max_segment_length,
-            keep_resource_diversity=config.keep_resource_diversity,
-            max_candidates_per_side=config.max_candidates_per_side,
-            dp_backend=config.dp_backend,
-        ),
-    )
-    insertion = inserter.run(routing.tree)
     without_sr = evaluate_tree(
-        routing.tree, pdk, design=design.name, flow="ours_no_sr"
-    )
-    SkewRefiner(
+        tree,
         pdk,
-        skew_trigger_fraction=config.skew_trigger_fraction,
-        max_endpoints=config.max_refined_endpoints,
-        strategy=config.skew_strategy,
-    ).refine(routing.tree)
+        design=design.name,
+        flow="ours_no_sr",
+        engine=timing,
+        corners=config.corners,
+    )
+    if config.enable_skew_refinement:
+        build_refiner(pdk, config, timing).refine(tree)
     runtime = time.perf_counter() - start
     metrics = evaluate_tree(
-        routing.tree, pdk, design=design.name, flow="ours", runtime=runtime
+        tree,
+        pdk,
+        design=design.name,
+        flow="ours",
+        runtime=runtime,
+        engine=timing,
+        corners=config.corners,
     )
     return OursRun(
-        tree=routing.tree,
+        tree=tree,
         metrics=metrics,
         metrics_without_refinement=without_sr,
         root_candidates=insertion.root_candidates,

@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
 """The persistent array IR: one ``DesignArrays`` through the whole flow.
 
-Every vectorized stage backend has an IR-native entry point, so with
-``CtsConfig(backends=BackendSelection(representation="ir"))`` the flow
-threads a single struct-of-arrays design (``repro.ir.DesignArrays``)
-through routing, insertion, refinement, and evaluation without realising
-``ClockTree`` objects between stages.  Object trees exist only at the
-boundaries — ``to_clock_tree()`` / ``from_clock_tree()`` — and the two
-representations are decision-identical: they build bit-equal trees.
+``DoubleSideCTS.run`` threads a single struct-of-arrays design
+(``repro.ir.DesignArrays``) through routing, insertion, refinement, and
+evaluation; ``result.design`` is that design and ``result.tree`` realises
+the object ``ClockTree`` from it on first access.  Object trees exist only
+at the boundaries — ``to_clock_tree()`` / ``from_clock_tree()`` — and both
+bridges are lossless.
 
-This script runs the same clock net under both representations, checks the
-trees are identical node-for-node, times both paths (interleaved, best of
-N — the saving is a fixed conversion cost, so minima separate it from
-scheduler noise), and shows the boundary bridges round-tripping.
+This script runs the flow, then replays it stage by stage through the
+IR-native entry points (``route_design``, ``ConcurrentInserter.run(design)``,
+``SkewRefiner.refine(design)``, ``evaluate_tree(design)``) built from the
+flow's own construction points, checks the replay lands on the flow's
+metrics, and round-trips the result through the bridges.
 
 Usage::
 
-    python examples/array_ir_flow.py [sinks] [rounds]
+    python examples/array_ir_flow.py [sinks]
 
     sinks    sink count of the generated clock net; default 2000
-    rounds   timing rounds per representation; default 3
 """
 
 from __future__ import annotations
@@ -29,8 +28,10 @@ import time
 
 from repro import asap7_backside
 from repro.designs import random_sink_cloud
-from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS
+from repro.evaluation import evaluate_tree
+from repro.flow import CtsConfig, DoubleSideCTS
 from repro.ir import DesignArrays
+from repro.ir.stages import build_inserter, build_refiner, build_router
 
 
 def fingerprint(tree) -> list[tuple]:
@@ -49,47 +50,51 @@ def fingerprint(tree) -> list[tuple]:
 
 def main() -> int:
     sinks = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
-    rounds = int(sys.argv[2]) if len(sys.argv) > 2 else 3
     pdk = asap7_backside()
+    config = CtsConfig()
     clock_net = random_sink_cloud(sinks, seed=11)
 
-    samples: dict[str, list[float]] = {"object": [], "ir": []}
-    results: dict[str, object] = {}
-    for _ in range(rounds):
-        for representation in ("object", "ir"):
-            config = CtsConfig(
-                backends=BackendSelection(representation=representation)
-            )
-            flow = DoubleSideCTS(pdk, config)
-            start = time.perf_counter()
-            results[representation] = flow.run(clock_net)
-            samples[representation].append(time.perf_counter() - start)
-
-    obj, ir = results["object"], results["ir"]
-    identical = fingerprint(obj.tree) == fingerprint(ir.tree)
-    t_obj, t_ir = min(samples["object"]), min(samples["ir"])
-
-    print(f"{sinks}-sink clock net, best of {rounds} rounds per path\n")
-    print(f"  object-hop flow : {t_obj * 1e3:8.1f} ms")
-    print(f"  persistent IR   : {t_ir * 1e3:8.1f} ms  ({t_obj / t_ir:.2f}x)")
-    print(f"  trees identical : {identical}")
+    start = time.perf_counter()
+    result = DoubleSideCTS(pdk, config).run(clock_net)
+    elapsed = time.perf_counter() - start
+    nodes, sink_count, buffers, ntsvs = result.design.counts()
+    print(f"{sinks}-sink clock net, one flow run in {elapsed * 1e3:.1f} ms")
     print(
-        f"  metrics         : skew {ir.metrics.skew:.2f} ps, "
-        f"latency {ir.metrics.latency:.2f} ps, "
-        f"wirelength {ir.metrics.wirelength:.0f} um\n"
+        f"  design rows : {nodes} "
+        f"({sink_count} sinks, {buffers} buffers, {ntsvs} nTSVs)"
     )
-    if not identical:
-        raise AssertionError("representations diverged — file a bug")
+    print(
+        f"  metrics     : skew {result.metrics.skew:.2f} ps, "
+        f"latency {result.metrics.latency:.2f} ps, "
+        f"wirelength {result.metrics.wirelength:.0f} um\n"
+    )
+
+    # The same pipeline by hand, one IR-native entry point per stage.
+    backends = config.resolved_backends()
+    routed = build_router(pdk, config).route_design(clock_net)
+    design = routed.design
+    print(f"routing    : {design.size} rows, {len(routed.tap_names)} taps")
+    build_inserter(pdk, config, backends.timing, backends.dp).run(design)
+    print(f"insertion  : {design.counts()[2]} buffers, {design.counts()[3]} nTSVs")
+    report = build_refiner(pdk, config, backends.timing).refine(design)
+    print(f"refinement : {report.added_buffers} skew buffers added")
+    metrics = evaluate_tree(design, pdk, engine=backends.timing)
+    same = (metrics.skew, metrics.buffers) == (
+        result.metrics.skew,
+        result.metrics.buffers,
+    )
+    print(f"evaluation : skew {metrics.skew:.2f} ps (matches the flow: {same})\n")
+    if not same:
+        raise AssertionError("the stage-by-stage replay diverged from the flow")
 
     # The boundary bridges: object tree -> arrays -> object tree.
-    design = DesignArrays.from_clock_tree(ir.tree)
-    nodes, sink_count, buffers, ntsvs = design.counts()
-    print("DesignArrays bridged from the result tree:")
-    print(f"  {nodes} rows: {sink_count} sinks, {buffers} buffers, {ntsvs} nTSVs")
-    print(f"  wirelength {design.wirelength():.0f} um (matches the metrics above)")
-    round_tripped = design.to_clock_tree()
-    same = fingerprint(round_tripped) == fingerprint(ir.tree)
-    print(f"  round-trip identical: {same}")
+    tree = result.tree
+    round_tripped = DesignArrays.from_clock_tree(tree).to_clock_tree()
+    identical = fingerprint(round_tripped) == fingerprint(tree)
+    print(
+        f"bridges    : {tree.sink_count()} sinks realised, "
+        f"round trip identical: {identical}"
+    )
     return 0
 
 

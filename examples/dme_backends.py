@@ -2,8 +2,8 @@
 """DME routing backends: the scalar router vs. the level-batched arrays.
 
 The DME clock routing has two interchangeable backends behind
-``CtsConfig.dme_backend`` (mirroring the timing engines and the
-insertion-DP backends):
+``CtsConfig(backends=BackendSelection(dme=...))`` (mirroring the timing
+engines and the insertion-DP backends):
 
 * ``reference`` — the per-node scalar ``DmeRouter``, the executable spec;
 * ``vectorized`` (default) — ``VectorizedDmeRouter``: the topology is
@@ -30,6 +30,7 @@ import time
 
 from repro import asap7_backside
 from repro.designs import random_sink_cloud
+from repro.flow import BackendSelection, CtsConfig
 from repro.routing import DmeTerminal, HierarchicalClockRouter, create_dme_router
 from repro.routing.topology import matching_topology
 
@@ -66,7 +67,8 @@ def main() -> int:
 
     flow_timings = {}
     for backend in ("reference", "vectorized"):
-        router = HierarchicalClockRouter(pdk, dme_backend=backend)
+        config = CtsConfig(backends=BackendSelection(dme=backend))
+        router = HierarchicalClockRouter(pdk, config=config)
         start = time.perf_counter()
         result = router.route(clock_net)
         flow_timings[backend] = time.perf_counter() - start

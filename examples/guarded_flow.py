@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """The guarded flow: anomaly detection and graceful degradation in action.
 
-The flow's three guard policies (``CtsConfig.guard`` / ``dscts --guard`` /
-``REPRO_GUARD``):
+The flow's three guard policies (``BackendSelection(guard=...)`` /
+``dscts --guard`` / ``REPRO_GUARD``):
 
-* ``off`` (default) — today's unguarded flow, no checks, no overhead;
+* ``off`` (default) — the unguarded flow, no checks, no overhead;
 * ``strict`` — validate the inputs at entry and the stage invariants after
   every step, raising a typed ``GuardError`` on the first anomaly;
 * ``degrade`` — same checks, but an anomalous stage is re-run through the
@@ -32,9 +32,13 @@ import sys
 
 from repro import asap7_backside
 from repro.designs import random_sink_cloud
-from repro.flow import CtsConfig, DoubleSideCTS
+from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS
 from repro.guard import GuardError, StageFault
 from repro.guard.faults import poke_nan_capacitance
+
+
+def guarded(policy: str) -> CtsConfig:
+    return CtsConfig(backends=BackendSelection(guard=policy))
 
 
 def main() -> int:
@@ -46,7 +50,7 @@ def main() -> int:
     print(f"{sinks}-sink clock net, fault armed: NaN capacitance after insertion\n")
 
     print("guard=strict — fail fast on the first anomaly:")
-    flow = DoubleSideCTS(pdk, CtsConfig(guard="strict"), guard_faults=[fault])
+    flow = DoubleSideCTS(pdk, guarded("strict"), guard_faults=[fault])
     try:
         flow.run(clock_net)
     except GuardError as exc:
@@ -54,7 +58,7 @@ def main() -> int:
         print(f"  {exc}\n")
 
     print("guard=degrade — re-run the anomalous stage on the reference backend:")
-    flow = DoubleSideCTS(pdk, CtsConfig(guard="degrade"), guard_faults=[fault])
+    flow = DoubleSideCTS(pdk, guarded("degrade"), guard_faults=[fault])
     result = flow.run(clock_net)
     for diagnostic in result.guard_diagnostics:
         print(f"  degraded {diagnostic.stage!r} -> {diagnostic.backend} backend")
@@ -68,7 +72,7 @@ def main() -> int:
     bad_net = random_sink_cloud(sinks, seed=11)
     object.__setattr__(bad_net.sinks[0], "capacitance", float("nan"))
     try:
-        DoubleSideCTS(pdk, CtsConfig(guard="strict")).run(bad_net)
+        DoubleSideCTS(pdk, guarded("strict")).run(bad_net)
     except GuardError as exc:
         print(f"  GuardError at stage {exc.stage!r}: {exc.anomaly}")
         print(f"  design fingerprint: {exc.fingerprint}")

@@ -37,7 +37,7 @@ import time
 
 from repro import asap7_backside
 from repro.designs import random_sink_cloud
-from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS
+from repro.flow import CtsConfig, DoubleSideCTS
 
 
 def fingerprint(tree) -> list[tuple]:
@@ -55,10 +55,7 @@ def fingerprint(tree) -> list[tuple]:
 
 
 def run_once(pdk, clock_net, workers: int):
-    config = CtsConfig(
-        workers=workers, backends=BackendSelection(representation="ir")
-    )
-    flow = DoubleSideCTS(pdk, config)
+    flow = DoubleSideCTS(pdk, CtsConfig(workers=workers))
     start = time.perf_counter()
     result = flow.run(clock_net)
     return time.perf_counter() - start, result

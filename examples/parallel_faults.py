@@ -37,13 +37,7 @@ import sys
 
 from repro import asap7_backside
 from repro.designs import random_sink_cloud
-from repro.flow import (
-    BackendSelection,
-    CtsConfig,
-    DoubleSideCTS,
-    ParallelError,
-    ParallelPolicy,
-)
+from repro.flow import CtsConfig, DoubleSideCTS, ParallelError, ParallelPolicy
 from repro.guard import WorkerFault, arm_worker_faults
 
 
@@ -69,7 +63,6 @@ def run_once(pdk, clock_net, workers: int, policy: ParallelPolicy | None = None)
         workers=workers,
         parallel_policy=policy,
         high_cluster_size=max(len(clock_net.sinks) // 4, 50),
-        backends=BackendSelection(representation="ir"),
     )
     return DoubleSideCTS(pdk, config).run(clock_net)
 

@@ -1,15 +1,18 @@
 """The DSE flow: sweeping insertion modes to trace the Pareto frontier.
 
 The clock routing does not depend on the insertion modes, so the explorer
-routes the design once and then replays the concurrent insertion (plus skew
-refinement) on a fresh copy of the routed tree for every configuration.
+routes the design once and then runs the flow's own insertion and skew
+refinement stages (:mod:`repro.ir.stages`) on a fresh copy of the routed
+design for every configuration.  Every point is therefore the
+:class:`~repro.flow.DoubleSideCTS` run at that fanout threshold: same
+backends, same worker count, same guard policy.
 
 The sweep points are independent of each other, so the grid can be evaluated
 in parallel: pass ``workers > 1`` to :meth:`DesignSpaceExplorer.explore` to
 fan the configurations out over a :class:`concurrent.futures`
-process pool (each worker re-times its own tree copy with its own vectorized
-engine).  Results are returned in threshold order regardless of completion
-order, so serial and parallel sweeps are identical.
+process pool (each worker restores its own copy of the routed design).
+Results are returned in threshold order regardless of completion order, so
+serial and parallel sweeps are identical.
 
 When the configuration carries a :class:`~repro.tech.corners.CornerSet`
 (``CtsConfig.corners``), every sweep point is additionally signed off across
@@ -36,11 +39,11 @@ from repro.dse.pareto import pareto_front
 from repro.evaluation.metrics import ClockTreeMetrics, evaluate_tree
 from repro.flow.config import CtsConfig
 from repro.flow.cts import DoubleSideCTS
-from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig
+from repro.guard.policy import GuardError, StageGuard
+from repro.ir import stages
+from repro.ir.design import DesignArrays
 from repro.netlist.clock import ClockNet
 from repro.netlist.design import Design
-from repro.refinement.skew_refinement import SkewRefiner
-from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech.pdk import Pdk
 
 
@@ -146,8 +149,12 @@ class DesignSpaceExplorer:
 
         Small thresholds force most DP nodes into intra-side mode (few
         nTSVs); large thresholds approach the all-full-mode Table III
-        configuration.  ``workers > 1`` evaluates the grid on a process
-        pool; the result order and content are identical to a serial sweep.
+        configuration.  Every point equals
+        ``DoubleSideCTS(pdk, config.with_updates(fanout_threshold=t)).run``
+        (runtime and flow name aside).  ``workers > 1`` evaluates the grid on
+        a process pool; the result order and content are identical to a
+        serial sweep.  ``config.workers`` stays the construction-stage knob,
+        exactly as in the flow.
 
         ``point_hook`` is a picklable callable invoked with
         ``(config, threshold)`` before each point is evaluated; the fault
@@ -155,15 +162,10 @@ class DesignSpaceExplorer:
         chosen points and prove the sweep's failure isolation.
         """
         clock_net, name = DoubleSideCTS._resolve_input(design, design_name)
-        router = HierarchicalClockRouter(
-            self.pdk,
-            high_cluster_size=self.config.high_cluster_size,
-            low_cluster_size=self.config.low_cluster_size,
-            seed=self.config.seed,
-            hierarchical=self.config.hierarchical_routing,
-            dme_backend=self.config.dme_backend,
-        )
-        routing = router.route(clock_net)
+        guard = StageGuard(self.config.resolved_backends().guard, clock_net)
+        guard.validate_inputs(self.pdk, corners=self.config.corners)
+        routed = stages.build_router(self.pdk, self.config).route_design(clock_net)
+        snapshot = routed.design.snapshot()
         thresholds = [int(t) for t in fanout_thresholds]
         result = DseResult(design_name=name)
         # One task per threshold on the fault-tolerant pool tier: a crashed
@@ -172,7 +174,7 @@ class DesignSpaceExplorer:
         from repro.parallel import run_tasks
 
         payloads = [
-            (self.pdk, self.config, routing.tree, t, name, point_hook)
+            (self.pdk, self.config, clock_net, snapshot, t, name, point_hook)
             for t in thresholds
         ]
         outcomes = run_tasks(
@@ -182,7 +184,7 @@ class DesignSpaceExplorer:
             min(workers, len(thresholds)),
             policy=self.config.resolved_parallel_policy(),
             diagnostics=result.parallel_diagnostics,
-            label=lambda i, payload: f"threshold {payload[3]}",
+            label=lambda i, payload: f"threshold {payload[4]}",
         )
         for outcome in outcomes:
             if isinstance(outcome, DseFailure):
@@ -190,9 +192,6 @@ class DesignSpaceExplorer:
             else:
                 result.points.append(outcome)
         return result
-
-    def _insert_and_refine(self, tree: ClockTree, fanout_threshold: int | None) -> None:
-        _insert_and_refine(self.pdk, self.config, tree, fanout_threshold)
 
     # -------------------------------------------------------------- baselines
     def sweep_fanout_baseline(
@@ -246,58 +245,45 @@ class DesignSpaceExplorer:
 
 
 # Module-level so a ProcessPoolExecutor can pickle the sweep work items.
-def _insert_and_refine(
-    pdk: Pdk, config: CtsConfig, tree: ClockTree, fanout_threshold: int | None
-) -> None:
-    inserter = ConcurrentInserter(
-        pdk,
-        InsertionConfig(
-            weights=config.moes_weights,
-            selection=config.selection,
-            max_segment_length=config.max_segment_length,
-            keep_resource_diversity=config.keep_resource_diversity,
-            max_candidates_per_side=config.max_candidates_per_side,
-            default_mode=config.default_mode,
-            dp_backend=config.dp_backend,
-        ),
-        engine=config.timing_engine,
-        corners=config.construction_corners(),
-    )
-    inserter.run(tree, fanout_threshold=fanout_threshold)
-    if config.enable_skew_refinement:
-        SkewRefiner(
-            pdk,
-            skew_trigger_fraction=config.skew_trigger_fraction,
-            max_endpoints=config.max_refined_endpoints,
-            strategy=config.skew_strategy,
-            engine=config.timing_engine,
-            corners=config.construction_corners(),
-            nominal_skew_budget=config.nominal_skew_budget,
-        ).refine(tree)
-
-
 def _attempt_point(
     pdk: Pdk,
     config: CtsConfig,
-    routed_tree: ClockTree,
+    clock_net: ClockNet,
+    snapshot: dict,
     threshold: int,
     name: str,
     point_hook: Callable[[CtsConfig, int], None] | None,
 ) -> DsePoint:
-    """Evaluate one fanout-threshold configuration on a fresh tree copy."""
+    """Insert, refine and score one threshold on a restored routed design.
+
+    The point runs the flow's own guarded stages, so it builds exactly the
+    tree ``DoubleSideCTS`` builds at this threshold.
+    """
     if point_hook is not None:
         point_hook(config, threshold)
     start = time.perf_counter()
-    tree = routed_tree.copy()
-    _insert_and_refine(pdk, config, tree, fanout_threshold=threshold)
+    design = DesignArrays(name=clock_net.name, capacity=snapshot["size"])
+    design.restore(snapshot)
+    config = config.with_updates(fanout_threshold=threshold)
+    backends = config.resolved_backends()
+    ctx = stages.StageContext(
+        pdk=pdk,
+        config=config,
+        backends=backends,
+        guard=StageGuard(backends.guard, clock_net),
+        clock_net=clock_net,
+    )
+    design = stages.InsertionStage().run(design, ctx)
+    if config.enable_skew_refinement:
+        design = stages.RefinementStage().run(design, ctx)
     runtime = time.perf_counter() - start
     metrics = evaluate_tree(
-        tree,
+        design,
         pdk,
         design=name,
         flow=f"ours_dse_fo{threshold}",
         runtime=runtime,
-        engine=config.timing_engine,
+        engine=backends.timing,
         corners=config.corners,
     )
     return DsePoint(
@@ -308,7 +294,8 @@ def _attempt_point(
 def _explore_point(
     pdk: Pdk,
     config: CtsConfig,
-    routed_tree: ClockTree,
+    clock_net: ClockNet,
+    snapshot: dict,
     threshold: int,
     name: str,
     point_hook: Callable[[CtsConfig, int], None] | None = None,
@@ -318,20 +305,19 @@ def _explore_point(
     A crash on the vectorized backends gets one retry through the executable
     spec (the same degradation the guarded flow applies); a point that fails
     both ways is reported as a :class:`DseFailure` instead of raising, so the
-    rest of the sweep survives.
+    rest of the sweep survives.  A :class:`~repro.guard.GuardError` is never
+    folded into a failure: it is the guard doing its job and must surface.
     """
+    args = (clock_net, snapshot, threshold, name, point_hook)
     try:
-        return _attempt_point(pdk, config, routed_tree, threshold, name, point_hook)
+        return _attempt_point(pdk, config, *args)
+    except GuardError:
+        raise
     except Exception as first:  # noqa: BLE001 - isolate sweep points
-        fallback = config.with_updates(
-            timing_engine="reference",
-            dp_backend="reference",
-            dme_backend="reference",
-        )
         try:
-            point = _attempt_point(
-                pdk, fallback, routed_tree, threshold, name, point_hook
-            )
+            point = _attempt_point(pdk, stages.reference_config(config), *args)
+        except GuardError:
+            raise
         except Exception as second:  # noqa: BLE001 - both attempts failed
             return DseFailure(
                 configuration="ours_dse",

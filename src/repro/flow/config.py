@@ -91,8 +91,8 @@ DME_BACKEND_CHOICE = BackendChoice(
 )
 
 #: The guard-policy knob of :mod:`repro.guard` rides the same resolution
-#: rule (explicit argument > ``CtsConfig.guard`` > ``REPRO_GUARD`` > default)
-#: even though its names select behaviours rather than backends.
+#: rule (explicit argument > ``CtsConfig.backends.guard`` > ``REPRO_GUARD`` >
+#: default) even though its names select behaviours rather than backends.
 GUARD_POLICY_CHOICE = BackendChoice(
     kind="guard policy",
     env_var="REPRO_GUARD",
@@ -100,30 +100,18 @@ GUARD_POLICY_CHOICE = BackendChoice(
     default="off",
 )
 
-#: Which design representation the flow stages run on: ``object`` hops the
-#: realised :class:`~repro.clocktree.ClockTree` between stages (the
-#: executable spec), ``ir`` keeps one persistent
-#: :class:`~repro.ir.DesignArrays` alive across stages and realises object
-#: trees only at the boundaries.  Both paths are decision-identical.
-FLOW_REPRESENTATION_CHOICE = BackendChoice(
-    kind="flow representation",
-    env_var="REPRO_FLOW_REPRESENTATION",
-    names=("object", "ir"),
-    default="object",
-)
-
 
 @dataclass(frozen=True)
 class BackendSelection:
     """One consolidated value for every backend knob of the flow.
 
-    Replaces the four loose ``CtsConfig`` fields (``timing_engine``,
-    ``dp_backend``, ``dme_backend``, ``guard``) and adds the flow
-    ``representation`` knob.  ``None`` fields fall back to the deprecated
-    loose field (when set), then the knob's environment variable, then the
-    built-in default — the same precedence :class:`BackendChoice` has always
-    implemented, now resolved in exactly one place
-    (:meth:`CtsConfig.resolved_backends`).
+    ``None`` fields fall back to the knob's environment variable, then the
+    built-in default — the precedence :class:`BackendChoice` implements,
+    resolved in exactly one place (:meth:`CtsConfig.resolved_backends`).
+
+    ``representation`` is a retired knob: the flow always runs the
+    :mod:`repro.ir.stages` pipeline.  The field is still accepted so older
+    callers keep working, but it is ignored and warns once per process.
     """
 
     timing: str | None = None
@@ -131,6 +119,15 @@ class BackendSelection:
     dme: str | None = None
     guard: str | None = None
     representation: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.representation is not None:
+            warn_deprecated_once(
+                "BackendSelection.representation",
+                "BackendSelection(representation=...) is ignored: the flow "
+                "always runs the repro.ir.stages pipeline",
+                stacklevel=4,
+            )
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,6 @@ class ResolvedBackends:
     dp: str
     dme: str
     guard: str
-    representation: str
 
 
 #: Deprecated surfaces that already warned this process (warn exactly once).
@@ -184,22 +180,6 @@ class CtsConfig:
         max_refined_endpoints: ``m`` of the skew refinement (33).
         skew_strategy: ``"pad_fast"`` (Fig. 11 behaviour) or ``"shield_slow"``.
         enable_skew_refinement: disable to reproduce the "w/o SR" bars.
-        timing_engine: timing engine used by every flow step (``"vectorized"``
-            or ``"reference"``); ``None`` uses the library default.
-        dp_backend: insertion-DP backend used by the concurrent inserter
-            (``"vectorized"`` — the array-based candidate-frontier engine —
-            or ``"reference"`` — the per-candidate object DP, the executable
-            spec); ``None`` uses the library default (``vectorized``,
-            overridable via ``REPRO_DP_BACKEND``).  Both backends build
-            identical trees; the knob exists for differential debugging and
-            benchmarking (CLI ``--dp-backend``).
-        dme_backend: DME routing backend used by the hierarchical clock
-            router (``"vectorized"`` — the level-batched array router —
-            or ``"reference"`` — the per-node scalar router, the executable
-            spec); ``None`` uses the library default (``vectorized``,
-            overridable via ``REPRO_DME_BACKEND``).  Both backends embed
-            identical trees; the knob exists for differential debugging and
-            benchmarking (CLI ``--dme-backend``).
         corners: PVT corner set for multi-corner sign-off; ``None`` evaluates
             the nominal corner only.  The final metrics (and the DSE scoring)
             report every corner of the set, and the worst-corner skew/latency
@@ -212,22 +192,23 @@ class CtsConfig:
             refinement may give away while chasing the worst corner; 0 means
             the nominal skew must never regress past its pre-refinement
             value.
-        guard: guard policy of the flow (``"strict"``, ``"degrade"``, or
-            ``"off"``); ``None`` uses the library default (``off``,
-            overridable via ``REPRO_GUARD``).  ``off`` runs the flow exactly
-            as before, ``degrade`` validates inputs and stage invariants and
-            re-runs an anomalous stage through the reference backends, and
-            ``strict`` raises :class:`~repro.guard.GuardError` on the first
-            anomaly (CLI ``--guard``).
-        backends: the consolidated backend selection
-            (:class:`BackendSelection`).  This supersedes the four loose
-            fields above (``timing_engine``, ``dp_backend``, ``dme_backend``,
-            ``guard``), which are deprecated but keep working with the same
-            precedence (and warn once per process); it also carries the flow
-            ``representation`` knob (``"object"`` or ``"ir"``).
+        backends: the backend selection (:class:`BackendSelection`) of
+            every two-engine knob: the timing engine (``timing``, CLI
+            ``--engine``), the insertion-DP backend (``dp``, CLI
+            ``--dp-backend``), the DME routing backend (``dme``, CLI
+            ``--dme-backend``), and the guard policy (``guard``, CLI
+            ``--guard``).  ``"vectorized"`` is the production backend and
+            ``"reference"`` the executable spec; both build identical trees.
+            The guard policy is ``"off"`` (the unguarded flow), ``"degrade"``
+            (validate inputs and stage invariants, re-run an anomalous stage
+            on the reference backends) or ``"strict"`` (raise
+            :class:`~repro.guard.GuardError` on the first anomaly).
+            ``None`` fields fall back to ``REPRO_TIMING_ENGINE`` /
+            ``REPRO_DP_BACKEND`` / ``REPRO_DME_BACKEND`` / ``REPRO_GUARD``,
+            then the built-in defaults (``vectorized``, ``off``).
         workers: process-level parallelism of the construction stages
-            (region-parallel DME routing and DP-subtree-parallel insertion
-            on the IR path).  ``None`` falls back to ``REPRO_FLOW_WORKERS``,
+            (region-parallel DME routing and DP-subtree-parallel
+            insertion).  ``None`` falls back to ``REPRO_FLOW_WORKERS``,
             then 1 (serial).  Results are bit-identical to serial at every
             worker count (CLI ``--workers``).
         parallel_policy: fault-tolerance policy of the worker pools (a
@@ -257,55 +238,25 @@ class CtsConfig:
     max_refined_endpoints: int = 33
     skew_strategy: str = "pad_fast"
     enable_skew_refinement: bool = True
-    timing_engine: str | None = None
-    dp_backend: str | None = None
-    dme_backend: str | None = None
     corners: CornerSet | None = None
     corner_aware_construction: bool = False
     nominal_skew_budget: float = 0.0
-    guard: str | None = None
     backends: BackendSelection | None = None
     workers: int | None = None
     parallel_policy: object | None = None
 
-    #: The loose per-subsystem fields superseded by :attr:`backends`.
-    _DEPRECATED_BACKEND_FIELDS = (
-        ("timing_engine", "timing"),
-        ("dp_backend", "dp"),
-        ("dme_backend", "dme"),
-        ("guard", "guard"),
-    )
-
-    def __post_init__(self) -> None:
-        legacy = [
-            old
-            for old, _ in self._DEPRECATED_BACKEND_FIELDS
-            if getattr(self, old) is not None
-        ]
-        if legacy:
-            warn_deprecated_once(
-                "CtsConfig.legacy-backend-fields",
-                f"CtsConfig fields {legacy} are deprecated; pass "
-                "backends=BackendSelection(...) instead (the loose fields "
-                "keep working with the same precedence)",
-            )
-
     def resolved_backends(self) -> ResolvedBackends:
         """Resolve every backend knob to a concrete name, in one place.
 
-        Precedence per knob: ``backends`` field > deprecated loose field >
-        environment variable > built-in default (the shared
-        :class:`BackendChoice` rule).
+        Precedence per knob: ``backends`` field > environment variable >
+        built-in default (the shared :class:`BackendChoice` rule).
         """
         selection = self.backends or BackendSelection()
         return ResolvedBackends(
-            timing=TIMING_ENGINE_CHOICE.resolve(selection.timing, self.timing_engine),
-            dp=DP_BACKEND_CHOICE.resolve(selection.dp, self.dp_backend),
-            dme=DME_BACKEND_CHOICE.resolve(selection.dme, self.dme_backend),
-            guard=GUARD_POLICY_CHOICE.resolve(selection.guard, self.guard),
-            representation=FLOW_REPRESENTATION_CHOICE.resolve(
-                selection.representation
-            ),
+            timing=TIMING_ENGINE_CHOICE.resolve(selection.timing),
+            dp=DP_BACKEND_CHOICE.resolve(selection.dp),
+            dme=DME_BACKEND_CHOICE.resolve(selection.dme),
+            guard=GUARD_POLICY_CHOICE.resolve(selection.guard),
         )
 
     def resolved_workers(self) -> int:
@@ -340,17 +291,13 @@ class CtsConfig:
         return replace(self, **kwargs)
 
     def for_session(self) -> "CtsConfig":
-        """Configuration for a long-lived serve session (``dscts serve``).
+        """Configuration for a long-lived serve session: this config.
 
-        Forces the IR representation: a session holds the flow's persistent
-        :class:`~repro.ir.design.DesignArrays` so what-if edits can ride the
-        timing engine's incremental dirty-cone path — an object-hop result
-        has no design to keep.  Every other knob is preserved.
+        Every flow run keeps its persistent
+        :class:`~repro.ir.design.DesignArrays`, which is what a session
+        holds, so nothing needs to change.  Kept for callers that still ask.
         """
-        selection = self.backends or BackendSelection()
-        return self.with_updates(
-            backends=replace(selection, representation="ir")
-        )
+        return self
 
     def single_side(self) -> "CtsConfig":
         """Configuration for the front-side-only flow (no nTSV patterns)."""

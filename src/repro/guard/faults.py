@@ -16,8 +16,9 @@ with a fault armed at a chosen stage and assert:
 
 Faults are applied to the *output* of a stage (after the backend ran, before
 the guard checks), which models backend bugs without patching backend
-internals; a degraded re-run on the reference backend starts from a replayed
-pristine pre-stage tree, and the degraded stage itself is never re-faulted.
+internals; a degraded re-run on the reference backend starts from the
+restored pre-stage design snapshot, and the degraded stage itself is never
+re-faulted.
 
 Everything here is module-level and pickle-friendly so faults can cross
 process pools (the DSE crash hook :class:`SweepCrash` must reach
@@ -52,7 +53,7 @@ from repro.clocktree.arrays import KIND_STEINER
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flow.config import CtsConfig
 
-#: Either live flow representation a fault may be asked to corrupt.
+#: Either tree form a fault may be asked to corrupt.
 FlowState = ClockTree | DesignArrays
 
 
@@ -63,8 +64,8 @@ class StageFault:
     ``stage`` is one of the guarded stage names (``"routing"``,
     ``"insertion"``, ``"refinement"``); ``inject`` is a module-level callable
     taking the live :class:`ClockTree` or :class:`DesignArrays`.  Every
-    injector here handles both representations, so the same fault matrix
-    exercises the object-hop and the IR-native flow paths.
+    injector here handles both forms: the flow stages hand it their
+    :class:`DesignArrays`, and the probe tests corrupt object trees directly.
     """
 
     stage: str
@@ -403,10 +404,9 @@ class SweepCrash:
     def __call__(self, config: "CtsConfig", threshold: int) -> None:
         if threshold != self.threshold:
             return
+        backends = config.resolved_backends()
         if self.only_fast and (
-            config.timing_engine == "reference"
-            and config.dp_backend == "reference"
-            and config.dme_backend == "reference"
+            backends.timing == backends.dp == backends.dme == "reference"
         ):
             return
         raise RuntimeError(f"injected sweep crash at threshold {threshold}")

@@ -2,7 +2,7 @@
 
 The guarded flow supports three policies, resolved through the shared
 :class:`~repro.flow.config.BackendChoice` rule (explicit argument >
-``CtsConfig.guard`` > ``REPRO_GUARD`` > built-in default):
+``CtsConfig.backends.guard`` > ``REPRO_GUARD`` > built-in default):
 
 ``off``
     No validation, no checks, no copies — the flow behaves exactly as it
@@ -91,7 +91,7 @@ def resolve_guard_policy(*candidates: str | None) -> str:
     """Resolve the guard policy by the shared backend-resolution rule.
 
     Candidates are listed in precedence order (explicit argument first, then
-    the ``CtsConfig.guard`` field); the ``REPRO_GUARD`` environment variable
+    ``CtsConfig.backends.guard``); the ``REPRO_GUARD`` environment variable
     and the built-in default apply when every candidate is None.
     """
     from repro.flow.config import GUARD_POLICY_CHOICE

@@ -250,10 +250,20 @@ def pdk_problems(pdk: Pdk) -> list[str]:
     return problems
 
 
-def corner_problems(corners: CornerSet | None) -> list[str]:
-    """Every validation problem of a corner set (empty when clean or None)."""
+def corner_problems(corners: CornerSet | str | None) -> list[str]:
+    """Every validation problem of a corner set (empty when clean or None).
+
+    ``corners`` may be anything the timing engines accept (a spec string
+    such as ``"ss,ff"``, a scenario, an iterable of scenarios); it is
+    resolved with :meth:`CornerSet.resolve` first, exactly as the engines
+    do, and a value that does not resolve is itself the problem.
+    """
     if corners is None:
         return []
+    try:
+        corners = CornerSet.resolve(corners)
+    except (TypeError, ValueError) as exc:
+        return [f"corner set {corners!r} does not resolve: {exc}"]
     problems: list[str] = []
     for scenario in corners:
         for attr in (
@@ -288,7 +298,7 @@ def validate_pdk(pdk: Pdk) -> None:
     _raise_on_problems(pdk_problems(pdk), "")
 
 
-def validate_corners(corners: CornerSet | None) -> None:
+def validate_corners(corners: CornerSet | str | None) -> None:
     """Raise :class:`GuardError` when the corner set is invalid."""
     _raise_on_problems(corner_problems(corners), "")
 
@@ -318,7 +328,7 @@ def _clock_net_clean(clock_net: ClockNet) -> bool:
 
 
 def validate_flow_inputs(
-    clock_net: ClockNet, pdk: Pdk, corners: CornerSet | None = None
+    clock_net: ClockNet, pdk: Pdk, corners: CornerSet | str | None = None
 ) -> None:
     """Validate design, PDK, and corners together (flow-entry check)."""
     problems = [] if _clock_net_clean(clock_net) else clock_net_problems(clock_net)
@@ -556,7 +566,7 @@ def edit_log_anomaly(tree: ClockTree | DesignArrays) -> str | None:
     match the tree version (an edited tree with a pruned or stale log would
     silently desync every incremental consumer).  Designs share the log
     shape (including ``compact()``'s collapsed single-touch log), so the
-    same checks apply to both representations.
+    same checks apply to both tree forms.
     """
     edits = tree.edit_log
     if not edits:

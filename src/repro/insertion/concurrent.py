@@ -35,7 +35,7 @@ production ``vectorized`` backend (struct-of-arrays candidate frontiers,
 broadcast merges, batched pattern costs, vectorized pruning) which builds an
 identical tree several-fold faster — close to corner-count-independent for
 corner-aware runs.  Select per inserter (``dp_backend=``), per config
-(``InsertionConfig.dp_backend`` / ``CtsConfig.dp_backend``), from the CLI
+(``InsertionConfig.dp_backend`` / ``CtsConfig.backends.dp``), from the CLI
 (``dscts --dp-backend``), or globally via ``REPRO_DP_BACKEND``; the default
 is ``vectorized``.
 """
@@ -66,7 +66,7 @@ from repro.ir.design import KIND_NTSV, DesignArrays
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
-from repro.timing import TimingResult, create_engine
+from repro.timing import TimingResult, VectorizedElmoreEngine, create_engine
 
 
 @dataclass
@@ -232,8 +232,9 @@ class ConcurrentInserter:
         Args:
             tree: the routed, unbuffered clock tree — :class:`ClockTree` or
                 its array IR, :class:`~repro.ir.design.DesignArrays` (the
-                ``vectorized`` DP backend only; the per-object reference DP
-                consumes object trees, bridge via ``to_clock_tree()``).
+                ``vectorized`` DP backend and timing engine only; the
+                reference DP and the reference engine consume object trees,
+                bridge via ``to_clock_tree()``).
             dp_tree: a pre-built DP tree; built from ``tree`` when omitted.
             mode_of: optional per-node mode assignment (overrides the default).
             fanout_threshold: the DSE heuristic — nodes with fewer downstream
@@ -243,6 +244,11 @@ class ConcurrentInserter:
         if is_design and self.dp_backend != "vectorized":
             raise ValueError(
                 "the reference DP backend runs on object trees; realise the "
+                "design via to_clock_tree() before running it"
+            )
+        if is_design and not isinstance(self._engine, VectorizedElmoreEngine):
+            raise ValueError(
+                "the reference timing engine runs on object trees; realise the "
                 "design via to_clock_tree() before running it"
             )
         if dp_tree is None:

@@ -10,7 +10,7 @@ Implements Section III-B of the paper:
 * :mod:`repro.routing.dme_arrays` — the level-batched array DME backend
   (decision-identical to the scalar router) plus the shared
   :func:`~repro.routing.dme_arrays.create_dme_router` factory through which
-  flow code selects backends (``CtsConfig.dme_backend`` / ``--dme-backend``
+  flow code selects backends (``CtsConfig.backends.dme`` / ``--dme-backend``
   / ``REPRO_DME_BACKEND``).
 * :mod:`repro.routing.hierarchical` — the paper's hierarchical clock routing:
   dual-level clustering + per-cluster DME + top-level DME, producing the

@@ -28,7 +28,7 @@ scalar embedding, so the two backends return node-for-node identical trees.
 ``tests/test_routing_dme_vectorized.py`` enforces this on seeded and
 hypothesis-generated designs through the differential harness.
 
-Backends are selected through ``CtsConfig.dme_backend`` /
+Backends are selected through ``CtsConfig.backends.dme`` /
 ``dscts --dme-backend`` / the ``REPRO_DME_BACKEND`` environment variable,
 defaulting to ``vectorized``; flow code obtains routers through
 :func:`create_dme_router` rather than instantiating either class ad hoc.
@@ -89,7 +89,7 @@ def create_dme_router(
     Flow code must obtain DME routers here (or via the config surfaces that
     feed ``backend``) so the whole library can be switched between the
     level-batched array router and the per-node reference implementation —
-    per call site, per flow (``CtsConfig.dme_backend``), from the CLI
+    per call site, per flow (``CtsConfig.backends.dme``), from the CLI
     (``--dme-backend``), or globally via ``REPRO_DME_BACKEND``.
     """
     name = resolve_dme_backend(backend)

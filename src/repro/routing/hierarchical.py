@@ -7,21 +7,23 @@ The router combines dual-level clustering with DME:
 3. a top-level DME over the high-level sub-roots toward the clock source,
 4. star-routed leaf nets from each low-level centroid (a *tap*) to its sinks.
 
-The output is an unbuffered, all-front-side :class:`~repro.clocktree.ClockTree`
-whose trunk edges are later processed by the concurrent buffer and nTSV
-insertion.  A non-hierarchical "flat matching DME" mode is also provided for
-the ablation against Fig. 5(c).
+The output is an unbuffered, all-front-side
+:class:`~repro.ir.design.DesignArrays` design
+(:meth:`HierarchicalClockRouter.route_design`) whose trunk edges are later
+processed by the concurrent buffer and nTSV insertion;
+:meth:`HierarchicalClockRouter.route` realises the same routing as a
+:class:`~repro.clocktree.ClockTree` for object-tree callers.  A
+non-hierarchical "flat matching DME" mode is also provided for the ablation
+against Fig. 5(c).
 
-**Region-parallel construction (the scaled tier).**  On the IR path
-(:meth:`HierarchicalClockRouter.route_design`) with ``workers > 1``, the
-independent per-high-cluster work — low-level clustering, tap-terminal
+**Region-parallel construction (the scaled tier).**  With ``workers > 1``,
+the independent per-high-cluster work — low-level clustering, tap-terminal
 lumping, DME embedding, and shard materialisation — fans out over a process
 pool: each worker routes its region into its own :class:`DesignArrays`
 shard, and a deterministic serial merge stitches the shards into one design
 in the serial flow's exact row and name order
 (:meth:`~repro.ir.design.DesignArrays.graft`).  The result is bit-identical
-to the serial route at every worker count; the object path
-(:meth:`~HierarchicalClockRouter.route`) always runs serially.
+to the serial route at every worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
+from repro.clocktree import ClockTree, ClockTreeNode
 from repro.clocktree.arrays import KIND_SINK, KIND_STEINER, KIND_TAP
 from repro.clocktree.tree import ConnectivityError
 from repro.clustering import (
@@ -50,9 +52,8 @@ from repro.routing.dme_arrays import (
     DmeEmbedding,
     VectorizedDmeRouter,
     create_dme_router,
-    resolve_dme_backend,
 )
-from repro.tech.layers import LayerRC, Side
+from repro.tech.layers import LayerRC
 from repro.tech.pdk import Pdk
 
 if TYPE_CHECKING:  # deferred at runtime: repro.flow.config imports the flow pkg
@@ -61,7 +62,11 @@ if TYPE_CHECKING:  # deferred at runtime: repro.flow.config imports the flow pkg
 
 @dataclass
 class HierarchicalRoutingResult:
-    """The routed (unbuffered) clock tree plus the clustering used to build it."""
+    """:class:`DesignRoutingResult` realised as an object clock tree.
+
+    Returned by :meth:`HierarchicalClockRouter.route`; ``tap_nodes`` are the
+    tree nodes named by the design result's ``tap_names``, in that order.
+    """
 
     tree: ClockTree
     clustering: DualLevelClustering | None
@@ -76,7 +81,7 @@ class HierarchicalRoutingResult:
 
 @dataclass
 class DesignRoutingResult:
-    """Array-IR twin of :class:`HierarchicalRoutingResult`.
+    """The routed (unbuffered) design plus the clustering used to build it.
 
     Taps are recorded by *name* (rows are renumbered whenever the design is
     compacted, names are stable for the lifetime of the node).
@@ -101,8 +106,8 @@ class _DmeCursor:
     """:class:`EmbeddedNode`-shaped read view over a :class:`DmeEmbedding`.
 
     Lets the design materialisers walk the array-form DME solution with the
-    exact traversal the object materialisers use, without realising
-    EmbeddedNode objects.
+    same traversal they use on the reference router's ``EmbeddedNode``
+    tree, without realising EmbeddedNode objects.
     """
 
     __slots__ = ("_emb", "_index")
@@ -195,9 +200,10 @@ def _materialise_design_node(
     low_by_name: dict[str, Cluster],
     tap_names: list[str],
 ) -> int:
-    """Row twin of :meth:`HierarchicalClockRouter._materialise_node`
-    (same names, same order).  Module-level so region workers can
-    materialise their shard without a router instance."""
+    """Materialise one DME (sub)tree below ``parent_row``: steiner rows for
+    internal nodes, a tap row plus its star-routed sinks per leaf.
+    Module-level so region workers can materialise their shard without a
+    router instance."""
     if node.is_leaf:
         low = low_by_name[node.terminal.name]
         tap_row = design.add_child(
@@ -347,69 +353,25 @@ def _validate_region_shard(region: _RegionShard, payload) -> None:
 
 
 class HierarchicalClockRouter:
-    """Builds the initial clock tree topology of the paper's flow."""
+    """Builds the initial clock tree topology of the paper's flow.
 
-    _LOOSE_KWARGS_KEY = "HierarchicalClockRouter.loose-kwargs"
+    Everything comes from the :class:`~repro.flow.config.CtsConfig`:
+    clustering shape, seed, hierarchy mode, worker count, pool policy, and
+    the DME backend (through ``config.resolved_backends()``).
+    """
 
-    def __init__(
-        self,
-        pdk: Pdk,
-        high_cluster_size: int | None = None,
-        low_cluster_size: int | None = None,
-        seed: int | None = None,
-        hierarchical: bool | None = None,
-        dme_backend: str | None = None,
-        config: "CtsConfig | None" = None,
-    ) -> None:
-        """Preferred construction is ``HierarchicalClockRouter(pdk, config=cfg)``
-        — clustering shape, seed, hierarchy mode, and the DME backend all come
-        from the :class:`~repro.flow.config.CtsConfig` (backends through
-        ``config.resolved_backends()``).  The loose keyword arguments are
-        deprecated; they still win over ``config`` but warn once per process.
-        """
-        loose = {
-            key: value
-            for key, value in (
-                ("high_cluster_size", high_cluster_size),
-                ("low_cluster_size", low_cluster_size),
-                ("seed", seed),
-                ("hierarchical", hierarchical),
-                ("dme_backend", dme_backend),
-            )
-            if value is not None
-        }
+    def __init__(self, pdk: Pdk, config: "CtsConfig | None" = None) -> None:
         # Deferred import: repro.flow imports this module at package init.
-        from repro.flow.config import CtsConfig, warn_deprecated_once
+        from repro.flow.config import CtsConfig
 
-        if loose:
-            warn_deprecated_once(
-                self._LOOSE_KWARGS_KEY,
-                "HierarchicalClockRouter(high_cluster_size=..., "
-                "low_cluster_size=..., seed=..., hierarchical=..., "
-                "dme_backend=...) is deprecated; pass config=CtsConfig(...) "
-                "(backends via CtsConfig.backends) instead",
-            )
         if config is None:
             config = CtsConfig()
         self.pdk = pdk
-        self.high_cluster_size = (
-            high_cluster_size
-            if high_cluster_size is not None
-            else config.high_cluster_size
-        )
-        self.low_cluster_size = (
-            low_cluster_size
-            if low_cluster_size is not None
-            else config.low_cluster_size
-        )
-        self.seed = seed if seed is not None else config.seed
-        self.hierarchical = (
-            hierarchical if hierarchical is not None else config.hierarchical_routing
-        )
-        if dme_backend is not None:
-            self.dme_backend = resolve_dme_backend(dme_backend)
-        else:
-            self.dme_backend = config.resolved_backends().dme
+        self.high_cluster_size = config.high_cluster_size
+        self.low_cluster_size = config.low_cluster_size
+        self.seed = config.seed
+        self.hierarchical = config.hierarchical_routing
+        self.dme_backend = config.resolved_backends().dme
         self.workers = config.resolved_workers()
         self.parallel_policy = config.resolved_parallel_policy()
         if self.high_cluster_size < self.low_cluster_size:
@@ -417,22 +379,29 @@ class HierarchicalClockRouter:
 
     # ---------------------------------------------------------------- public
     def route(self, clock_net: ClockNet) -> HierarchicalRoutingResult:
-        """Route ``clock_net`` and return the initial clock tree."""
-        if clock_net.sink_count == 0:
-            raise ValueError("clock net has no sinks")
-        if self.hierarchical:
-            return self._route_hierarchical(clock_net)
-        return self._route_flat(clock_net)
+        """Route ``clock_net`` and realise the result as a :class:`ClockTree`.
+
+        A boundary adapter over :meth:`route_design` for callers that edit
+        object trees (baselines, benches, examples); the flow itself stays
+        on the design rows.
+        """
+        routed = self.route_design(clock_net)
+        tree = routed.design.to_clock_tree()
+        return HierarchicalRoutingResult(
+            tree=tree,
+            clustering=routed.clustering,
+            trunk_wirelength=routed.trunk_wirelength,
+            leaf_wirelength=routed.leaf_wirelength,
+            tap_nodes=[tree.find(name) for name in routed.tap_names],
+        )
 
     def route_design(self, clock_net: ClockNet) -> DesignRoutingResult:
-        """Route ``clock_net`` straight into a :class:`DesignArrays` (IR entry).
+        """Route ``clock_net`` straight into a :class:`DesignArrays`.
 
-        Decision-identical to :meth:`route`: same clustering, same DME
-        embeddings, and the same node names assigned in the same creation
-        order, so ``result.design.to_clock_tree()`` fingerprints equal to the
-        object route's tree.  The vectorized DME backend feeds the design rows
-        directly from its array-form solution; the reference backend walks the
-        scalar router's embedded tree (its sanctioned object boundary).
+        The vectorized DME backend feeds the design rows directly from its
+        array-form solution; the reference backend walks the scalar
+        router's embedded tree (its sanctioned object boundary).  Both
+        backends build bit-identical designs.
         """
         if clock_net.sink_count == 0:
             raise ValueError("clock net has no sinks")
@@ -441,213 +410,6 @@ class HierarchicalClockRouter:
         return self._route_flat_design(clock_net)
 
     # --------------------------------------------------------- hierarchical
-    def _route_hierarchical(self, clock_net: ClockNet) -> HierarchicalRoutingResult:
-        layer = self.pdk.front_layer
-        clustering = dual_level_clustering(
-            clock_net.sinks,
-            high_size=self.high_cluster_size,
-            low_size=self.low_cluster_size,
-            seed=self.seed,
-            max_leaf_capacitance=0.9 * self.pdk.max_capacitance,
-            unit_wire_capacitance=layer.unit_capacitance,
-        )
-        router = create_dme_router(layer, backend=self.dme_backend)
-
-        root = ClockTreeNode(
-            name="clkroot",
-            kind=NodeKind.ROOT,
-            location=clock_net.source.location,
-            side=Side.FRONT,
-        )
-        tree = ClockTree(root, name=clock_net.name)
-        tap_nodes: list[ClockTreeNode] = []
-
-        sub_roots: list[tuple[EmbeddedNode, list[Cluster]]] = []
-        for high in clustering.high_clusters:
-            lows = clustering.low_clusters_of(high.index)
-            terminals = [self._tap_terminal(low, layer) for low in lows]
-            embedded = router.route(terminals, root_location=high.centroid)
-            sub_roots.append((embedded, lows))
-
-        if len(sub_roots) == 1:
-            embedded, lows = sub_roots[0]
-            top_child = self._materialise(tree, root, embedded, lows, tap_nodes)
-        else:
-            # Top-level DME over the high-cluster sub-roots.
-            top_terminals = [
-                DmeTerminal(
-                    name=f"high_{i}",
-                    location=embedded.location,
-                    capacitance=embedded.subtree_capacitance,
-                    delay=embedded.subtree_delay,
-                )
-                for i, (embedded, _lows) in enumerate(sub_roots)
-            ]
-            top_embedded = router.route(
-                top_terminals, root_location=clock_net.source.location
-            )
-            top_child = self._materialise_top(
-                tree, root, top_embedded, sub_roots, tap_nodes
-            )
-
-        trunk_wl = tree.wirelength() - self._leaf_wirelength(tap_nodes)
-        return HierarchicalRoutingResult(
-            tree=tree,
-            clustering=clustering,
-            trunk_wirelength=trunk_wl,
-            leaf_wirelength=self._leaf_wirelength(tap_nodes),
-            tap_nodes=tap_nodes,
-        )
-
-    def _tap_terminal(self, low: Cluster, layer) -> DmeTerminal:
-        return _tap_terminal(low, layer)
-
-    # --------------------------------------------------------------- flat DME
-    def _route_flat(self, clock_net: ClockNet) -> HierarchicalRoutingResult:
-        """Matching-based DME straight over all sinks (Fig. 5(c) baseline)."""
-        layer = self.pdk.front_layer
-        router = create_dme_router(layer, backend=self.dme_backend)
-        terminals = [
-            DmeTerminal(name=s.name, location=s.location, capacitance=s.capacitance)
-            for s in clock_net.sinks
-        ]
-        embedded = router.route(terminals, root_location=clock_net.source.location)
-        root = ClockTreeNode(
-            name="clkroot",
-            kind=NodeKind.ROOT,
-            location=clock_net.source.location,
-            side=Side.FRONT,
-        )
-        tree = ClockTree(root, name=clock_net.name)
-        self._materialise_flat(tree, root, embedded, clock_net)
-        return HierarchicalRoutingResult(
-            tree=tree,
-            clustering=None,
-            trunk_wirelength=tree.wirelength(),
-            leaf_wirelength=0.0,
-            tap_nodes=[],
-        )
-
-    # --------------------------------------------------------- materialising
-    def _materialise(
-        self,
-        tree: ClockTree,
-        parent: ClockTreeNode,
-        embedded: EmbeddedNode,
-        lows: list[Cluster],
-        tap_nodes: list[ClockTreeNode],
-    ) -> ClockTreeNode:
-        """Convert an embedded sub-DME into clock tree nodes below ``parent``."""
-        low_by_name = {f"tap_{low.index}": low for low in lows}
-        return self._materialise_node(tree, parent, embedded, low_by_name, tap_nodes)
-
-    def _materialise_top(
-        self,
-        tree: ClockTree,
-        root: ClockTreeNode,
-        top_embedded: EmbeddedNode,
-        sub_roots: list[tuple[EmbeddedNode, list[Cluster]]],
-        tap_nodes: list[ClockTreeNode],
-    ) -> ClockTreeNode:
-        """Materialise the top-level DME; its leaves expand into sub-DMEs."""
-
-        def expand(parent: ClockTreeNode, node: EmbeddedNode) -> ClockTreeNode:
-            if node.is_leaf:
-                index = int(node.terminal.name.split("_")[1])
-                embedded, lows = sub_roots[index]
-                return self._materialise(tree, parent, embedded, lows, tap_nodes)
-            steiner = ClockTreeNode(
-                name=tree.new_name("st"),
-                kind=NodeKind.STEINER,
-                location=node.location,
-                side=Side.FRONT,
-                wire_side=Side.FRONT,
-            )
-            parent.add_child(steiner)
-            for child in node.children:
-                expand(steiner, child)
-            return steiner
-
-        return expand(root, top_embedded)
-
-    def _materialise_node(
-        self,
-        tree: ClockTree,
-        parent: ClockTreeNode,
-        embedded: EmbeddedNode,
-        low_by_name: dict[str, Cluster],
-        tap_nodes: list[ClockTreeNode],
-    ) -> ClockTreeNode:
-        if embedded.is_leaf:
-            low = low_by_name[embedded.terminal.name]
-            tap = ClockTreeNode(
-                name=embedded.terminal.name,
-                kind=NodeKind.TAP,
-                location=low.centroid,
-                side=Side.FRONT,
-                wire_side=Side.FRONT,
-            )
-            parent.add_child(tap)
-            tap_nodes.append(tap)
-            for sink in low.sinks:
-                tap.add_child(
-                    ClockTreeNode(
-                        name=sink.name,
-                        kind=NodeKind.SINK,
-                        location=sink.location,
-                        side=Side.FRONT,
-                        capacitance=sink.capacitance,
-                        wire_side=Side.FRONT,
-                    )
-                )
-            return tap
-        steiner = ClockTreeNode(
-            name=tree.new_name("st"),
-            kind=NodeKind.STEINER,
-            location=embedded.location,
-            side=Side.FRONT,
-            wire_side=Side.FRONT,
-        )
-        parent.add_child(steiner)
-        for child in embedded.children:
-            self._materialise_node(tree, steiner, child, low_by_name, tap_nodes)
-        return steiner
-
-    def _materialise_flat(
-        self,
-        tree: ClockTree,
-        parent: ClockTreeNode,
-        embedded: EmbeddedNode,
-        clock_net: ClockNet,
-    ) -> ClockTreeNode:
-        if embedded.is_leaf:
-            sink = clock_net.sink_by_name(embedded.terminal.name)
-            node = ClockTreeNode(
-                name=sink.name,
-                kind=NodeKind.SINK,
-                location=sink.location,
-                side=Side.FRONT,
-                capacitance=sink.capacitance,
-                wire_side=Side.FRONT,
-            )
-            parent.add_child(node)
-            return node
-        steiner = ClockTreeNode(
-            name=tree.new_name("st"),
-            kind=NodeKind.STEINER,
-            location=embedded.location,
-            side=Side.FRONT,
-            wire_side=Side.FRONT,
-        )
-        parent.add_child(steiner)
-        for child in embedded.children:
-            self._materialise_flat(tree, steiner, child, clock_net)
-        return steiner
-
-    # ------------------------------------------------- IR (DesignArrays) path
-    def _embed(self, router, terminals, root_location) -> "DmeEmbedding | EmbeddedNode":
-        return _embed(router, terminals, root_location)
-
     def _route_hierarchical_design(self, clock_net: ClockNet) -> DesignRoutingResult:
         layer = self.pdk.front_layer
         if self.workers > 1:
@@ -674,13 +436,13 @@ class HierarchicalClockRouter:
         sub_roots: list[tuple[DmeEmbedding | EmbeddedNode, list[Cluster]]] = []
         for high in clustering.high_clusters:
             lows = clustering.low_clusters_of(high.index)
-            terminals = [self._tap_terminal(low, layer) for low in lows]
-            embedding = self._embed(router, terminals, high.centroid)
+            terminals = [_tap_terminal(low, layer) for low in lows]
+            embedding = _embed(router, terminals, high.centroid)
             sub_roots.append((embedding, lows))
 
         if len(sub_roots) == 1:
             embedding, lows = sub_roots[0]
-            self._materialise_sub_design(design, root_row, embedding, lows, tap_names)
+            _materialise_sub_design(design, root_row, embedding, lows, tap_names)
         else:
             top_terminals = [
                 DmeTerminal(
@@ -699,7 +461,7 @@ class HierarchicalClockRouter:
                 )
                 for i, (embedding, _lows) in enumerate(sub_roots)
             ]
-            top_embedding = self._embed(router, top_terminals, source)
+            top_embedding = _embed(router, top_terminals, source)
             self._materialise_top_design(
                 design, root_row, _root_cursor(top_embedding), sub_roots, tap_names
             )
@@ -810,7 +572,7 @@ class HierarchicalClockRouter:
             )
             for region in regions
         ]
-        top_embedding = self._embed(router, top_terminals, source)
+        top_embedding = _embed(router, top_terminals, source)
         self._stitch_top_design(
             design,
             root_row,
@@ -841,9 +603,9 @@ class HierarchicalClockRouter:
         tap_bases: list[int],
         tap_names: list[str],
     ) -> int:
-        """Row twin of :meth:`_materialise_top_design` over routed shards:
-        top-level steiners are created in DFS order, and each ``high_{i}``
-        leaf grafts region ``i``'s shard instead of expanding a sub-DME."""
+        """:meth:`_materialise_top_design` over routed shards: top-level
+        steiners are created in DFS order, and each ``high_{i}`` leaf grafts
+        region ``i``'s shard instead of expanding a sub-DME."""
 
         def expand(parent_row: int, node) -> int:
             if node.is_leaf:
@@ -901,7 +663,7 @@ class HierarchicalClockRouter:
             DmeTerminal(name=s.name, location=s.location, capacitance=s.capacitance)
             for s in clock_net.sinks
         ]
-        embedding = self._embed(router, terminals, clock_net.source.location)
+        embedding = _embed(router, terminals, clock_net.source.location)
         design = DesignArrays(name=clock_net.name)
         source = clock_net.source.location
         root_row = design.add_root("clkroot", source.x, source.y)
@@ -916,16 +678,6 @@ class HierarchicalClockRouter:
             tap_names=[],
         )
 
-    def _materialise_sub_design(
-        self,
-        design: DesignArrays,
-        parent_row: int,
-        embedding: "DmeEmbedding | EmbeddedNode",
-        lows: list[Cluster],
-        tap_names: list[str],
-    ) -> int:
-        return _materialise_sub_design(design, parent_row, embedding, lows, tap_names)
-
     def _materialise_top_design(
         self,
         design: DesignArrays,
@@ -934,13 +686,13 @@ class HierarchicalClockRouter:
         sub_roots: "list[tuple[DmeEmbedding | EmbeddedNode, list[Cluster]]]",
         tap_names: list[str],
     ) -> int:
-        """Row twin of :meth:`_materialise_top`."""
+        """Materialise the top-level DME; its leaves expand into sub-DMEs."""
 
         def expand(parent_row: int, node) -> int:
             if node.is_leaf:
                 index = int(node.terminal.name.split("_")[1])
                 embedding, lows = sub_roots[index]
-                return self._materialise_sub_design(
+                return _materialise_sub_design(
                     design, parent_row, embedding, lows, tap_names
                 )
             location = node.location
@@ -960,7 +712,7 @@ class HierarchicalClockRouter:
         node,
         clock_net: ClockNet,
     ) -> int:
-        """Row twin of :meth:`_materialise_flat`."""
+        """Materialise the flat DME: steiner rows above one row per sink."""
         if node.is_leaf:
             sink = clock_net.sink_by_name(node.terminal.name)
             return design.add_child(
@@ -988,15 +740,4 @@ class HierarchicalClockRouter:
             for child in design.children_rows[tap]:
                 if design.kind[child] == KIND_SINK:
                     total += float(design.edge_length[child])
-        return total
-
-    # ------------------------------------------------------------------ misc
-    @staticmethod
-    def _leaf_wirelength(tap_nodes: list[ClockTreeNode]) -> float:
-        """Total wirelength of the star leaf nets below all taps (um)."""
-        total = 0.0
-        for tap in tap_nodes:
-            for child in tap.children:
-                if child.is_sink:
-                    total += tap.location.manhattan(child.location)
         return total

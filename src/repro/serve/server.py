@@ -146,7 +146,7 @@ class CtsServer:
     def _op_build(self, request: dict[str, Any]) -> dict[str, Any]:
         net, name = self._resolve_net(request)
         config = self._request_config(request)
-        key = design_cache_key(net, self.pdk, config.for_session().corners)
+        key = design_cache_key(net, self.pdk, config.corners)
         session = self.sessions.get(key)
         cached = session is not None
         evicted: list[str] = []

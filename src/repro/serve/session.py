@@ -175,11 +175,6 @@ class DesignSession:
         config: CtsConfig,
         run: CtsRunResult,
     ) -> None:
-        if run.design is None:
-            raise ValueError(
-                "a serve session needs an IR flow result carrying its design "
-                "(build with CtsConfig.for_session())"
-            )
         self.key = key
         self.pdk = pdk
         self.config = config
@@ -299,10 +294,10 @@ def build_session(
     design_name: str | None = None,
 ) -> DesignSession:
     """Run the flow once and wrap the result as a cacheable session."""
-    session_config = (config or CtsConfig()).for_session()
-    key = design_cache_key(clock_net, pdk, session_config.corners)
-    run = DoubleSideCTS(pdk, session_config).run(clock_net, design_name)
-    return DesignSession(key, pdk, session_config, run)
+    config = config or CtsConfig()
+    key = design_cache_key(clock_net, pdk, config.corners)
+    run = DoubleSideCTS(pdk, config).run(clock_net, design_name)
+    return DesignSession(key, pdk, config, run)
 
 
 def one_shot_reply(
@@ -319,8 +314,8 @@ def one_shot_reply(
     Builds the design from scratch (a full ``dscts run``-equivalent flow),
     replays the session's ``committed`` edits and then the query ``edits``,
     and evaluates on a fresh engine.  The executable spec the warm path's
-    byte-identity is pinned against — any representation (``object`` or
-    ``ir``) and any worker count must land on these exact bytes.
+    byte-identity is pinned against — any worker count must land on these
+    exact bytes.
     """
     session = build_session(pdk, clock_net, config, design_name)
     for edit in committed:

@@ -155,60 +155,22 @@ def run_flow(
     clock_net: ClockNet,
     combo: dict | None = None,
     corners=None,
-    representation: str | None = None,
     **config_kwargs,
 ) -> CtsRunResult:
     """Run the double-side CTS flow under one backend combination.
 
-    ``combo`` is an axis dict from :func:`backend_matrix`;
-    ``representation`` selects the flow path (``"object"`` / ``"ir"``).
-    Cluster sizes are scaled down so the harness stays fast on unit-test
-    nets.
+    ``combo`` is an axis dict from :func:`backend_matrix`.  Cluster sizes
+    are scaled down so the harness stays fast on unit-test nets.
     """
     config = CtsConfig(
         high_cluster_size=40,
         low_cluster_size=6,
         seed=7,
         corners=corners,
-        backends=BackendSelection(**(combo or {}), representation=representation),
+        backends=BackendSelection(**(combo or {})),
         **config_kwargs,
     )
     return DoubleSideCTS(pdk, config).run(clock_net)
-
-
-def assert_representations_identical(
-    pdk,
-    clock_net: ClockNet,
-    combo: dict | None = None,
-    corners=None,
-    **config_kwargs,
-) -> tuple[CtsRunResult, CtsRunResult]:
-    """The IR-native flow must be decision-identical to the object-hop flow.
-
-    Runs the same flow under both representations and asserts bit-equal
-    tree fingerprints plus equal decision-derived metrics (latency, skew,
-    resource counts).  Returns ``(object_result, ir_result)`` for further
-    checks.
-    """
-    obj = run_flow(
-        pdk, clock_net, combo, corners=corners,
-        representation="object", **config_kwargs,
-    )
-    ir = run_flow(
-        pdk, clock_net, combo, corners=corners,
-        representation="ir", **config_kwargs,
-    )
-    assert ir.design is not None, "IR run must carry the persistent design"
-    assert obj.design is None, "object run must not carry a design"
-    assert_clock_trees_identical(obj.tree, ir.tree)
-    assert obj.metrics.latency == ir.metrics.latency
-    assert obj.metrics.skew == ir.metrics.skew
-    assert obj.metrics.buffers == ir.metrics.buffers
-    assert obj.metrics.ntsvs == ir.metrics.ntsvs
-    assert obj.metrics.sinks == ir.metrics.sinks
-    assert obj.metrics.corner_skews == ir.metrics.corner_skews
-    assert obj.metrics.corner_latencies == ir.metrics.corner_latencies
-    return obj, ir
 
 
 # ------------------------------------------------------------------ asserts

@@ -18,7 +18,6 @@ from repro.flow.config import (
     CtsConfig,
     DME_BACKEND_CHOICE,
     DP_BACKEND_CHOICE,
-    FLOW_REPRESENTATION_CHOICE,
     GUARD_POLICY_CHOICE,
     ResolvedBackends,
     TIMING_ENGINE_CHOICE,
@@ -156,15 +155,14 @@ ALL_BACKEND_ENV_VARS = (
     "REPRO_DP_BACKEND",
     "REPRO_DME_BACKEND",
     "REPRO_GUARD",
-    "REPRO_FLOW_REPRESENTATION",
 )
 
-#: (deprecated loose CtsConfig field, BackendSelection field) per knob.
-LEGACY_FIELD_PAIRS = (
-    ("timing_engine", "timing"),
-    ("dp_backend", "dp"),
-    ("dme_backend", "dme"),
-    ("guard", "guard"),
+#: (BackendSelection field, its shared choice) per knob.
+SELECTION_FIELDS = (
+    ("timing", TIMING_ENGINE_CHOICE),
+    ("dp", DP_BACKEND_CHOICE),
+    ("dme", DME_BACKEND_CHOICE),
+    ("guard", GUARD_POLICY_CHOICE),
 )
 
 
@@ -178,68 +176,27 @@ def clean_backend_env(monkeypatch):
     _reset_deprecation_warnings()
 
 
-class TestFlowRepresentationChoice:
-    """The flow-representation knob rides the shared resolution rule."""
-
-    def test_definition(self):
-        assert FLOW_REPRESENTATION_CHOICE.names == ("object", "ir")
-        assert FLOW_REPRESENTATION_CHOICE.default == "object"
-        assert FLOW_REPRESENTATION_CHOICE.env_var == "REPRO_FLOW_REPRESENTATION"
-
-    def test_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_REPRESENTATION", raising=False)
-        assert FLOW_REPRESENTATION_CHOICE.resolve(None) == "object"
-        monkeypatch.setenv("REPRO_FLOW_REPRESENTATION", "ir")
-        assert FLOW_REPRESENTATION_CHOICE.resolve(None) == "ir"
-        assert FLOW_REPRESENTATION_CHOICE.resolve("object") == "object"
-        monkeypatch.setenv("REPRO_FLOW_REPRESENTATION", "")
-        assert FLOW_REPRESENTATION_CHOICE.resolve(None) == "object"
-
-    def test_unknown_representation_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_REPRESENTATION", raising=False)
-        with pytest.raises(ValueError, match="unknown flow representation"):
-            FLOW_REPRESENTATION_CHOICE.resolve("tree")
-
-
 class TestConsolidatedBackendSelection:
-    """``CtsConfig.backends`` supersedes the four loose fields.
+    """``CtsConfig.backends`` is the one backend surface of the flow.
 
-    The acceptance contract: every deprecated surface (loose field, env var)
-    keeps resolving to the same concrete backends as the consolidated
-    ``BackendSelection`` — pinned here knob by knob — and the deprecated
-    surfaces warn exactly once per process.
+    Every knob resolves selection > environment variable > default, and the
+    retired surfaces (loose config fields, the representation knob) are
+    gone or inert.
     """
 
     def test_defaults_resolve_fully(self, clean_backend_env):
         resolved = CtsConfig().resolved_backends()
         assert resolved == ResolvedBackends(
-            timing="vectorized",
-            dp="vectorized",
-            dme="vectorized",
-            guard="off",
-            representation="object",
+            timing="vectorized", dp="vectorized", dme="vectorized", guard="off"
         )
 
-    @pytest.mark.parametrize("old,new", LEGACY_FIELD_PAIRS)
-    def test_old_field_equals_new_selection(self, clean_backend_env, old, new):
-        value = "reference" if old != "guard" else "degrade"
-        with pytest.warns(DeprecationWarning):
-            legacy = CtsConfig(**{old: value}).resolved_backends()
-        consolidated = CtsConfig(
-            backends=BackendSelection(**{new: value})
-        ).resolved_backends()
-        assert legacy == consolidated
-        assert getattr(legacy, new) == value
-
-    @pytest.mark.parametrize("old,new", LEGACY_FIELD_PAIRS)
-    def test_env_equals_new_selection(self, clean_backend_env, monkeypatch, old, new):
-        value = "reference" if old != "guard" else "strict"
-        choice = {
-            "timing": TIMING_ENGINE_CHOICE,
-            "dp": DP_BACKEND_CHOICE,
-            "dme": DME_BACKEND_CHOICE,
-            "guard": GUARD_POLICY_CHOICE,
-        }[new]
+    @pytest.mark.parametrize(
+        "new,choice", SELECTION_FIELDS, ids=[new for new, _ in SELECTION_FIELDS]
+    )
+    def test_env_equals_new_selection(
+        self, clean_backend_env, monkeypatch, new, choice
+    ):
+        value = "reference" if new != "guard" else "strict"
         monkeypatch.setenv(choice.env_var, value)
         from_env = CtsConfig().resolved_backends()
         monkeypatch.delenv(choice.env_var)
@@ -247,45 +204,38 @@ class TestConsolidatedBackendSelection:
             backends=BackendSelection(**{new: value})
         ).resolved_backends()
         assert from_env == consolidated
+        assert getattr(consolidated, new) == value
 
-    def test_selection_beats_legacy_beats_env(self, clean_backend_env, monkeypatch):
+    def test_selection_beats_env(self, clean_backend_env, monkeypatch):
         monkeypatch.setenv("REPRO_DP_BACKEND", "reference")
         assert CtsConfig().resolved_backends().dp == "reference"
-        with pytest.warns(DeprecationWarning):
-            config = CtsConfig(dp_backend="vectorized")
+        config = CtsConfig(backends=BackendSelection(dp="vectorized"))
         assert config.resolved_backends().dp == "vectorized"
-        _reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            config = CtsConfig(
-                dp_backend="reference",
-                backends=BackendSelection(dp="vectorized"),
-            )
-        assert config.resolved_backends().dp == "vectorized"
-
-    def test_representation_rides_the_selection(self, clean_backend_env, monkeypatch):
-        assert CtsConfig().resolved_backends().representation == "object"
-        monkeypatch.setenv("REPRO_FLOW_REPRESENTATION", "ir")
-        assert CtsConfig().resolved_backends().representation == "ir"
-        selection = BackendSelection(representation="object")
-        assert (
-            CtsConfig(backends=selection).resolved_backends().representation
-            == "object"
-        )
 
     def test_unknown_name_rejected_at_resolution(self, clean_backend_env):
         config = CtsConfig(backends=BackendSelection(dme="bogus"))
         with pytest.raises(ValueError, match="unknown DME backend"):
             config.resolved_backends()
 
-    def test_legacy_fields_warn_exactly_once(self, clean_backend_env):
+    @pytest.mark.parametrize(
+        "field", ["timing_engine", "dp_backend", "dme_backend", "guard"]
+    )
+    def test_loose_fields_are_gone(self, field):
+        with pytest.raises(TypeError):
+            CtsConfig(**{field: "reference"})
+
+    def test_representation_is_ignored_and_warns_once(self, clean_backend_env):
         import warnings as _warnings
 
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            CtsConfig(timing_engine="reference")
+        with pytest.warns(DeprecationWarning, match="representation"):
+            selection = BackendSelection(representation="object")
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            CtsConfig(dme_backend="reference")
+            BackendSelection(representation="ir")
         assert not [w for w in caught if w.category is DeprecationWarning]
+        assert CtsConfig(backends=selection).resolved_backends() == (
+            CtsConfig().resolved_backends()
+        )
 
     def test_consolidated_selection_never_warns(self, clean_backend_env):
         import warnings as _warnings
@@ -298,45 +248,36 @@ class TestConsolidatedBackendSelection:
                     dp="reference",
                     dme="reference",
                     guard="degrade",
-                    representation="ir",
                 )
             ).resolved_backends()
         assert not [w for w in caught if w.category is DeprecationWarning]
 
+    def test_for_session_is_the_config_itself(self):
+        config = CtsConfig(backends=BackendSelection(dp="reference"), workers=2)
+        assert config.for_session() is config
 
-class TestRouterLooseKwargs:
-    """The router's loose kwargs keep working but warn once per process."""
 
-    def test_loose_kwargs_warn_once_and_match_config(self, clean_backend_env, pdk):
-        import warnings as _warnings
+class TestRouterConfig:
+    """``config=`` is the router's only configuration surface."""
 
+    def test_router_reads_the_config(self, clean_backend_env, pdk):
         from repro.routing.hierarchical import HierarchicalClockRouter
 
-        with pytest.warns(DeprecationWarning, match="config=CtsConfig"):
-            loose = HierarchicalClockRouter(
-                pdk, high_cluster_size=40, low_cluster_size=6, seed=7
-            )
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            HierarchicalClockRouter(pdk, seed=7)
-        assert not [w for w in caught if w.category is DeprecationWarning]
-
-        config = CtsConfig(high_cluster_size=40, low_cluster_size=6, seed=7)
-        via_config = HierarchicalClockRouter(pdk, config=config)
-        assert loose.high_cluster_size == via_config.high_cluster_size
-        assert loose.low_cluster_size == via_config.low_cluster_size
-        assert loose.seed == via_config.seed
-        assert loose.hierarchical == via_config.hierarchical
-        assert loose.dme_backend == via_config.dme_backend
-
-    def test_loose_kwargs_still_win_over_config(self, clean_backend_env, pdk):
-        from repro.routing.hierarchical import HierarchicalClockRouter
-
-        config = CtsConfig(high_cluster_size=400, low_cluster_size=30, seed=1)
-        with pytest.warns(DeprecationWarning):
-            router = HierarchicalClockRouter(
-                pdk, config=config, seed=9, dme_backend="reference"
-            )
+        config = CtsConfig(
+            high_cluster_size=400,
+            low_cluster_size=30,
+            seed=9,
+            hierarchical_routing=False,
+            backends=BackendSelection(dme="reference"),
+        )
+        router = HierarchicalClockRouter(pdk, config=config)
+        assert (router.high_cluster_size, router.low_cluster_size) == (400, 30)
         assert router.seed == 9
+        assert router.hierarchical is False
         assert router.dme_backend == "reference"
-        assert router.high_cluster_size == 400
+
+    def test_loose_kwargs_are_gone(self, pdk):
+        from repro.routing.hierarchical import HierarchicalClockRouter
+
+        with pytest.raises(TypeError):
+            HierarchicalClockRouter(pdk, seed=7)

@@ -1,10 +1,14 @@
 """Tests for Pareto utilities and the design-space explorer (Fig. 9 / Fig. 12)."""
 
+import os
+import warnings
+
 import pytest
 
 from repro.dse import DesignSpaceExplorer, is_dominated, pareto_front
-from repro.flow import SingleSideCTS
-from repro.guard import SweepCrash
+from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS, SingleSideCTS
+from repro.guard import GuardError, SweepCrash
+from tests.conftest import make_random_clock_net
 
 
 class TestParetoUtilities:
@@ -131,12 +135,16 @@ class TestParallelExplore:
 
     def test_engine_choice_does_not_change_results(self, pdk, small_design, small_config):
         thresholds = [20]
-        vec = DesignSpaceExplorer(
-            pdk, small_config.with_updates(timing_engine="vectorized")
-        ).explore(small_design, fanout_thresholds=thresholds)
-        ref = DesignSpaceExplorer(
-            pdk, small_config.with_updates(timing_engine="reference")
-        ).explore(small_design, fanout_thresholds=thresholds)
+        vec_config, ref_config = (
+            small_config.with_updates(backends=BackendSelection(timing=engine))
+            for engine in ("vectorized", "reference")
+        )
+        vec = DesignSpaceExplorer(pdk, vec_config).explore(
+            small_design, fanout_thresholds=thresholds
+        )
+        ref = DesignSpaceExplorer(pdk, ref_config).explore(
+            small_design, fanout_thresholds=thresholds
+        )
         for a, b in zip(vec.points, ref.points):
             assert a.metrics.latency == pytest.approx(b.metrics.latency, abs=1e-6)
             assert a.metrics.skew == pytest.approx(b.metrics.skew, abs=1e-6)
@@ -196,3 +204,120 @@ class TestSweepFailures:
             assert a.metrics.skew == pytest.approx(b.metrics.skew, abs=1e-6)
             assert a.metrics.buffers == b.metrics.buffers
             assert a.metrics.ntsvs == b.metrics.ntsvs
+
+
+class TestSweepMatchesTheFlow:
+    """Every sweep point is the flow run at that threshold, same backends.
+
+    Driven through the library API with every ``REPRO_*`` variable unset:
+    the CLI exports its flags as environment variables, which once hid a
+    sweep that ignored ``CtsConfig.backends``.
+    """
+
+    THRESHOLDS = [20, 100]
+    SELECTIONS = {
+        "default": BackendSelection(),
+        "all-reference": BackendSelection(
+            timing="reference", dp="reference", dme="reference", guard="strict"
+        ),
+    }
+
+    @pytest.fixture()
+    def spy(self, monkeypatch):
+        """Record the backend every stage engine is built with."""
+        import repro.insertion.concurrent as concurrent
+        import repro.ir.stages as ir_stages
+        import repro.routing.hierarchical as hierarchical
+
+        for name in [n for n in os.environ if n.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        built = {"dme": set(), "dp": set(), "timing": set()}
+        create_dme_router = hierarchical.create_dme_router
+        inserter_init = concurrent.ConcurrentInserter.__init__
+        refiner_init = ir_stages.SkewRefiner.__init__
+
+        def dme_spy(layer, backend=None, **kwargs):
+            router = create_dme_router(layer, backend=backend, **kwargs)
+            built["dme"].add(type(router).__name__)
+            return router
+
+        def inserter_spy(self, *args, **kwargs):
+            inserter_init(self, *args, **kwargs)
+            built["dp"].add(self.dp_backend)
+            built["timing"].add(type(self._engine).__name__)
+
+        def refiner_spy(self, *args, **kwargs):
+            refiner_init(self, *args, **kwargs)
+            built["timing"].add(type(self._engine).__name__)
+
+        monkeypatch.setattr(hierarchical, "create_dme_router", dme_spy)
+        monkeypatch.setattr(concurrent.ConcurrentInserter, "__init__", inserter_spy)
+        monkeypatch.setattr(ir_stages.SkewRefiner, "__init__", refiner_spy)
+        return built
+
+    @pytest.mark.parametrize("selection", SELECTIONS, ids=str)
+    def test_points_equal_flow_runs(self, pdk, spy, selection):
+        net = make_random_clock_net(count=300, extent=300.0, seed=3)
+        config = CtsConfig(
+            high_cluster_size=100,
+            low_cluster_size=10,
+            seed=7,
+            backends=self.SELECTIONS[selection],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            sweep = DesignSpaceExplorer(pdk, config).explore(net, self.THRESHOLDS)
+        reference = selection == "all-reference"
+        assert spy == {
+            "dme": {"DmeRouter" if reference else "VectorizedDmeRouter"},
+            "dp": {"reference" if reference else "vectorized"},
+            "timing": {"ElmoreTimingEngine" if reference else "VectorizedElmoreEngine"},
+        }
+        assert not sweep.failures
+        assert [p.parameter for p in sweep.points] == [20.0, 100.0]
+        for point in sweep.points:
+            threshold = int(point.parameter)
+            flow = DoubleSideCTS(
+                pdk, config.with_updates(fanout_threshold=threshold)
+            ).run(net)
+            assert _comparable(point.metrics) == _comparable(flow.metrics)
+
+    def test_corner_aware_points_equal_flow_runs(self, pdk):
+        """Every point is built and signed off across the corner set, as
+        the flow is."""
+        net = make_random_clock_net(count=80, extent=500.0, seed=1)
+        config = CtsConfig(
+            high_cluster_size=60,
+            low_cluster_size=8,
+            seed=7,
+            corners="tt,ss,ff",
+            corner_aware_construction=True,
+        )
+        sweep = DesignSpaceExplorer(pdk, config).explore(net, self.THRESHOLDS)
+        assert not sweep.failures
+        for point in sweep.points:
+            assert set(point.metrics.corner_skews) == {"tt", "ss", "ff"}
+            flow = DoubleSideCTS(
+                pdk, config.with_updates(fanout_threshold=int(point.parameter))
+            ).run(net)
+            assert _comparable(point.metrics) == _comparable(flow.metrics)
+
+    def test_guard_error_is_never_folded_into_a_failure(self, pdk):
+        net = make_random_clock_net(count=60, extent=120.0, seed=5)
+        explorer = DesignSpaceExplorer(pdk, CtsConfig(high_cluster_size=100))
+        with pytest.raises(GuardError) as err:
+            explorer.explore(net, [20, 100], point_hook=_trip_guard)
+        assert err.value.stage == "insertion"
+
+
+def _trip_guard(config, threshold) -> None:
+    """A point hook that fails the way a strict guard does."""
+    raise GuardError("insertion", f"injected anomaly at threshold {threshold}", "")
+
+
+def _comparable(metrics) -> dict:
+    """A metrics row without the wall-clock runtime and the flow label."""
+    row = metrics.as_row()
+    row.pop("runtime_s")
+    row.pop("flow")
+    return row

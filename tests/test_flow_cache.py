@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.flow_cache import BASE_FLOWS, FlowCache
+from benchmarks.flow_cache import FlowCache
 from repro.designs import benchmark_suite
-from repro.flow import CtsConfig
+from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS
+from repro.insertion import InsertionMode
 from repro.tech import asap7_backside
 
 BENCH_IDS = ["C4"]
@@ -46,6 +47,34 @@ def tree_shape(tree) -> list[tuple]:
         )
         for node in tree.nodes()
     )
+
+
+class TestFlowCacheOurs:
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            dict(backends=BackendSelection()),
+            dict(
+                backends=BackendSelection(
+                    timing="reference", dp="reference", dme="reference"
+                )
+            ),
+            dict(corners="tt,ss,ff", corner_aware_construction=True),
+            dict(default_mode=InsertionMode.INTRA_SIDE),
+        ],
+        ids=["default", "all-reference", "corner-aware", "intra-side"],
+    )
+    def test_ours_matches_the_flow(self, tiny_setup, updates):
+        """The cached "ours" run is the flow's run, whatever the backends,
+        corners and default insertion mode."""
+        pdk, designs, config = tiny_setup
+        config = config.with_updates(**updates)
+        cache = FlowCache(pdk=pdk, designs=designs, config=config)
+        for bench_id in BENCH_IDS:
+            flow = DoubleSideCTS(pdk, config).run(designs[bench_id])
+            assert comparable_row(cache.ours(bench_id).metrics) == comparable_row(
+                flow.metrics
+            )
 
 
 class TestFlowCacheWarm:

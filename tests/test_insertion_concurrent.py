@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.flow import CtsConfig
 from repro.insertion import ConcurrentInserter, InsertionMode
 from repro.insertion.concurrent import InsertionConfig
 from repro.insertion.moes import MoesWeights
@@ -13,7 +14,8 @@ from tests.conftest import make_random_clock_net
 
 def route(pdk, count=100, extent=140.0, seed=6):
     clock_net = make_random_clock_net(count=count, extent=extent, seed=seed)
-    router = HierarchicalClockRouter(pdk, high_cluster_size=60, low_cluster_size=8)
+    config = CtsConfig(high_cluster_size=60, low_cluster_size=8)
+    router = HierarchicalClockRouter(pdk, config=config)
     return router.route(clock_net)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.flow import CtsConfig
 from repro.insertion import InsertionMode, build_dp_tree
 from repro.insertion.dp_tree import segment_long_edges
 from repro.routing import HierarchicalClockRouter
@@ -11,7 +12,8 @@ from tests.conftest import make_random_clock_net
 @pytest.fixture()
 def routed(pdk):
     clock_net = make_random_clock_net(count=100, extent=120.0, seed=4)
-    router = HierarchicalClockRouter(pdk, high_cluster_size=60, low_cluster_size=8)
+    config = CtsConfig(high_cluster_size=60, low_cluster_size=8)
+    router = HierarchicalClockRouter(pdk, config=config)
     return router.route(clock_net)
 
 

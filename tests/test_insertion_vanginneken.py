@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.flow import CtsConfig
 from repro.insertion import SingleSideBufferInserter
 from repro.insertion.vanginneken import van_ginneken_wire
 from repro.routing import HierarchicalClockRouter
 from tests.conftest import make_random_clock_net
+
+ROUTING_CONFIG = CtsConfig(high_cluster_size=60, low_cluster_size=8)
 
 
 class TestVanGinnekenWire:
@@ -51,9 +54,7 @@ class TestVanGinnekenWire:
 class TestSingleSideBufferInserter:
     def test_never_inserts_ntsvs(self, pdk):
         clock_net = make_random_clock_net(count=80, extent=120.0, seed=8)
-        routed = HierarchicalClockRouter(
-            pdk, high_cluster_size=60, low_cluster_size=8
-        ).route(clock_net)
+        routed = HierarchicalClockRouter(pdk, config=ROUTING_CONFIG).route(clock_net)
         result = SingleSideBufferInserter(pdk).run(routed.tree)
         assert result.inserted_ntsvs == 0
         assert result.inserted_buffers > 0
@@ -61,8 +62,8 @@ class TestSingleSideBufferInserter:
 
     def test_accepts_front_only_pdk(self, front_pdk):
         clock_net = make_random_clock_net(count=60, extent=100.0, seed=9)
-        routed = HierarchicalClockRouter(
-            front_pdk, high_cluster_size=60, low_cluster_size=8
-        ).route(clock_net)
+        routed = HierarchicalClockRouter(front_pdk, config=ROUTING_CONFIG).route(
+            clock_net
+        )
         result = SingleSideBufferInserter(front_pdk).run(routed.tree)
         assert result.inserted_ntsvs == 0

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.flow import BackendSelection, CtsConfig
 from repro.insertion import ConcurrentInserter, InsertionMode, prune_per_side
 from repro.insertion.candidate import CandidateSolution
 from repro.insertion.concurrent import InsertionConfig
@@ -41,8 +42,8 @@ ENGINES = ("reference", "vectorized")
 
 def route(pdk, count=110, extent=150.0, seed=9):
     clock_net = make_random_clock_net(count=count, extent=extent, seed=seed)
-    router = HierarchicalClockRouter(pdk, high_cluster_size=60, low_cluster_size=8)
-    return router.route(clock_net)
+    config = CtsConfig(high_cluster_size=60, low_cluster_size=8)
+    return HierarchicalClockRouter(pdk, config=config).route(clock_net)
 
 
 def tree_shape(tree) -> list[tuple]:
@@ -338,7 +339,19 @@ class TestBackendSelection:
         assert DP_BACKEND_NAMES == ("reference", "vectorized")
 
     def test_cts_config_carries_dp_backend(self):
-        from repro.flow import CtsConfig
+        config = CtsConfig(backends=BackendSelection(dp="reference"))
+        assert config.resolved_backends().dp == "reference"
 
-        config = CtsConfig(dp_backend="reference")
-        assert config.dp_backend == "reference"
+    @pytest.mark.parametrize(
+        "engine,dp,message",
+        [
+            ("vectorized", "reference", "reference DP backend"),
+            ("reference", "vectorized", "reference timing engine"),
+        ],
+    )
+    def test_design_input_needs_vectorized_backends(self, pdk, engine, dp, message):
+        clock_net = make_random_clock_net(count=30, extent=60.0, seed=9)
+        design = HierarchicalClockRouter(pdk).route_design(clock_net).design
+        inserter = ConcurrentInserter(pdk, engine=engine, dp_backend=dp)
+        with pytest.raises(ValueError, match=message):
+            inserter.run(design)

@@ -572,7 +572,7 @@ class TestEnvArmedFaults:
 class TestFlowResult:
     def test_flow_collects_parallel_diagnostics(self, pdk, multi_region_net):
         combo = {"dme": "vectorized", "dp": "vectorized", "timing": "vectorized"}
-        serial = run_flow(pdk, multi_region_net, combo, representation="ir")
+        serial = run_flow(pdk, multi_region_net, combo, workers=1)
         assert serial.parallel_tasks == 0
         fault = WorkerFault(stage="*", kind="crash", fail_attempts=1)
         with arm_worker_faults(fault):
@@ -580,7 +580,6 @@ class TestFlowResult:
                 pdk,
                 multi_region_net,
                 combo,
-                representation="ir",
                 workers=2,
                 parallel_policy=RETRY,
             )

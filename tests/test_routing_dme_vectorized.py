@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.flow import BackendSelection, CtsConfig
 from repro.geometry import Point
 from repro.routing import (
     DME_BACKEND_NAMES,
@@ -33,11 +34,7 @@ from repro.routing import (
     default_dme_backend,
     resolve_dme_backend,
 )
-from repro.routing.topology import (
-    TopologyNode,
-    balanced_bipartition_topology,
-    matching_topology,
-)
+from repro.routing.topology import TopologyNode, balanced_bipartition_topology
 from tests.conftest import make_random_clock_net
 from tests.harness import (
     SEEDED_DESIGNS,
@@ -210,10 +207,12 @@ class TestHierarchicalDmeBackends:
         net = make_random_clock_net(count=150, extent=200.0, seed=5)
         results = {}
         for backend in DME_BACKEND_NAMES:
-            router = HierarchicalClockRouter(
-                pdk, high_cluster_size=60, low_cluster_size=8, dme_backend=backend
+            config = CtsConfig(
+                high_cluster_size=60,
+                low_cluster_size=8,
+                backends=BackendSelection(dme=backend),
             )
-            results[backend] = router.route(net)
+            results[backend] = HierarchicalClockRouter(pdk, config=config).route(net)
         reference, vectorized = results["reference"], results["vectorized"]
         assert_clock_trees_identical(reference.tree, vectorized.tree)
         assert reference.trunk_wirelength == vectorized.trunk_wirelength
@@ -223,10 +222,10 @@ class TestHierarchicalDmeBackends:
         net = make_random_clock_net(count=90, extent=120.0, seed=6)
         trees = []
         for backend in DME_BACKEND_NAMES:
-            router = HierarchicalClockRouter(
-                pdk, hierarchical=False, dme_backend=backend
+            config = CtsConfig(
+                hierarchical_routing=False, backends=BackendSelection(dme=backend)
             )
-            trees.append(router.route(net))
+            trees.append(HierarchicalClockRouter(pdk, config=config).route(net))
         assert_clock_trees_identical(trees[0].tree, trees[1].tree)
         assert trees[0].trunk_wirelength == trees[1].trunk_wirelength
 
@@ -290,26 +289,24 @@ class TestDmeBackendSelection:
     def test_hierarchical_router_resolves_backend(self, pdk, monkeypatch):
         monkeypatch.delenv("REPRO_DME_BACKEND", raising=False)
         assert HierarchicalClockRouter(pdk).dme_backend == "vectorized"
-        assert (
-            HierarchicalClockRouter(pdk, dme_backend="reference").dme_backend
-            == "reference"
-        )
+        config = CtsConfig(backends=BackendSelection(dme="reference"))
+        assert HierarchicalClockRouter(pdk, config=config).dme_backend == "reference"
         monkeypatch.setenv("REPRO_DME_BACKEND", "reference")
         assert HierarchicalClockRouter(pdk).dme_backend == "reference"
 
-    def test_cts_config_carries_dme_backend(self):
-        from repro.flow import CtsConfig
-
-        assert CtsConfig().dme_backend is None
-        assert CtsConfig(dme_backend="reference").dme_backend == "reference"
+    def test_cts_config_carries_dme_backend(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DME_BACKEND", raising=False)
+        assert CtsConfig().resolved_backends().dme == "vectorized"
+        config = CtsConfig(backends=BackendSelection(dme="reference"))
+        assert config.resolved_backends().dme == "reference"
 
     def test_cli_flag_parses_and_feeds_config(self):
         from repro.cli import _config_for, build_parser
 
         args = build_parser().parse_args(["run", "C4", "--dme-backend", "reference"])
         assert args.dme_backend == "reference"
-        # The CLI feeds the consolidated selection, not the deprecated
-        # loose field; assert through the one resolution path.
+        # The CLI feeds the backend selection; assert through the one
+        # resolution path.
         assert _config_for(args).resolved_backends().dme == "reference"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "C4", "--dme-backend", "bogus"])

@@ -2,8 +2,8 @@
 
 The load-bearing pin is byte-identity: a warm ``what_if`` answer from a
 cached session must encode to exactly the bytes of the cold one-shot
-equivalent (:func:`repro.serve.session.one_shot_reply`), across flow
-representations and worker counts.
+equivalent (:func:`repro.serve.session.one_shot_reply`), across worker
+counts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.designs import random_sink_cloud
-from repro.flow.config import BackendSelection, CtsConfig
+from repro.flow.config import CtsConfig
 from repro.serve import (
     CtsServer,
     ProtocolError,
@@ -159,14 +159,11 @@ EDITS = [{"kind": "insert_buffer", "node": "ff_3"}]
 
 
 class TestWhatIf:
-    @pytest.mark.parametrize("representation", ["object", "ir"])
-    def test_warm_reply_byte_identical_to_cold(self, pdk, representation, monkeypatch):
+    def test_warm_reply_byte_identical_to_cold(self, pdk, monkeypatch):
         """The acceptance pin: warm what_if == cold one-shot, byte for byte.
 
-        The cold flow runs under each representation (sessions themselves
-        always force ``ir``); workers=2 exercises the parallel tier.
+        workers=2 exercises the parallel tier.
         """
-        monkeypatch.setenv("REPRO_FLOW_REPRESENTATION", representation)
         monkeypatch.setenv("REPRO_FLOW_WORKERS", "2")
         net = random_sink_cloud(80, seed=7)
         session = build_session(pdk, net, CtsConfig())
