@@ -1,6 +1,9 @@
 """Perf harness for the timing kernel: full vs. incremental re-timing.
 
-Times four access patterns on generated 500 / 2000 / 8000-sink clock trees:
+Times these access patterns on generated 500 / 2000 / 8000-sink clock trees
+(the timing rows run the vectorized engine on a ``DesignArrays`` compiled once
+from the generated tree, and the reference engine on that design realised as
+an object tree before the timer starts):
 
 * ``full_analysis`` — one cold analysis (reference per-node engine vs. a
   fresh vectorized compile),
@@ -8,7 +11,7 @@ Times four access patterns on generated 500 / 2000 / 8000-sink clock trees:
   inner loop of the DSE and refinement flows),
 * ``incremental_buffer`` — a single end-point buffer insertion followed by a
   ``skew()`` query, vs. a from-scratch reference analysis of the edited tree,
-* ``batched_corners`` — K-corner sign-off in one batched engine (shared tree
+* ``batched_corners`` — K-corner sign-off in one batched engine (shared
   compile, leading scenario axis) vs. K sequential single-corner vectorized
   analyses.
 * ``corner_aware_refine`` — the corner-aware skew-refinement trial loop:
@@ -65,6 +68,7 @@ from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
 from repro.designs import random_sink_cloud
 from repro.geometry import Point
 from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig
+from repro.ir.design import KIND_BUFFER, KIND_SINK, KIND_TAP, DesignArrays
 from repro.routing.dme import DmeRouter, DmeTerminal
 from repro.routing.dme_arrays import VectorizedDmeRouter
 from repro.routing.hierarchical import HierarchicalClockRouter
@@ -191,35 +195,41 @@ def _median_time(fn, rounds: int) -> float:
 
 
 def bench_size(sink_count: int, pdk) -> list[dict]:
-    tree = synthetic_tree(sink_count)
+    design = DesignArrays.from_clock_tree(synthetic_tree(sink_count))
+    tree = design.to_clock_tree()
     reference = ElmoreTimingEngine(pdk)
     vectorized = VectorizedElmoreEngine(pdk)
 
     t_ref_full = _median_time(lambda: reference.skew(tree), rounds=3)
     t_vec_full = _median_time(
-        lambda: VectorizedElmoreEngine(pdk).skew(tree), rounds=3
+        lambda: VectorizedElmoreEngine(pdk).skew(design), rounds=3
     )
 
-    vectorized.skew(tree)  # warm the cache
+    vectorized.skew(design)  # warm the cache
     t_ref_repeat = _median_time(lambda: reference.skew(tree), rounds=REPEAT_QUERIES)
-    t_vec_repeat = _median_time(lambda: vectorized.skew(tree), rounds=REPEAT_QUERIES)
+    t_vec_repeat = _median_time(
+        lambda: vectorized.skew(design), rounds=REPEAT_QUERIES
+    )
 
     rng = np.random.default_rng(3)
-    sinks = tree.sinks()
+    sink_names = [design.names[row] for row in design.sink_rows()]
     incr_samples = []
     ref_edit_samples = []
     for _ in range(INCREMENTAL_EDITS):
-        sink = sinks[int(rng.integers(len(sinks)))]
-        midpoint = Point(
-            (sink.location.x + sink.parent.location.x) / 2.0,
-            (sink.location.y + sink.parent.location.y) / 2.0,
+        sink = design.name_to_row[sink_names[int(rng.integers(len(sink_names)))]]
+        parent = int(design.parent_row[sink])
+        design.add_buffer(
+            sink,
+            float(design.x[sink] + design.x[parent]) / 2.0,
+            float(design.y[sink] + design.y[parent]) / 2.0,
+            pdk.buffer.input_capacitance,
         )
-        tree.add_buffer(sink, midpoint, pdk.buffer.input_capacitance)
         start = time.perf_counter()
-        vectorized.skew(tree)
+        vectorized.skew(design)
         incr_samples.append(time.perf_counter() - start)
+        edited = design.to_clock_tree()
         start = time.perf_counter()
-        ElmoreTimingEngine(pdk).skew(tree)
+        ElmoreTimingEngine(pdk).skew(edited)
         ref_edit_samples.append(time.perf_counter() - start)
     incr_samples.sort()
     ref_edit_samples.sort()
@@ -227,8 +237,8 @@ def bench_size(sink_count: int, pdk) -> list[dict]:
     t_ref_edit = ref_edit_samples[len(ref_edit_samples) // 2]
 
     # Sanity: the incremental state still matches a fresh reference analysis.
-    ref_result = ElmoreTimingEngine(pdk).analyze(tree)
-    vec_result = vectorized.analyze(tree)
+    ref_result = ElmoreTimingEngine(pdk).analyze(design)
+    vec_result = vectorized.analyze(design)
     worst = max(
         abs(ref_result.arrivals[name] - vec_result.arrivals[name])
         for name in ref_result.arrivals
@@ -237,6 +247,8 @@ def bench_size(sink_count: int, pdk) -> list[dict]:
         raise AssertionError(
             f"incremental drift {worst} exceeds 1e-9 on {sink_count} sinks"
         )
+    if vectorized.full_compiles != 1:
+        raise AssertionError(f"incremental edits recompiled on {sink_count} sinks")
 
     return [
         {
@@ -268,10 +280,10 @@ def bench_corners(sink_count: int, pdk, spec: str = BENCH_CORNERS) -> dict:
 
     Both sides use the vectorized kernel on cold engines (``invalidate``
     before every timed round), so the comparison isolates what the batching
-    buys: one shared tree compile plus K-row level passes against K separate
+    buys: one shared compile plus K-row level passes against K separate
     compiles.  Corner PDKs are derived outside the timed region for both.
     """
-    tree = synthetic_tree(sink_count)
+    design = DesignArrays.from_clock_tree(synthetic_tree(sink_count))
     corners = CornerSet.parse(spec)
     corner_count = len(corners)
     sequential_engines = [
@@ -283,16 +295,16 @@ def bench_corners(sink_count: int, pdk, spec: str = BENCH_CORNERS) -> dict:
         worst = 0.0
         for engine in sequential_engines:
             engine.invalidate()
-            worst = max(worst, engine.skew(tree))
+            worst = max(worst, engine.skew(design))
         return worst
 
     def run_batched() -> float:
         batched.invalidate()
-        return batched.worst_skew(tree)
+        return batched.worst_skew(design)
 
     # Sanity: the batch agrees with the per-corner loop to 1e-9.
-    sequential_skews = [engine.skew(tree) for engine in sequential_engines]
-    batched_skews = batched.skew_per_corner(tree)
+    sequential_skews = [engine.skew(design) for engine in sequential_engines]
+    batched_skews = batched.skew_per_corner(design)
     for scenario, expected in zip(corners, sequential_skews):
         if abs(batched_skews[scenario.name] - expected) > 1e-9:
             raise AssertionError(
@@ -315,47 +327,51 @@ def bench_corners(sink_count: int, pdk, spec: str = BENCH_CORNERS) -> dict:
 def bench_corner_refine(sink_count: int, pdk, spec: str = BENCH_CORNERS) -> dict:
     """Corner-aware refinement trial scoring: batched vs. per-corner loop.
 
-    Replays the skew refiner's inner loop — an endpoint buffer edit recorded
-    with ``mark_rewire`` followed by the trial score (per-corner skew *and*
-    latency, exactly what ``SkewRefiner._measure`` reads) — and compares one
-    corner-batched incremental engine (what ``SkewRefiner(corners=...)``
-    uses) against K sequential single-corner vectorized engines that each
-    replay the same edit (what a naive per-corner wrapper would do).
+    Replays the skew refiner's inner loop — its end-point buffer edit
+    (``add_child``, ``move_child``, ``mark_rewire``) followed by the trial
+    score (per-corner skew *and* latency, exactly what
+    ``SkewRefiner._measure`` reads) — and compares one corner-batched
+    incremental engine (what ``SkewRefiner(corners=...)`` uses) against K
+    sequential single-corner vectorized engines that each replay the same
+    edit (what a naive per-corner wrapper would do).
     """
-    tree = synthetic_tree(sink_count)
+    design = DesignArrays.from_clock_tree(synthetic_tree(sink_count))
     corners = CornerSet.parse(spec)
     batched = VectorizedElmoreEngine(pdk, corners=corners)
     sequential_engines = [
         VectorizedElmoreEngine(scenario.apply_to(pdk)) for scenario in corners
     ]
-    batched.worst_skew(tree)  # compile once; edits go the incremental path
+    batched.worst_skew(design)  # compile once; edits go the incremental path
     for engine in sequential_engines:
-        engine.skew(tree)
+        engine.skew(design)
 
-    taps = [node for node in tree.nodes() if node.kind is NodeKind.TAP]
+    taps = [design.names[row] for row in design.kind_rows(KIND_TAP)]
     rng = np.random.default_rng(7)
     bat_samples: list[float] = []
     seq_samples: list[float] = []
     for _ in range(INCREMENTAL_EDITS):
-        tap = taps[int(rng.integers(len(taps)))]
-        buffer_node = ClockTreeNode(
-            tree.new_name("sr_buf"),
-            NodeKind.BUFFER,
-            tap.location,
+        tap = design.name_to_row[taps[int(rng.integers(len(taps)))]]
+        buffer_row = design.add_child(
+            tap,
+            design.new_name("sr_buf"),
+            KIND_BUFFER,
+            float(design.x[tap]),
+            float(design.y[tap]),
             capacitance=pdk.buffer.input_capacitance,
         )
-        tap.add_child(buffer_node)
-        for sink in [c for c in list(tap.children) if c.is_sink][:2]:
-            sink.detach()
-            buffer_node.add_child(sink)
-        tree.mark_rewire(tap)
+        leaf_sinks = [
+            c for c in design.children_rows[tap] if design.kind[c] == KIND_SINK
+        ]
+        for sink in leaf_sinks[:2]:
+            design.move_child(sink, buffer_row)
+        design.mark_rewire(tap)
         start = time.perf_counter()
-        worst_batched = max(batched.skew_per_corner(tree).values())
-        max(batched.latency_per_corner(tree).values())
+        worst_batched = max(batched.skew_per_corner(design).values())
+        max(batched.latency_per_corner(design).values())
         bat_samples.append(time.perf_counter() - start)
         start = time.perf_counter()
-        worst_sequential = max(engine.skew(tree) for engine in sequential_engines)
-        max(engine.latency(tree) for engine in sequential_engines)
+        worst_sequential = max(engine.skew(design) for engine in sequential_engines)
+        max(engine.latency(design) for engine in sequential_engines)
         seq_samples.append(time.perf_counter() - start)
         if abs(worst_batched - worst_sequential) > 1e-9:
             raise AssertionError(

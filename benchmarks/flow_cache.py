@@ -34,7 +34,8 @@ from repro.baselines import (
 from repro.clocktree import ClockTree
 from repro.evaluation import ClockTreeMetrics, evaluate_tree
 from repro.flow import CtsConfig, SingleSideCTS
-from repro.ir.stages import build_inserter, build_refiner, build_router
+from repro.guard.policy import StageGuard
+from repro.ir import stages
 from repro.netlist.design import Design
 from repro.tech.pdk import Pdk
 
@@ -57,44 +58,51 @@ class OursRun:
 def _run_ours(pdk: Pdk, design: Design, config: CtsConfig, selection: str) -> OursRun:
     """Hierarchical routing + concurrent insertion + skew refinement.
 
-    The stage engines come from the flow's own construction points, so the
-    final metrics equal ``DoubleSideCTS(pdk, config).run(design)``; the run
-    keeps an object tree because the figure benches read it.
+    Runs the flow's own guarded stages on one :class:`StageContext`, as the
+    DSE sweep does, so the final metrics equal
+    ``DoubleSideCTS(pdk, config).run(design)``.  The unrefined design is
+    scored between insertion and refinement, and the object tree the figure
+    benches read is realised once at the end.
     """
     config = config.with_updates(selection=selection)
     backends = config.resolved_backends()
-    timing = backends.timing
-    start = time.perf_counter()
-    tree = build_router(pdk, config).route(design.require_clock_net()).tree
-    insertion = build_inserter(pdk, config, timing, backends.dp).run(
-        tree, fanout_threshold=config.fanout_threshold
+    clock_net = design.require_clock_net()
+    ctx = stages.StageContext(
+        pdk=pdk,
+        config=config,
+        backends=backends,
+        guard=StageGuard(backends.guard, clock_net),
+        clock_net=clock_net,
     )
+    start = time.perf_counter()
+    arrays = stages.RoutingStage().run(None, ctx)
+    arrays = stages.InsertionStage().run(arrays, ctx)
     without_sr = evaluate_tree(
-        tree,
+        arrays,
         pdk,
         design=design.name,
         flow="ours_no_sr",
-        engine=timing,
+        engine=backends.timing,
         corners=config.corners,
     )
     if config.enable_skew_refinement:
-        build_refiner(pdk, config, timing).refine(tree)
+        arrays = stages.RefinementStage().run(arrays, ctx)
     runtime = time.perf_counter() - start
     metrics = evaluate_tree(
-        tree,
+        arrays,
         pdk,
         design=design.name,
         flow="ours",
         runtime=runtime,
-        engine=timing,
+        engine=backends.timing,
         corners=config.corners,
     )
     return OursRun(
-        tree=tree,
+        tree=arrays.to_clock_tree(),
         metrics=metrics,
         metrics_without_refinement=without_sr,
-        root_candidates=insertion.root_candidates,
-        selected=insertion.selected,
+        root_candidates=ctx.insertion.root_candidates,
+        selected=ctx.insertion.selected,
         runtime=runtime,
     )
 

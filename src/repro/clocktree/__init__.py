@@ -9,6 +9,5 @@ of the paper (Fig. 2) is represented.
 
 from repro.clocktree.node import ClockTreeNode, NodeKind
 from repro.clocktree.tree import ClockTree, ConnectivityError
-from repro.clocktree.arrays import TreeArrays
 
-__all__ = ["ClockTreeNode", "NodeKind", "ClockTree", "ConnectivityError", "TreeArrays"]
+__all__ = ["ClockTreeNode", "NodeKind", "ClockTree", "ConnectivityError"]

@@ -15,8 +15,9 @@ class ConnectivityError(RuntimeError):
 
 
 #: Edit-log length beyond which the log is collapsed into a single full
-#: invalidation.  Incremental timers replay the log; past this point a fresh
-#: compile is cheaper than replaying hundreds of patches.
+#: invalidation (shared by ``DesignArrays``, whose log the incremental timer
+#: replays; past this point a fresh compile is cheaper than hundreds of
+#: patches).
 _MAX_EDIT_LOG = 256
 
 
@@ -27,13 +28,15 @@ class ClockTree:
     buffers, nTSVs, and Steiner points without coordinating with each other.
 
     Structural edits performed through the tree API (:meth:`insert_on_edge`,
-    :meth:`add_buffer`, :meth:`add_ntsv`) are recorded in a bounded edit log
-    so that incremental consumers — most importantly
-    :class:`~repro.timing.VectorizedElmoreEngine` — can re-time only the
-    affected cone instead of recompiling the whole tree.  Code that mutates
-    nodes directly (``node.add_child`` / ``node.detach`` / attribute writes)
-    must tell the tree about it with :meth:`mark_rewire` (when the changes are
-    confined to one node's subtree) or :meth:`touch` (arbitrary changes).
+    :meth:`add_buffer`, :meth:`add_ntsv`) are recorded in a bounded edit log.
+    Its :attr:`version` keys :class:`~repro.timing.VectorizedElmoreEngine`'s
+    cached compile of the tree (any recorded edit recompiles), and the log
+    feeds the guard's edit-log coherence probes (:mod:`repro.guard`).
+    Incremental re-timing runs on :class:`~repro.ir.design.DesignArrays`,
+    whose log has the same shape.  Code that mutates nodes directly
+    (``node.add_child`` / ``node.detach`` / attribute writes) must tell the
+    tree about it with :meth:`mark_rewire` (when the changes are confined to
+    one node's subtree) or :meth:`touch` (arbitrary changes).
     """
 
     def __init__(self, root: ClockTreeNode, name: str = "clk") -> None:

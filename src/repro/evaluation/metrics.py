@@ -149,9 +149,8 @@ def evaluate_tree(
     per-corner loop (reference engine) and attached to the metrics.
 
     ``tree`` may be a :class:`~repro.ir.design.DesignArrays` design: counts
-    and per-side wirelength reduce over the rows directly, and the timing
-    engine analyses the design in place.  The reference engine walks object
-    trees only, so that pairing realises the design once at this boundary.
+    and per-side wirelength reduce over the rows directly, and either timing
+    engine analyses the design (the reference engine realises it itself).
 
     ``timing_engine`` reuses an already-compiled engine instead of creating
     one (the serve tier's warm path: repeated evaluations of a long-lived
@@ -161,10 +160,6 @@ def evaluate_tree(
     """
     if timing_engine is None:
         timing_engine = create_engine(pdk, engine, corners=corners)
-    if isinstance(tree, DesignArrays) and not isinstance(
-        timing_engine, VectorizedElmoreEngine
-    ):
-        tree = tree.to_clock_tree()
     timing = timing_engine.analyze(tree)
     corner_skews: dict[str, float] = {}
     corner_latencies: dict[str, float] = {}

@@ -3,7 +3,7 @@
 The guard's value rests on a falsifiable claim: *every* anomaly class it
 advertises is actually detected, and the degrade path actually recovers.
 The injectors here corrupt a clock tree the way a buggy kernel would —
-NaN escaping into a :class:`~repro.clocktree.arrays.TreeArrays` column,
+NaN escaping into a :class:`~repro.ir.design.DesignArrays` column,
 a silently dropped sink subtree, a lost edit-log entry, an off-side wire
 (the observable effect of a DME backend returning a node on the wrong
 side), a duplicated node name — so the test suite can run the full flow
@@ -47,8 +47,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.clocktree.node import NodeKind
 from repro.clocktree.tree import ClockTree
 from repro.geometry import Point
-from repro.ir.design import KIND_NTSV, KIND_TAP, DesignArrays
-from repro.clocktree.arrays import KIND_STEINER
+from repro.ir.design import KIND_NTSV, KIND_STEINER, KIND_TAP, DesignArrays
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flow.config import CtsConfig

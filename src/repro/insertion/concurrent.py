@@ -66,7 +66,7 @@ from repro.ir.design import KIND_NTSV, DesignArrays
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
-from repro.timing import TimingResult, VectorizedElmoreEngine, create_engine
+from repro.timing import TimingResult, create_engine
 
 
 @dataclass
@@ -232,9 +232,9 @@ class ConcurrentInserter:
         Args:
             tree: the routed, unbuffered clock tree — :class:`ClockTree` or
                 its array IR, :class:`~repro.ir.design.DesignArrays` (the
-                ``vectorized`` DP backend and timing engine only; the
-                reference DP and the reference engine consume object trees,
-                bridge via ``to_clock_tree()``).
+                ``vectorized`` DP backend only, with either timing engine;
+                the reference DP walks object trees, bridge via
+                ``to_clock_tree()``).
             dp_tree: a pre-built DP tree; built from ``tree`` when omitted.
             mode_of: optional per-node mode assignment (overrides the default).
             fanout_threshold: the DSE heuristic — nodes with fewer downstream
@@ -244,11 +244,6 @@ class ConcurrentInserter:
         if is_design and self.dp_backend != "vectorized":
             raise ValueError(
                 "the reference DP backend runs on object trees; realise the "
-                "design via to_clock_tree() before running it"
-            )
-        if is_design and not isinstance(self._engine, VectorizedElmoreEngine):
-            raise ValueError(
-                "the reference timing engine runs on object trees; realise the "
                 "design via to_clock_tree() before running it"
             )
         if dp_tree is None:

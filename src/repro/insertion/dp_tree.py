@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
-from repro.clocktree.arrays import KIND_SINK, KIND_STEINER
 from repro.geometry.point import point_toward
 from repro.insertion.patterns import InsertionMode
-from repro.ir.design import DesignArrays
+from repro.ir.design import KIND_SINK, KIND_STEINER, DesignArrays
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
 

@@ -1,23 +1,21 @@
-"""The persistent struct-of-arrays design representation of the IR flow.
+"""The persistent struct-of-arrays design representation.
 
-:class:`DesignArrays` is the one design object the IR-native flow threads
-through clustering → topology → DME → insertion → refinement → evaluation.
-It deliberately exposes the exact read surface of
-:class:`~repro.clocktree.arrays.TreeArrays` (``parent_row`` / ``kind`` /
-``edge_length`` / ``wire_front`` / ``cap`` / ``alive`` columns,
-``children_rows``, ``levels()``, ``sink_rows()``, …) so the vectorized
-timing engine can run its level-batched passes directly on the design —
-no per-stage snapshot compile — plus the columns a *design* needs beyond a
-timing snapshot: names, coordinates, node sides, and the name counter that
-keeps fresh node names identical to the object flow's.
+:class:`DesignArrays` is the one design object the flow threads through
+clustering → topology → DME → insertion → refinement → evaluation, and the
+only representation :class:`~repro.timing.VectorizedElmoreEngine` compiles:
+its ``parent_row`` / ``kind`` / ``edge_length`` / ``wire_front`` / ``cap`` /
+``alive`` columns, ``children_rows``, ``levels()`` and ``sink_rows()`` are
+what the engine's level-batched passes read directly.  Beyond that timing
+view it carries what a *design* needs: names, coordinates, node sides, and
+the name counter that keeps fresh node names identical to the object
+tree's.  This module owns the row format, including the integer ``kind``
+codes (:data:`KIND_CODE`).
 
 Structural edits go through the same edit-log protocol as
 :class:`~repro.clocktree.ClockTree` (``mark_splice`` / ``mark_rewire`` /
 ``touch`` with the same bounded log), except entries carry *rows* instead of
 node objects and the structure is updated eagerly at edit time.  The
-vectorized engine replays the log with the same numeric patch sequence as
-its ``TreeArrays`` path, which is what keeps the IR flow bit-identical to
-the object flow.
+vectorized engine replays the log to re-time only the dirty cone.
 
 Object trees exist only at the boundaries: :meth:`to_clock_tree` /
 :meth:`from_clock_tree` are lossless (names, children order, sides, caps,
@@ -28,18 +26,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clocktree.arrays import (
-    KIND_BUFFER,
-    KIND_CODE,
-    KIND_NTSV,
-    KIND_ROOT,
-    KIND_SINK,
-    KIND_TAP,
-)
 from repro.clocktree.node import ClockTreeNode, NodeKind
 from repro.clocktree.tree import _MAX_EDIT_LOG, ClockTree, ConnectivityError
 from repro.geometry import Point
 from repro.tech.layers import Side
+
+#: Integer codes of :class:`NodeKind` stored in the ``kind`` column.
+KIND_ROOT, KIND_STEINER, KIND_SINK, KIND_BUFFER, KIND_NTSV, KIND_TAP = range(6)
+
+KIND_CODE: dict[NodeKind, int] = {
+    NodeKind.ROOT: KIND_ROOT,
+    NodeKind.STEINER: KIND_STEINER,
+    NodeKind.SINK: KIND_SINK,
+    NodeKind.BUFFER: KIND_BUFFER,
+    NodeKind.NTSV: KIND_NTSV,
+    NodeKind.TAP: KIND_TAP,
+}
 
 #: Integer kind code -> :class:`NodeKind` (inverse of ``KIND_CODE``).
 KIND_OF_CODE: tuple[NodeKind, ...] = tuple(
@@ -57,8 +59,8 @@ class DesignArrays:
     flow run on rows makes exactly the decisions the object flow makes.
 
     .. warning:: Row indices are only stable between compactions.  Any
-       engine sync may compact (``VectorizedElmoreEngine._compile_design``
-       calls :meth:`compact`, renumbering every row), so held row indices
+       engine sync may compact (``VectorizedElmoreEngine._compile`` calls
+       :meth:`compact`, renumbering every row), so held row indices
        must be re-resolved through ``name_to_row`` after handing the design
        to an engine or crossing a stage boundary.  Names are the stable
        handle; rows are a transient one.
@@ -569,11 +571,15 @@ class DesignArrays:
         Duplicates only ever arise through renames (appends reject them),
         so the pre-order rescan runs only on an actual collision and the
         unique-name fast path stays O(1).
+
+        A rename records a ``touch``: engines cache name-keyed results per
+        version, so the new name must reach them.
         """
         old = self.names[row]
         if old == name:
             return
         self.names[row] = name
+        self.touch()
         if old is not None and self.name_to_row.get(old) == row:
             del self.name_to_row[old]
             if old in self._dup_names:
@@ -624,11 +630,10 @@ class DesignArrays:
     def compact(self) -> None:
         """Renumber every alive row into breadth-first order (root first).
 
-        This is the IR analogue of a fresh ``TreeArrays`` compile: after
-        compaction the row order, and therefore the level grouping every
-        vectorized pass reduces over, is exactly what a full recompile of
-        the equivalent object tree would produce — which is what keeps IR
-        and object timing bit-identical across stage boundaries.
+        After compaction the row order, and therefore the level grouping
+        every vectorized pass reduces over, is exactly what
+        :meth:`from_clock_tree` produces for the equivalent object tree — so
+        a design and its realised tree time bit-identically.
 
         A compaction that actually permutes rows is a *structural edit*:
         the version bumps (through :meth:`_record`) and the edit log
@@ -855,11 +860,12 @@ class DesignArrays:
         )
 
 
-#: Re-exported kind codes for IR-side call sites.
 __all__ = [
     "DesignArrays",
+    "KIND_CODE",
     "KIND_OF_CODE",
     "KIND_ROOT",
+    "KIND_STEINER",
     "KIND_SINK",
     "KIND_BUFFER",
     "KIND_NTSV",

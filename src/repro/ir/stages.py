@@ -4,17 +4,20 @@ Every construction stage here has one shape: a
 :class:`~repro.ir.design.DesignArrays` design (plus the
 :class:`~repro.flow.config.CtsConfig` carried by the context) in, a design
 out.  The design flows through routing -> insertion -> refinement ->
-evaluation without realising an object tree between stages; object trees
-appear only at sanctioned boundaries:
+evaluation without realising an object tree between stages.  Every stage
+hands its design to the selected backend directly; the reference timing
+engine realises a design inside its own entry points, so refinement and
+evaluation never bridge.  Object trees appear only at two sanctioned
+boundaries:
 
-* a stage whose selected backend is the scalar *reference* spec (the
-  executable spec walks object trees, so the stage realises the design
-  once, runs the spec, and compiles the result back), and
+* :class:`InsertionStage` under ``dp="reference"``: the reference insertion
+  DP walks object trees, so the stage realises the design once, runs the
+  spec, and compiles the result back, and
 * the guard's *degrade* path, which restores the pre-stage design from a
   :meth:`~repro.ir.design.DesignArrays.snapshot` and re-runs just the
   anomalous stage on the reference backends — no earlier stage is replayed.
 
-Both bridges are exact: the reference and vectorized backends are
+Both are exact: the reference and vectorized backends are
 decision-identical, and ``to_clock_tree()`` / ``from_clock_tree()`` are
 lossless, so every backend selection builds the same tree bit for bit
 (``tests/test_ir_flow.py`` pins this across the backend matrix).
@@ -161,8 +164,8 @@ class Stage:
                 self.name, out if self.mutates else None, extra=self._extra(ctx)
             )
         if ctx.routing is not None and out is not ctx.routing.design:
-            # A bridged or degraded stage replaced the design object; keep
-            # the routing result pointing at the live design.
+            # A bridged stage (the reference insertion DP) replaced the
+            # design object; keep the routing result pointing at it.
             ctx.routing.design = out
         return out
 
@@ -202,16 +205,16 @@ class RoutingStage(Stage):
 class InsertionStage(Stage):
     """Concurrent buffer and nTSV insertion on the design rows.
 
-    The vectorized DP and timing engines run IR-native; a reference
-    selection on either axis bridges the whole stage through the object
-    spec (realise, run, compile back) — the sanctioned boundary.
+    The vectorized DP runs on the design with either timing engine; the
+    reference DP bridges the whole stage through the object spec (realise,
+    run, compile back) — the sanctioned boundary.
     """
 
     name = "insertion"
 
     def _execute(self, design, ctx):
         timing, dp = ctx.backends.timing, ctx.backends.dp
-        if "reference" in (timing, dp):
+        if dp == "reference":
             return self._bridge(design, ctx, timing, dp)
         ctx.insertion = build_inserter(ctx.pdk, ctx.config, timing, dp).run(
             design, fanout_threshold=ctx.config.fanout_threshold
@@ -239,20 +242,15 @@ class RefinementStage(Stage):
     name = "refinement"
 
     def _execute(self, design, ctx):
-        timing = ctx.backends.timing
-        if timing == "reference":
-            return self._bridge(design, ctx, timing)
-        ctx.skew_report = build_refiner(ctx.pdk, ctx.config, timing).refine(design)
-        return design
+        return self._refine(design, ctx, ctx.backends.timing)
 
     def _degrade(self, design, snapshot, ctx):
         design.restore(snapshot)
-        return self._bridge(design, ctx, "reference")
+        return self._refine(design, ctx, "reference")
 
-    def _bridge(self, design, ctx, timing):
-        tree = design.to_clock_tree()
-        ctx.skew_report = build_refiner(ctx.pdk, ctx.config, timing).refine(tree)
-        return DesignArrays.from_clock_tree(tree)
+    def _refine(self, design, ctx, timing):
+        ctx.skew_report = build_refiner(ctx.pdk, ctx.config, timing).refine(design)
+        return design
 
 
 class EvaluationStage(Stage):

@@ -23,13 +23,18 @@ improves the worst-corner skew without degrading the worst-corner latency
 or regressing the nominal skew beyond ``nominal_skew_budget``.  Every trial
 is scored by one corner-batched (incremental) engine pass — the engine is
 created once and never re-instantiated in the loop.
+
+The refiner edits a :class:`~repro.ir.design.DesignArrays` in place with
+either timing engine (the reference engine realises each design version).
+End-points and trial buffers are tracked by *name*, because the vectorized
+engine compacts the design and renumbers its rows.  Compile an object tree
+with :meth:`DesignArrays.from_clock_tree` first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
 from repro.ir.design import (
     KIND_BUFFER,
     KIND_ROOT,
@@ -39,7 +44,6 @@ from repro.ir.design import (
 )
 from repro.refinement.adaptive import refined_endpoint_count
 from repro.tech.corners import CornerSet, Scenario
-from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
 from repro.timing import TimingResult, create_engine
 
@@ -52,7 +56,7 @@ class _TimingSnapshot:
     ``skew_per_corner``/``latency_per_corner`` pass each, served from the
     engine's cached sink-arrival matrix); the full per-sink ``nominal`` and
     ``ranking`` results are attached — by :meth:`SkewRefiner._attach_arrivals`
-    while the tree is in this snapshot's state — only where arrivals are
+    while the design is in this snapshot's state — only where arrivals are
     actually consulted: the initial measurement, accepted trials, and the
     report.  Nominal-only refinement carries a single (primary) corner.
     """
@@ -182,10 +186,10 @@ class SkewRefiner:
         self.strategy = strategy
         self.force = force
         self.nominal_skew_budget = nominal_skew_budget
-        # The refiner's trial loop re-times the tree after every endpoint
+        # The refiner's trial loop re-times the design after every endpoint
         # edit; the (default) vectorized engine serves those queries from its
         # incremental re-timing path because every edit below is recorded
-        # with ``tree.mark_rewire`` — corner-batched when corners are given,
+        # with ``design.mark_rewire`` — corner-batched when corners are given,
         # so one pass scores all K corners of a trial.
         self._engine = create_engine(pdk, engine, corners=corners)
         self._corner_aware = corners is not None and len(self._engine.corners) > 1
@@ -202,34 +206,31 @@ class SkewRefiner:
         """The resolved corner set the refiner optimises against."""
         return self._engine.corners
 
-    def refine(self, tree: ClockTree | DesignArrays) -> SkewRefinementReport:
-        """Refine ``tree`` in place and return the before/after report.
-
-        Accepts either representation; the design path makes the same ranked
-        endpoint choices and the same accept/reject decisions (endpoints and
-        trial buffers are tracked by *name* because the incremental engine
-        compacts the design, renumbering rows).
-        """
-        if isinstance(tree, DesignArrays):
-            return self._refine_design(tree)
-        before = self._measure(tree, with_arrivals=True)
+    def refine(self, design: DesignArrays) -> SkewRefinementReport:
+        """Refine ``design`` in place and return the before/after report."""
+        if not isinstance(design, DesignArrays):
+            raise TypeError(
+                "SkewRefiner.refine edits a DesignArrays; compile object trees "
+                "with DesignArrays.from_clock_tree(tree)"
+            )
+        before = self._measure(design, with_arrivals=True)
         if not self.force and not before.violates(self.skew_trigger_fraction):
             return self._report(False, 0, 0, before, before)
 
-        endpoints = self._end_points(tree)
-        sink_count = tree.sink_count()
+        endpoints = self._end_points(design)
+        sink_count = int(design.sink_rows().size)
         budget = refined_endpoint_count(sink_count, self.max_endpoints)
-        ranked = self._rank_endpoints(tree, endpoints, before.ranking)[:budget]
+        ranked = self._rank_endpoints(design, endpoints, before.ranking)[:budget]
 
-        added, after = self._refine_batch(tree, ranked, before)
+        added, after = self._refine_batch(design, ranked, before)
         if added == 0:
-            added, after = self._refine_greedy(tree, ranked, before)
+            added, after = self._refine_greedy(design, ranked, before)
         return self._report(True, len(ranked), added, before, after)
 
     def _refine_batch(
         self,
-        tree: ClockTree,
-        ranked: list[ClockTreeNode],
+        design: DesignArrays,
+        ranked: list[str],
         before: _TimingSnapshot,
     ) -> tuple[int, _TimingSnapshot]:
         """Refine all budgeted end-points at once.
@@ -240,25 +241,25 @@ class SkewRefiner:
         improves skew without degrading latency (worst-corner skew/latency
         when the refiner runs corner-aware).
         """
-        inserted: list[tuple[ClockTreeNode, ClockTreeNode]] = []
+        inserted: list[tuple[str, str]] = []
         for endpoint in ranked:
-            buffer_node = self._insert_endpoint_buffer(tree, endpoint, before)
-            if buffer_node is not None:
-                inserted.append((endpoint, buffer_node))
+            buffer_name = self._insert_endpoint_buffer(design, endpoint, before)
+            if buffer_name is not None:
+                inserted.append((endpoint, buffer_name))
         if not inserted:
             return 0, before
-        after = self._measure(tree)
+        after = self._measure(design)
         if not self._improves(after, before, before):
-            for endpoint, buffer_node in inserted:
-                self._remove_endpoint_buffer(tree, endpoint, buffer_node)
+            for endpoint, buffer_name in inserted:
+                self._remove_endpoint_buffer(design, endpoint, buffer_name)
             return 0, before
-        self._attach_arrivals(after, tree)
+        self._attach_arrivals(after, design)
         return len(inserted), after
 
     def _refine_greedy(
         self,
-        tree: ClockTree,
-        ranked: list[ClockTreeNode],
+        design: DesignArrays,
+        ranked: list[str],
         before: _TimingSnapshot,
     ) -> tuple[int, _TimingSnapshot]:
         """Refine end-points one at a time, keeping only improving insertions."""
@@ -267,237 +268,26 @@ class SkewRefiner:
         for endpoint in ranked:
             if not self.force and not current.violates(self.skew_trigger_fraction):
                 break
-            buffer_node = self._insert_endpoint_buffer(tree, endpoint, current)
-            if buffer_node is None:
-                continue
-            trial = self._measure(tree)
-            if self._improves(trial, current, before):
-                # The accepted trial becomes the snapshot later padded-sink
-                # selections consult, so it needs arrivals (the tree is in
-                # exactly this trial's state here).
-                self._attach_arrivals(trial, tree)
-                current = trial
-                added += 1
-            else:
-                self._remove_endpoint_buffer(tree, endpoint, buffer_node)
-        return added, current
-
-    # ------------------------------------------------- IR (DesignArrays) path
-    def _refine_design(self, design: DesignArrays) -> SkewRefinementReport:
-        """Row twin of :meth:`refine` over the array IR."""
-        before = self._measure(design, with_arrivals=True)
-        if not self.force and not before.violates(self.skew_trigger_fraction):
-            return self._report(False, 0, 0, before, before)
-
-        endpoint_names = self._end_point_names(design)
-        sink_count = int(design.sink_rows().size)
-        budget = refined_endpoint_count(sink_count, self.max_endpoints)
-        ranked = self._rank_endpoint_names(design, endpoint_names, before.ranking)
-        ranked = ranked[:budget]
-
-        added, after = self._refine_batch_design(design, ranked, before)
-        if added == 0:
-            added, after = self._refine_greedy_design(design, ranked, before)
-        return self._report(True, len(ranked), added, before, after)
-
-    def _refine_batch_design(
-        self,
-        design: DesignArrays,
-        ranked: list[str],
-        before: _TimingSnapshot,
-    ) -> tuple[int, _TimingSnapshot]:
-        """Design twin of :meth:`_refine_batch` (same accept/reject rule)."""
-        inserted: list[tuple[str, str]] = []
-        for endpoint_name in ranked:
-            buffer_name = self._insert_endpoint_buffer_design(
-                design, endpoint_name, before
-            )
-            if buffer_name is not None:
-                inserted.append((endpoint_name, buffer_name))
-        if not inserted:
-            return 0, before
-        after = self._measure(design)
-        if not self._improves(after, before, before):
-            for endpoint_name, buffer_name in inserted:
-                self._remove_endpoint_buffer_design(
-                    design, endpoint_name, buffer_name
-                )
-            return 0, before
-        self._attach_arrivals(after, design)
-        return len(inserted), after
-
-    def _refine_greedy_design(
-        self,
-        design: DesignArrays,
-        ranked: list[str],
-        before: _TimingSnapshot,
-    ) -> tuple[int, _TimingSnapshot]:
-        """Design twin of :meth:`_refine_greedy`."""
-        added = 0
-        current = before
-        for endpoint_name in ranked:
-            if not self.force and not current.violates(self.skew_trigger_fraction):
-                break
-            buffer_name = self._insert_endpoint_buffer_design(
-                design, endpoint_name, current
-            )
+            buffer_name = self._insert_endpoint_buffer(design, endpoint, current)
             if buffer_name is None:
                 continue
             trial = self._measure(design)
             if self._improves(trial, current, before):
+                # The accepted trial becomes the snapshot later padded-sink
+                # selections consult, so it needs arrivals (the design is in
+                # exactly this trial's state here).
                 self._attach_arrivals(trial, design)
                 current = trial
                 added += 1
             else:
-                self._remove_endpoint_buffer_design(
-                    design, endpoint_name, buffer_name
-                )
+                self._remove_endpoint_buffer(design, endpoint, buffer_name)
         return added, current
-
-    @staticmethod
-    def _end_point_names(design: DesignArrays) -> list[str]:
-        """Design twin of :meth:`_end_points` (same pre-order discovery)."""
-        taps = [
-            design.names[row]
-            for row in design.rows_preorder()
-            if design.kind[row] == KIND_TAP
-        ]
-        if taps:
-            return taps
-        parent_rows: dict[int, None] = {}
-        for row in design.rows_preorder():
-            if design.kind[row] != KIND_SINK:
-                continue
-            parent = int(design.parent_row[row])
-            if parent >= 0:
-                parent_rows.setdefault(parent, None)
-        return [
-            design.names[parent]
-            for parent in parent_rows
-            if design.kind[parent] != KIND_ROOT
-        ]
-
-    def _rank_endpoint_names(
-        self,
-        design: DesignArrays,
-        endpoint_names: list[str],
-        timing: TimingResult,
-    ) -> list[str]:
-        """Design twin of :meth:`_rank_endpoints` (same scores, stable sort)."""
-        scored: list[tuple[float, str]] = []
-        for name in endpoint_names:
-            arrivals = self._sink_arrivals_design(
-                design, design.name_to_row[name], timing
-            )
-            if not arrivals:
-                continue
-            key = min(arrivals) if self.strategy == "pad_fast" else max(arrivals)
-            scored.append((key, name))
-        reverse = self.strategy == "shield_slow"
-        scored.sort(key=lambda item: item[0], reverse=reverse)
-        return [name for _score, name in scored]
-
-    @staticmethod
-    def _sink_arrivals_design(
-        design: DesignArrays, row: int, timing: TimingResult
-    ) -> list[float]:
-        arrivals: list[float] = []
-        stack = [row]
-        while stack:
-            current = stack.pop()
-            stack.extend(design.children_rows[current])
-            if design.kind[current] == KIND_SINK:
-                name = design.names[current]
-                if name in timing.arrivals:
-                    arrivals.append(timing.arrivals[name])
-        return arrivals
-
-    def _padded_sink_rows(
-        self,
-        design: DesignArrays,
-        endpoint_row: int,
-        snapshot: _TimingSnapshot,
-    ) -> list[int]:
-        """Design twin of :meth:`_padded_sinks` (same loads, same cut)."""
-        sink_children = [
-            child
-            for child in design.children_rows[endpoint_row]
-            if design.kind[child] == KIND_SINK
-        ]
-        if not sink_children:
-            return []
-        if self.strategy == "shield_slow":
-            return sink_children
-        timing = snapshot.ranking
-        if timing is None:  # pragma: no cover - internal misuse guard
-            raise RuntimeError("padded-sink selection needs an arrivals snapshot")
-        est_pdk = self._estimation_pdk(snapshot)
-        latency = timing.latency
-        layer = est_pdk.front_layer
-        endpoint_location = design.location_of(endpoint_row)
-        selected = sink_children
-        for _ in range(2):
-            load = sum(
-                layer.wire_capacitance(
-                    endpoint_location.manhattan(design.location_of(child))
-                )
-                + float(design.cap[child])
-                for child in selected
-            )
-            added_delay = est_pdk.buffer.delay(load)
-            selected = [
-                child
-                for child in sink_children
-                if timing.arrivals.get(design.names[child], latency) + added_delay
-                <= latency + 1e-9
-            ]
-            if not selected:
-                return []
-        return selected
-
-    def _insert_endpoint_buffer_design(
-        self, design: DesignArrays, endpoint_name: str, snapshot: _TimingSnapshot
-    ) -> str | None:
-        """Design twin of :meth:`_insert_endpoint_buffer`; returns the name."""
-        endpoint_row = design.name_to_row[endpoint_name]
-        padded = self._padded_sink_rows(design, endpoint_row, snapshot)
-        if not padded:
-            return None
-        buffer_name = design.new_name("sr_buf")
-        location = design.location_of(endpoint_row)
-        buffer_row = design.add_child(
-            endpoint_row,
-            buffer_name,
-            KIND_BUFFER,
-            location.x,
-            location.y,
-            side_front=True,
-            capacitance=self.pdk.buffer.input_capacitance,
-            wire_front=True,
-        )
-        for sink in padded:
-            design.move_child(sink, buffer_row)
-        design.mark_rewire(endpoint_row)
-        return buffer_name
-
-    @staticmethod
-    def _remove_endpoint_buffer_design(
-        design: DesignArrays, endpoint_name: str, buffer_name: str
-    ) -> None:
-        """Design twin of :meth:`_remove_endpoint_buffer` (name lookups are
-        fresh: the measuring engine may have compacted the design)."""
-        buffer_row = design.name_to_row[buffer_name]
-        endpoint_row = design.name_to_row[endpoint_name]
-        for sink in list(design.children_rows[buffer_row]):
-            design.move_child(sink, endpoint_row)
-        design.remove_leaf(buffer_row)
-        design.mark_rewire(endpoint_row)
 
     # --------------------------------------------------------------- internals
     def _measure(
-        self, tree: ClockTree | DesignArrays, with_arrivals: bool = False
+        self, design: DesignArrays, with_arrivals: bool = False
     ) -> _TimingSnapshot:
-        """One engine pass over the tree (corner-batched when corner-aware).
+        """One engine pass over the design (corner-batched when corner-aware).
 
         The corner-aware per-trial hot path reads only per-corner
         skew/latency scalars — both batched calls sync the same cached
@@ -509,7 +299,7 @@ class SkewRefiner:
         throughout: nothing in the refiner reads them.
         """
         if not self._corner_aware:
-            nominal = self._engine.analyze(tree, with_slew=False)
+            nominal = self._engine.analyze(design, with_slew=False)
             return _TimingSnapshot(
                 corner_skews={self._primary_name: nominal.skew},
                 corner_latencies={self._primary_name: nominal.latency},
@@ -518,24 +308,26 @@ class SkewRefiner:
                 ranking=nominal,
             )
         snapshot = _TimingSnapshot(
-            corner_skews=self._engine.skew_per_corner(tree),
-            corner_latencies=self._engine.latency_per_corner(tree),
+            corner_skews=self._engine.skew_per_corner(design),
+            corner_latencies=self._engine.latency_per_corner(design),
             primary=self._primary_name,
         )
         if with_arrivals:
-            self._attach_arrivals(snapshot, tree)
+            self._attach_arrivals(snapshot, design)
         return snapshot
 
-    def _attach_arrivals(self, snapshot: _TimingSnapshot, tree: ClockTree) -> None:
+    def _attach_arrivals(
+        self, snapshot: _TimingSnapshot, design: DesignArrays
+    ) -> None:
         """Materialise the per-sink results arrivals consumers need.
 
-        Must be called while ``tree`` is in exactly the state ``snapshot``
+        Must be called while ``design`` is in exactly the state ``snapshot``
         measured — i.e. on the initial snapshot, on an accepted trial, or on
         the final state — never on a rejected (reverted) trial.
         """
         if snapshot.nominal is not None:
             return  # nominal-path snapshots are born with arrivals
-        per_corner = self._engine.analyze_corners(tree, with_slew=False)
+        per_corner = self._engine.analyze_corners(design, with_slew=False)
         snapshot.nominal = per_corner[snapshot.primary]
         snapshot.ranking = per_corner[snapshot.worst_corner]
 
@@ -584,24 +376,34 @@ class SkewRefiner:
         )
 
     @staticmethod
-    def _end_points(tree: ClockTree) -> list[ClockTreeNode]:
-        """End-points eligible for refinement: tap nodes (low centroids).
+    def _end_points(design: DesignArrays) -> list[str]:
+        """Names of the end-points eligible for refinement: tap nodes (low
+        centroids), in pre-order.
 
         Trees built without dual-level clustering (e.g. the flat DME
         ablation) have no taps; the parents of sinks act as end-points then.
         """
-        taps = [n for n in tree.nodes() if n.kind is NodeKind.TAP]
+        preorder = design.rows_preorder()
+        taps = [design.names[row] for row in preorder if design.kind[row] == KIND_TAP]
         if taps:
             return taps
-        parents = {id(n.parent): n.parent for n in tree.sinks() if n.parent is not None}
-        return [p for p in parents.values() if p.kind is not NodeKind.ROOT]
+        parent_rows: dict[int, None] = {}
+        for row in preorder:
+            parent = int(design.parent_row[row])
+            if design.kind[row] == KIND_SINK and parent >= 0:
+                parent_rows.setdefault(parent, None)
+        return [
+            design.names[parent]
+            for parent in parent_rows
+            if design.kind[parent] != KIND_ROOT
+        ]
 
     def _rank_endpoints(
         self,
-        tree: ClockTree,
-        endpoints: list[ClockTreeNode],
+        design: DesignArrays,
+        endpoints: list[str],
         timing: TimingResult,
-    ) -> list[ClockTreeNode]:
+    ) -> list[str]:
         """Order end-points by refinement priority according to the strategy.
 
         ``pad_fast`` processes the clusters whose sinks arrive earliest (they
@@ -610,9 +412,11 @@ class SkewRefiner:
         rank by the worst-skew corner's arrivals (``timing`` is that
         corner's result then).
         """
-        scored: list[tuple[float, ClockTreeNode]] = []
+        scored: list[tuple[float, str]] = []
         for endpoint in endpoints:
-            arrivals = self._sink_arrivals(endpoint, timing)
+            arrivals = self._sink_arrivals(
+                design, design.name_to_row[endpoint], timing
+            )
             if not arrivals:
                 continue
             key = min(arrivals) if self.strategy == "pad_fast" else max(arrivals)
@@ -623,13 +427,19 @@ class SkewRefiner:
 
     @staticmethod
     def _sink_arrivals(
-        endpoint: ClockTreeNode, timing: TimingResult
+        design: DesignArrays, row: int, timing: TimingResult
     ) -> list[float]:
-        return [
-            timing.arrivals[node.name]
-            for node in endpoint.iter_subtree()
-            if node.is_sink and node.name in timing.arrivals
-        ]
+        """Arrivals of the sinks in the subtree below ``row``."""
+        arrivals: list[float] = []
+        stack = [row]
+        while stack:
+            current = stack.pop()
+            stack.extend(design.children_rows[current])
+            if design.kind[current] == KIND_SINK:
+                name = design.names[current]
+                if name in timing.arrivals:
+                    arrivals.append(timing.arrivals[name])
+        return arrivals
 
     def _estimation_pdk(self, snapshot: _TimingSnapshot) -> Pdk:
         """Technology used to estimate the padded-sink buffer delay.
@@ -643,10 +453,11 @@ class SkewRefiner:
 
     def _padded_sinks(
         self,
-        endpoint: ClockTreeNode,
+        design: DesignArrays,
+        endpoint_row: int,
         snapshot: _TimingSnapshot,
-    ) -> list[ClockTreeNode]:
-        """Select the sinks of the cluster that the end-point buffer will drive.
+    ) -> list[int]:
+        """Select the sink rows of the cluster the end-point buffer will drive.
 
         ``pad_fast`` must not increase latency (Fig. 11), so only the sinks
         that remain below the tree latency after gaining the buffer delay are
@@ -654,7 +465,11 @@ class SkewRefiner:
         ``shield_slow`` moves the whole leaf net behind the buffer so the
         trunk is shielded from its load.
         """
-        sink_children = [c for c in endpoint.children if c.is_sink]
+        sink_children = [
+            child
+            for child in design.children_rows[endpoint_row]
+            if design.kind[child] == KIND_SINK
+        ]
         if not sink_children:
             return []
         if self.strategy == "shield_slow":
@@ -665,57 +480,69 @@ class SkewRefiner:
         est_pdk = self._estimation_pdk(snapshot)
         latency = timing.latency
         layer = est_pdk.front_layer
+        endpoint_location = design.location_of(endpoint_row)
         selected = sink_children
         # Two fixed-point passes: the buffer delay depends on the selected load.
         for _ in range(2):
             load = sum(
-                layer.wire_capacitance(endpoint.location.manhattan(c.location))
-                + c.capacitance
-                for c in selected
+                layer.wire_capacitance(
+                    endpoint_location.manhattan(design.location_of(child))
+                )
+                + float(design.cap[child])
+                for child in selected
             )
             added_delay = est_pdk.buffer.delay(load)
             selected = [
-                c
-                for c in sink_children
-                if timing.arrivals.get(c.name, latency) + added_delay <= latency + 1e-9
+                child
+                for child in sink_children
+                if timing.arrivals.get(design.names[child], latency) + added_delay
+                <= latency + 1e-9
             ]
             if not selected:
                 return []
         return selected
 
     def _insert_endpoint_buffer(
-        self, tree: ClockTree, endpoint: ClockTreeNode, snapshot: _TimingSnapshot
-    ) -> ClockTreeNode | None:
+        self, design: DesignArrays, endpoint: str, snapshot: _TimingSnapshot
+    ) -> str | None:
         """Insert one buffer at the end-point, re-parenting (part of) its leaf net.
 
-        Returns the inserted buffer node, or None when no sink of the cluster
-        can profit from the buffer.
+        Returns the inserted buffer's name, or None when no sink of the
+        cluster can profit from the buffer.
         """
-        padded = self._padded_sinks(endpoint, snapshot)
+        endpoint_row = design.name_to_row[endpoint]
+        padded = self._padded_sinks(design, endpoint_row, snapshot)
         if not padded:
             return None
-        buffer_node = ClockTreeNode(
-            name=tree.new_name("sr_buf"),
-            kind=NodeKind.BUFFER,
-            location=endpoint.location,
-            side=Side.FRONT,
+        buffer_name = design.new_name("sr_buf")
+        location = design.location_of(endpoint_row)
+        buffer_row = design.add_child(
+            endpoint_row,
+            buffer_name,
+            KIND_BUFFER,
+            location.x,
+            location.y,
+            side_front=True,
             capacitance=self.pdk.buffer.input_capacitance,
-            wire_side=Side.FRONT,
+            wire_front=True,
         )
-        endpoint.add_child(buffer_node)
         for sink in padded:
-            sink.detach()
-            buffer_node.add_child(sink)
-        tree.mark_rewire(endpoint)
-        return buffer_node
+            design.move_child(sink, buffer_row)
+        design.mark_rewire(endpoint_row)
+        return buffer_name
 
     @staticmethod
     def _remove_endpoint_buffer(
-        tree: ClockTree, endpoint: ClockTreeNode, buffer_node: ClockTreeNode
+        design: DesignArrays, endpoint: str, buffer_name: str
     ) -> None:
-        """Undo :meth:`_insert_endpoint_buffer` (used when a trial is rejected)."""
-        for sink in list(buffer_node.children):
-            sink.detach()
-            endpoint.add_child(sink)
-        buffer_node.detach()
-        tree.mark_rewire(endpoint)
+        """Undo :meth:`_insert_endpoint_buffer` (used when a trial is rejected).
+
+        Rows are looked up by name afresh: the measuring engine may have
+        compacted the design since the insertion.
+        """
+        buffer_row = design.name_to_row[buffer_name]
+        endpoint_row = design.name_to_row[endpoint]
+        for sink in list(design.children_rows[buffer_row]):
+            design.move_child(sink, endpoint_row)
+        design.remove_leaf(buffer_row)
+        design.mark_rewire(endpoint_row)

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.clocktree import ClockTree, ClockTreeNode
-from repro.clocktree.arrays import KIND_SINK, KIND_STEINER, KIND_TAP
 from repro.clocktree.tree import ConnectivityError
 from repro.clustering import (
     Cluster,
@@ -45,7 +44,7 @@ from repro.clustering import (
 )
 from repro.clustering.dual_level import _cluster_sinks
 from repro.geometry import Point
-from repro.ir.design import DesignArrays
+from repro.ir.design import KIND_SINK, KIND_STEINER, KIND_TAP, DesignArrays
 from repro.netlist.clock import ClockNet, ClockSink
 from repro.routing.dme import DmeTerminal, EmbeddedNode
 from repro.routing.dme_arrays import (

@@ -10,16 +10,18 @@ Implements the delay models of Section II-B of the paper:
 
 Two interchangeable engines implement these models:
 
-* :class:`VectorizedElmoreEngine` — the production kernel.  It compiles the
-  tree into a struct-of-arrays snapshot (:mod:`repro.clocktree.arrays`) and
-  runs vectorized level-synchronous passes; repeated queries on an unchanged
-  tree are served from cache, and structural edits recorded through the
-  tree's edit log re-time only the dirty cone.  Use it everywhere
+* :class:`VectorizedElmoreEngine` — the production kernel.  It runs
+  vectorized level-synchronous passes over the columns of a
+  :class:`~repro.ir.design.DesignArrays`; repeated queries on an unchanged
+  design are served from cache, and structural edits recorded through the
+  design's edit log re-time only the dirty cone.  A ``ClockTree`` argument
+  is compiled into a design once per tree version.  Use it everywhere
   performance matters — it is the default of :func:`create_engine`.
 * :class:`ElmoreTimingEngine` — the straightforward per-node reference
-  implementation.  Use it for differential testing, for debugging suspected
-  kernel bugs (set ``REPRO_TIMING_ENGINE=reference`` to switch the whole
-  library), and as the executable specification of the timing model.
+  implementation over object trees (a design is realised once per version).
+  Use it for differential testing, for debugging suspected kernel bugs (set
+  ``REPRO_TIMING_ENGINE=reference`` to switch the whole library), and as
+  the executable specification of the timing model.
 
 Both engines produce identical results to well below 1e-9 ps (only the
 floating-point summation order differs); the equivalence is enforced by the

@@ -5,6 +5,10 @@ against a :class:`~repro.tech.Pdk`.  Wires use the L-type lumped Elmore model
 of the paper (all wire capacitance lumped at the far end), buffers shield
 their downstream load, and nTSVs contribute a series RC without shielding —
 exactly matching Eq. (1) and Eq. (2).
+
+The engine walks object trees.  Its timing entries also accept a
+:class:`~repro.ir.design.DesignArrays` and realise it (``to_clock_tree()``)
+once per design version, so flow stages hand either engine their design.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import enum
 from typing import Mapping
 
 from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
+from repro.ir.design import DesignArrays
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
@@ -21,6 +26,15 @@ from repro.timing.slew import SOURCE_SLEW, SlewAnalyzer
 
 #: Drive resistance (kOhm) of the clock source, shared by every engine.
 ROOT_DRIVE_RESISTANCE = 0.1
+
+
+def require_clock_tree(tree: ClockTree | DesignArrays, method: str) -> None:
+    """Reject a design where a result is keyed by ``id(node)``."""
+    if isinstance(tree, DesignArrays):
+        raise TypeError(
+            f"{method}() keys loads by id(node), which needs a ClockTree; "
+            "realise the design with to_clock_tree()"
+        )
 
 
 class WireModel(enum.Enum):
@@ -91,6 +105,22 @@ class ElmoreTimingEngine(ElmoreWireModel):
         self.corners = CornerSet.resolve(corners).ensure_nominal()
         self._slew = SlewAnalyzer(pdk)
         self._corner_engines: list["ElmoreTimingEngine"] | None = None
+        self._realised_design: tuple[DesignArrays, int, ClockTree] | None = None
+
+    def _realised(self, tree: ClockTree | DesignArrays) -> ClockTree:
+        """The object tree the reference walks.
+
+        A design is realised once per ``(design, version)``: queries at an
+        unchanged version (a refiner trial's skew and latency, an
+        evaluation's nominal and per-corner passes) share one realisation.
+        """
+        if not isinstance(tree, DesignArrays):
+            return tree
+        cached = self._realised_design
+        if cached is None or cached[0] is not tree or cached[1] != tree.version:
+            cached = (tree, tree.version, tree.to_clock_tree())
+            self._realised_design = cached
+        return cached[2]
 
     @property
     def corner_pdks(self) -> list[Pdk]:
@@ -115,6 +145,7 @@ class ElmoreTimingEngine(ElmoreWireModel):
         Returns a mapping ``id(node) -> capacitance`` (fF).  Buffers shield
         their downstream load and present only their input pin capacitance.
         """
+        require_clock_tree(tree, "subtree_capacitances")
         caps: dict[int, float] = {}
         for node in tree.nodes_bottom_up():
             if node.kind is NodeKind.BUFFER:
@@ -137,6 +168,7 @@ class ElmoreTimingEngine(ElmoreWireModel):
         it is the load on the clock source; for nTSVs it is the capacitance
         downstream of the via (excluding the via's own capacitance).
         """
+        require_clock_tree(tree, "driver_loads")
         caps = self.subtree_capacitances(tree)
         loads: dict[int, float] = {}
         for node in tree.nodes():
@@ -147,12 +179,15 @@ class ElmoreTimingEngine(ElmoreWireModel):
             loads[id(node)] = load
         return loads
 
-    def max_capacitance_violations(self, tree: ClockTree) -> list[tuple[str, float]]:
+    def max_capacitance_violations(
+        self, tree: ClockTree | DesignArrays
+    ) -> list[tuple[str, float]]:
         """Return ``(driver name, load)`` pairs exceeding the PDK max load.
 
         Checked drivers are the clock root and every buffer (the elements
         with an output stage); Steiner points and nTSVs do not drive.
         """
+        tree = self._realised(tree)
         loads = self.driver_loads(tree)
         limit = self.pdk.max_capacitance
         violations = []
@@ -205,8 +240,11 @@ class ElmoreTimingEngine(ElmoreWireModel):
         return 0.0
 
     # ---------------------------------------------------------------- analyze
-    def analyze(self, tree: ClockTree, with_slew: bool = True) -> TimingResult:
+    def analyze(
+        self, tree: ClockTree | DesignArrays, with_slew: bool = True
+    ) -> TimingResult:
         """Run a full analysis and return the :class:`TimingResult`."""
+        tree = self._realised(tree)
         arrivals = self.node_arrivals(tree)
         sink_arrivals = {
             node.name: arrivals[id(node)] for node in tree.nodes() if node.is_sink
@@ -216,11 +254,11 @@ class ElmoreTimingEngine(ElmoreWireModel):
         slews = self._slew.sink_slews(tree, self) if with_slew else {}
         return TimingResult(arrivals=sink_arrivals, slews=slews)
 
-    def latency(self, tree: ClockTree) -> float:
+    def latency(self, tree: ClockTree | DesignArrays) -> float:
         """Convenience: maximum sink arrival (ps)."""
         return self.analyze(tree, with_slew=False).latency
 
-    def skew(self, tree: ClockTree) -> float:
+    def skew(self, tree: ClockTree | DesignArrays) -> float:
         """Convenience: global skew (ps)."""
         return self.analyze(tree, with_slew=False).skew
 
@@ -243,32 +281,37 @@ class ElmoreTimingEngine(ElmoreWireModel):
         return self._corner_engines
 
     def analyze_corners(
-        self, tree: ClockTree, with_slew: bool = True
+        self, tree: ClockTree | DesignArrays, with_slew: bool = True
     ) -> dict[str, TimingResult]:
         """Per-corner loop over fresh single-corner analyses."""
+        tree = self._realised(tree)
         return {
             scenario.name: engine.analyze(tree, with_slew=with_slew)
             for scenario, engine in zip(self.corners, self._engines_per_corner())
         }
 
-    def skew_per_corner(self, tree: ClockTree) -> dict[str, float]:
+    def skew_per_corner(self, tree: ClockTree | DesignArrays) -> dict[str, float]:
         """Global skew (ps) of every corner (one full analysis each)."""
+        tree = self._realised(tree)
         return {
             scenario.name: engine.skew(tree)
             for scenario, engine in zip(self.corners, self._engines_per_corner())
         }
 
-    def latency_per_corner(self, tree: ClockTree) -> dict[str, float]:
+    def latency_per_corner(
+        self, tree: ClockTree | DesignArrays
+    ) -> dict[str, float]:
         """Maximum sink arrival (ps) of every corner (one analysis each)."""
+        tree = self._realised(tree)
         return {
             scenario.name: engine.latency(tree)
             for scenario, engine in zip(self.corners, self._engines_per_corner())
         }
 
-    def worst_skew(self, tree: ClockTree) -> float:
+    def worst_skew(self, tree: ClockTree | DesignArrays) -> float:
         """The largest skew (ps) across the corner set."""
         return max(self.skew_per_corner(tree).values())
 
-    def worst_latency(self, tree: ClockTree) -> float:
+    def worst_latency(self, tree: ClockTree | DesignArrays) -> float:
         """The largest latency (ps) across the corner set."""
         return max(self.latency_per_corner(tree).values())

@@ -3,8 +3,8 @@
 :class:`VectorizedElmoreEngine` is a drop-in replacement for
 :class:`~repro.timing.ElmoreTimingEngine` that computes the exact same model
 (L or PI wire reduction, buffer shielding, nTSV series RC, NLDM buffer delay,
-PERI slew propagation) on a :class:`~repro.clocktree.arrays.TreeArrays`
-snapshot instead of per-node Python dicts:
+PERI slew propagation) on the columns of a
+:class:`~repro.ir.design.DesignArrays` instead of per-node Python dicts:
 
 * subtree capacitances and driver loads are one bottom-up sweep over the
   breadth-first levels (one ``bincount`` scatter per level),
@@ -12,16 +12,21 @@ snapshot instead of per-node Python dicts:
 * repeated queries on an unchanged tree reuse the cached arrays outright.
 
 On top of the full pass the engine supports **incremental re-timing**: when
-the tree records structural edits through its edit log
-(:meth:`ClockTree.mark_splice` / :meth:`ClockTree.mark_rewire`), the next
-query patches only the affected rows, walks capacitance changes up to the
-first shielding buffer (or the root), and re-times just that driver's cone
-instead of the whole tree.  A single end-point buffer insertion on a large
-tree therefore costs O(cone) instead of O(tree).
+the design records structural edits through its edit log
+(:meth:`DesignArrays.mark_splice` / :meth:`DesignArrays.mark_rewire`), the
+next query patches only the affected rows, walks capacitance changes up to
+the first shielding buffer (or the root), and re-times just that driver's
+cone instead of the whole tree.  A single end-point buffer insertion on a
+large design therefore costs O(cone) instead of O(tree).
+
+A :class:`~repro.clocktree.ClockTree` argument is compiled into a private
+design (:meth:`DesignArrays.from_clock_tree`) cached on the tree and its
+``version``: repeated queries on an unchanged tree hit the cache, and any
+recorded edit recompiles from scratch.
 
 **Multi-corner batching**: every numeric array carries a leading scenario
 axis of size ``K = len(corners)`` (:class:`~repro.tech.corners.CornerSet`).
-One tree compile is shared across the whole corner batch, the
+One design compile is shared across the whole corner batch, the
 level-synchronous passes evaluate all corners at once, and the dirty-cone
 incremental path stays corner-batched — so K-corner sign-off costs far less
 than K sequential analyses.  The single-corner API (:meth:`analyze`,
@@ -39,20 +44,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
-from repro.clocktree.arrays import (
-    KIND_BUFFER,
-    KIND_NTSV,
-    KIND_ROOT,
-    KIND_SINK,
-    TreeArrays,
-)
-from repro.ir.design import DesignArrays
+from repro.clocktree import ClockTree
+from repro.ir.design import KIND_BUFFER, KIND_NTSV, KIND_ROOT, KIND_SINK, DesignArrays
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
 from repro.timing.analysis import TimingResult
-from repro.timing.elmore import ElmoreWireModel, WireModel
+from repro.timing.elmore import ElmoreWireModel, WireModel, require_clock_tree
 from repro.timing.slew import LN9, SOURCE_SLEW
 
 #: Edit batches larger than this are cheaper to recompile than to replay.
@@ -60,10 +58,10 @@ _MAX_INCREMENTAL_EDITS = 64
 
 
 class _EngineState:
-    """Cached arrays for one compiled tree.
+    """Cached arrays for one compiled design.
 
     Every numeric array has shape ``(corners, capacity)``: axis 0 is the
-    scenario batch, axis 1 the TreeArrays row.
+    scenario batch, axis 1 the design row.
     """
 
     __slots__ = (
@@ -87,7 +85,7 @@ class _EngineState:
         "sink_col",
     )
 
-    def __init__(self, arrays: TreeArrays, corner_count: int) -> None:
+    def __init__(self, arrays: DesignArrays, corner_count: int) -> None:
         self.arrays = arrays
         self.version = -1
         self.result_version = -1
@@ -119,7 +117,7 @@ class _EngineState:
         self.sink_col = None
 
     def ensure_capacity(self) -> None:
-        """Grow the numeric arrays in lockstep with the TreeArrays snapshot."""
+        """Grow the numeric arrays in lockstep with the design's rows."""
         n = self.arrays.capacity
         if self.wire_cap.shape[1] >= n:
             return
@@ -169,6 +167,7 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         self.full_compiles = 0
         self.incremental_updates = 0
         self._state: _EngineState | None = None
+        self._tree_design: tuple[ClockTree, int, DesignArrays] | None = None
         self._primary = self.corners.nominal_index()
         self._compile_corner_tables()
 
@@ -228,55 +227,42 @@ class VectorizedElmoreEngine(ElmoreWireModel):
     def invalidate(self) -> None:
         """Drop the cached state (next query recompiles from scratch)."""
         self._state = None
+        self._tree_design = None
+
+    def _design_of(self, tree: ClockTree | DesignArrays) -> DesignArrays:
+        """The design the passes read: ``tree`` itself, or its cached compile."""
+        if isinstance(tree, DesignArrays):
+            return tree
+        cached = self._tree_design
+        if cached is None or cached[0] is not tree or cached[1] != tree.version:
+            cached = (tree, tree.version, DesignArrays.from_clock_tree(tree))
+            self._tree_design = cached
+        return cached[2]
 
     def _sync(
         self, tree: ClockTree | DesignArrays, need_slews: bool
     ) -> _EngineState:
+        design = self._design_of(tree)
         state = self._state
-        if isinstance(tree, DesignArrays):
-            # IR-native path: the design *is* the snapshot — no per-stage
-            # TreeArrays compile, the passes read its columns directly.
-            if state is None or state.arrays is not tree:
-                state = self._compile_design(tree)
-            else:
-                edits = tree.edits_since(state.version)
-                if edits is None:
-                    state = self._compile_design(tree)
-                elif edits and not self._apply_design_edits(state, edits):
-                    state = self._compile_design(tree)
-        elif state is None or getattr(state.arrays, "tree", None) is not tree:
-            state = self._compile(tree)
+        if state is None or state.arrays is not design:
+            state = self._compile(design)
         else:
-            edits = tree.edits_since(state.version)
+            edits = design.edits_since(state.version)
             if edits is None:
-                state = self._compile(tree)
+                state = self._compile(design)
             elif edits and not self._apply_edits(state, edits):
-                state = self._compile(tree)
+                state = self._compile(design)
         if need_slews and not state.slews_valid:
             self._full_slews(state)
         return state
 
-    def _compile(self, tree: ClockTree) -> _EngineState:
-        arrays = TreeArrays(tree)
-        state = _EngineState(arrays, len(self.corners))
-        self._refresh_wire(state, arrays.alive_rows())
-        self._full_caps(state)
-        self._refresh_stage(state, arrays.alive_rows())
-        self._refresh_wire_delay(state, arrays.alive_rows())
-        self._full_arrivals(state)
-        state.slews_valid = False
-        state.version = tree.version
-        self._state = state
-        self.full_compiles += 1
-        return state
+    def _compile(self, design: DesignArrays) -> _EngineState:
+        """From-scratch passes over the design's columns.
 
-    def _compile_design(self, design: DesignArrays) -> _EngineState:
-        """From-scratch passes over a :class:`DesignArrays` (no snapshot).
-
-        ``design.compact()`` renumbers the rows into the exact breadth-first
-        order a fresh :class:`TreeArrays` compile of the equivalent object
-        tree would produce, so every level-batched reduction below sums in
-        the same order — the IR path stays bit-identical to the object path.
+        ``design.compact()`` first renumbers the rows breadth-first, so every
+        level-batched reduction below sums in the order a fresh
+        :meth:`DesignArrays.from_clock_tree` of the equivalent object tree
+        would: a design and its realised tree time bit-identically.
         """
         design.compact()
         state = _EngineState(design, len(self.corners))
@@ -441,115 +427,14 @@ class VectorizedElmoreEngine(ElmoreWireModel):
 
     # ------------------------------------------------------------ incremental
     def _apply_edits(self, state: _EngineState, edits: list) -> bool:
-        """Replay recorded edits onto the cached state; False => recompile."""
-        if len(edits) > _MAX_INCREMENTAL_EDITS:
-            return False
-        arrays = state.arrays
-        if arrays.dead_count * 2 > arrays.size:
-            return False  # mostly tombstones: recompile to compact the rows
-        root = arrays.tree.root
-        changed: set[int] = set()
-        tops: list[int] = []
-        for _version, edit_kind, node in edits:
-            if node is None or edit_kind == "touch":
-                return False
-            if not _attached(node, root):
-                return False
-            if edit_kind == "splice":
-                patch = arrays.apply_splice(node)
-                if patch is None:
-                    return False
-                state.ensure_capacity()
-                new_row, child_row = patch
-                self._refresh_wire(
-                    state, np.asarray([new_row, child_row], dtype=np.int64)
-                )
-                state.load[:, new_row] = (
-                    state.wire_cap[:, child_row] + state.down_cap[:, child_row]
-                )
-                if arrays.kind[new_row] == KIND_BUFFER:
-                    state.down_cap[:, new_row] = arrays.cap[new_row]
-                else:
-                    state.down_cap[:, new_row] = (
-                        arrays.cap[new_row] + state.load[:, new_row]
-                    )
-                changed.update((int(new_row), int(child_row)))
-            elif edit_kind == "rewire":
-                sub_levels = arrays.apply_rewire(node)
-                if sub_levels is None:
-                    return False
-                state.ensure_capacity()
-                flat = np.concatenate(sub_levels)
-                self._refresh_wire(state, flat)
-                state.load[:, flat] = 0.0
-                for rows in reversed(sub_levels):
-                    down = arrays.cap[rows][None, :] + state.load[:, rows]
-                    shielded = arrays.kind[rows] == KIND_BUFFER
-                    if shielded.any():
-                        down[:, shielded] = arrays.cap[rows][shielded][None, :]
-                    state.down_cap[:, rows] = down
-                    if rows is sub_levels[0]:
-                        continue  # the subtree root's parent lies outside
-                    # The scatter targets only the (few) subtree parents, so
-                    # it stays O(subtree) instead of O(capacity) per level —
-                    # what keeps the dirty-cone path cone-local on big trees.
-                    contribution = state.wire_cap[:, rows] + down
-                    parents = arrays.parent_row[rows]
-                    for k in range(contribution.shape[0]):
-                        np.add.at(state.load[k], parents, contribution[k])
-                changed.update(int(r) for r in flat)
-            else:  # pragma: no cover - defensive against future edit kinds
-                return False
-            tops.append(self._propagate_caps_up(state, node, changed))
-        rows = np.fromiter(changed, dtype=np.int64, count=len(changed))
-        self._refresh_stage(state, rows)
-        self._refresh_wire_delay(state, rows)
-        retimed: list[int] = []
-        for top in self._merge_tops(state, tops):
-            self._retime_cone(state, top, retimed)
-        self._patch_sink_arrivals(state, retimed)
-        state.version = arrays.tree.version
-        self.incremental_updates += 1
-        return True
+        """Replay the design's recorded row edits onto the cached state.
 
-    def _propagate_caps_up(
-        self, state: _EngineState, node: ClockTreeNode, changed: set[int]
-    ) -> int:
-        """Walk capacitance changes from ``node`` toward the root.
-
-        Stops at the first shielding buffer (whose load changed but whose
-        upstream capacitance did not) or at the root.  Returns the row of the
-        highest driver whose stage delay changed — the dirty-cone top.
-        """
-        arrays = state.arrays
-        walk = node.parent
-        if walk is None:
-            return int(arrays.row_of[id(node)])
-        while True:
-            row = arrays.row_of[id(walk)]
-            child_rows = np.asarray(arrays.children_rows[row], dtype=np.int64)
-            state.load[:, row] = np.sum(
-                state.wire_cap[:, child_rows] + state.down_cap[:, child_rows],
-                axis=1,
-            )
-            changed.add(int(row))
-            if arrays.kind[row] == KIND_BUFFER:
-                return int(row)  # shielded: upstream sees the pin cap only
-            state.down_cap[:, row] = arrays.cap[row] + state.load[:, row]
-            if walk.parent is None:
-                return int(row)
-            walk = walk.parent
-
-    def _apply_design_edits(self, state: _EngineState, edits: list) -> bool:
-        """Replay :class:`DesignArrays` row edits onto the cached state.
-
-        The numeric patch sequence mirrors :meth:`_apply_edits` operation for
-        operation (same wire refreshes, same per-level scatters, same upward
-        capacitance walk), so an incremental IR replay lands on bit-identical
-        arrays to the object-path replay of the same logical edit.  Unlike
-        the object path the design's structure is already up to date (edits
-        are applied eagerly at op time); the log only tells the engine
-        *where* to patch.  Returns False to request a recompile.
+        The design's structure is already up to date (its mutators apply
+        edits eagerly); the log only tells the engine *where* to patch.  A
+        splice refreshes the new row and its child; a rewire re-sums the
+        whole subtree bottom-up.  Either walks the capacitance change up to
+        the first shielding buffer and re-times that driver's cone.  Returns
+        False to request a recompile.
         """
         if len(edits) > _MAX_INCREMENTAL_EDITS:
             return False
@@ -597,6 +482,9 @@ class VectorizedElmoreEngine(ElmoreWireModel):
                     state.down_cap[:, rows] = down
                     if rows is sub_levels[0]:
                         continue  # the subtree root's parent lies outside
+                    # The scatter targets only the (few) subtree parents, so
+                    # it stays O(subtree) instead of O(capacity) per level —
+                    # what keeps the dirty-cone path cone-local on big trees.
                     contribution = state.wire_cap[:, rows] + down
                     parents = design.parent_row[rows]
                     for k in range(contribution.shape[0]):
@@ -604,7 +492,7 @@ class VectorizedElmoreEngine(ElmoreWireModel):
                 changed.update(int(r) for r in flat)
             else:  # pragma: no cover - defensive against future edit kinds
                 return False
-            tops.append(self._propagate_caps_up_rows(state, row, changed))
+            tops.append(self._propagate_caps_up(state, row, changed))
         rows = np.fromiter(changed, dtype=np.int64, count=len(changed))
         self._refresh_stage(state, rows)
         self._refresh_wire_delay(state, rows)
@@ -616,10 +504,15 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         self.incremental_updates += 1
         return True
 
-    def _propagate_caps_up_rows(
+    def _propagate_caps_up(
         self, state: _EngineState, row: int, changed: set[int]
     ) -> int:
-        """Row-walking twin of :meth:`_propagate_caps_up` (same numerics)."""
+        """Walk capacitance changes from ``row`` toward the root.
+
+        Stops at the first shielding buffer (whose load changed but whose
+        upstream capacitance did not) or at the root.  Returns the row of the
+        highest driver whose stage delay changed — the dirty-cone top.
+        """
         design = state.arrays
         walk = int(design.parent_row[row])
         if walk < 0:
@@ -757,7 +650,7 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         """Run a full (or incremental) analysis; reports the primary corner."""
         state = self._sync(tree, need_slews=with_slew)
         arrays = state.arrays
-        sink_rows = self._checked_sink_rows(tree, arrays)
+        sink_rows = self._checked_sink_rows(arrays)
         if state.result_version != state.version:
             state.result_version = state.version
             state.result_arrivals = None
@@ -788,7 +681,7 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         """One batched pass, one :class:`TimingResult` per corner name."""
         state = self._sync(tree, need_slews=with_slew)
         arrays = state.arrays
-        sink_rows = self._checked_sink_rows(tree, arrays)
+        sink_rows = self._checked_sink_rows(arrays)
         names = self._sink_names(arrays, sink_rows)
         sink_arrival = self._sink_arrival_matrix(state)
         results: dict[str, TimingResult] = {}
@@ -803,34 +696,27 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         return results
 
     @staticmethod
-    def _sink_names(
-        arrays: TreeArrays | DesignArrays, sink_rows: np.ndarray
-    ) -> list[str]:
-        """Sink names, from the design's name column or the snapshot nodes."""
-        names = getattr(arrays, "names", None)
-        if names is not None:
-            return [names[int(row)] for row in sink_rows]
-        return [arrays.nodes[row].name for row in sink_rows]
+    def _sink_names(design: DesignArrays, sink_rows: np.ndarray) -> list[str]:
+        names = design.names
+        return [names[int(row)] for row in sink_rows]
 
     @staticmethod
-    def _checked_sink_rows(
-        tree: ClockTree | DesignArrays, arrays: TreeArrays | DesignArrays
-    ) -> np.ndarray:
-        sink_rows = arrays.sink_rows()
+    def _checked_sink_rows(design: DesignArrays) -> np.ndarray:
+        sink_rows = design.sink_rows()
         if sink_rows.size == 0:
-            raise ValueError(f"clock tree {tree.name!r} has no sinks to analyse")
+            raise ValueError(f"clock tree {design.name!r} has no sinks to analyse")
         return sink_rows
 
     def latency(self, tree: ClockTree | DesignArrays) -> float:
         """Convenience: maximum sink arrival (ps) at the primary corner."""
         state = self._sync(tree, need_slews=False)
-        self._checked_sink_rows(tree, state.arrays)
+        self._checked_sink_rows(state.arrays)
         return float(self._sink_arrival_matrix(state)[self._primary].max())
 
     def skew(self, tree: ClockTree | DesignArrays) -> float:
         """Convenience: global skew (ps) at the primary corner."""
         state = self._sync(tree, need_slews=False)
-        self._checked_sink_rows(tree, state.arrays)
+        self._checked_sink_rows(state.arrays)
         arrivals = self._sink_arrival_matrix(state)[self._primary]
         return float(arrivals.max() - arrivals.min())
 
@@ -838,7 +724,7 @@ class VectorizedElmoreEngine(ElmoreWireModel):
     def skew_per_corner(self, tree: ClockTree | DesignArrays) -> dict[str, float]:
         """Global skew (ps) of every corner, from one batched pass."""
         state = self._sync(tree, need_slews=False)
-        self._checked_sink_rows(tree, state.arrays)
+        self._checked_sink_rows(state.arrays)
         arrivals = self._sink_arrival_matrix(state)
         skews = arrivals.max(axis=1) - arrivals.min(axis=1)
         return dict(zip(self.corners.names, skews.tolist()))
@@ -848,7 +734,7 @@ class VectorizedElmoreEngine(ElmoreWireModel):
     ) -> dict[str, float]:
         """Maximum sink arrival (ps) of every corner, from one batched pass."""
         state = self._sync(tree, need_slews=False)
-        self._checked_sink_rows(tree, state.arrays)
+        self._checked_sink_rows(state.arrays)
         latencies = self._sink_arrival_matrix(state).max(axis=1)
         return dict(zip(self.corners.names, latencies.tolist()))
 
@@ -863,51 +749,38 @@ class VectorizedElmoreEngine(ElmoreWireModel):
     # ------------------------------------------------------------------ loads
     def subtree_capacitances(self, tree: ClockTree) -> dict[int, float]:
         """Capacitance looking into each node (``id(node) -> fF``)."""
+        require_clock_tree(tree, "subtree_capacitances")
         state = self._sync(tree, need_slews=False)
-        down_cap = state.down_cap[self._primary]
-        return {
-            node_id: float(down_cap[row])
-            for node_id, row in state.arrays.row_of.items()
-        }
+        return self._by_node(tree, state.down_cap[self._primary])
 
     def driver_loads(self, tree: ClockTree) -> dict[int, float]:
         """Load (fF) seen by each node when driving its children."""
+        require_clock_tree(tree, "driver_loads")
         state = self._sync(tree, need_slews=False)
-        loads = state.load[self._primary]
-        return {
-            node_id: float(loads[row])
-            for node_id, row in state.arrays.row_of.items()
-        }
+        return self._by_node(tree, state.load[self._primary])
+
+    @staticmethod
+    def _by_node(tree: ClockTree, values: np.ndarray) -> dict[int, float]:
+        # ``from_clock_tree`` numbers rows breadth-first: the reverse of
+        # ``nodes_bottom_up``.
+        nodes = reversed(tree.nodes_bottom_up())
+        return {id(node): value for node, value in zip(nodes, values.tolist())}
 
     def max_capacitance_violations(
         self, tree: ClockTree | DesignArrays
     ) -> list[tuple[str, float]]:
         """``(driver name, load)`` pairs exceeding the PDK max load."""
         limit = self.pdk.max_capacitance
-        if isinstance(tree, DesignArrays):
-            state = self._sync(tree, need_slews=False)
-            loads = state.load[self._primary]
-            violations = []
-            for row in tree.rows_preorder():
-                if tree.kind[row] in (KIND_ROOT, KIND_BUFFER):
-                    load = float(loads[row])
-                    if load > limit + 1e-9:
-                        violations.append((tree.names[row], load))
-            return violations
-        node_loads = self.driver_loads(tree)
+        state = self._sync(tree, need_slews=False)
+        design = state.arrays
+        loads = state.load[self._primary]
         violations = []
-        for node in tree.nodes():
-            if node.kind in (NodeKind.ROOT, NodeKind.BUFFER):
-                load = node_loads[id(node)]
+        for row in design.rows_preorder():
+            if design.kind[row] in (KIND_ROOT, KIND_BUFFER):
+                load = float(loads[row])
                 if load > limit + 1e-9:
-                    violations.append((node.name, load))
+                    violations.append((design.names[row], load))
         return violations
-
-
-def _attached(node: ClockTreeNode, root: ClockTreeNode) -> bool:
-    while node.parent is not None:
-        node = node.parent
-    return node is root
 
 
 def _row_attached(design: DesignArrays, row: int) -> bool:
@@ -922,9 +795,8 @@ def _row_attached(design: DesignArrays, row: int) -> bool:
 def _design_sub_levels(design: DesignArrays, row: int) -> list[np.ndarray]:
     """The subtree below ``row`` grouped by relative depth (row first).
 
-    The IR twin of the level grouping :meth:`TreeArrays.apply_rewire`
-    returns: breadth-first over ``children_rows``, so each level lists the
-    rows in the same per-parent children order as the object path.
+    Breadth-first over ``children_rows``, so each level lists the rows in
+    per-parent children order, like :meth:`DesignArrays.levels`.
     """
     sub_levels: list[np.ndarray] = []
     frontier = [row]

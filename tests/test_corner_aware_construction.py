@@ -33,13 +33,14 @@ from repro.flow import CtsConfig, DoubleSideCTS
 from repro.insertion import ConcurrentInserter
 from repro.insertion.candidate import CandidateSolution
 from repro.insertion.patterns import PATTERNS
+from repro.ir.design import DesignArrays
 from repro.refinement import SkewRefiner
 from repro.routing import HierarchicalClockRouter
 from repro.tech import CornerSet
 from repro.tech.layers import Side
 from repro.timing import ElmoreTimingEngine, create_engine
 from tests.conftest import make_random_clock_net
-from tests.test_timing_vectorized import random_edit, random_tree
+from tests.test_timing_vectorized import random_design, random_design_edit
 
 TOLERANCE = 1e-9
 
@@ -67,6 +68,14 @@ def tree_shape(tree) -> list[tuple]:
         )
         for node in tree.nodes()
     )
+
+
+def refine_tree(refiner: SkewRefiner, tree):
+    """Refine a design compiled from ``tree``; return the report and the
+    refined design realised as an object tree."""
+    design = DesignArrays.from_clock_tree(tree)
+    report = refiner.refine(design)
+    return report, design.to_clock_tree()
 
 
 def refinement_edits(tree, before_names: set[str]) -> list[tuple]:
@@ -244,16 +253,18 @@ class TestCornerAwareRefinement:
     def test_engines_make_identical_edits(self, pdk, unrefined_tree):
         reports = {}
         trees = {}
+        before_names = {node.name for node in unrefined_tree.nodes()}
         for engine in ENGINES:
-            tree = unrefined_tree.copy()
-            before_names = {node.name for node in tree.nodes()}
-            reports[engine] = SkewRefiner(
-                pdk,
-                force=True,
-                engine=engine,
-                corners=SIGNOFF,
-                nominal_skew_budget=2.0,
-            ).refine(tree)
+            reports[engine], tree = refine_tree(
+                SkewRefiner(
+                    pdk,
+                    force=True,
+                    engine=engine,
+                    corners=SIGNOFF,
+                    nominal_skew_budget=2.0,
+                ),
+                unrefined_tree,
+            )
             trees[engine] = (tree, before_names)
         ref, vec = reports["reference"], reports["vectorized"]
         assert ref.added_buffers == vec.added_buffers
@@ -267,18 +278,19 @@ class TestCornerAwareRefinement:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_worst_corner_never_degrades(self, pdk, unrefined_tree, engine):
-        tree = unrefined_tree.copy()
-        report = SkewRefiner(
-            pdk, force=True, engine=engine, corners=SIGNOFF
-        ).refine(tree)
+        report, tree = refine_tree(
+            SkewRefiner(pdk, force=True, engine=engine, corners=SIGNOFF),
+            unrefined_tree,
+        )
         assert report.worst_skew_after <= report.worst_skew_before + TOLERANCE
         # The zero default budget means nominal skew must not regress at all.
         assert report.after.skew <= report.before.skew + TOLERANCE
         tree.validate()
 
     def test_corner_report_fields(self, pdk, unrefined_tree):
-        tree = unrefined_tree.copy()
-        report = SkewRefiner(pdk, force=True, corners=SIGNOFF).refine(tree)
+        report, _ = refine_tree(
+            SkewRefiner(pdk, force=True, corners=SIGNOFF), unrefined_tree
+        )
         assert set(report.corner_skews_before) == set(SIGNOFF.names)
         assert set(report.corner_skews_after) == set(SIGNOFF.names)
         assert report.worst_skew_before == max(report.corner_skews_before.values())
@@ -286,16 +298,16 @@ class TestCornerAwareRefinement:
         summary = report.summary()
         assert {"worst_skew_before_ps", "worst_skew_after_ps"} <= set(summary)
         # Nominal-only reports keep the classic shape.
-        nominal_report = SkewRefiner(pdk, force=True).refine(unrefined_tree.copy())
+        nominal_report, _ = refine_tree(SkewRefiner(pdk, force=True), unrefined_tree)
         assert nominal_report.corner_skews_before == {}
         assert "worst_skew_before_ps" not in nominal_report.summary()
         assert nominal_report.worst_skew_after == nominal_report.after.skew
 
     def test_not_triggered_below_corner_trigger(self, pdk, unrefined_tree):
-        tree = unrefined_tree.copy()
-        report = SkewRefiner(
-            pdk, skew_trigger_fraction=0.999, corners=SIGNOFF
-        ).refine(tree)
+        report, _ = refine_tree(
+            SkewRefiner(pdk, skew_trigger_fraction=0.999, corners=SIGNOFF),
+            unrefined_tree,
+        )
         assert not report.triggered
         assert report.added_buffers == 0
         assert report.corner_skews_before == report.corner_skews_after
@@ -315,22 +327,25 @@ class TestCornerAwareRefinement:
         incremental path and must make exactly the reference decisions.
         """
         rng = np.random.default_rng(seed)
-        tree = random_tree(rng, sinks=int(rng.integers(20, 50)), internals=12)
+        design = random_design(rng, sinks=int(rng.integers(20, 50)), internals=12)
         for _ in range(int(rng.integers(1, 6))):
-            random_edit(tree, rng, pdk)
+            random_design_edit(design, rng, pdk)
+        tree = design.to_clock_tree()
+        before_names = {node.name for node in tree.nodes()}
         reports = {}
         edits = {}
         for engine in ENGINES:
-            copy = tree.copy()
-            before_names = {node.name for node in copy.nodes()}
-            reports[engine] = SkewRefiner(
-                pdk,
-                force=True,
-                engine=engine,
-                corners=SIGNOFF,
-                nominal_skew_budget=1.0,
-            ).refine(copy)
-            edits[engine] = refinement_edits(copy, before_names)
+            reports[engine], refined = refine_tree(
+                SkewRefiner(
+                    pdk,
+                    force=True,
+                    engine=engine,
+                    corners=SIGNOFF,
+                    nominal_skew_budget=1.0,
+                ),
+                tree,
+            )
+            edits[engine] = refinement_edits(refined, before_names)
         assert edits["reference"] == edits["vectorized"], seed
         assert reports["reference"].added_buffers == reports["vectorized"].added_buffers
         assert reports["reference"].worst_skew_after == pytest.approx(
@@ -441,16 +456,19 @@ class TestEffectivenessRegression:
         self, pdk, suite_trees, engine, bench_id
     ):
         base = suite_trees[bench_id]
-        nominal_tree = base.copy()
-        SkewRefiner(pdk, force=True, engine=engine).refine(nominal_tree)
-        corner_tree = base.copy()
-        report = SkewRefiner(
-            pdk,
-            force=True,
-            engine=engine,
-            corners=SIGNOFF,
-            nominal_skew_budget=self.BUDGET,
-        ).refine(corner_tree)
+        _, nominal_tree = refine_tree(
+            SkewRefiner(pdk, force=True, engine=engine), base
+        )
+        report, corner_tree = refine_tree(
+            SkewRefiner(
+                pdk,
+                force=True,
+                engine=engine,
+                corners=SIGNOFF,
+                nominal_skew_budget=self.BUDGET,
+            ),
+            base,
+        )
 
         signoff = create_engine(pdk, engine, corners=SIGNOFF)
         nominal_opt_worst = signoff.worst_skew(nominal_tree)

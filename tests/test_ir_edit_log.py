@@ -129,7 +129,7 @@ class TestCompactBumpsVersion:
     def test_engine_synced_at_compact_version_not_staled(self, pdk):
         design = small_design()
         engine = VectorizedElmoreEngine(pdk)
-        engine.analyze(design)  # _compile_design compacts and records version
+        engine.analyze(design)  # _compile compacts and records the version
         # Tombstone a leaf then compact: rows renumber, the cached engine
         # must observe it (via edits or a recompile), not serve stale rows.
         row = design.name_to_row["s3"]
@@ -210,6 +210,23 @@ class TestRenameDuplicateSemantics:
         design.rename(row, "renamed")
         assert design.name_to_row["renamed"] == row
         assert "c" not in design.name_to_row
+
+
+class TestRenameReachesEngineCaches:
+    def test_analyze_reports_a_renamed_sink_under_its_new_name(self, pdk):
+        # analyze() caches its name-keyed arrivals per design version; a
+        # rename used to record no edit, so the old name was served.
+        design = small_design()
+        engine = VectorizedElmoreEngine(pdk)
+        engine.analyze(design)
+        version = design.version
+        design.rename(design.name_to_row["s2"], "renamed_sink")
+        assert design.edits_since(version) != []
+        arrivals = engine.analyze(design).arrivals
+        assert "renamed_sink" in arrivals and "s2" not in arrivals
+        assert arrivals == ElmoreTimingEngine(pdk).analyze(design).arrivals
+        (nominal,) = engine.analyze_corners(design).values()
+        assert arrivals == nominal.arrivals
 
 
 # ------------------------------------------------- version monotonicity law

@@ -19,7 +19,7 @@ from repro.flow.config import CtsConfig
 from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig
 from repro.insertion.dp_tree import build_dp_tree
 from repro.insertion.frontier import VectorizedInsertionDp
-from repro.ir.design import DesignArrays
+from repro.ir.design import KIND_SINK, KIND_TAP, DesignArrays
 from repro.parallel import WORKERS_ENV_VAR, resolve_workers
 from repro.routing.hierarchical import (
     HierarchicalClockRouter,
@@ -256,8 +256,6 @@ def test_graft_rejects_tombstoned_shard():
 
 
 def test_probe_region_shard_flags_sink_mismatch():
-    from repro.clocktree.arrays import KIND_SINK, KIND_TAP
-
     shard = DesignArrays(name="region_0")
     shard.add_root("__region__", 0.0, 0.0)
     tap = shard.add_child(0, "tap_0", KIND_TAP, 0.0, 0.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.flow import DoubleSideCTS
+from repro.ir.design import DesignArrays
 from repro.refinement import (
     SkewRefiner,
     adaptive_scale_factor,
@@ -63,6 +64,10 @@ class TestSkewRefiner:
         config = small_config.with_updates(enable_skew_refinement=False)
         return DoubleSideCTS(pdk, config).run(small_design)
 
+    @staticmethod
+    def fresh(unrefined) -> DesignArrays:
+        return DesignArrays.from_clock_tree(unrefined.tree)
+
     def test_invalid_parameters_rejected(self, pdk):
         with pytest.raises(ValueError):
             SkewRefiner(pdk, skew_trigger_fraction=0.0)
@@ -71,42 +76,47 @@ class TestSkewRefiner:
         with pytest.raises(ValueError):
             SkewRefiner(pdk, strategy="bogus")
 
+    def test_object_tree_rejected(self, pdk, unrefined):
+        with pytest.raises(TypeError, match=r"DesignArrays\.from_clock_tree"):
+            SkewRefiner(pdk, force=True).refine(unrefined.tree.copy())
+
     def test_not_triggered_when_skew_is_small(self, pdk, unrefined):
         refiner = SkewRefiner(pdk, skew_trigger_fraction=0.999)
-        report = refiner.refine(unrefined.tree.copy())
+        report = refiner.refine(self.fresh(unrefined))
         assert not report.triggered
         assert report.added_buffers == 0
         assert report.before.skew == report.after.skew
 
     def test_forced_refinement_never_degrades(self, pdk, unrefined):
-        tree = unrefined.tree.copy()
+        design = self.fresh(unrefined)
         refiner = SkewRefiner(pdk, force=True)
-        report = refiner.refine(tree)
+        report = refiner.refine(design)
         assert report.triggered
         assert report.after.skew <= report.before.skew + 1e-9
         assert report.after.latency <= report.before.latency + 1e-6
-        tree.validate()
+        design.validate()
+        design.to_clock_tree().validate()
 
     def test_added_buffers_reported_consistently(self, pdk, unrefined):
-        tree = unrefined.tree.copy()
-        before_buffers = tree.buffer_count()
-        report = SkewRefiner(pdk, force=True).refine(tree)
-        assert tree.buffer_count() == before_buffers + report.added_buffers
+        design = self.fresh(unrefined)
+        before_buffers = design.counts()[2]
+        report = SkewRefiner(pdk, force=True).refine(design)
+        assert design.counts()[2] == before_buffers + report.added_buffers
 
     def test_shield_slow_strategy_runs(self, pdk, unrefined):
-        tree = unrefined.tree.copy()
-        report = SkewRefiner(pdk, force=True, strategy="shield_slow").refine(tree)
+        design = self.fresh(unrefined)
+        report = SkewRefiner(pdk, force=True, strategy="shield_slow").refine(design)
         assert report.after.skew <= report.before.skew + 1e-9
-        tree.validate()
+        design.validate()
 
     def test_refinement_respects_endpoint_budget(self, pdk, unrefined):
-        tree = unrefined.tree.copy()
-        report = SkewRefiner(pdk, force=True, max_endpoints=3).refine(tree)
+        design = self.fresh(unrefined)
+        report = SkewRefiner(pdk, force=True, max_endpoints=3).refine(design)
         assert report.refined_endpoints <= 3
         assert report.added_buffers <= 3
 
     def test_report_summary_keys(self, pdk, unrefined):
-        report = SkewRefiner(pdk, force=True).refine(unrefined.tree.copy())
+        report = SkewRefiner(pdk, force=True).refine(self.fresh(unrefined))
         summary = report.summary()
         assert {"triggered", "added_buffers", "skew_before_ps", "skew_after_ps"} <= set(
             summary
@@ -115,8 +125,28 @@ class TestSkewRefiner:
         assert report.latency_increase <= 1e-6
 
     def test_refined_tree_timing_matches_engine(self, pdk, unrefined):
-        tree = unrefined.tree.copy()
-        report = SkewRefiner(pdk, force=True).refine(tree)
-        timing = ElmoreTimingEngine(pdk).analyze(tree, with_slew=False)
+        design = self.fresh(unrefined)
+        report = SkewRefiner(pdk, force=True).refine(design)
+        timing = ElmoreTimingEngine(pdk).analyze(design, with_slew=False)
         assert timing.skew == pytest.approx(report.after.skew)
         assert timing.latency == pytest.approx(report.after.latency)
+
+    def test_reference_engine_makes_the_vectorized_edits(self, pdk, unrefined):
+        """The reference engine refines a design (realising each version)
+        and makes exactly the vectorized engine's edits."""
+        shapes = {}
+        reports = {}
+        for engine in ("reference", "vectorized"):
+            design = self.fresh(unrefined)
+            reports[engine] = SkewRefiner(pdk, force=True, engine=engine).refine(
+                design
+            )
+            shapes[engine] = sorted(
+                (design.names[row], design.names[int(design.parent_row[row])])
+                for row in design.rows_preorder()[1:]
+            )
+        assert reports["reference"].added_buffers > 0
+        assert shapes["reference"] == shapes["vectorized"]
+        assert reports["reference"].after.skew == pytest.approx(
+            reports["vectorized"].after.skew, abs=1e-9
+        )

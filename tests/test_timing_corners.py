@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.evaluation import evaluate_tree
 from repro.flow import CtsConfig
-from repro.tech import CornerSet, Scenario, asap7_backside
+from repro.tech import CornerSet, Scenario
 from repro.tech.corners import PRESET_SCENARIOS
 from repro.timing import (
     ElmoreTimingEngine,
@@ -25,7 +25,11 @@ from repro.timing import (
     WireModel,
     create_engine,
 )
-from tests.test_timing_vectorized import random_edit, random_tree
+from tests.test_timing_vectorized import (
+    random_design,
+    random_design_edit,
+    random_tree,
+)
 
 TOLERANCE = 1e-9
 
@@ -243,13 +247,13 @@ class TestBatchedIncremental:
     @pytest.mark.parametrize("wire_model", [WireModel.L, WireModel.PI])
     def test_edit_sequences_match_fresh_reference(self, pdk, wire_model):
         rng = np.random.default_rng(77)
-        tree = random_tree(rng, sinks=50, internals=25)
+        design = random_design(rng, sinks=50, internals=25)
         vec = VectorizedElmoreEngine(pdk, wire_model=wire_model, corners=SIGNOFF)
         ref = ElmoreTimingEngine(pdk, wire_model=wire_model, corners=SIGNOFF)
-        assert_corners_match(ref, vec, tree, context="initial")
+        assert_corners_match(ref, vec, design, context="initial")
         for step in range(15):
-            kind = random_edit(tree, rng, pdk)
-            assert_corners_match(ref, vec, tree, context=f"step {step} ({kind})")
+            kind = random_design_edit(design, rng, pdk)
+            assert_corners_match(ref, vec, design, context=f"step {step} ({kind})")
         # The whole sequence must have been served incrementally: one compile
         # for the initial analysis, then corner-batched dirty-cone updates.
         assert vec.full_compiles == 1
@@ -257,26 +261,26 @@ class TestBatchedIncremental:
 
     def test_batched_edits_between_queries(self, pdk):
         rng = np.random.default_rng(123)
-        tree = random_tree(rng, sinks=40, internals=20)
+        design = random_design(rng, sinks=40, internals=20)
         vec = VectorizedElmoreEngine(pdk, corners="tt,ss,ff")
         for _ in range(4):
             for _ in range(int(rng.integers(1, 4))):
-                random_edit(tree, rng, pdk)
+                random_design_edit(design, rng, pdk)
             ref = ElmoreTimingEngine(pdk, corners="tt,ss,ff")
-            assert_corners_match(ref, vec, tree, context="batched edits")
+            assert_corners_match(ref, vec, design, context="batched edits")
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_property_incremental_matches(self, pdk, seed):
         rng = np.random.default_rng(seed)
-        tree = random_tree(rng, sinks=int(rng.integers(10, 40)), internals=12)
+        design = random_design(rng, sinks=int(rng.integers(10, 40)), internals=12)
         vec = VectorizedElmoreEngine(pdk, corners=SIGNOFF)
         ref = ElmoreTimingEngine(pdk, corners=SIGNOFF)
-        vec.analyze(tree)
+        vec.analyze(design)
         for step in range(4):
-            kind = random_edit(tree, rng, pdk)
+            kind = random_design_edit(design, rng, pdk)
             assert_corners_match(
-                ref, vec, tree, context=f"seed {seed} step {step} {kind}"
+                ref, vec, design, context=f"seed {seed} step {step} {kind}"
             )
 
 

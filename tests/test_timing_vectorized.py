@@ -3,7 +3,8 @@
 The vectorized kernel must be numerically indistinguishable (to 1e-9) from
 :class:`ElmoreTimingEngine` on arbitrary trees, for both wire models, with
 and without NLDM delays and nTSVs, and — crucially — after arbitrary
-sequences of incremental edits served from the engine's dirty-cone path.
+sequences of incremental :class:`DesignArrays` edits served from the
+engine's dirty-cone path.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clocktree import ClockTree, ClockTreeNode, NodeKind, TreeArrays
+from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
 from repro.geometry import Point
+from repro.ir.design import KIND_BUFFER, KIND_SINK, DesignArrays
 from repro.tech.layers import Side
 from repro.timing import (
     ElmoreTimingEngine,
@@ -181,68 +183,120 @@ class TestFullAnalysisDifferential:
 
 
 # ----------------------------------------------------------- incremental
-def random_edit(tree: ClockTree, rng: np.random.Generator, pdk) -> str:
-    """Apply one random structural edit through the recorded-edit API."""
+def random_design(rng: np.random.Generator, **kwargs) -> DesignArrays:
+    """A :func:`random_tree` compiled into a design."""
+    return DesignArrays.from_clock_tree(random_tree(rng, **kwargs))
+
+
+def random_design_edit(design: DesignArrays, rng: np.random.Generator, pdk) -> str:
+    """Apply one random structural edit through the ``DesignArrays`` mutators."""
     choice = rng.random()
-    sinks = tree.sinks()
-    target = sinks[int(rng.integers(len(sinks)))]
+    sinks = design.sink_rows()
+    target = int(sinks[int(rng.integers(len(sinks)))])
+    parent = int(design.parent_row[target])
+    mid_x = float(design.x[target] + design.x[parent]) / 2.0
+    mid_y = float(design.y[target] + design.y[parent]) / 2.0
     if choice < 0.35:
-        mid = Point(
-            (target.location.x + target.parent.location.x) / 2.0,
-            (target.location.y + target.parent.location.y) / 2.0,
-        )
-        tree.add_buffer(target, mid, pdk.buffer.input_capacitance)
+        design.add_buffer(target, mid_x, mid_y, pdk.buffer.input_capacitance)
         return "add_buffer"
     if choice < 0.5 and pdk.has_backside:
-        mid = Point(
-            (target.location.x + target.parent.location.x) / 2.0,
-            (target.location.y + target.parent.location.y) / 2.0,
-        )
-        tree.add_ntsv(target, mid, pdk.ntsv.capacitance, upstream_side=target.wire_side)
+        upstream_front = bool(design.wire_front[target])
+        design.add_ntsv(target, mid_x, mid_y, pdk.ntsv.capacitance, upstream_front)
         return "add_ntsv"
     if choice < 0.75:
-        # SkewRefiner-style endpoint rewire: new buffer adopting leaf sinks.
-        endpoint = target.parent
-        buffer_node = ClockTreeNode(
-            tree.new_name("sr_buf"),
-            NodeKind.BUFFER,
-            endpoint.location,
+        # The skew refiner's end-point edit: a new buffer adopting leaf sinks.
+        buffer_row = design.add_child(
+            parent,
+            design.new_name("sr_buf"),
+            KIND_BUFFER,
+            float(design.x[parent]),
+            float(design.y[parent]),
             capacitance=pdk.buffer.input_capacitance,
         )
-        endpoint.add_child(buffer_node)
-        for sink in [c for c in list(endpoint.children) if c.is_sink][:2]:
-            sink.detach()
-            buffer_node.add_child(sink)
-        tree.mark_rewire(endpoint)
+        leaf_sinks = [
+            c for c in design.children_rows[parent] if design.kind[c] == KIND_SINK
+        ]
+        for sink in leaf_sinks[:2]:
+            design.move_child(sink, buffer_row)
+        design.mark_rewire(parent)
         return "rewire_insert"
-    # Undo-style rewire: dissolve a leaf buffer back into its parent.
+    # Undo-style rewire: dissolve a buffer back into its parent.
     buffers = [
-        b for b in tree.buffers() if b.parent is not None and b.children
+        int(row)
+        for row in design.kind_rows(KIND_BUFFER)
+        if design.parent_row[row] >= 0 and design.children_rows[row]
     ]
     if not buffers:
-        tree.mark_rewire(target.parent)
+        design.mark_rewire(parent)
         return "rewire_noop"
-    buffer_node = buffers[int(rng.integers(len(buffers)))]
-    parent = buffer_node.parent
-    for child in list(buffer_node.children):
-        child.detach()
-        parent.add_child(child)
-    buffer_node.detach()
-    tree.mark_rewire(parent)
+    buffer_row = buffers[int(rng.integers(len(buffers)))]
+    parent = int(design.parent_row[buffer_row])
+    for child in list(design.children_rows[buffer_row]):
+        design.move_child(child, parent)
+    design.remove_leaf(buffer_row)
+    design.mark_rewire(parent)
     return "rewire_remove"
+
+
+def assert_design_engines_match(reference, vectorized, design, context="") -> None:
+    """The vectorized engine's (incremental) state equals a reference walk
+    of a fresh realisation of the design: sink arrivals and slews, every
+    node's driver load and subtree capacitance, and the max-load violations
+    with their loads.  The reference times the realised tree, so the oracle
+    never trusts the design's version."""
+    tree = design.to_clock_tree()
+    a = reference.analyze(tree)
+    b = vectorized.analyze(design)
+    assert a.arrivals.keys() == b.arrivals.keys(), context
+    for name in a.arrivals:
+        assert a.arrivals[name] == pytest.approx(b.arrivals[name], abs=TOLERANCE), (
+            context,
+            name,
+        )
+        assert a.slews[name] == pytest.approx(b.slews[name], abs=TOLERANCE), (
+            context,
+            name,
+        )
+    state = vectorized._state
+    assert state.arrays is design, context
+    ref_loads = reference.driver_loads(tree)
+    ref_caps = reference.subtree_capacitances(tree)
+    vec_loads = state.load[vectorized.primary_index]
+    vec_caps = state.down_cap[vectorized.primary_index]
+    for node in tree.nodes():
+        row = design.name_to_row[node.name]
+        assert ref_loads[id(node)] == pytest.approx(vec_loads[row], abs=TOLERANCE), (
+            context,
+            "load",
+            node.name,
+        )
+        assert ref_caps[id(node)] == pytest.approx(vec_caps[row], abs=TOLERANCE), (
+            context,
+            "down_cap",
+            node.name,
+        )
+    ref_violations = sorted(reference.max_capacitance_violations(tree))
+    vec_violations = sorted(vectorized.max_capacitance_violations(design))
+    assert [name for name, _ in ref_violations] == [
+        name for name, _ in vec_violations
+    ], context
+    for (_, ref_load), (_, vec_load) in zip(ref_violations, vec_violations):
+        assert ref_load == pytest.approx(vec_load, abs=TOLERANCE), context
 
 
 class TestIncrementalDifferential:
     @pytest.mark.parametrize("wire_model", [WireModel.L, WireModel.PI])
     def test_edit_sequences_match_fresh_reference(self, pdk, wire_model):
         rng = np.random.default_rng(41)
-        tree = random_tree(rng, sinks=60, internals=30)
+        design = random_design(rng, sinks=60, internals=30)
         vec = VectorizedElmoreEngine(pdk, wire_model=wire_model)
         ref = ElmoreTimingEngine(pdk, wire_model=wire_model)
-        assert_engines_match(ref, vec, tree, context="initial")
+        assert_design_engines_match(ref, vec, design, context="initial")
         for step in range(25):
-            kind = random_edit(tree, rng, pdk)
-            assert_engines_match(ref, vec, tree, context=f"step {step} ({kind})")
+            kind = random_design_edit(design, rng, pdk)
+            assert_design_engines_match(
+                ref, vec, design, context=f"step {step} ({kind})"
+            )
         # The whole sequence must have been served incrementally: one compile
         # for the initial analysis, then dirty-cone updates only.
         assert vec.full_compiles == 1
@@ -250,56 +304,59 @@ class TestIncrementalDifferential:
 
     def test_interleaved_queries_and_batched_edits(self, pdk):
         rng = np.random.default_rng(99)
-        tree = random_tree(rng, sinks=50, internals=25)
+        design = random_design(rng, sinks=50, internals=25)
         vec = VectorizedElmoreEngine(pdk)
         for _ in range(5):
             # Batch several edits between queries (SkewRefiner batch mode).
             for _ in range(int(rng.integers(1, 5))):
-                random_edit(tree, rng, pdk)
+                random_design_edit(design, rng, pdk)
             ref = ElmoreTimingEngine(pdk)
-            assert_engines_match(ref, vec, tree, context="batched")
+            assert_design_engines_match(ref, vec, design, context="batched")
             # Version-stable repeated queries hit the cache and stay equal.
-            assert vec.skew(tree) == pytest.approx(
-                ref.skew(tree), abs=TOLERANCE
+            assert vec.skew(design) == pytest.approx(
+                ref.skew(design), abs=TOLERANCE
             )
 
     def test_incremental_back_wire_without_backside_raises(self, front_pdk):
         """Reference parity: a back-side wire must raise on the dirty-cone path too."""
         rng = np.random.default_rng(13)
-        tree = random_tree(rng, backside=False)
+        design = random_design(rng, backside=False)
         vec = VectorizedElmoreEngine(front_pdk)
-        vec.analyze(tree)
-        sink = tree.sinks()[0]
-        sink.wire_side = Side.BACK
-        tree.mark_rewire(sink.parent)
+        vec.analyze(design)
+        sink = int(design.sink_rows()[0])
+        design.wire_front[sink] = False
+        design.mark_rewire(int(design.parent_row[sink]))
         with pytest.raises(ValueError, match="no back-side"):
-            ElmoreTimingEngine(front_pdk).analyze(tree)
+            ElmoreTimingEngine(front_pdk).analyze(design)
         with pytest.raises(ValueError, match="no back-side"):
-            vec.analyze(tree)
+            vec.analyze(design)
+        assert vec.full_compiles == 1
 
     def test_unrecorded_touch_forces_recompile(self, pdk):
         rng = np.random.default_rng(7)
-        tree = random_tree(rng)
+        design = random_design(rng)
         vec = VectorizedElmoreEngine(pdk)
-        vec.analyze(tree)
+        vec.analyze(design)
         # An unscoped edit (wire side flip) is only visible via touch().
-        sink = tree.sinks()[0]
-        sink.wire_side = sink.wire_side.opposite
-        tree.touch()
-        assert_engines_match(ElmoreTimingEngine(pdk), vec, tree, context="touch")
+        sink = int(design.sink_rows()[0])
+        design.wire_front[sink] = not design.wire_front[sink]
+        design.touch()
+        assert_design_engines_match(ElmoreTimingEngine(pdk), vec, design, "touch")
         assert vec.full_compiles == 2
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_property_incremental_matches(self, pdk, seed):
         rng = np.random.default_rng(seed)
-        tree = random_tree(rng, sinks=int(rng.integers(10, 50)), internals=15)
+        design = random_design(rng, sinks=int(rng.integers(10, 50)), internals=15)
         vec = VectorizedElmoreEngine(pdk)
         ref = ElmoreTimingEngine(pdk)
-        vec.analyze(tree)
+        vec.analyze(design)
         for step in range(6):
-            kind = random_edit(tree, rng, pdk)
-            assert_engines_match(ref, vec, tree, context=f"seed {seed} step {step} {kind}")
+            kind = random_design_edit(design, rng, pdk)
+            assert_design_engines_match(
+                ref, vec, design, context=f"seed {seed} step {step} {kind}"
+            )
 
 
 class TestSinkArrivalCache:
@@ -312,86 +369,114 @@ class TestSinkArrivalCache:
 
     def test_none_rows_cache_forces_rebuild_on_query(self, pdk):
         rng = np.random.default_rng(5)
-        tree = random_tree(rng, sinks=30, internals=15)
+        design = random_design(rng, sinks=30, internals=15)
         vec = VectorizedElmoreEngine(pdk)
-        truth = vec.skew(tree)
+        truth = vec.skew(design)
         state = vec._state
         # Drop only the row vector and poison the kept arrival gather: a
         # matching query must rebuild, not serve the poisoned matrix.
         state.sink_rows_cache = None
         state.sink_arrival = state.sink_arrival + 1e6
-        assert vec.skew(tree) == pytest.approx(truth, abs=TOLERANCE)
-        assert vec.latency(tree) == pytest.approx(
-            ElmoreTimingEngine(pdk).latency(tree), abs=TOLERANCE
+        assert vec.skew(design) == pytest.approx(truth, abs=TOLERANCE)
+        assert vec.latency(design) == pytest.approx(
+            ElmoreTimingEngine(pdk).latency(design), abs=TOLERANCE
         )
 
     def test_none_rows_cache_drops_cleanly_on_incremental_patch(self, pdk):
         rng = np.random.default_rng(6)
-        tree = random_tree(rng, sinks=30, internals=15)
+        design = random_design(rng, sinks=30, internals=15)
         vec = VectorizedElmoreEngine(pdk)
-        vec.analyze(tree)
+        vec.analyze(design)
         state = vec._state
         state.sink_rows_cache = None
         state.sink_arrival = state.sink_arrival + 1e6
         # An incremental edit routes through _patch_sink_arrivals, which must
         # detect the missing row vector, drop the cache, and stay correct.
-        random_edit(tree, rng, pdk)
-        assert vec.skew(tree) == pytest.approx(
-            ElmoreTimingEngine(pdk).skew(tree), abs=TOLERANCE
+        random_design_edit(design, rng, pdk)
+        assert vec.skew(design) == pytest.approx(
+            ElmoreTimingEngine(pdk).skew(design), abs=TOLERANCE
         )
+        assert_design_engines_match(ElmoreTimingEngine(pdk), vec, design, "patch")
         assert vec.full_compiles == 1  # still served on the dirty-cone path
 
     def test_stale_rows_vector_is_a_miss(self, pdk):
         rng = np.random.default_rng(7)
-        tree = random_tree(rng, sinks=20, internals=10)
+        design = random_design(rng, sinks=20, internals=10)
         vec = VectorizedElmoreEngine(pdk)
-        truth = vec.skew(tree)
+        truth = vec.skew(design)
         state = vec._state
         # A row vector from some other design must not validate the cache.
         state.sink_rows_cache = state.sink_rows_cache[:-1]
         state.sink_arrival = state.sink_arrival + 1e6
-        assert vec.skew(tree) == pytest.approx(truth, abs=TOLERANCE)
+        assert vec.skew(design) == pytest.approx(truth, abs=TOLERANCE)
 
 
-# ----------------------------------------------------------- infrastructure
-class TestTreeArrays:
-    def test_snapshot_shape(self, pdk):
-        tree = random_tree(np.random.default_rng(1), sinks=20, internals=10)
-        arrays = TreeArrays(tree)
-        assert arrays.size == tree.node_count()
-        assert arrays.parent_row[0] == -1
-        assert len(arrays.sink_rows()) == tree.sink_count()
-        levels = arrays.levels()
-        assert sum(len(level) for level in levels) == arrays.size
-        # Level d+1 rows are exactly the children of level d rows.
-        for depth, rows in enumerate(levels[1:], start=1):
-            for row in rows:
-                parent = arrays.parent_row[row]
-                assert parent in levels[depth - 1]
+# ----------------------------------------------------------- tree boundary
+class TestClockTreeArguments:
+    """A ``ClockTree`` is compiled into a design cached on its version; the
+    reference engine realises a design once per version."""
 
-    def test_splice_patch_tracks_tree(self, pdk):
-        tree = random_tree(np.random.default_rng(2), sinks=10, internals=5)
-        arrays = TreeArrays(tree)
+    def test_tree_compile_is_cached_per_version(self, pdk):
+        tree = random_tree(np.random.default_rng(21), sinks=30, internals=10)
+        vec = VectorizedElmoreEngine(pdk)
+        vec.skew(tree)
+        vec.analyze(tree)
+        assert vec.full_compiles == 1
         sink = tree.sinks()[0]
-        buffer_node = tree.add_buffer(sink, sink.parent.location, 0.8)
-        patch = arrays.apply_splice(buffer_node)
-        assert patch is not None
-        new_row, child_row = patch
-        assert arrays.nodes[new_row] is buffer_node
-        assert arrays.parent_row[child_row] == new_row
-        assert arrays.size == tree.node_count()
+        tree.add_buffer(sink, sink.parent.location, pdk.buffer.input_capacitance)
+        assert_engines_match(ElmoreTimingEngine(pdk), vec, tree, "after edit")
+        assert vec.full_compiles == 2
+        vec.invalidate()
+        vec.skew(tree)
+        assert vec.full_compiles == 3
 
-    def test_rewire_patch_tombstones_removed_nodes(self, pdk):
-        tree = random_tree(np.random.default_rng(4), sinks=10, internals=5)
-        arrays = TreeArrays(tree)
-        sink = tree.sinks()[0]
-        parent = sink.parent
-        sink.detach()
-        levels = arrays.apply_rewire(parent)
-        assert levels is not None
-        assert id(sink) not in arrays.row_of
-        assert arrays.dead_count == 1
-        assert len(arrays.sink_rows()) == tree.sink_count()
+    def test_reference_realises_a_design_once_per_version(self, pdk, monkeypatch):
+        design = random_design(np.random.default_rng(24), sinks=30, internals=10)
+        realise = DesignArrays.to_clock_tree
+        calls = []
+
+        def counting(self):
+            calls.append(self.version)
+            return realise(self)
+
+        monkeypatch.setattr(DesignArrays, "to_clock_tree", counting)
+        ref = ElmoreTimingEngine(pdk, corners="tt,ss,ff")
+        ref.skew_per_corner(design)
+        ref.latency_per_corner(design)
+        ref.analyze_corners(design)
+        ref.max_capacitance_violations(design)
+        assert len(calls) == 1
+        random_design_edit(design, np.random.default_rng(25), pdk)
+        assert ref.skew_per_corner(design) == ElmoreTimingEngine(
+            pdk, corners="tt,ss,ff"
+        ).skew_per_corner(design)
+        assert calls[1] == design.version
+        # A different design at the same version number is not a hit.
+        other = random_design(np.random.default_rng(26), sinks=20, internals=5)
+        ref.analyze(other)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("corners", [None, "tt,ss,ff"])
+    def test_reference_analyzes_a_design_as_its_tree(self, pdk, corners):
+        design = random_design(np.random.default_rng(22), sinks=40, internals=15)
+        design.add_buffer(int(design.sink_rows()[0]), 1.0, 1.0, 0.8)
+        tree = design.to_clock_tree()
+        ref = ElmoreTimingEngine(pdk, corners=corners)
+        assert ref.analyze(design) == ref.analyze(tree)
+        assert ref.analyze_corners(design) == ref.analyze_corners(tree)
+        assert ref.skew_per_corner(design) == ref.skew_per_corner(tree)
+        assert ref.latency_per_corner(design) == ref.latency_per_corner(tree)
+        assert ref.max_capacitance_violations(
+            design
+        ) == ref.max_capacitance_violations(tree)
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("method", ["subtree_capacitances", "driver_loads"])
+    def test_node_keyed_loads_reject_a_design(self, pdk, engine, method):
+        design = random_design(np.random.default_rng(23), sinks=10, internals=5)
+        query = getattr(create_engine(pdk, engine), method)
+        with pytest.raises(TypeError, match="needs a ClockTree"):
+            query(design)
 
 
 class TestEngineFactory:
