@@ -20,8 +20,8 @@ an object tree before the timer starts):
   each replaying the same edit.
 * ``insertion_dp`` / ``insertion_dp_corners`` — the two insertion-DP
   backends end-to-end (``ConcurrentInserter.run`` on a routed 500/2000-sink
-  tree): the array-based candidate-frontier engine vs. the per-candidate
-  object DP, nominal and at K=5 corners, in the Pareto-rich
+  design): the array-based candidate-frontier engine vs. the per-candidate
+  DP, nominal and at K=5 corners, in the Pareto-rich
   ``keep_resource_diversity`` configuration where the DP dominates the flow
   runtime.
 * ``dme_embed`` / ``dme_embed_corners`` — the two DME routing backends on
@@ -393,30 +393,32 @@ def bench_corner_refine(sink_count: int, pdk, spec: str = BENCH_CORNERS) -> dict
 
 
 def bench_insertion_dp(sink_count: int, pdk, corners_spec: str | None = None) -> dict:
-    """Insertion-DP backends end-to-end: object DP vs. candidate frontiers.
+    """Insertion-DP backends end-to-end: per-candidate DP vs. candidate frontiers.
 
-    Routes a sink cloud once, then replays ``ConcurrentInserter.run`` (DP
-    tree build, bottom-up candidate generation, selection, realisation,
-    final timing) on a fresh tree copy per round and per backend.  The
+    Routes a sink cloud once into a design and snapshots it, then replays
+    ``ConcurrentInserter.run`` (DP tree build, bottom-up candidate
+    generation, selection, realisation, final timing) on a design restored
+    from the snapshot, outside the timer, per round and per backend.  The
     inserter runs the Pareto-rich ``keep_resource_diversity`` configuration:
     with diverse candidate frontiers the DP — not routing or timing — is the
     flow bottleneck, and the array backend's broadcast merges and pairwise
-    dominance sweeps replace the object DP's per-candidate loops (whose cost
-    grows with frontier size times corner count).  The sparse default-beam
-    nominal DP is roughly a wash between backends and is not what this row
-    gates.
+    dominance sweeps replace the per-candidate loops (whose cost grows with
+    frontier size times corner count).  The sparse default-beam nominal DP
+    is roughly a wash between backends and is not what this row gates.
     """
-    routed = HierarchicalClockRouter(pdk).route(random_sink_cloud(sink_count)).tree
+    routed = HierarchicalClockRouter(pdk).route_design(random_sink_cloud(sink_count))
+    name, snapshot = routed.design.name, routed.design.snapshot()
     corners = CornerSet.parse(corners_spec) if corners_spec else None
 
     def run_backend(backend: str):
         samples = []
         result = None
         for _ in range(3):
-            tree = routed.copy()
+            design = DesignArrays(name=name, capacity=snapshot["size"])
+            design.restore(snapshot)
             config = InsertionConfig(dp_backend=backend, keep_resource_diversity=True)
             start = time.perf_counter()
-            result = ConcurrentInserter(pdk, config, corners=corners).run(tree)
+            result = ConcurrentInserter(pdk, config, corners=corners).run(design)
             samples.append(time.perf_counter() - start)
         samples.sort()
         return samples[len(samples) // 2], result

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Insertion-DP backends: the object DP vs. the candidate-frontier engine.
+"""Insertion-DP backends: the per-candidate DP vs. the candidate-frontier engine.
 
 The concurrent buffer/nTSV insertion has two interchangeable backends behind
 ``InsertionConfig.dp_backend`` (mirroring the two timing engines):
 
-* ``reference`` — the per-candidate object DP, the executable spec;
+* ``reference`` — the per-candidate DP, the executable spec;
 * ``vectorized`` (default) — struct-of-arrays candidate frontiers with
   broadcast merges, batched pattern costs, and vectorized pruning sweeps.
 
-Both build *identical* trees; this script routes one design, runs the DP
-with each backend (nominal and against a 5-corner sign-off batch), verifies
-the realised trees agree, and prints the wall-clock comparison.  The
-vectorized backend pulls ahead where candidate frontiers are dense — corner
-batches and the Pareto-rich ``keep_resource_diversity`` configuration.
+Both edit the routed design in place and build *identical* trees; this
+script routes one design and snapshots it, runs the DP with each backend on
+a copy restored from the snapshot (nominal and against a 5-corner sign-off
+batch), verifies the realised trees agree, and prints the wall-clock
+comparison.  The vectorized backend pulls ahead where candidate frontiers
+are dense — corner batches and the Pareto-rich ``keep_resource_diversity``
+configuration.
 
 Usage::
 
@@ -30,6 +32,7 @@ from repro import asap7_backside
 from repro.designs import random_sink_cloud
 from repro.insertion import ConcurrentInserter
 from repro.insertion.concurrent import InsertionConfig
+from repro.ir.design import DesignArrays
 from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech import CornerSet
 
@@ -38,7 +41,8 @@ def main() -> int:
     sinks = int(sys.argv[1]) if len(sys.argv) > 1 else 500
     pdk = asap7_backside()
     print(f"Routing a {sinks}-sink clock net ...")
-    routed = HierarchicalClockRouter(pdk).route(random_sink_cloud(sinks)).tree
+    routed = HierarchicalClockRouter(pdk).route_design(random_sink_cloud(sinks))
+    name, snapshot = routed.design.name, routed.design.snapshot()
 
     configurations = [
         ("nominal, default pruning", None, False),
@@ -50,12 +54,13 @@ def main() -> int:
         timings = {}
         outcomes = {}
         for backend in ("reference", "vectorized"):
-            tree = routed.copy()
+            design = DesignArrays(name=name, capacity=snapshot["size"])
+            design.restore(snapshot)
             config = InsertionConfig(
                 dp_backend=backend, keep_resource_diversity=diversity
             )
             start = time.perf_counter()
-            result = ConcurrentInserter(pdk, config, corners=corners).run(tree)
+            result = ConcurrentInserter(pdk, config, corners=corners).run(design)
             timings[backend] = time.perf_counter() - start
             outcomes[backend] = (
                 result.inserted_buffers,

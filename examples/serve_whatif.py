@@ -14,7 +14,10 @@ loop over one socket:
    and reverted after measuring;
 4. one malformed request — the server replies with a structured
    ``ProtocolError`` instead of dying (the never-swallow error contract);
-5. ``shutdown`` — the server replies, stops accepting, and exits cleanly.
+5. one request line longer than ``MAX_REQUEST_BYTES`` — the server discards
+   it, replies with a structured ``RequestTooLarge`` error, and answers the
+   next request on the same connection;
+6. ``shutdown`` — the server replies, stops accepting, and exits cleanly.
 
 The script asserts every reply shape and the server's clean exit, so CI
 runs it as the serve smoke job.
@@ -32,6 +35,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from repro.serve.server import MAX_REQUEST_BYTES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,8 +118,20 @@ def main() -> int:
                   f"({broken['error']['message'][:40]}...); server still up")
             assert rpc({"op": "ping", "id": 6})["result"]["pong"] is True
 
-            # 5. Clean shutdown: reply first, then stop.
-            assert rpc({"op": "shutdown", "id": 7})["result"]["stopping"] is True
+            # 5. An oversized line is discarded and answered, not fatal.
+            oversized = json.dumps({"op": "ping", "id": 7,
+                                    "pad": "x" * (MAX_REQUEST_BYTES + 1)})
+            start = time.perf_counter()
+            too_large = rpc(oversized)
+            assert too_large["ok"] is False and too_large["id"] is None
+            assert too_large["error"]["type"] == "RequestTooLarge"
+            print(f"{len(oversized) / 2**20:.0f} MiB request -> "
+                  f"{too_large['error']['type']} in "
+                  f"{(time.perf_counter() - start) * 1e3:.0f} ms; server still up")
+            assert rpc({"op": "ping", "id": 8})["result"]["pong"] is True
+
+            # 6. Clean shutdown: reply first, then stop.
+            assert rpc({"op": "shutdown", "id": 9})["result"]["stopping"] is True
     finally:
         try:
             code = proc.wait(timeout=60)

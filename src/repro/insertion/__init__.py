@@ -9,23 +9,24 @@ This package contains the paper's primary contribution:
 * :mod:`repro.insertion.pruning` — per-side inferior-solution pruning (the
   van Ginneken dominance rule extended to two sides) and the max-cap filter.
 * :mod:`repro.insertion.dp_tree` — building the heterogeneous DP tree from a
-  routed clock tree (one DP node per trunk edge, with optional segmentation
-  of long edges) and per-node insertion-mode configuration.
+  routed design (one DP node per trunk edge, with optional segmentation of
+  long edges) and per-node insertion-mode configuration.
 * :mod:`repro.insertion.moes` — the multi-objective enhancement score used to
   pick the final root solution, plus the min-latency selector used in the
   Fig. 10 comparison.
 * :mod:`repro.insertion.concurrent` — the multi-objective dynamic program:
   bottom-up generation, multi-objective selection, top-down decision, and
-  realisation of the chosen patterns on the clock tree.
+  realisation of the chosen patterns on the design rows.
 * :mod:`repro.insertion.frontier` — the vectorized DP backend: candidate
   sets as :class:`CandidateFrontier` struct-of-arrays with broadcast merges,
   batched pattern costs, and vectorized pruning sweeps.  Selected via
   ``InsertionConfig.dp_backend`` / ``REPRO_DP_BACKEND`` (default
-  ``vectorized``); the object DP in ``concurrent`` is the executable spec.
-* :mod:`repro.insertion.vanginneken` — classic single-side buffer insertion
-  (the paper's "Our Buffered Clock Tree" uses the same DP restricted to
-  front-side patterns; this module also provides the textbook van Ginneken
-  algorithm on a single wire for testing and teaching).
+  ``vectorized``); the per-candidate DP in ``concurrent`` is the executable
+  spec.
+* :mod:`repro.insertion.vanginneken` — the textbook van Ginneken algorithm
+  on a single wire, for testing and teaching.  The paper's "Our Buffered
+  Clock Tree" is the same concurrent DP on a front-side-only PDK
+  (:class:`repro.flow.SingleSideCTS`).
 """
 
 from repro.insertion.patterns import EdgePattern, InsertionMode, PATTERNS, patterns_for
@@ -41,7 +42,6 @@ from repro.insertion.frontier import (
 )
 from repro.insertion.moes import MoesWeights, select_by_moes, select_min_latency
 from repro.insertion.concurrent import ConcurrentInserter, InsertionResult
-from repro.insertion.vanginneken import SingleSideBufferInserter
 
 __all__ = [
     "EdgePattern",
@@ -65,5 +65,4 @@ __all__ = [
     "select_min_latency",
     "ConcurrentInserter",
     "InsertionResult",
-    "SingleSideBufferInserter",
 ]

@@ -14,9 +14,13 @@ Implements the four steps of Section III-C.2 and Fig. 7:
 3. **Multi-objective selection** — the root candidate set is scored with the
    MOES (Eq. (3)) or, optionally, by pure minimum latency.
 4. **Top-down decision** — the recorded dependencies are retraced and the
-   chosen pattern of every DP node is realised on the clock tree (buffer and
-   nTSV nodes are inserted, wire sides assigned), producing a legal
+   chosen pattern of every DP node is realised on the design rows (buffer
+   and nTSV rows are inserted, wire sides assigned), producing a legal
    double-side clock tree without any extra legalisation step.
+
+The DP reads and edits only a :class:`~repro.ir.design.DesignArrays`: both
+backends walk the same :class:`~repro.insertion.dp_tree.DpNode` fields and
+realise their decisions through the one row-level :meth:`_realize_pattern`.
 
 **Corner-aware construction.**  Pass ``corners=`` (a
 :class:`~repro.tech.corners.CornerSet`, a scenario, or a spec string) to run
@@ -29,8 +33,9 @@ measures.  The scalar candidate fields keep mirroring the primary (nominal)
 corner, and a nominal-only run (``corners=None``) is bit-identical to the
 classic single-corner DP.
 
-**Two DP backends.**  The per-candidate object DP implemented in this module
-is the executable spec; :mod:`repro.insertion.frontier` provides the
+**Two DP backends.**  The per-candidate DP implemented in this module
+(:class:`~repro.insertion.candidate.CandidateSolution` objects) is the
+executable spec; :mod:`repro.insertion.frontier` provides the
 production ``vectorized`` backend (struct-of-arrays candidate frontiers,
 broadcast merges, batched pattern costs, vectorized pruning) which builds an
 identical tree several-fold faster — close to corner-count-independent for
@@ -45,15 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.clocktree import ClockTree
 from repro.geometry.point import point_toward
 from repro.insertion.candidate import CandidateSolution, merged_corner_tuples
-from repro.insertion.dp_tree import (
-    DpNode,
-    DpTree,
-    attach_corner_bases,
-    build_dp_tree,
-)
+from repro.insertion.dp_tree import DpNode, DpTree, build_dp_tree
 from repro.insertion.frontier import (
     DP_BACKEND_NAMES,
     VectorizedInsertionDp,
@@ -94,8 +93,8 @@ class InsertionConfig:
             takes precedence.
         dp_backend: ``"vectorized"`` (the array-based
             :class:`~repro.insertion.frontier.VectorizedInsertionDp` fast
-            engine) or ``"reference"`` (the per-candidate object DP, the
-            executable spec); ``None`` uses the library default, overridable
+            engine) or ``"reference"`` (the per-candidate DP, the executable
+            spec); ``None`` uses the library default, overridable
             via the ``REPRO_DP_BACKEND`` environment variable.  Both backends
             produce identical selected trees (enforced differentially).
     """
@@ -129,7 +128,7 @@ class InsertionResult:
     corner-aware (and is ``None`` for nominal-only runs).
     """
 
-    tree: ClockTree | DesignArrays
+    tree: DesignArrays
     dp_tree: DpTree
     selected: CandidateSolution
     root_candidates: list[CandidateSolution]
@@ -222,41 +221,31 @@ class ConcurrentInserter:
     # ----------------------------------------------------------------- public
     def run(
         self,
-        tree: ClockTree | DesignArrays,
-        dp_tree: DpTree | None = None,
+        design: DesignArrays,
         mode_of: Callable[[DpNode], InsertionMode] | None = None,
         fanout_threshold: int | None = None,
     ) -> InsertionResult:
-        """Insert buffers and nTSVs into ``tree`` (modified in place).
+        """Insert buffers and nTSVs into ``design`` (modified in place).
 
         Args:
-            tree: the routed, unbuffered clock tree — :class:`ClockTree` or
-                its array IR, :class:`~repro.ir.design.DesignArrays` (the
-                ``vectorized`` DP backend only, with either timing engine;
-                the reference DP walks object trees, bridge via
-                ``to_clock_tree()``).
-            dp_tree: a pre-built DP tree; built from ``tree`` when omitted.
+            design: the routed, unbuffered design, under either DP backend
+                and either timing engine.
             mode_of: optional per-node mode assignment (overrides the default).
             fanout_threshold: the DSE heuristic — nodes with fewer downstream
                 sinks than the threshold use full mode, others intra-side.
         """
-        is_design = isinstance(tree, DesignArrays)
-        if is_design and self.dp_backend != "vectorized":
-            raise ValueError(
-                "the reference DP backend runs on object trees; realise the "
-                "design via to_clock_tree() before running it"
+        if not isinstance(design, DesignArrays):
+            raise TypeError(
+                "ConcurrentInserter.run edits a DesignArrays; compile object "
+                "trees with DesignArrays.from_clock_tree(tree)"
             )
-        if dp_tree is None:
-            dp_tree = build_dp_tree(
-                tree,
-                self.pdk,
-                max_segment_length=self.config.max_segment_length,
-                default_mode=self.config.default_mode,
-                corner_pdks=self._corner_pdks if self._corner_aware else None,
-            )
-        elif self._corner_aware:
-            # A pre-built DP tree may lack (or carry stale) corner bases.
-            attach_corner_bases(dp_tree, self._corner_pdks)
+        dp_tree = build_dp_tree(
+            design,
+            self.pdk,
+            max_segment_length=self.config.max_segment_length,
+            default_mode=self.config.default_mode,
+            corner_pdks=self._corner_pdks if self._corner_aware else None,
+        )
         if mode_of is not None:
             dp_tree.configure_modes(mode_of)
         if fanout_threshold is not None:
@@ -271,20 +260,16 @@ class ConcurrentInserter:
             selected = self._select(root_candidates)
             self._top_down(dp_tree, candidates, selected)
 
-        timing = self._engine.analyze(tree)
+        timing = self._engine.analyze(design)
         timing_per_corner = (
-            self._engine.analyze_corners(tree, with_slew=False)
+            self._engine.analyze_corners(design, with_slew=False)
             if self._corner_aware
             else None
         )
-        if is_design:
-            _nodes, _sinks, buffers, ntsvs = tree.counts()
-        else:
-            buffers = tree.buffer_count()
-            ntsvs = tree.ntsv_count()
+        _nodes, _sinks, buffers, ntsvs = design.counts()
         parallel_tasks, parallel_diagnostics = self._last_parallel
         return InsertionResult(
-            tree=tree,
+            tree=design,
             dp_tree=dp_tree,
             selected=selected,
             root_candidates=root_candidates,
@@ -322,12 +307,7 @@ class ConcurrentInserter:
         root_candidates = dp.materialize_root(root)
         selected = self._select(root_candidates)
         chosen = next(i for i, c in enumerate(root_candidates) if c is selected)
-        realize = (
-            self._realize_pattern_design
-            if isinstance(dp_tree.clock_tree, DesignArrays)
-            else self._realize_pattern
-        )
-        dp.realize(dp_tree, frontiers, root.choice[chosen], realize)
+        dp.realize(dp_tree, frontiers, root.choice[chosen], self._realize_pattern)
         return root_candidates, selected
 
     # ------------------------------------------------------- step 2: bottom-up
@@ -776,56 +756,15 @@ class ConcurrentInserter:
             self._realize_pattern(dp_tree.clock_tree, dp_node, cand.pattern)
             merged = cand.children[0]
             stack.extend(zip(dp_node.predecessors, merged.children))
-        # Pattern realisation rewrites wire sides directly on the nodes, which
-        # the tree's edit log cannot see — record an unscoped change so that
+        # Pattern realisation rewrites wire sides directly on the rows, which
+        # the design's edit log cannot see — record an unscoped change so that
         # incremental timing engines recompile instead of serving stale data.
         dp_tree.clock_tree.touch()
 
     def _realize_pattern(
-        self, tree: ClockTree, dp_node: DpNode, pattern: EdgePattern
-    ) -> None:
-        """Insert the devices and assign wire sides for one decided edge."""
-        child = dp_node.tree_child
-        parent = child.parent
-        if parent is None:  # pragma: no cover - root edges always have a parent
-            raise RuntimeError(f"DP node {dp_node.name} has no parent edge")
-        ntsv = self.pdk.ntsv
-        length = dp_node.length
-
-        if pattern.name == "P2_Wiring_F":
-            child.wire_side = Side.FRONT
-            child.side = Side.FRONT if not child.is_ntsv else child.side
-        elif pattern.name == "P3_Wiring_B":
-            child.wire_side = Side.BACK
-            child.side = Side.BACK
-        elif pattern.name == "P1_Buffer":
-            child.wire_side = Side.FRONT
-            child.side = Side.FRONT
-            midpoint = point_toward(child.location, parent.location, length / 2.0)
-            tree.add_buffer(child, midpoint, self.pdk.buffer.input_capacitance)
-        elif pattern.name == "P4_nTSV1":
-            assert ntsv is not None
-            child.wire_side = Side.FRONT
-            child.side = Side.FRONT
-            low = tree.add_ntsv(child, child.location, ntsv.capacitance, Side.BACK)
-            tree.add_ntsv(low, parent.location, ntsv.capacitance, Side.FRONT)
-        elif pattern.name == "P5_nTSV2":
-            assert ntsv is not None
-            child.wire_side = Side.FRONT
-            child.side = Side.FRONT
-            tree.add_ntsv(child, child.location, ntsv.capacitance, Side.BACK)
-        elif pattern.name == "P6_nTSV3":
-            assert ntsv is not None
-            child.wire_side = Side.BACK
-            child.side = Side.BACK
-            tree.add_ntsv(child, parent.location, ntsv.capacitance, Side.FRONT)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown pattern {pattern.name!r}")
-
-    def _realize_pattern_design(
         self, design: DesignArrays, dp_node: DpNode, pattern: EdgePattern
     ) -> None:
-        """Row twin of :meth:`_realize_pattern` (same devices, names, order)."""
+        """Insert the devices and assign wire sides for one decided edge."""
         child = dp_node.tree_row
         parent = int(design.parent_row[child])
         if parent < 0:  # pragma: no cover - root edges always have a parent

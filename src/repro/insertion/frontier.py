@@ -37,10 +37,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.clocktree import ClockTree
 from repro.insertion.candidate import CandidateSolution
 from repro.insertion.dp_tree import DpNode, DpTree
 from repro.insertion.patterns import PATTERNS, EdgePattern, patterns_for
+from repro.ir.design import DesignArrays
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
 
@@ -380,9 +380,9 @@ class VectorizedInsertionDp:
     def _subtree_tables(nodes: list[DpNode]) -> list[tuple]:
         """Flatten a subtree into primitive rows for the process boundary.
 
-        Recursive :class:`DpNode` graphs and live clock-tree references never
-        cross into a worker: each row carries the node's own scalars, the
-        resolved direct-sink flag, and predecessor links as positions into
+        Recursive :class:`DpNode` graphs and the live design never cross
+        into a worker: each row carries the node's own scalars, its design
+        row, the direct-sink flag, and predecessor links as positions into
         this same table.
         """
         local = {node.index: i for i, node in enumerate(nodes)}
@@ -399,7 +399,7 @@ class VectorizedInsertionDp:
                 node.corner_base_max_delay,
                 node.corner_base_min_delay,
                 node.tree_row,
-                bool(node.has_direct_sinks),
+                node.has_direct_sinks,
                 [local[p.index] for p in node.predecessors],
             )
             for node in nodes
@@ -421,13 +421,13 @@ class VectorizedInsertionDp:
             corner_max,
             corner_min,
             tree_row,
-            direct_sinks,
+            has_direct_sinks,
             preds,
         ) in tables:
             nodes.append(
                 DpNode(
                     index=index,
-                    tree_child=None,
+                    tree_row=tree_row,
                     length=length,
                     predecessors=[nodes[p] for p in preds],
                     mode=mode,
@@ -438,8 +438,7 @@ class VectorizedInsertionDp:
                     corner_base_capacitance=corner_cap,
                     corner_base_max_delay=corner_max,
                     corner_base_min_delay=corner_min,
-                    tree_row=tree_row,
-                    direct_sinks=direct_sinks,
+                    has_direct_sinks=has_direct_sinks,
                 )
             )
         return nodes
@@ -523,7 +522,7 @@ class VectorizedInsertionDp:
         dp_tree: DpTree,
         frontiers: dict[int, CandidateFrontier],
         root_choice: np.ndarray,
-        realize_pattern: Callable[[ClockTree, DpNode, EdgePattern], None],
+        realize_pattern: Callable[[DesignArrays, DpNode, EdgePattern], None],
     ) -> None:
         """Top-down decision (Step 4): retrace back-pointers, realise patterns.
 
@@ -547,8 +546,8 @@ class VectorizedInsertionDp:
                 (pred, int(c))
                 for pred, c in zip(dp_node.predecessors, frontier.choice[i])
             )
-        # Pattern realisation rewrites wire sides directly on the nodes, which
-        # the tree's edit log cannot see — record an unscoped change so that
+        # Pattern realisation rewrites wire sides directly on the rows, which
+        # the design's edit log cannot see — record an unscoped change so that
         # incremental timing engines recompile instead of serving stale data.
         dp_tree.clock_tree.touch()
 

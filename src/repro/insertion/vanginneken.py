@@ -1,41 +1,18 @@
-"""Single-side buffer insertion.
+"""The textbook van Ginneken algorithm on a single two-pin wire.
 
-Two things live here:
-
-* :class:`SingleSideBufferInserter` — the paper's "Our Buffered Clock Tree"
-  generator: the identical multi-objective DP restricted to front-side
-  patterns (P1, P2), i.e. classic buffer insertion over the routed tree.
-* :func:`van_ginneken_wire` — the textbook van Ginneken algorithm on a single
-  two-pin wire with equally spaced legal buffer positions.  It is used by the
-  test-suite as an independent oracle for the DP's buffered patterns and as a
-  teaching reference.
+:func:`van_ginneken_wire` places buffers at equally spaced legal positions
+along one wire.  The test-suite uses it as an independent oracle for the
+DP's buffered patterns, and it doubles as a teaching reference.  The paper's
+"Our Buffered Clock Tree" is the concurrent DP on a front-side-only PDK
+(:class:`~repro.flow.single_side.SingleSideCTS`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.clocktree import ClockTree
-from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig, InsertionResult
 from repro.tech.cells import BufferCell
 from repro.tech.layers import LayerRC
-from repro.tech.pdk import Pdk
-
-
-class SingleSideBufferInserter:
-    """Buffer-only insertion: the concurrent DP on a front-side-only PDK."""
-
-    def __init__(self, pdk: Pdk, config: InsertionConfig | None = None) -> None:
-        self.pdk = pdk.front_side_only() if pdk.has_backside else pdk
-        self.config = config if config is not None else InsertionConfig()
-        self._inserter = ConcurrentInserter(self.pdk, self.config)
-
-    def run(self, tree: ClockTree) -> InsertionResult:
-        """Insert buffers into ``tree`` (modified in place)."""
-        result = self._inserter.run(tree)
-        if result.inserted_ntsvs != 0:  # pragma: no cover - structural guarantee
-            raise RuntimeError("single-side insertion produced nTSVs")
-        return result
 
 
 @dataclass(frozen=True)

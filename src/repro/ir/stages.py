@@ -5,22 +5,15 @@ Every construction stage here has one shape: a
 :class:`~repro.flow.config.CtsConfig` carried by the context) in, a design
 out.  The design flows through routing -> insertion -> refinement ->
 evaluation without realising an object tree between stages.  Every stage
-hands its design to the selected backend directly; the reference timing
-engine realises a design inside its own entry points, so refinement and
-evaluation never bridge.  Object trees appear only at two sanctioned
-boundaries:
-
-* :class:`InsertionStage` under ``dp="reference"``: the reference insertion
-  DP walks object trees, so the stage realises the design once, runs the
-  spec, and compiles the result back, and
-* the guard's *degrade* path, which restores the pre-stage design from a
-  :meth:`~repro.ir.design.DesignArrays.snapshot` and re-runs just the
-  anomalous stage on the reference backends — no earlier stage is replayed.
-
-Both are exact: the reference and vectorized backends are
-decision-identical, and ``to_clock_tree()`` / ``from_clock_tree()`` are
-lossless, so every backend selection builds the same tree bit for bit
-(``tests/test_ir_flow.py`` pins this across the backend matrix).
+hands its design to the selected backend directly and every backend edits
+it in place, under every backend selection; an object tree exists only
+inside the reference timing engine's own entry points, which realise a
+design once per version.  The guard's *degrade* path restores the
+pre-stage design from a :meth:`~repro.ir.design.DesignArrays.snapshot` and
+re-runs just the anomalous stage on the reference backends — no earlier
+stage is replayed.  The reference and vectorized backends are
+decision-identical, so every backend selection builds the same tree bit
+for bit (``tests/test_ir_flow.py`` pins this across the backend matrix).
 
 The stage objects also centralise *construction*: :func:`build_router`,
 :func:`build_inserter`, and :func:`build_refiner` are the single place a
@@ -163,10 +156,6 @@ class Stage:
             ctx.guard.confirm(
                 self.name, out if self.mutates else None, extra=self._extra(ctx)
             )
-        if ctx.routing is not None and out is not ctx.routing.design:
-            # A bridged stage (the reference insertion DP) replaced the
-            # design object; keep the routing result pointing at it.
-            ctx.routing.design = out
         return out
 
     def _execute(
@@ -205,32 +194,24 @@ class RoutingStage(Stage):
 class InsertionStage(Stage):
     """Concurrent buffer and nTSV insertion on the design rows.
 
-    The vectorized DP runs on the design with either timing engine; the
-    reference DP bridges the whole stage through the object spec (realise,
-    run, compile back) — the sanctioned boundary.
+    Both DP backends insert into the design in place, under either timing
+    engine.
     """
 
     name = "insertion"
 
     def _execute(self, design, ctx):
-        timing, dp = ctx.backends.timing, ctx.backends.dp
-        if dp == "reference":
-            return self._bridge(design, ctx, timing, dp)
+        return self._insert(design, ctx, ctx.backends.timing, ctx.backends.dp)
+
+    def _degrade(self, design, snapshot, ctx):
+        design.restore(snapshot)
+        return self._insert(design, ctx, "reference", "reference")
+
+    def _insert(self, design, ctx, timing, dp):
         ctx.insertion = build_inserter(ctx.pdk, ctx.config, timing, dp).run(
             design, fanout_threshold=ctx.config.fanout_threshold
         )
         return design
-
-    def _degrade(self, design, snapshot, ctx):
-        design.restore(snapshot)
-        return self._bridge(design, ctx, "reference", "reference")
-
-    def _bridge(self, design, ctx, timing, dp):
-        tree = design.to_clock_tree()
-        ctx.insertion = build_inserter(ctx.pdk, ctx.config, timing, dp).run(
-            tree, fanout_threshold=ctx.config.fanout_threshold
-        )
-        return DesignArrays.from_clock_tree(tree)
 
     def _extra(self, ctx):
         return lambda: insertion_anomaly(ctx.insertion)

@@ -12,6 +12,7 @@ from repro.serve.protocol import (
     EDIT_KINDS,
     KNOWN_OPS,
     ProtocolError,
+    RequestTooLarge,
     SessionError,
     decode_request,
     encode_reply,
@@ -31,6 +32,7 @@ __all__ = [
     "EDIT_KINDS",
     "KNOWN_OPS",
     "ProtocolError",
+    "RequestTooLarge",
     "SessionError",
     "decode_request",
     "encode_reply",

@@ -64,6 +64,10 @@ class ProtocolError(ValueError):
     """A malformed request: bad JSON, wrong shape, or an unknown operation."""
 
 
+class RequestTooLarge(ProtocolError):
+    """A request line longer than the server's read limit (discarded unread)."""
+
+
 class SessionError(KeyError):
     """A request referenced a session key the cache does not hold."""
 

@@ -35,6 +35,7 @@ from repro.guard.validation import design_cache_key
 from repro.netlist.clock import ClockNet, ClockSink, ClockSource
 from repro.serve.protocol import (
     ProtocolError,
+    RequestTooLarge,
     decode_request,
     encode_reply,
     error_reply,
@@ -43,6 +44,38 @@ from repro.serve.protocol import (
 from repro.serve.session import SessionCache, build_session
 from repro.tech.corners import CornerSet
 from repro.tech.pdk import Pdk
+
+#: Longest request line the TCP front reads, in bytes.  An inline ``build``
+#: costs about 50 bytes per sink, so asyncio's default 64 KiB stream limit
+#: refused inline nets past ~1.2k sinks; 16 MiB admits ~300k sinks while
+#: still bounding what one connection can make the server buffer.
+MAX_REQUEST_BYTES = 16 * 2**20
+
+
+async def _read_request(reader: asyncio.StreamReader) -> bytes:
+    """The next request line (``b""`` at end of stream).
+
+    A line longer than the reader's limit is discarded through its newline
+    (or to end of stream), so the connection stays in step with the next
+    request, and :class:`RequestTooLarge` is raised for the caller to
+    answer.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # a last line without a newline, or EOF
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    with contextlib.suppress(asyncio.IncompleteReadError):
+        while True:
+            # ``consumed`` bytes are already buffered and hold no newline.
+            await reader.readexactly(consumed)
+            try:
+                await reader.readuntil(b"\n")
+                break
+            except asyncio.LimitOverrunError as exc:
+                consumed = exc.consumed
+    raise RequestTooLarge(f"request line longer than {MAX_REQUEST_BYTES} bytes")
 
 
 def _inline_net(spec: dict[str, Any]) -> ClockNet:
@@ -192,7 +225,10 @@ class CtsServer:
         """Accept newline-delimited JSON clients until a shutdown request.
 
         Requests run on a bounded worker pool so a long flow build neither
-        blocks the event loop nor admits unbounded concurrent CPU work.
+        blocks the event loop nor admits unbounded concurrent CPU work.  A
+        request line over :data:`MAX_REQUEST_BYTES` is answered with a
+        ``RequestTooLarge`` error reply (``id`` null) and the connection
+        reads on.
         """
         loop = asyncio.get_running_loop()
         executor = ThreadPoolExecutor(
@@ -204,15 +240,19 @@ class CtsServer:
         ) -> None:
             try:
                 while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    text = line.decode("utf-8", errors="replace")
-                    if not text.strip():
-                        continue
-                    reply = await loop.run_in_executor(
-                        executor, self.handle_line, text
-                    )
+                    try:
+                        line = await _read_request(reader)
+                    except RequestTooLarge as exc:
+                        reply = encode_reply(error_reply(None, exc))
+                    else:
+                        if not line:
+                            break
+                        text = line.decode("utf-8", errors="replace")
+                        if not text.strip():
+                            continue
+                        reply = await loop.run_in_executor(
+                            executor, self.handle_line, text
+                        )
                     writer.write(reply.encode("utf-8") + b"\n")
                     await writer.drain()
                     if self._shutdown.is_set():
@@ -222,7 +262,9 @@ class CtsServer:
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
 
-        server = await asyncio.start_server(handle, host, port)
+        server = await asyncio.start_server(
+            handle, host, port, limit=MAX_REQUEST_BYTES
+        )
         bound = server.sockets[0].getsockname()
         # Single discovery line clients (and the smoke test) wait for.
         print(f"serving on {bound[0]}:{bound[1]}", flush=True)

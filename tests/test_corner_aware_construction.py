@@ -50,14 +50,16 @@ ENGINES = ("reference", "vectorized")
 
 
 def route(pdk, count=100, extent=140.0, seed=6):
+    """A routed, unbuffered design of a random sink cloud."""
     clock_net = make_random_clock_net(count=count, extent=extent, seed=seed)
     config = CtsConfig(high_cluster_size=60, low_cluster_size=8)
     router = HierarchicalClockRouter(pdk, config=config)
-    return router.route(clock_net)
+    return router.route_design(clock_net).design
 
 
-def tree_shape(tree) -> list[tuple]:
+def tree_shape(design) -> list[tuple]:
     """A structural fingerprint: every node with its parent, kind and sides."""
+    tree = design.to_clock_tree()
     return sorted(
         (
             node.name,
@@ -101,13 +103,11 @@ class TestCornerAwareInsertionDp:
         (one ``scenario.apply_to(pdk)`` analysis per corner — the executable
         spec) measures on the realised tree.
         """
-        routed = route(pdk)
-        result = ConcurrentInserter(pdk, engine=engine, corners=SIGNOFF).run(
-            routed.tree
-        )
+        design = route(pdk)
+        result = ConcurrentInserter(pdk, engine=engine, corners=SIGNOFF).run(design)
         selected = result.selected
         reference = ElmoreTimingEngine(pdk, corners=SIGNOFF)
-        per_corner = reference.analyze_corners(routed.tree, with_slew=False)
+        per_corner = reference.analyze_corners(design, with_slew=False)
         for k, name in enumerate(reference.corners.names):
             assert selected.corner_max_delay[k] == pytest.approx(
                 per_corner[name].latency, abs=TOLERANCE
@@ -120,10 +120,9 @@ class TestCornerAwareInsertionDp:
         """Both engines must realise the same tree from the same DP run."""
         results = {}
         for engine in ENGINES:
-            routed = route(pdk)
             results[engine] = ConcurrentInserter(
                 pdk, engine=engine, corners=SIGNOFF
-            ).run(routed.tree)
+            ).run(route(pdk))
         ref, vec = results["reference"], results["vectorized"]
         assert ref.selected.corner_max_delay == pytest.approx(
             vec.selected.corner_max_delay, abs=TOLERANCE
@@ -185,8 +184,7 @@ class TestCornerAwareInsertionDp:
 
     def test_scalar_fields_mirror_primary_corner(self, pdk):
         """Every root candidate's scalars equal its nominal tuple entries."""
-        routed = route(pdk)
-        result = ConcurrentInserter(pdk, corners=SIGNOFF).run(routed.tree)
+        result = ConcurrentInserter(pdk, corners=SIGNOFF).run(route(pdk))
         primary = SIGNOFF.nominal_index()
         for candidate in result.root_candidates:
             assert candidate.capacitance == candidate.corner_capacitance[primary]
@@ -195,15 +193,14 @@ class TestCornerAwareInsertionDp:
 
     def test_max_cap_respected_at_every_corner(self, pdk):
         """The driven-load constraint is physical: it holds per corner."""
-        routed = route(pdk)
-        ConcurrentInserter(pdk, corners=SIGNOFF).run(routed.tree)
+        design = route(pdk)
+        ConcurrentInserter(pdk, corners=SIGNOFF).run(design)
         for scenario in SIGNOFF:
             engine = ElmoreTimingEngine(scenario.apply_to(pdk))
-            assert engine.max_capacitance_violations(routed.tree) == [], scenario.name
+            assert engine.max_capacitance_violations(design) == [], scenario.name
 
     def test_worst_corner_views_on_candidates(self, pdk):
-        routed = route(pdk)
-        result = ConcurrentInserter(pdk, corners=SIGNOFF).run(routed.tree)
+        result = ConcurrentInserter(pdk, corners=SIGNOFF).run(route(pdk))
         selected = result.selected
         assert selected.worst_max_delay == max(selected.corner_max_delay)
         assert selected.worst_capacitance == max(selected.corner_capacitance)
@@ -223,10 +220,9 @@ class TestCornerAwareInsertionDp:
         count = int(rng.integers(30, 80))
         results = {}
         for engine in ENGINES:
-            routed = route(pdk, count=count, seed=seed % 1000)
             results[engine] = ConcurrentInserter(
                 pdk, engine=engine, corners=SIGNOFF
-            ).run(routed.tree)
+            ).run(route(pdk, count=count, seed=seed % 1000))
         ref, vec = results["reference"], results["vectorized"]
         assert ref.selected.corner_max_delay == pytest.approx(
             vec.selected.corner_max_delay, abs=TOLERANCE

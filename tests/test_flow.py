@@ -91,6 +91,7 @@ class TestDoubleSideCTS:
 class TestSingleSideCTS:
     def test_runs_on_backside_pdk_but_uses_front_only(self, single_side_result):
         assert single_side_result.metrics.ntsvs == 0
+        assert single_side_result.metrics.buffers > 0
         assert single_side_result.metrics.back_wirelength == 0.0
         single_side_result.tree.validate()
 

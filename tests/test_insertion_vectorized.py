@@ -1,12 +1,15 @@
-"""Differential tests: vectorized DP backend vs. the object DP (the spec).
+"""Differential tests: vectorized DP backend vs. the per-candidate DP (the spec).
 
 The array-based insertion DP (:mod:`repro.insertion.frontier`) must be
-*decision-identical* to the per-candidate object DP: the same selected tree
+*decision-identical* to the per-candidate DP: the same selected tree
 (topology, node names, buffer and nTSV counts), 1e-9-equal root candidate
 Pareto fronts, and identical pruning decisions — nominal and corner-aware,
 under both timing engines, across selection strategies, insertion modes, and
 pruning configurations (including the dominator-relative resource-diversity
-rule both backends implement from one definition).
+rule both backends implement from one definition).  Both backends realise
+their decisions on the same design rows, so every run also checks the
+selected candidate's predicted latency and min-arrival against the reference
+timing engine on the realised design.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.insertion.frontier import (
 from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech import CornerSet
 from repro.tech.layers import Side
+from repro.timing import ElmoreTimingEngine
 from tests.conftest import make_random_clock_net
 from tests.harness import assert_clock_trees_identical
 
@@ -42,13 +46,15 @@ ENGINES = ("reference", "vectorized")
 
 
 def route(pdk, count=110, extent=150.0, seed=9):
+    """A routed, unbuffered design of a random sink cloud."""
     clock_net = make_random_clock_net(count=count, extent=extent, seed=seed)
     config = CtsConfig(high_cluster_size=60, low_cluster_size=8)
-    return HierarchicalClockRouter(pdk, config=config).route(clock_net)
+    return HierarchicalClockRouter(pdk, config=config).route_design(clock_net).design
 
 
-def tree_shape(tree) -> list[tuple]:
+def tree_shape(design) -> list[tuple]:
     """A structural fingerprint: every node with its parent, kind and sides."""
+    tree = design.to_clock_tree()
     return sorted(
         (
             node.name,
@@ -70,20 +76,32 @@ def run_both(
     seed=9,
     fanout_threshold=None,
 ):
-    """Run the DP with both backends on identical routed trees."""
+    """Run the DP with both backends on identical routed designs."""
     results, shapes = {}, {}
     for backend in BACKENDS:
-        routed = route(pdk, count=count, seed=seed)
+        design = route(pdk, count=count, seed=seed)
         config = InsertionConfig(dp_backend=backend, **(config_kwargs or {}))
         results[backend] = ConcurrentInserter(
             pdk, config, engine=engine, corners=corners
-        ).run(routed.tree, fanout_threshold=fanout_threshold)
-        shapes[backend] = tree_shape(routed.tree)
+        ).run(design, fanout_threshold=fanout_threshold)
+        shapes[backend] = tree_shape(design)
     return results, shapes
 
 
-def assert_backends_identical(results, shapes):
-    """Identical realised trees plus 1e-9-equal root candidate fronts."""
+def assert_backends_identical(pdk, results, shapes):
+    """Identical realised trees plus 1e-9-equal root candidate fronts.
+
+    Each backend's selected candidate must also predict exactly what the
+    reference timing engine measures on the design it realised.
+    """
+    for result in results.values():
+        timing = ElmoreTimingEngine(pdk).analyze(result.tree, with_slew=False)
+        assert result.selected.max_delay == pytest.approx(
+            timing.latency, abs=TOLERANCE
+        )
+        assert result.selected.min_delay == pytest.approx(
+            timing.min_arrival, abs=TOLERANCE
+        )
     ref, vec = results["reference"], results["vectorized"]
     assert shapes["reference"] == shapes["vectorized"]
     assert ref.inserted_buffers == vec.inserted_buffers
@@ -129,36 +147,36 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_nominal_identical(self, pdk, engine):
         results, shapes = run_both(pdk, engine=engine)
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(pdk, results, shapes)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_corner_aware_identical(self, pdk, engine):
         results, shapes = run_both(pdk, corners=SIGNOFF, engine=engine)
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(pdk, results, shapes)
 
     def test_min_latency_selection_identical(self, pdk):
         results, shapes = run_both(pdk, {"selection": "min_latency"})
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(pdk, results, shapes)
 
     def test_intra_side_mode_identical(self, pdk):
         results, shapes = run_both(pdk, {"default_mode": InsertionMode.INTRA_SIDE})
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(pdk, results, shapes)
 
     def test_front_only_pdk_identical(self, front_pdk):
         results, shapes = run_both(front_pdk)
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(front_pdk, results, shapes)
 
     def test_fanout_threshold_identical(self, pdk):
         results, shapes = run_both(pdk, fanout_threshold=20)
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(pdk, results, shapes)
 
     def test_narrow_beam_identical(self, pdk):
         results, shapes = run_both(pdk, {"max_candidates_per_side": 4}, corners=SIGNOFF)
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(pdk, results, shapes)
 
     def test_unsegmented_edges_identical(self, pdk):
         results, shapes = run_both(pdk, {"max_segment_length": None})
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(pdk, results, shapes)
 
     @pytest.mark.parametrize("corners", [None, SIGNOFF])
     def test_resource_diversity_identical(self, pdk, corners):
@@ -166,7 +184,7 @@ class TestBackendEquivalence:
         results, shapes = run_both(
             pdk, {"keep_resource_diversity": True}, corners=corners
         )
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(pdk, results, shapes)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -175,7 +193,7 @@ class TestBackendEquivalence:
         count = int(rng.integers(30, 90))
         corners = SIGNOFF if seed % 2 else None
         results, shapes = run_both(pdk, corners=corners, count=count, seed=seed % 1000)
-        assert_backends_identical(results, shapes)
+        assert_backends_identical(pdk, results, shapes)
 
 
 # ------------------------------------------------------ pruning sweep parity
@@ -343,12 +361,14 @@ class TestBackendSelection:
         config = CtsConfig(backends=BackendSelection(dp="reference"))
         assert config.resolved_backends().dp == "reference"
 
-    def test_design_input_needs_the_vectorized_dp(self, pdk):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_object_tree_input_is_rejected(self, pdk, backend):
+        """Both DP backends edit only designs; an object tree is a TypeError."""
         clock_net = make_random_clock_net(count=30, extent=60.0, seed=9)
-        design = HierarchicalClockRouter(pdk).route_design(clock_net).design
-        inserter = ConcurrentInserter(pdk, dp_backend="reference")
-        with pytest.raises(ValueError, match="reference DP backend"):
-            inserter.run(design)
+        tree = HierarchicalClockRouter(pdk).route(clock_net).tree
+        inserter = ConcurrentInserter(pdk, dp_backend=backend)
+        with pytest.raises(TypeError, match="DesignArrays.from_clock_tree"):
+            inserter.run(tree)
 
     def test_design_input_runs_under_either_timing_engine(self, pdk):
         """The reference engine realises the design itself, so the vectorized

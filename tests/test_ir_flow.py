@@ -2,13 +2,12 @@
 
 :class:`~repro.flow.DoubleSideCTS` threads one
 :class:`~repro.ir.DesignArrays` through routing -> insertion -> refinement
--> evaluation.  A stage whose selected backend is the reference spec
-bridges through an object tree (``to_clock_tree()`` /
-``from_clock_tree()``); both bridges are exact and the backends are
-decision-identical, so every {dme, dp, timing} selection must build the
-all-reference tree bit for bit (the nominal double-side backend matrix is
-pinned in ``tests/test_routing_dme_vectorized.py``; the seeded design
-sizes, the single-side matrix and the corner-aware case are here).
+-> evaluation, and every stage edits that design in place under every
+backend selection.  The backends are decision-identical, so every {dme, dp,
+timing} selection must build the all-reference tree bit for bit (the
+nominal double-side backend matrix is pinned in
+``tests/test_routing_dme_vectorized.py``; the seeded design sizes, the
+single-side matrix and the corner-aware case are here).
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.flow import BackendSelection, CtsConfig, SingleSideCTS
+from repro.guard.policy import StageGuard
+from repro.ir.stages import InsertionStage, RoutingStage, StageContext
 from tests.harness import (
     SEEDED_DESIGNS,
     assert_clock_trees_identical,
@@ -125,3 +126,28 @@ def test_design_validates_and_counts_match_metrics(pdk):
     assert sinks == result.metrics.sinks
     assert buffers == result.metrics.buffers
     assert ntsvs == result.metrics.ntsvs
+
+
+def test_reference_insertion_edits_the_routed_design_in_place(pdk):
+    """Under ``dp="reference"`` the insertion stage inserts into the routed
+    design object itself; no stage replaces the design."""
+    config = CtsConfig(
+        high_cluster_size=40,
+        low_cluster_size=6,
+        seed=7,
+        backends=BackendSelection(dp="reference"),
+    )
+    backends = config.resolved_backends()
+    net = MEDIUM.clock_net()
+    ctx = StageContext(
+        pdk=pdk,
+        config=config,
+        backends=backends,
+        guard=StageGuard(backends.guard, net),
+        clock_net=net,
+    )
+    design = RoutingStage().run(None, ctx)
+    assert InsertionStage().run(design, ctx) is design
+    assert ctx.insertion.tree is design
+    assert ctx.routing.design is design
+    assert design.counts()[2] == ctx.insertion.inserted_buffers > 0

@@ -8,6 +8,9 @@ counts.
 
 from __future__ import annotations
 
+import asyncio
+import builtins
+import contextlib
 import json
 import socket
 import subprocess
@@ -31,6 +34,7 @@ from repro.serve import (
     one_shot_reply,
 )
 from repro.serve.protocol import SessionError
+from repro.serve.server import MAX_REQUEST_BYTES
 from repro.tech import asap7_backside
 
 
@@ -57,6 +61,55 @@ def net_spec(net) -> dict:
 
 def rpc(server: CtsServer, **request) -> dict:
     return json.loads(server.handle_line(json.dumps(request)))
+
+
+@contextlib.contextmanager
+def serving_tcp(server: CtsServer):
+    """Run ``server.serve_tcp`` on an ephemeral port in a thread.
+
+    Yields the port scraped from the announced discovery line (the same
+    contract clients rely on); on exit, asks a still-running server to shut
+    down and checks that it stopped.
+    """
+    printed: list[str] = []
+    original_print = builtins.print
+
+    def capture(*args, **kwargs):
+        printed.append(" ".join(str(a) for a in args))
+        original_print(*args, **kwargs)
+
+    builtins.print = capture
+    thread = threading.Thread(
+        target=lambda: asyncio.run(server.serve_tcp("127.0.0.1", 0)),
+        daemon=True,
+    )
+    thread.start()
+    try:
+        deadline = time.time() + 10
+        port = None
+        while time.time() < deadline and port is None:
+            for line in printed:
+                if line.startswith("serving on"):
+                    port = int(line.rsplit(":", 1)[1])
+            time.sleep(0.01)
+        assert port, "server never announced its port"
+    finally:
+        builtins.print = original_print
+    try:
+        yield port
+    finally:
+        if thread.is_alive():
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b'{"op": "shutdown"}\n')
+                sock.makefile("rb").readline()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def padded_ping(request_id: int, size: int) -> bytes:
+    """A ``ping`` request line of exactly ``size`` bytes before its newline."""
+    head = json.dumps({"op": "ping", "id": request_id, "pad": ""})
+    return (head[:-2] + "x" * (size - len(head)) + '"}').encode()
 
 
 class TestProtocol:
@@ -340,55 +393,71 @@ class TestConcurrency:
 
     def test_tcp_round_trip(self, pdk):
         """A real asyncio TCP server answers pipelined clients."""
-        import asyncio
-        import builtins
-
         server = CtsServer(pdk, CtsConfig(), workers=2)
-
-        # Run serve_tcp in a thread and scrape the announced ephemeral port
-        # from the discovery line (the same contract clients rely on).
-
-        printed: list[str] = []
-        original_print = builtins.print
-
-        def capture(*args, **kwargs):
-            printed.append(" ".join(str(a) for a in args))
-            original_print(*args, **kwargs)
-
-        builtins.print = capture
-        thread = threading.Thread(
-            target=lambda: asyncio.run(server.serve_tcp("127.0.0.1", 0)),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            deadline = time.time() + 10
-            port = None
-            while time.time() < deadline and port is None:
-                for line in printed:
-                    if line.startswith("serving on"):
-                        port = int(line.rsplit(":", 1)[1])
-                time.sleep(0.01)
-            assert port, "server never announced its port"
-        finally:
-            builtins.print = original_print
-
         spec = net_spec(random_sink_cloud(30, seed=11))
-        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-            stream = sock.makefile("rw", encoding="utf-8")
-            requests = [
-                {"op": "build", "id": 1, "design": spec},
-                {"op": "ping", "id": 2},
-                {"op": "shutdown", "id": 3},
-            ]
-            for request in requests:
-                stream.write(json.dumps(request) + "\n")
-            stream.flush()
-            replies = [json.loads(stream.readline()) for _ in requests]
+        with serving_tcp(server) as port:
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                stream = sock.makefile("rw", encoding="utf-8")
+                requests = [
+                    {"op": "build", "id": 1, "design": spec},
+                    {"op": "ping", "id": 2},
+                    {"op": "shutdown", "id": 3},
+                ]
+                for request in requests:
+                    stream.write(json.dumps(request) + "\n")
+                stream.flush()
+                replies = [json.loads(stream.readline()) for _ in requests]
         assert [r["id"] for r in replies] == [1, 2, 3]
         assert all(r["ok"] for r in replies)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+
+
+class TestOversizedRequests:
+    """Request lines past asyncio's default 64 KiB stream limit, over TCP."""
+
+    TOO_LARGE = {
+        "id": None,
+        "ok": False,
+        "error": {
+            "type": "RequestTooLarge",
+            "message": f"request line longer than {MAX_REQUEST_BYTES} bytes",
+        },
+    }
+
+    def test_line_over_64_kib_is_answered(self, pdk):
+        with serving_tcp(CtsServer(pdk, CtsConfig())) as port:
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(padded_ping(1, 100_000) + b"\n")
+                stream.flush()
+                reply = json.loads(stream.readline())
+        assert reply["ok"] and reply["id"] == 1
+        assert reply["result"]["pong"] is True
+
+    def test_line_over_the_limit_gets_an_error_and_the_connection_reads_on(
+        self, pdk
+    ):
+        with serving_tcp(CtsServer(pdk, CtsConfig())) as port:
+            with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(padded_ping(1, MAX_REQUEST_BYTES + 2**22) + b"\n")
+                stream.write(b'{"op": "ping", "id": 2}\n')
+                stream.flush()
+                rejected = json.loads(stream.readline())
+                after = json.loads(stream.readline())
+        assert rejected == self.TOO_LARGE
+        assert after["ok"] and after["id"] == 2
+
+    def test_oversized_line_cut_off_by_eof_is_reported_in_order(self, pdk):
+        with serving_tcp(CtsServer(pdk, CtsConfig())) as port:
+            with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(b'{"op": "ping", "id": 1}\n')
+                stream.write(padded_ping(2, MAX_REQUEST_BYTES + 2**20))
+                stream.flush()
+                sock.shutdown(socket.SHUT_WR)
+                replies = [json.loads(line) for line in stream.readlines()]
+        assert replies[0]["ok"] and replies[0]["id"] == 1
+        assert replies[1:] == [self.TOO_LARGE]
 
 
 class TestCliServe:
