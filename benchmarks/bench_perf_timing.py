@@ -41,6 +41,10 @@ an object tree before the timer starts):
   ``guard=degrade`` on a healthy 2000-sink run; the ``speedup`` column is
   ``t_off / t_degrade`` and its floor (just under 1.0x) caps the guard's
   validation + invariant-probe overhead.
+* ``insertion_dp_100k`` / ``flow_e2e_100k`` (and their ``_w2`` variants) —
+  the subtree-parallel insertion DP and the whole flow, serial vs. 4 (2)
+  pool workers; ``parallel_resilience`` caps the fault-tolerance policy's
+  healthy-path cost on the same DP.
 
 Results are printed and written to ``BENCH_perf_timing.json`` at the repo
 root — or to ``BENCH_perf_timing.smoke.json`` in smoke mode, so quick CI
@@ -103,10 +107,13 @@ GUARDED_FLOW_SINKS = 2000
 SERVE_WHATIF_SINKS_FULL = 2000
 SERVE_WHATIF_SINKS_SMOKE = 500
 
-#: The region-parallel scaled tier: serial vs. process-pool construction at
-#: this worker count.  Full mode runs the 100k-sink tier the rows are named
+#: The subtree-parallel scaled tier: serial vs. process-pool construction at
+#: these worker counts.  The ``PARALLEL_WORKERS`` rows keep their plain names;
+#: every other count adds a ``_w{n}`` suffix (the 2-worker rows gate on
+#: 2-core hosts).  Full mode runs the 100k-sink tier the rows are named
 #: after; smoke gates a 20k-sink cut of the same code path on CI runners.
 PARALLEL_WORKERS = 4
+PARALLEL_WORKER_COUNTS = (PARALLEL_WORKERS, 2)
 PARALLEL_SINKS_FULL = 100_000
 PARALLEL_SINKS_SMOKE = 20_000
 
@@ -620,17 +627,15 @@ def bench_serve_whatif(sink_count: int, pdk) -> dict:
 
 
 def bench_parallel_construction(sink_count: int, pdk) -> list[dict]:
-    """The region-parallel scaled tier: serial vs. process-pool construction.
+    """The subtree-parallel scaled tier: serial vs. process-pool construction.
 
-    Three rows, each timing ``workers=1`` against ``workers=PARALLEL_WORKERS``
-    on the same input:
+    Two row kinds, each timing ``workers=1`` against every count of
+    ``PARALLEL_WORKER_COUNTS`` on the same input:
 
-    * ``dme_embed_100k`` — ``route_design``: per-region low clustering, tap
-      DME, and shard materialisation fanned out over the top-level clusters,
-      stitched back by the deterministic graft protocol;
     * ``insertion_dp_100k`` — the frontier DP with bottom subtrees shipped
       to the pool as flat tables;
-    * ``flow_e2e_100k`` — the full flow end to end.
+    * ``flow_e2e_100k`` — the full flow end to end (routing is serial at
+      every worker count; only the insertion DP fans out).
 
     The parallel path is bit-identical to serial by contract
     (``tests/test_parallel_construction.py`` pins the full matrix); each row
@@ -641,9 +646,9 @@ def bench_parallel_construction(sink_count: int, pdk) -> list[dict]:
     spin-up cost with no hardware to spend it on, so the measured "speedup"
     is honestly below 1.0 there.  The regression gates therefore apply the
     committed floors only when ``cores >= workers`` (see
-    ``check_regression.py`` and ``test_perf_timing``); single-core hosts
-    still run the rows — exercising and sanity-checking the parallel code
-    path — but report them ungated.
+    ``check_regression.py`` and ``test_perf_timing``); hosts with fewer
+    cores still run the rows — exercising and sanity-checking the parallel
+    code path — but report them ungated.
     """
     from repro.flow.config import CtsConfig
     from repro.flow.cts import DoubleSideCTS
@@ -651,16 +656,13 @@ def bench_parallel_construction(sink_count: int, pdk) -> list[dict]:
     from repro.insertion.frontier import VectorizedInsertionDp
 
     cores = os.cpu_count() or 1
-    workers = PARALLEL_WORKERS
     clock_net = random_sink_cloud(sink_count)
+    counts = (1, *PARALLEL_WORKER_COUNTS)
 
-    def config_for(n: int) -> CtsConfig:
-        return CtsConfig(workers=n)
-
-    def make_row(flow: str, serial_samples, parallel_samples) -> dict:
-        t_serial, t_parallel = min(serial_samples), min(parallel_samples)
+    def make_row(flow: str, workers: int, samples) -> dict:
+        t_serial, t_parallel = min(samples[1]), min(samples[workers])
         return {
-            "flow": flow,
+            "flow": flow if workers == PARALLEL_WORKERS else f"{flow}_w{workers}",
             "sinks": sink_count,
             "workers": workers,
             "cores": cores,
@@ -669,11 +671,11 @@ def bench_parallel_construction(sink_count: int, pdk) -> list[dict]:
             "speedup": round(t_serial / t_parallel, 2),
         }
 
-    def timed_pairs(run, rounds: int):
-        samples: dict[int, list[float]] = {1: [], workers: []}
+    def timed(run, rounds: int):
+        samples: dict[int, list[float]] = {n: [] for n in counts}
         results: dict[int, object] = {}
         for _ in range(rounds):
-            for n in (1, workers):
+            for n in counts:
                 results[n] = None
                 gc.collect()
                 gc.disable()
@@ -683,64 +685,49 @@ def bench_parallel_construction(sink_count: int, pdk) -> list[dict]:
                     samples[n].append(time.perf_counter() - start)
                 finally:
                     gc.enable()
-        return samples, results[1], results[workers]
+        return samples, results
 
     rows: list[dict] = []
 
-    # Region-parallel routing straight into design rows.
-    samples, serial, parallel = timed_pairs(
-        lambda n: HierarchicalClockRouter(pdk, config=config_for(n)).route_design(
-            clock_net
-        ),
-        rounds=3,
-    )
-    if (
-        serial.design.size != parallel.design.size
-        or serial.design.names != parallel.design.names
-        or serial.trunk_wirelength != parallel.trunk_wirelength
-        or serial.leaf_wirelength != parallel.leaf_wirelength
-    ):
-        raise AssertionError(
-            f"region-parallel routing diverges on {sink_count} sinks"
-        )
-    rows.append(make_row("dme_embed_100k", samples[1], samples[workers]))
-
-    # Subtree-parallel frontier DP over the serially routed design.
-    dp_tree = build_dp_tree(serial.design, pdk)
+    # Subtree-parallel frontier DP over the (serially) routed design.
+    routed = HierarchicalClockRouter(pdk, config=CtsConfig()).route_design(clock_net)
+    dp_tree = build_dp_tree(routed.design, pdk)
     dp = VectorizedInsertionDp(pdk, InsertionConfig(), [pdk])
-    samples, (_, serial_root), (_, parallel_root) = timed_pairs(
-        lambda n: dp.run(dp_tree, workers=n), rounds=3
-    )
-    if not np.array_equal(serial_root.cap, parallel_root.cap) or not np.array_equal(
-        serial_root.choice, parallel_root.choice
-    ):
-        raise AssertionError(
-            f"subtree-parallel DP diverges on {sink_count} sinks"
-        )
-    rows.append(make_row("insertion_dp_100k", samples[1], samples[workers]))
+    samples, results = timed(lambda n: dp.run(dp_tree, workers=n)[1], rounds=3)
+    for n in PARALLEL_WORKER_COUNTS:
+        if not np.array_equal(results[1].cap, results[n].cap) or not np.array_equal(
+            results[1].choice, results[n].choice
+        ):
+            raise AssertionError(
+                f"subtree-parallel DP diverges on {sink_count} sinks at {n} workers"
+            )
+        rows.append(make_row("insertion_dp_100k", n, samples))
 
     # The full flow end to end.
-    samples, serial_flow, parallel_flow = timed_pairs(
-        lambda n: DoubleSideCTS(pdk, config_for(n)).run(clock_net), rounds=2
+    samples, results = timed(
+        lambda n: DoubleSideCTS(pdk, CtsConfig(workers=n)).run(clock_net).metrics,
+        rounds=2,
     )
-    if (
-        serial_flow.metrics.skew != parallel_flow.metrics.skew
-        or serial_flow.metrics.latency != parallel_flow.metrics.latency
-        or serial_flow.metrics.buffers != parallel_flow.metrics.buffers
-        or serial_flow.metrics.ntsvs != parallel_flow.metrics.ntsvs
-    ):
-        raise AssertionError(
-            f"region-parallel flow diverges on {sink_count} sinks"
-        )
-    rows.append(make_row("flow_e2e_100k", samples[1], samples[workers]))
+    for n in PARALLEL_WORKER_COUNTS:
+        serial, parallel = results[1], results[n]
+        if (
+            serial.skew != parallel.skew
+            or serial.latency != parallel.latency
+            or serial.buffers != parallel.buffers
+            or serial.ntsvs != parallel.ntsvs
+        ):
+            raise AssertionError(
+                f"subtree-parallel flow diverges on {sink_count} sinks at {n} workers"
+            )
+        rows.append(make_row("flow_e2e_100k", n, samples))
     return rows
 
 
 def bench_parallel_resilience(pdk) -> dict:
     """Healthy-path overhead of the fault-tolerant pool tier.
 
-    Times region-parallel ``route_design`` twice on the same pool and input:
-    once under a bare-minimum policy (one attempt, no timeout — the
+    Times the subtree-parallel insertion DP twice on the same pool and
+    input: once under a bare-minimum policy (one attempt, no timeout — the
     pre-fault-tolerance behaviour) and once under a production policy
     (retries, backoff, and a per-task timeout armed).  On a healthy run the
     policy machinery must be almost free — its per-task cost is one
@@ -751,36 +738,44 @@ def bench_parallel_resilience(pdk) -> dict:
     the row gates on every host (no ``workers``/``cores`` keys).
     """
     from repro.flow.config import CtsConfig
+    from repro.insertion.dp_tree import build_dp_tree
+    from repro.insertion.frontier import VectorizedInsertionDp
     from repro.parallel import ParallelPolicy
 
     clock_net = random_sink_cloud(PARALLEL_SINKS_SMOKE)
-    plain_policy = ParallelPolicy(attempts=1, backoff_s=0.0)
-    policed_policy = ParallelPolicy(attempts=3, timeout_s=600.0, backoff_s=0.05)
-
-    def config_for(policy: ParallelPolicy) -> CtsConfig:
-        return CtsConfig(workers=PARALLEL_WORKERS, parallel_policy=policy)
+    routed = HierarchicalClockRouter(pdk, config=CtsConfig()).route_design(clock_net)
+    dp_tree = build_dp_tree(routed.design, pdk)
+    policies = {
+        "plain": ParallelPolicy(attempts=1, backoff_s=0.0),
+        "policed": ParallelPolicy(attempts=3, timeout_s=600.0, backoff_s=0.05),
+    }
 
     samples: dict[str, list[float]] = {"plain": [], "policed": []}
     results: dict[str, object] = {}
     for _ in range(3):
-        for key, policy in (("plain", plain_policy), ("policed", policed_policy)):
-            router = HierarchicalClockRouter(pdk, config=config_for(policy))
+        for key, policy in policies.items():
+            dp = VectorizedInsertionDp(pdk, InsertionConfig(), [pdk])
             gc.collect()
             gc.disable()
             try:
                 start = time.perf_counter()
-                results[key] = router.route_design(clock_net)
+                _, root = dp.run(
+                    dp_tree, workers=PARALLEL_WORKERS, parallel_policy=policy
+                )
                 samples[key].append(time.perf_counter() - start)
             finally:
                 gc.enable()
-    plain, policed = results["plain"], results["policed"]
+            results[key] = (root, dp.parallel_tasks, dp.parallel_diagnostics)
+    plain, plain_tasks, _ = results["plain"]
+    policed, policed_tasks, diagnostics = results["policed"]
     if (
-        plain.design.size != policed.design.size
-        or plain.design.names != policed.design.names
-        or plain.trunk_wirelength != policed.trunk_wirelength
-        or policed.parallel_diagnostics
+        not np.array_equal(plain.cap, policed.cap)
+        or not np.array_equal(plain.choice, policed.choice)
+        or plain_tasks < 2
+        or policed_tasks != plain_tasks
+        or diagnostics
     ):
-        raise AssertionError("policed healthy-path routing diverges from plain")
+        raise AssertionError("policed healthy-path DP diverges from plain")
     t_plain, t_policed = min(samples["plain"]), min(samples["policed"])
     return {
         "flow": "parallel_resilience",

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """The fault-tolerant parallel tier: worker failures that never change bits.
 
-Every pool consumer in the flow (region-parallel routing shards, DP
-subtrees, the DSE sweep, ``FlowCache.warm``) runs through
-``repro.parallel.run_tasks`` under a ``ParallelPolicy``
+Every pool consumer (the insertion DP's bottom subtrees, the DSE sweep,
+``FlowCache.warm``) runs through ``repro.parallel.run_tasks`` under a
+``ParallelPolicy``
 (``CtsConfig(parallel_policy=...)`` / ``REPRO_PARALLEL_POLICY``):
 
 * a failed task — worker crash, hang past ``timeout_s``, corrupt result,
@@ -19,10 +19,12 @@ subtrees, the DSE sweep, ``FlowCache.warm``) runs through
   never caught at a call site.
 
 This script arms the worker-fault injectors from ``repro.guard.faults``
-against a real flow run at ``workers=2`` and shows the whole ladder: a
-crash retried, a corrupted shard degraded to serial, and strict mode
-failing fast — with the recovered trees verified node-for-node against a
-serial run.
+against the insertion stage of a real flow run at ``workers=2`` (at the
+default 2000 sinks the DP ships 6 subtrees to the pool) and shows the
+whole ladder: a crash retried, a corrupted subtree frontier degraded to
+serial, and strict mode failing fast.  It exits non-zero when a recovered
+tree differs from the serial one, when no pool task ran, or when strict
+mode does not raise.
 
 Usage::
 
@@ -56,15 +58,28 @@ def fingerprint(tree) -> list[tuple]:
 
 
 def run_once(pdk, clock_net, workers: int, policy: ParallelPolicy | None = None):
-    # Hc sized well below the sink count so the clustering yields several
-    # top-level regions — otherwise routing runs inline (one shard needs no
-    # pool) and there would be no worker for the faults to kill.
-    config = CtsConfig(
-        workers=workers,
-        parallel_policy=policy,
-        high_cluster_size=max(len(clock_net.sinks) // 4, 50),
-    )
+    config = CtsConfig(workers=workers, parallel_policy=policy)
     return DoubleSideCTS(pdk, config).run(clock_net)
+
+
+def check(result, reference) -> bool:
+    """Print the recovery summary; True when the run used the pool and
+    recovered the serial tree bit for bit."""
+    print(f"  {result.parallel_summary()}")
+    for diagnostic in result.parallel_diagnostics:
+        print(
+            f"  {diagnostic.action} {diagnostic.stage!r} {diagnostic.task} "
+            f"after {diagnostic.attempts} attempts ({diagnostic.cause})"
+        )
+    identical = fingerprint(result.tree) == reference
+    print(f"  bit-identical to serial: {identical}\n")
+    if result.parallel_tasks == 0:
+        print("ERROR: no pool task ran, so no fault could fire")
+        return False
+    if not identical:
+        print("ERROR: the recovered tree differs from the serial one")
+        return False
+    return True
 
 
 def main() -> int:
@@ -78,23 +93,20 @@ def main() -> int:
     reference = fingerprint(serial.tree)
 
     print("crash on every first attempt — the retry rung recovers:")
-    crash = WorkerFault(stage="routing", kind="crash", fail_attempts=1)
+    crash = WorkerFault(stage="insertion", kind="crash", fail_attempts=1)
     with arm_worker_faults(crash):
         result = run_once(pdk, clock_net, workers=2, policy=policy)
-    print(f"  {result.parallel_summary()}")
-    for diagnostic in result.parallel_diagnostics:
-        print(
-            f"  {diagnostic.action} {diagnostic.stage!r} {diagnostic.task} "
-            f"after {diagnostic.attempts} attempts ({diagnostic.cause})"
-        )
-    print(f"  bit-identical to serial: {fingerprint(result.tree) == reference}\n")
+    if not check(result, reference):
+        return 1
 
     print("corrupt results on every attempt — degrade-to-serial recovers:")
-    corrupt = WorkerFault(stage="routing", kind="corrupt", fail_attempts=policy.attempts)
+    corrupt = WorkerFault(
+        stage="insertion", kind="corrupt", fail_attempts=policy.attempts
+    )
     with arm_worker_faults(corrupt):
         result = run_once(pdk, clock_net, workers=2, policy=policy)
-    print(f"  {result.parallel_summary()}")
-    print(f"  bit-identical to serial: {fingerprint(result.tree) == reference}\n")
+    if not check(result, reference):
+        return 1
 
     print("the same exhausted fault under mode='strict' — fail fast instead:")
     with arm_worker_faults(corrupt):
@@ -105,7 +117,9 @@ def main() -> int:
         except ParallelError as exc:
             print(f"  ParallelError at stage {exc.stage!r}, {exc.task}")
             print(f"  {exc}")
-    return 0
+            return 0
+    print("ERROR: strict mode did not raise ParallelError")
+    return 1
 
 
 if __name__ == "__main__":

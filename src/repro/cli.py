@@ -169,9 +169,9 @@ def _add_construction_workers(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         dest="construction_workers",
-        help="process-parallel construction: route and buffer independent "
-        "top-level regions on this many workers (bit-identical to serial; "
-        "default: REPRO_FLOW_WORKERS or 1)",
+        help="process-parallel buffer insertion: run independent bottom "
+        "subtrees of the insertion DP on this many workers (routing stays "
+        "serial; bit-identical to serial; default: REPRO_FLOW_WORKERS or 1)",
     )
 
 

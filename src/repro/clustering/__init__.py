@@ -12,7 +12,6 @@ from repro.clustering.dual_level import (
     DualLevelClustering,
     dual_level_clustering,
     estimate_leaf_load,
-    low_clusters_for_high,
     split_by_capacitance,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "DualLevelClustering",
     "dual_level_clustering",
     "estimate_leaf_load",
-    "low_clusters_for_high",
     "split_by_capacitance",
 ]

@@ -208,34 +208,6 @@ def _cluster_sinks(
     return groups
 
 
-def low_clusters_for_high(
-    members: list[ClockSink],
-    low_size: int,
-    seed: int,
-    high_index: int,
-    balanced: bool = True,
-    max_leaf_capacitance: float | None = None,
-    unit_wire_capacitance: float = 0.0,
-) -> list[tuple[Point, list[ClockSink]]]:
-    """Low-level groups of one high cluster — the per-region unit of work.
-
-    Factored out of :func:`dual_level_clustering` so the region-parallel
-    routing tier can run exactly this per high cluster in a worker process:
-    both call sites derive the per-region seed the same way
-    (``seed + high_index + 1``), so a worker's low clusters are bit-identical
-    to the serial loop's.
-    """
-    low_groups = _cluster_sinks(members, low_size, seed + high_index + 1, balanced)
-    if max_leaf_capacitance is not None:
-        low_groups = split_by_capacitance(
-            low_groups,
-            max_capacitance=max_leaf_capacitance,
-            unit_wire_capacitance=unit_wire_capacitance,
-            seed=seed + high_index + 1,
-        )
-    return low_groups
-
-
 def dual_level_clustering(
     sinks: list[ClockSink],
     high_size: int = 3000,
@@ -278,15 +250,14 @@ def dual_level_clustering(
         high_clusters.append(
             Cluster(index=high_index, centroid=high_centroid, sinks=members)
         )
-        low_groups = low_clusters_for_high(
-            members,
-            low_size,
-            seed,
-            high_index,
-            balanced=balanced,
-            max_leaf_capacitance=max_leaf_capacitance,
-            unit_wire_capacitance=unit_wire_capacitance,
-        )
+        low_groups = _cluster_sinks(members, low_size, seed + high_index + 1, balanced)
+        if max_leaf_capacitance is not None:
+            low_groups = split_by_capacitance(
+                low_groups,
+                max_capacitance=max_leaf_capacitance,
+                unit_wire_capacitance=unit_wire_capacitance,
+                seed=seed + high_index + 1,
+            )
         for low_centroid, low_members in low_groups:
             low_clusters.append(
                 Cluster(

@@ -206,17 +206,17 @@ class CtsConfig:
             ``None`` fields fall back to ``REPRO_TIMING_ENGINE`` /
             ``REPRO_DP_BACKEND`` / ``REPRO_DME_BACKEND`` / ``REPRO_GUARD``,
             then the built-in defaults (``vectorized``, ``off``).
-        workers: process-level parallelism of the construction stages
-            (region-parallel DME routing and DP-subtree-parallel
-            insertion).  ``None`` falls back to ``REPRO_FLOW_WORKERS``,
-            then 1 (serial).  Results are bit-identical to serial at every
-            worker count (CLI ``--workers``).
+        workers: process-level parallelism of the insertion DP (bottom DP
+            subtrees run on a process pool; routing is serial at every
+            count).  ``None`` falls back to ``REPRO_FLOW_WORKERS``, then 1
+            (serial).  Results are bit-identical to serial at every worker
+            count (CLI ``--workers``).
         parallel_policy: fault-tolerance policy of the worker pools (a
             :class:`~repro.parallel.ParallelPolicy` or a spec string such as
             ``"attempts=3,timeout_s=30"`` or ``"strict"``).  ``None`` falls
             back to ``REPRO_PARALLEL_POLICY``, then the default policy
             (2 attempts, no timeout, degrade-to-serial on exhaustion).
-            Recovery is bit-identical by construction: a failed shard is
+            Recovery is bit-identical by construction: a failed task is
             recomputed inline by the same serial spec the differential tests
             pin the parallel tier against (CLI ``--strict-parallel`` flips
             the terminal action to a raised

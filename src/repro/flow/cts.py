@@ -178,11 +178,8 @@ class DoubleSideCTS:
             runtime=ctx.runtime,
             guard_policy=guard.policy,
             guard_diagnostics=guard.diagnostics,
-            parallel_tasks=ctx.routing.parallel_tasks + ctx.insertion.parallel_tasks,
-            parallel_diagnostics=[
-                *ctx.routing.parallel_diagnostics,
-                *ctx.insertion.parallel_diagnostics,
-            ],
+            parallel_tasks=ctx.insertion.parallel_tasks,
+            parallel_diagnostics=ctx.insertion.parallel_diagnostics,
             design=design,
         )
 

@@ -214,16 +214,10 @@ class _Unpicklable:
 def corrupt_worker_result(result: object) -> object:
     """Structurally corrupt a pool-task result the way a buggy worker would.
 
-    Duck-typed over the pool consumers' result shapes: a routing
-    ``_RegionShard`` loses one sink subtree (tombstoned rows — caught by the
-    shard probe), a frontier dict gets NaN capacitances poked into one
-    frontier (caught by the finiteness probe).  Unknown result shapes pass
-    through unchanged (nothing meaningful to corrupt).
+    A DP-subtree frontier dict gets NaN capacitances poked into one frontier
+    (caught by the finiteness probe).  Other result shapes pass through
+    unchanged (nothing meaningful to corrupt).
     """
-    shard = getattr(result, "shard", None)
-    if shard is not None and hasattr(shard, "detach_subtree"):
-        shard.detach_subtree(int(shard.sink_rows()[0]))
-        return result
     if isinstance(result, dict) and result:
         frontier = result[min(result)]
         cap = getattr(frontier, "cap", None)
@@ -242,9 +236,8 @@ class WorkerFault:
     works under any multiprocessing start method).
 
     Attributes:
-        stage: pool consumer the fault targets (``"routing"``,
-            ``"insertion"``, ``"dse"``, ``"flow_cache"``, or ``"*"`` for
-            all).
+        stage: pool consumer the fault targets (``"insertion"``,
+            ``"dse"``, ``"flow_cache"``, or ``"*"`` for all).
         kind: one of :data:`WORKER_FAULT_KINDS`.
         fail_attempts: the fault fires while ``attempt <= fail_attempts``
             — ``1`` (default) fails only the first attempt so a retry
@@ -318,6 +311,11 @@ def break_pool(pool) -> None:
     futures raise :class:`~concurrent.futures.process.BrokenProcessPool`.
     A pool that has not spawned workers yet is forced to first — otherwise
     there would be nothing to kill and the fault would silently no-op.
+
+    Returns once the executor has marked itself broken, so the next submit
+    raises instead of racing the executor's teardown: such a submit spawns
+    a worker the executor no longer tracks, and its spawn can lose the
+    queue fds being closed under it, which kills the fork server.
     """
     if not getattr(pool, "_processes", None):
         pool.submit(_noop).result()
@@ -326,6 +324,9 @@ def break_pool(pool) -> None:
         process.terminate()
     for process in list(processes.values()):
         process.join(timeout=5)
+    deadline = time.monotonic() + 5
+    while not getattr(pool, "_broken", False) and time.monotonic() < deadline:
+        time.sleep(0.005)
 
 
 def _noop() -> None:
@@ -337,7 +338,7 @@ def parse_worker_faults(spec: str) -> tuple[WorkerFault, ...]:
 
     Format: comma- or semicolon-separated
     ``stage:kind[:fail_attempts[:task_index]]`` entries, e.g. ``*:crash:1``
-    or ``routing:corrupt:99;insertion:hang:1:0``.
+    or ``insertion:corrupt:99;dse:hang:1:0``.
     """
     faults: list[WorkerFault] = []
     for entry in spec.replace(";", ",").split(","):

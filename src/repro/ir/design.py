@@ -377,62 +377,6 @@ class DesignArrays:
         self._invalidate()
         return np.arange(start, stop, dtype=np.int64)
 
-    def graft(
-        self, shard: "DesignArrays", parent: int, names: list[str]
-    ) -> np.ndarray:
-        """Block-append another design's rows (1..) under ``parent``.
-
-        The merge primitive of the region-parallel construction tier: a
-        worker routes one region into its own *shard* (whose row 0 is a
-        placeholder root), and the serial merge grafts the shard below
-        ``parent`` with caller-supplied global ``names`` — one per shard row
-        in shard row order.  Rows keep the shard's relative order and
-        children order, so a graft appends exactly the row sequence the
-        serial materialisation would have; edges of the shard root's
-        children are recomputed against the real parent (their shard edges
-        were measured against the placeholder root).
-
-        Returns the new row indices (aligned with ``names``).
-        """
-        if shard.dead_count:
-            raise ValueError("cannot graft a shard with tombstoned rows")
-        n = shard.size - 1
-        if n < 0 or len(names) != n:
-            raise ValueError(f"graft needs {max(n, 0)} names, got {len(names)}")
-        fresh: set[str] = set()
-        for name in names:
-            if name in self.name_to_row or name in fresh:
-                raise ValueError(
-                    f"design {self.name}: duplicate node name {name!r}"
-                )
-            fresh.add(name)
-        while self.capacity < self.size + n:
-            self._grow()
-        start = self.size
-        stop = start + n
-        base = start - 1  # shard row r (>= 1) lands at r + base
-        self.size = stop
-        for column in ("kind", "edge_length", "wire_front", "cap", "x", "y",
-                       "side_front"):
-            getattr(self, column)[start:stop] = getattr(shard, column)[1 : n + 1]
-        self.alive[start:stop] = True
-        shard_parent = shard.parent_row[1 : n + 1]
-        self.parent_row[start:stop] = np.where(
-            shard_parent == 0, parent, shard_parent + base
-        )
-        self.names.extend(names)
-        self.children_rows.extend(
-            [c + base for c in shard.children_rows[r]] for r in range(1, n + 1)
-        )
-        region_roots = [c + base for c in shard.children_rows[0]]
-        self.children_rows[parent].extend(region_roots)
-        for offset, name in enumerate(names):
-            self.name_to_row[name] = start + offset
-        for row in region_roots:
-            self.edge_length[row] = self._edge(row, parent)
-        self._invalidate()
-        return np.arange(start, stop, dtype=np.int64)
-
     def insert_on_edge(
         self,
         child: int,

@@ -1,8 +1,8 @@
 """Fault-tolerant process-level parallelism of the scaled construction tier.
 
-The region-parallel routing, the DP-subtree-parallel insertion, the DSE
-sweep, and the benchmark flow cache all fan work out over one shared
-process pool.  Spinning a fresh
+The DP-subtree-parallel insertion (the one flow stage that fans out;
+routing is serial), the DSE sweep, and the benchmark flow cache all fan
+work out over one shared process pool.  Spinning a fresh
 :class:`~concurrent.futures.ProcessPoolExecutor` per stage call would
 dominate small runs (and the test suite under a ``workers>1`` matrix job),
 so this module keeps one lazily created pool per process and reuses it
@@ -60,6 +60,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from multiprocessing import forkserver
 from typing import Any, Callable, Sequence
 
 #: Environment variable consulted when no explicit worker count is given.
@@ -122,7 +123,7 @@ class ParallelPolicy:
             terminal fallback (>= 1; ``1`` disables retries).
         timeout_s: per-task wall-clock budget on the pool; ``None`` (the
             default) waits forever.  The default stays ``None`` because the
-            pool's task sizes span five orders of magnitude (a routing shard
+            pool's task sizes span five orders of magnitude (a DP subtree
             to a full benchmark flow) — callers that know their task scale
             opt in via config or ``REPRO_PARALLEL_POLICY``.  The budget is
             measured from submission, so it also covers queue wait and
@@ -249,9 +250,9 @@ class ParallelDiagnostic:
     """One recovered pool-task failure, recorded on the flow result.
 
     Attributes:
-        stage: pool consumer name (``"routing"``, ``"insertion"``,
-            ``"dse"``, ``"flow_cache"``).
-        task: human-readable task id (e.g. ``"region 3"``).
+        stage: pool consumer name (``"insertion"``, ``"dse"``,
+            ``"flow_cache"``).
+        task: human-readable task id (e.g. ``"subtree 3"``).
         attempts: pool attempts consumed when the action was taken.
         action: ``"retried"`` (a later pool attempt succeeded) or
             ``"degraded-to-serial"`` (the task was recomputed inline).
@@ -381,8 +382,9 @@ def shutdown_pool() -> None:
         pool = _POOL
         _POOL = None
         _POOL_SIZE = 0
+        workers = _pool_workers(pool)  # shutdown() drops the executor's list
         pool.shutdown(wait=False, cancel_futures=True)
-        for process in _pool_workers(pool):
+        for process in workers:
             process.terminate()
 
 
@@ -396,6 +398,59 @@ def respawn_pool(workers: int) -> ProcessPoolExecutor:
     """
     shutdown_pool()
     return shared_pool(workers)
+
+
+#: What a spawn raises when the fork server it forks through is gone: a
+#: dying server's closed listener, its socket file removed, or the server
+#: exiting before it answers with the new worker's pid.
+_DEAD_FORK_SERVER = (ConnectionRefusedError, FileNotFoundError, EOFError)
+
+
+def _submit_round(pool, stage, fn, payloads, pending, attempt, faults) -> dict:
+    """Submit one attempt's pending tasks, arming ``broken_pool`` first."""
+    if any(
+        fault.kind == "broken_pool" and fault.fires(stage, i, attempt)
+        for fault in faults
+        for i in pending
+    ):
+        from repro.guard.faults import break_pool
+
+        break_pool(pool)
+    return {
+        i: pool.submit(_policed_call, (fn, payloads[i], stage, i, attempt, faults))
+        for i in pending
+    }
+
+
+def _submit_live(pool_size: int, pool, *round_args) -> tuple:
+    """:func:`_submit_round`, spawning only through a live fork server.
+
+    A client that connects and closes without sending its fds kills the
+    fork server (``EOFError`` in its ``recvfds``).  A spawn inside
+    ``submit`` does exactly that when pickling the worker's queue fds fails
+    after ``connect``: the executor's manager thread closes the call queue
+    of a pool that lost a worker (a crash, an OOM kill, the ``broken_pool``
+    injector) while the main thread is still spawning into it.  Until the
+    dying server is reaped, ``ensure_running`` still sees its pid, so every
+    spawn is refused or loses its pid reply.  Such a spawn shuts the pool
+    down, reaps the server (``_stop`` closes this process's end of its
+    alive pipe and waits for it to exit; no worker of ours keeps it alive
+    once the pool is down) and resubmits the round once on a fresh pool,
+    within the same attempt.  Returns the pool the round ran on and its
+    futures.
+    """
+    try:
+        return pool, _submit_round(pool, *round_args)
+    except _DEAD_FORK_SERVER:
+        if _pool_context().get_start_method() != "forkserver":
+            raise
+        shutdown_pool()
+        try:
+            forkserver._forkserver._stop()
+        except FileNotFoundError:  # the listener's socket file is already gone
+            pass
+        pool = shared_pool(pool_size)
+        return pool, _submit_round(pool, *round_args)
 
 
 # ------------------------------------------------------------------- run_tasks
@@ -465,7 +520,7 @@ def run_tasks(
             results.append(result)
         return results
 
-    from repro.guard.faults import active_worker_faults, break_pool
+    from repro.guard.faults import active_worker_faults
 
     faults = tuple(f for f in active_worker_faults() if f.applies_to(stage))
     results: list[Any] = [None] * count
@@ -484,34 +539,14 @@ def run_tasks(
     for attempt in range(1, policy.attempts + 1):
         if pool is None or not pending:
             break
-        if any(
-            fault.kind == "broken_pool" and fault.fires(stage, i, attempt)
-            for fault in faults
-            for i in pending
-        ):
-            try:
-                break_pool(pool)
-            except Exception:
-                # break_pool submits a probe task to force worker spawn; on
-                # a pool whose spawn machinery is already down (a crashed
-                # fork-server) that probe raises instead.  The pool is then
-                # exactly as broken as the injector wanted — carry on and
-                # let the submit loop below observe it.
-                pass
-        futures: dict[int, Any] = {}
         failed: list[int] = []
         respawn = False
-        submit_error: Exception | None = None
-        for i in pending:
-            try:
-                futures[i] = pool.submit(
-                    _policed_call, (fn, payloads[i], stage, i, attempt, faults)
-                )
-            except Exception as exc:  # broken pool / executor already shut down
-                submit_error = exc
-                break
-        if submit_error is not None:
-            cause = f"{type(submit_error).__name__}: {submit_error}"
+        try:
+            pool, futures = _submit_live(
+                pool_size, pool, stage, fn, payloads, pending, attempt, faults
+            )
+        except Exception as exc:  # broken pool / executor already shut down
+            cause = f"{type(exc).__name__}: {exc}"
             for i in pending:
                 attempts_done[i] += 1
                 first_cause.setdefault(i, cause)

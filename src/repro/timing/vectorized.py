@@ -365,7 +365,7 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         root_rows = rows[kinds == KIND_ROOT]
         if root_rows.size:
             # Dispatch by kind like the reference engine (a ROOT-kind node
-            # grafted as an internal node still drives with the source R).
+            # spliced in as an internal node still drives with the source R).
             loads = state.load[:, root_rows]
             state.stage[:, root_rows] = np.where(
                 loads == 0, 0.0, self._root_resistance() * loads

@@ -54,18 +54,18 @@ class TestCheck:
     def test_parallel_row_ungated_when_host_lacks_cores(self):
         # A parallel-tier row measured with fewer cores than workers cannot
         # physically show a speedup; its floor must not gate it.
-        starved = row("dme_embed_100k", 0.7, sinks=100_000)
+        starved = row("insertion_dp_100k", 0.7, sinks=100_000)
         starved.update(workers=4, cores=1)
         assert check_regression.check(
             [starved, row("repeated_skew", 300.0)],
-            {"dme_embed_100k": 2.0, "repeated_skew": 200.0},
+            {"insertion_dp_100k": 2.0, "repeated_skew": 200.0},
         ) == []
 
     def test_parallel_row_gates_when_host_has_cores(self):
-        provisioned = row("dme_embed_100k", 0.7, sinks=100_000)
+        provisioned = row("insertion_dp_100k", 0.7, sinks=100_000)
         provisioned.update(workers=4, cores=8)
         failures = check_regression.check(
-            [provisioned], {"dme_embed_100k": 2.0}
+            [provisioned], {"insertion_dp_100k": 2.0}
         )
         assert len(failures) == 1
         assert "fell below the committed floor" in failures[0]

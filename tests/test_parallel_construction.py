@@ -1,12 +1,11 @@
-"""Region-parallel construction must be bit-identical to the serial flow.
+"""Subtree-parallel construction must be bit-identical to the serial flow.
 
-The scaled tier (``CtsConfig.workers > 1``) fans the per-high-cluster
-routing work and the bottom DP subtrees out over a process pool and merges
-the results back in the serial flow's exact row and name order.  These
-tests pin the contract: at every worker count, under every backend
-combination, the parallel construction produces byte-for-byte the same
-design (names, rows, coordinates, edge lengths) and the same realised
-clock tree as ``workers=1``.
+The scaled tier (``CtsConfig.workers > 1``) ships bottom subtrees of the
+vectorized insertion DP to a process pool and finishes the spine serially;
+routing stays serial at every worker count.  These tests pin the contract:
+at every worker count, under every backend combination, the flow produces
+byte-for-byte the same realised clock tree as ``workers=1``, and each
+``workers > 1`` flow on the vectorized DP really ships pool tasks.
 """
 
 from __future__ import annotations
@@ -14,18 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clocktree.tree import ConnectivityError
-from repro.flow.config import CtsConfig
+from repro.flow.config import BackendSelection, CtsConfig
 from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig
 from repro.insertion.dp_tree import build_dp_tree
 from repro.insertion.frontier import VectorizedInsertionDp
-from repro.ir.design import KIND_SINK, KIND_TAP, DesignArrays
+from repro.ir.design import DesignArrays
 from repro.parallel import WORKERS_ENV_VAR, resolve_workers
-from repro.routing.hierarchical import (
-    HierarchicalClockRouter,
-    _probe_region_shard,
-    _RegionShard,
-)
+from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech.pdk import asap7_backside
 from tests.conftest import make_random_clock_net
 from tests.harness import (
@@ -54,6 +48,12 @@ def pdk():
     return asap7_backside()
 
 
+def make_pool_net():
+    """A net whose DP ships two subtrees under the harness cluster sizes
+    (at workers 2, 3, 4 and 8, nominal and with corners ``ss,ff``)."""
+    return make_random_clock_net(count=200, extent=450.0, seed=3)
+
+
 def assert_designs_bit_equal(a: DesignArrays, b: DesignArrays) -> None:
     """Row-for-row identity: names, topology, kinds, and every float."""
     assert a.size == b.size
@@ -65,9 +65,7 @@ def assert_designs_bit_equal(a: DesignArrays, b: DesignArrays) -> None:
         ), column
 
 
-def _route(pdk, clock_net, workers, dme="vectorized"):
-    from repro.flow.config import BackendSelection
-
+def _route(pdk, clock_net, workers=1, dme="vectorized"):
     config = CtsConfig(
         high_cluster_size=40,
         low_cluster_size=6,
@@ -78,10 +76,12 @@ def _route(pdk, clock_net, workers, dme="vectorized"):
     return HierarchicalClockRouter(pdk, config=config).route_design(clock_net)
 
 
-# ------------------------------------------------------------ routing merge
+# -------------------------------------------------------------- serial routing
 @pytest.mark.parametrize("dme", ["reference", "vectorized"])
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_parallel_route_design_bit_equal(pdk, dme, workers):
+    """Routing is serial at every worker count: a ``workers > 1`` config
+    must route the very design ``workers=1`` routes."""
     clock_net = make_random_clock_net(count=140, extent=320.0, seed=3)
     serial = _route(pdk, clock_net, 1, dme=dme)
     parallel = _route(pdk, clock_net, workers, dme=dme)
@@ -92,8 +92,8 @@ def test_parallel_route_design_bit_equal(pdk, dme, workers):
 
 
 def test_parallel_route_rebuilds_clustering_on_original_sinks(pdk):
-    """The merged clustering references the caller's sink objects, not the
-    worker-process copies, in the serial low-cluster order."""
+    """At ``workers > 1`` the clustering still references the caller's sink
+    objects, never process-boundary copies, in the serial low-cluster order."""
     clock_net = make_random_clock_net(count=140, extent=320.0, seed=3)
     serial = _route(pdk, clock_net, 1)
     parallel = _route(pdk, clock_net, 4)
@@ -109,11 +109,20 @@ def test_parallel_route_rebuilds_clustering_on_original_sinks(pdk):
 
 
 def test_single_high_cluster_falls_back_to_serial(pdk):
-    """One high cluster has nothing to fan out; the result stays identical."""
+    """A net too small for two DP subtrees has nothing to fan out: the flow
+    at ``workers=4`` ships no pool task and stays identical to serial."""
     clock_net = make_random_clock_net(count=30, extent=60.0, seed=1)
-    serial = _route(pdk, clock_net, 1)
-    parallel = _route(pdk, clock_net, 4)
-    assert_designs_bit_equal(serial.design, parallel.design)
+    assert_designs_bit_equal(
+        _route(pdk, clock_net, 1).design, _route(pdk, clock_net, 4).design
+    )
+    combo = {"dme": "vectorized", "dp": "vectorized", "timing": "vectorized"}
+    serial = run_flow(pdk, clock_net, combo)
+    parallel = run_flow(pdk, clock_net, combo, workers=4)
+    assert parallel.parallel_tasks == 0
+    assert parallel.parallel_diagnostics == []
+    assert clock_tree_fingerprint(serial.tree) == clock_tree_fingerprint(
+        parallel.tree
+    )
 
 
 # ---------------------------------------------------------------- flow matrix
@@ -121,9 +130,13 @@ def test_single_high_cluster_falls_back_to_serial(pdk):
     "combo", backend_matrix(("dme", "dp", "timing")), ids=backend_id
 )
 def test_flow_matrix_parallel_matches_serial(pdk, combo):
-    clock_net = make_random_clock_net(count=60, extent=150.0, seed=2)
+    clock_net = make_pool_net()
     serial = run_flow(pdk, clock_net, combo)
     parallel = run_flow(pdk, clock_net, combo, workers=2)
+    if combo["dp"] == "vectorized":
+        assert parallel.parallel_tasks >= 2
+    else:
+        assert parallel.parallel_tasks == 0, "the reference DP has no pool path"
     assert clock_tree_fingerprint(serial.tree) == clock_tree_fingerprint(
         parallel.tree
     )
@@ -136,9 +149,10 @@ def test_flow_matrix_parallel_matches_serial(pdk, combo):
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_flow_worker_counts_identical(pdk, workers):
     combo = {"dme": "vectorized", "dp": "vectorized", "timing": "vectorized"}
-    clock_net = make_random_clock_net(count=140, extent=320.0, seed=3)
+    clock_net = make_pool_net()
     serial = run_flow(pdk, clock_net, combo)
     parallel = run_flow(pdk, clock_net, combo, workers=workers)
+    assert parallel.parallel_tasks >= 2
     assert clock_tree_fingerprint(serial.tree) == clock_tree_fingerprint(
         parallel.tree
     )
@@ -146,16 +160,28 @@ def test_flow_worker_counts_identical(pdk, workers):
 
 
 def test_corner_aware_flow_parallel_matches_serial(pdk):
-    clock_net = make_random_clock_net(count=140, extent=320.0, seed=3)
+    clock_net = make_pool_net()
     serial = run_flow(pdk, clock_net, {"dp": "vectorized"}, corners="ss,ff")
     parallel = run_flow(
         pdk, clock_net, {"dp": "vectorized"}, corners="ss,ff", workers=4
     )
+    assert parallel.parallel_tasks >= 2
     assert clock_tree_fingerprint(serial.tree) == clock_tree_fingerprint(
         parallel.tree
     )
     assert serial.metrics.corner_skews == parallel.metrics.corner_skews
     assert serial.metrics.corner_latencies == parallel.metrics.corner_latencies
+
+
+def test_flow_parallel_tasks_count_insertion_subtrees(pdk):
+    """Routing ships nothing, so the flow's task count is exactly the
+    number of bottom subtrees the insertion DP partitions off."""
+    clock_net = make_pool_net()
+    combo = {"dme": "vectorized", "dp": "vectorized", "timing": "vectorized"}
+    dp_tree = build_dp_tree(_route(pdk, clock_net).design, pdk)
+    subtrees = VectorizedInsertionDp._partition_dp_subtrees(dp_tree, 2)
+    assert len(subtrees) >= 2
+    assert run_flow(pdk, clock_net, combo, workers=2).parallel_tasks == len(subtrees)
 
 
 # ------------------------------------------------------------- DP subtrees
@@ -164,7 +190,7 @@ def test_dp_subtree_parallel_bit_equal(pdk):
     (guarding the test against silently running serial) and reproduce every
     frontier array bit-for-bit."""
     clock_net = make_random_clock_net(count=300, extent=600.0, seed=5)
-    routed = _route(pdk, clock_net, 1)
+    routed = _route(pdk, clock_net)
     dp_tree = build_dp_tree(routed.design, pdk)
     subtrees = VectorizedInsertionDp._partition_dp_subtrees(dp_tree, 4)
     assert len(subtrees) >= 2
@@ -189,9 +215,26 @@ def test_dp_subtree_parallel_bit_equal(pdk):
         ), name
 
 
+def test_dp_below_two_subtrees_runs_serial(pdk):
+    """With fewer than two subtrees of the target size the DP ships nothing
+    and evaluates every node inline, frontier for frontier as ``workers=1``."""
+    clock_net = make_random_clock_net(count=30, extent=60.0, seed=1)
+    dp_tree = build_dp_tree(_route(pdk, clock_net).design, pdk)
+    assert len(VectorizedInsertionDp._partition_dp_subtrees(dp_tree, 4)) < 2
+    serial_frontiers, serial_root = VectorizedInsertionDp(
+        pdk, InsertionConfig(), [pdk]
+    ).run(dp_tree)
+    dp = VectorizedInsertionDp(pdk, InsertionConfig(), [pdk])
+    frontiers, root = dp.run(dp_tree, workers=4)
+    assert dp.parallel_tasks == 0
+    assert set(frontiers) == set(serial_frontiers)
+    for name in FRONTIER_FIELDS:
+        assert np.array_equal(getattr(serial_root, name), getattr(root, name)), name
+
+
 def test_dp_subtree_tables_roundtrip(pdk):
     clock_net = make_random_clock_net(count=140, extent=320.0, seed=3)
-    routed = _route(pdk, clock_net, 1)
+    routed = _route(pdk, clock_net)
     dp_tree = build_dp_tree(routed.design, pdk)
     tables = VectorizedInsertionDp._subtree_tables(dp_tree.nodes)
     rebuilt = VectorizedInsertionDp._nodes_from_tables(tables)
@@ -214,7 +257,7 @@ def test_concurrent_inserter_workers_identical_tree(pdk):
     clock_net = make_random_clock_net(count=300, extent=600.0, seed=5)
     trees = []
     for workers in (1, 4):
-        routed = _route(pdk, clock_net, 1)
+        routed = _route(pdk, clock_net)
         inserter = ConcurrentInserter(
             pdk,
             InsertionConfig(),
@@ -225,54 +268,6 @@ def test_concurrent_inserter_workers_identical_tree(pdk):
         inserter.run(routed.design)
         trees.append(routed.design.to_clock_tree())
     assert clock_tree_fingerprint(trees[0]) == clock_tree_fingerprint(trees[1])
-
-
-# --------------------------------------------------------------- graft/probe
-def test_graft_rejects_duplicate_and_miscounted_names():
-    main = DesignArrays(name="main")
-    root = main.add_root("clkroot", 0.0, 0.0)
-    shard = DesignArrays(name="region_0")
-    shard.add_root("__region__", 1.0, 1.0)
-    shard.add_child(0, "st_1", 2, 1.0, 2.0)
-    with pytest.raises(ValueError, match="needs 1 names"):
-        main.graft(shard, root, [])
-    with pytest.raises(ValueError, match="duplicate node name"):
-        main.graft(shard, root, ["clkroot"])
-    shard.add_child(0, "st_2", 2, 2.0, 2.0)
-    with pytest.raises(ValueError, match="duplicate node name"):
-        main.graft(shard, root, ["dup", "dup"])
-
-
-def test_graft_rejects_tombstoned_shard():
-    main = DesignArrays(name="main")
-    root = main.add_root("clkroot", 0.0, 0.0)
-    shard = DesignArrays(name="region_0")
-    shard.add_root("__region__", 1.0, 1.0)
-    row = shard.add_child(0, "st_1", 2, 1.0, 2.0)
-    shard.add_child(row, "st_2", 2, 1.0, 3.0)
-    shard.detach_subtree(row)
-    with pytest.raises(ValueError, match="tombstoned"):
-        main.graft(shard, root, ["a", "b"])
-
-
-def test_probe_region_shard_flags_sink_mismatch():
-    shard = DesignArrays(name="region_0")
-    shard.add_root("__region__", 0.0, 0.0)
-    tap = shard.add_child(0, "tap_0", KIND_TAP, 0.0, 0.0)
-    shard.add_child(tap, "s0", KIND_SINK, 1.0, 0.0, capacitance=1.0)
-    region = _RegionShard(
-        high_index=0,
-        shard=shard,
-        low_members=[[0]],
-        low_centroids=[(0.0, 0.0)],
-        root_x=0.0,
-        root_y=0.0,
-        root_capacitance=1.0,
-        root_delay=0.0,
-    )
-    _probe_region_shard(region, expected_sinks=1)
-    with pytest.raises(ConnectivityError, match="covers 1 sinks, expected 2"):
-        _probe_region_shard(region, expected_sinks=2)
 
 
 # ------------------------------------------------------------- workers knob

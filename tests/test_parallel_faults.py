@@ -6,8 +6,8 @@ recomputed, first by retrying on the pool, finally inline on the main
 process (degrade-to-serial).  These tests drive the injector matrix of
 :mod:`repro.guard.faults` (crash, hang-past-timeout, corrupt result,
 crash-on-pickle, exit-mid-task, broken pool) through every pool consumer
-(routing shards, DP subtrees, the DSE sweep, the benchmark flow cache)
-under every policy (retry, degrade, strict) and assert:
+(DP subtrees, the DSE sweep, the benchmark flow cache) under every policy
+(retry, degrade, strict) and assert:
 
 * recovery is byte-identical to an all-serial run,
 * :class:`~repro.parallel.ParallelDiagnostic` rows record stage, task,
@@ -18,6 +18,11 @@ under every policy (retry, degrade, strict) and assert:
 
 from __future__ import annotations
 
+import socket
+import time
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import forkserver
+
 import numpy as np
 import pytest
 
@@ -26,6 +31,7 @@ from repro.guard.faults import (
     WORKER_FAULTS_ENV_VAR,
     WorkerFault,
     arm_worker_faults,
+    break_pool,
     parse_worker_faults,
 )
 from repro.insertion.concurrent import InsertionConfig
@@ -47,7 +53,7 @@ from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech.pdk import asap7_backside
 from tests.conftest import make_random_clock_net
 from tests.harness import clock_tree_fingerprint, run_flow
-from tests.test_parallel_construction import FRONTIER_FIELDS, assert_designs_bit_equal
+from tests.test_parallel_construction import FRONTIER_FIELDS, make_pool_net
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -69,24 +75,11 @@ def pdk():
 
 
 @pytest.fixture(scope="module")
-def multi_region_net():
-    return make_random_clock_net(count=140, extent=320.0, seed=3)
+def pool_net():
+    return make_pool_net()
 
 
-def _route(pdk, clock_net, workers, policy=None):
-    config = CtsConfig(
-        high_cluster_size=40,
-        low_cluster_size=6,
-        seed=7,
-        workers=workers,
-        parallel_policy=policy,
-    )
-    return HierarchicalClockRouter(pdk, config=config).route_design(clock_net)
-
-
-@pytest.fixture(scope="module")
-def serial_routing(pdk, multi_region_net):
-    return _route(pdk, multi_region_net, 1)
+VECTORIZED = {"dme": "vectorized", "dp": "vectorized", "timing": "vectorized"}
 
 
 # Module-level so pool workers can resolve them by reference.
@@ -211,6 +204,16 @@ class TestSharedPoolLifecycle:
         shutdown_pool()
         assert run_tasks("teststage", _double, [1, 2, 3], 2, policy=RETRY) == [2, 4, 6]
 
+    def test_shutdown_terminates_busy_workers(self):
+        pool = shared_pool(2)
+        for _ in range(2):
+            pool.submit(time.sleep, 30)
+        workers = list(pool._processes.values())
+        shutdown_pool()
+        for worker in workers:
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+
     def test_shutdown_idempotent(self):
         shutdown_pool()
         shutdown_pool()
@@ -326,6 +329,30 @@ class TestRunTasks:
         assert excinfo.value.attempts == 2
         assert "injected worker crash" in excinfo.value.cause
 
+    def test_spawns_only_through_a_live_fork_server(self):
+        """A client that connects and leaves without sending fds kills the
+        fork server, and spawns made while it dies are refused.  The strict
+        error must still name the injected crash, not the refused spawn."""
+        assert run_tasks("teststage", _double, [1, 2], 2, policy=RETRY) == [2, 4]
+        with socket.socket(socket.AF_UNIX) as client:
+            client.connect(forkserver._forkserver._forkserver_address)
+        shutdown_pool()
+        fault = WorkerFault(stage="teststage", kind="crash", fail_attempts=99)
+        with arm_worker_faults(fault):
+            with pytest.raises(ParallelError) as excinfo:
+                run_tasks("teststage", _double, [1, 2], 2, policy=STRICT)
+        assert "injected worker crash" in excinfo.value.cause
+        assert run_tasks("teststage", _double, [1, 2], 2, policy=STRICT) == [2, 4]
+
+    def test_break_pool_fails_the_next_submit_fast(self):
+        # A submit racing the executor's teardown would spawn a worker the
+        # executor no longer tracks, and could kill the fork server.
+        pool = shared_pool(2)
+        break_pool(pool)
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(_double, 1)
+        shutdown_pool()
+
     def test_task_index_targets_one_task(self):
         sink: list = []
         fault = WorkerFault(
@@ -384,7 +411,7 @@ class TestRunTasks:
 
     def test_faults_of_other_stages_do_not_fire(self):
         sink: list = []
-        with arm_worker_faults(WorkerFault(stage="routing", fail_attempts=99)):
+        with arm_worker_faults(WorkerFault(stage="insertion", fail_attempts=99)):
             results = run_tasks(
                 "teststage", _double, [1, 2], 2, policy=RETRY, diagnostics=sink
             )
@@ -401,10 +428,10 @@ class TestWorkerFaultSpec:
             WorkerFault(fail_attempts=0)
 
     def test_parse_specs(self):
-        faults = parse_worker_faults("*:crash:1, routing:corrupt:99:2")
+        faults = parse_worker_faults("*:crash:1, insertion:corrupt:99:2")
         assert faults[0] == WorkerFault(stage="*", kind="crash", fail_attempts=1)
         assert faults[1] == WorkerFault(
-            stage="routing", kind="corrupt", fail_attempts=99, task_index=2
+            stage="insertion", kind="corrupt", fail_attempts=99, task_index=2
         )
         assert parse_worker_faults("a:hang;b:exit") == (
             WorkerFault(stage="a", kind="hang"),
@@ -418,76 +445,14 @@ class TestWorkerFaultSpec:
             parse_worker_faults(spec)
 
     def test_fires_matrix(self):
-        fault = WorkerFault(stage="routing", kind="crash", fail_attempts=2)
-        assert fault.fires("routing", 0, 1)
-        assert fault.fires("routing", 5, 2)
-        assert not fault.fires("routing", 0, 3)
-        assert not fault.fires("insertion", 0, 1)
+        fault = WorkerFault(stage="insertion", kind="crash", fail_attempts=2)
+        assert fault.fires("insertion", 0, 1)
+        assert fault.fires("insertion", 5, 2)
+        assert not fault.fires("insertion", 0, 3)
+        assert not fault.fires("dse", 0, 1)
         anywhere = WorkerFault(stage="*", kind="crash", task_index=3)
         assert anywhere.fires("dse", 3, 1)
         assert not anywhere.fires("dse", 2, 1)
-
-
-# ------------------------------------------------------------ routing shards
-class TestRoutingFaults:
-    @pytest.mark.parametrize("kind", ["crash", "corrupt", "unpicklable", "exit"])
-    def test_retry_bit_identical(self, pdk, multi_region_net, serial_routing, kind):
-        diagnostics_seen: list = []
-        fault = WorkerFault(stage="routing", kind=kind, fail_attempts=1)
-        with arm_worker_faults(fault):
-            routed = _route(pdk, multi_region_net, 4, policy=RETRY)
-        assert_designs_bit_equal(serial_routing.design, routed.design)
-        assert routed.parallel_tasks >= 2
-        diagnostics_seen = routed.parallel_diagnostics
-        assert diagnostics_seen
-        for diag in diagnostics_seen:
-            assert diag.stage == "routing"
-            assert diag.task.startswith("region ")
-            assert diag.action == "retried"
-            assert diag.attempts == 2
-
-    @pytest.mark.parametrize("kind", ["crash", "corrupt"])
-    def test_degrade_bit_identical(self, pdk, multi_region_net, serial_routing, kind):
-        fault = WorkerFault(stage="routing", kind=kind, fail_attempts=99)
-        with arm_worker_faults(fault):
-            routed = _route(pdk, multi_region_net, 4, policy=DEGRADE)
-        assert_designs_bit_equal(serial_routing.design, routed.design)
-        assert routed.tap_names == serial_routing.tap_names
-        assert routed.trunk_wirelength == serial_routing.trunk_wirelength
-        assert routed.parallel_diagnostics
-        for diag in routed.parallel_diagnostics:
-            assert diag.action == "degraded-to-serial"
-            assert diag.attempts == 2
-            assert diag.cause
-
-    def test_hang_recovers_bit_identical(self, pdk, multi_region_net, serial_routing):
-        policy = ParallelPolicy(attempts=2, timeout_s=0.75, backoff_s=0.0)
-        fault = WorkerFault(
-            stage="routing", kind="hang", fail_attempts=1, hang_s=2.5
-        )
-        with arm_worker_faults(fault):
-            routed = _route(pdk, multi_region_net, 4, policy=policy)
-        assert_designs_bit_equal(serial_routing.design, routed.design)
-        assert all(
-            "TimeoutError" in d.cause for d in routed.parallel_diagnostics
-        )
-
-    def test_strict_raises(self, pdk, multi_region_net):
-        fault = WorkerFault(stage="routing", kind="crash", fail_attempts=99)
-        with arm_worker_faults(fault):
-            with pytest.raises(ParallelError) as excinfo:
-                _route(pdk, multi_region_net, 4, policy=STRICT)
-        assert excinfo.value.stage == "routing"
-        assert excinfo.value.task.startswith("region ")
-        assert "injected worker crash" in excinfo.value.cause
-
-    def test_corrupt_serial_run_unaffected(self, pdk, multi_region_net, serial_routing):
-        # workers=1 never goes near the pool, so armed faults must not fire.
-        fault = WorkerFault(stage="routing", kind="crash", fail_attempts=99)
-        with arm_worker_faults(fault):
-            routed = _route(pdk, multi_region_net, 1)
-        assert_designs_bit_equal(serial_routing.design, routed.design)
-        assert routed.parallel_diagnostics == []
 
 
 # -------------------------------------------------------------- DP subtrees
@@ -495,7 +460,8 @@ class TestInsertionFaults:
     @pytest.fixture(scope="class")
     def dp_setup(self, pdk):
         clock_net = make_random_clock_net(count=300, extent=600.0, seed=5)
-        routed = _route(pdk, clock_net, 1)
+        config = CtsConfig(high_cluster_size=40, low_cluster_size=6, seed=7)
+        routed = HierarchicalClockRouter(pdk, config=config).route_design(clock_net)
         dp_tree = build_dp_tree(routed.design, pdk)
         serial_dp = VectorizedInsertionDp(pdk, InsertionConfig(), [pdk])
         serial_frontiers, serial_root = serial_dp.run(dp_tree)
@@ -512,31 +478,49 @@ class TestInsertionFaults:
         for name in FRONTIER_FIELDS:
             assert np.array_equal(getattr(a_root, name), getattr(b_root, name)), name
 
-    @pytest.mark.parametrize(
-        "kind,fail_attempts,action",
-        [
-            ("crash", 1, "retried"),
-            ("corrupt", 1, "retried"),
-            ("corrupt", 99, "degraded-to-serial"),
-        ],
-    )
-    def test_faults_recover_bit_identical(self, pdk, dp_setup, kind, fail_attempts, action):
+    def _run_faulted(self, pdk, dp_setup, fault, policy, workers=4):
         dp_tree, serial_frontiers, serial_root = dp_setup
         dp = VectorizedInsertionDp(pdk, InsertionConfig(), [pdk])
-        fault = WorkerFault(
-            stage="insertion", kind=kind, fail_attempts=fail_attempts
-        )
         with arm_worker_faults(fault):
-            frontiers, root = dp.run(dp_tree, workers=4, parallel_policy=DEGRADE)
-        self._assert_frontiers_equal(
-            serial_frontiers, serial_root, frontiers, root
-        )
+            frontiers, root = dp.run(dp_tree, workers=workers, parallel_policy=policy)
+        self._assert_frontiers_equal(serial_frontiers, serial_root, frontiers, root)
+        return dp
+
+    @pytest.mark.parametrize(
+        "kind", ["crash", "corrupt", "unpicklable", "exit", "broken_pool"]
+    )
+    def test_retry_bit_identical(self, pdk, dp_setup, kind):
+        fault = WorkerFault(stage="insertion", kind=kind, fail_attempts=1)
+        dp = self._run_faulted(pdk, dp_setup, fault, RETRY)
         assert dp.parallel_tasks >= 2
         assert dp.parallel_diagnostics
         for diag in dp.parallel_diagnostics:
             assert diag.stage == "insertion"
             assert diag.task.startswith("subtree ")
-            assert diag.action == action
+            assert diag.action == "retried"
+            assert diag.attempts == 2
+
+    @pytest.mark.parametrize(
+        "kind", ["crash", "corrupt", "unpicklable", "exit", "broken_pool"]
+    )
+    def test_degrade_bit_identical(self, pdk, dp_setup, kind):
+        fault = WorkerFault(stage="insertion", kind=kind, fail_attempts=99)
+        dp = self._run_faulted(pdk, dp_setup, fault, DEGRADE)
+        assert len(dp.parallel_diagnostics) == dp.parallel_tasks >= 2
+        for diag in dp.parallel_diagnostics:
+            assert diag.task.startswith("subtree ")
+            assert diag.action == "degraded-to-serial"
+            assert diag.attempts == 2
+            assert diag.cause
+
+    def test_hang_recovers_bit_identical(self, pdk, dp_setup):
+        policy = ParallelPolicy(attempts=2, timeout_s=0.75, backoff_s=0.0)
+        fault = WorkerFault(
+            stage="insertion", kind="hang", fail_attempts=1, hang_s=2.5
+        )
+        dp = self._run_faulted(pdk, dp_setup, fault, policy)
+        assert dp.parallel_diagnostics
+        assert all("TimeoutError" in d.cause for d in dp.parallel_diagnostics)
 
     def test_strict_raises(self, pdk, dp_setup):
         dp_tree, _, _ = dp_setup
@@ -546,40 +530,50 @@ class TestInsertionFaults:
             with pytest.raises(ParallelError) as excinfo:
                 dp.run(dp_tree, workers=4, parallel_policy=STRICT)
         assert excinfo.value.stage == "insertion"
+        assert excinfo.value.task.startswith("subtree ")
+        assert "injected worker crash" in excinfo.value.cause
+
+    def test_serial_run_unaffected(self, pdk, dp_setup):
+        # workers=1 never goes near the pool, so armed faults must not fire.
+        fault = WorkerFault(stage="insertion", kind="crash", fail_attempts=99)
+        dp = self._run_faulted(pdk, dp_setup, fault, STRICT, workers=1)
+        assert dp.parallel_tasks == 0
+        assert dp.parallel_diagnostics == []
 
 
 # --------------------------------------------------------------- environment
 class TestEnvArmedFaults:
-    def test_env_spec_recovers_routing(
-        self, pdk, multi_region_net, serial_routing, monkeypatch
-    ):
+    def test_env_spec_recovers_insertion(self, pdk, pool_net, monkeypatch):
         # The CI faults matrix job sets exactly this: every first pool
         # attempt crashes, the default policy's retry recovers everything.
+        serial = run_flow(pdk, pool_net, VECTORIZED, workers=1)
         monkeypatch.setenv(WORKER_FAULTS_ENV_VAR, "*:crash:1")
-        routed = _route(pdk, multi_region_net, 4)
-        assert_designs_bit_equal(serial_routing.design, routed.design)
-        assert routed.parallel_diagnostics
-        assert all(d.action == "retried" for d in routed.parallel_diagnostics)
+        faulted = run_flow(pdk, pool_net, VECTORIZED, workers=2)
+        assert clock_tree_fingerprint(serial.tree) == clock_tree_fingerprint(
+            faulted.tree
+        )
+        assert faulted.parallel_tasks >= 2
+        assert faulted.parallel_diagnostics
+        assert all(d.action == "retried" for d in faulted.parallel_diagnostics)
 
-    def test_env_policy_spec_applies(self, pdk, multi_region_net, monkeypatch):
-        monkeypatch.setenv(WORKER_FAULTS_ENV_VAR, "routing:crash:99")
+    def test_env_policy_spec_applies(self, pdk, pool_net, monkeypatch):
+        monkeypatch.setenv(WORKER_FAULTS_ENV_VAR, "insertion:crash:99")
         monkeypatch.setenv(PARALLEL_POLICY_ENV_VAR, "attempts=1,mode=strict")
         with pytest.raises(ParallelError, match="after 1 attempt"):
-            _route(pdk, multi_region_net, 4)
+            run_flow(pdk, pool_net, VECTORIZED, workers=2)
 
 
 # ----------------------------------------------------------------- the flow
 class TestFlowResult:
-    def test_flow_collects_parallel_diagnostics(self, pdk, multi_region_net):
-        combo = {"dme": "vectorized", "dp": "vectorized", "timing": "vectorized"}
-        serial = run_flow(pdk, multi_region_net, combo, workers=1)
+    def test_flow_collects_parallel_diagnostics(self, pdk, pool_net):
+        serial = run_flow(pdk, pool_net, VECTORIZED, workers=1)
         assert serial.parallel_tasks == 0
         fault = WorkerFault(stage="*", kind="crash", fail_attempts=1)
         with arm_worker_faults(fault):
             faulted = run_flow(
                 pdk,
-                multi_region_net,
-                combo,
+                pool_net,
+                VECTORIZED,
                 workers=2,
                 parallel_policy=RETRY,
             )
@@ -607,11 +601,11 @@ class TestFlowResult:
             runtime=0.0,
             parallel_tasks=5,
             parallel_diagnostics=[
-                ParallelDiagnostic("routing", "region 1", 2, "retried", "X"),
+                ParallelDiagnostic("insertion", "subtree 1", 2, "retried", "X"),
                 ParallelDiagnostic(
                     "insertion", "subtree 0", 2, "degraded-to-serial", "Y"
                 ),
-                ParallelDiagnostic("routing", "region 2", 3, "retried", "Z"),
+                ParallelDiagnostic("insertion", "subtree 2", 3, "retried", "Z"),
             ],
         )
         assert result.parallel_retried == 2

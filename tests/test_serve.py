@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.designs import random_sink_cloud
-from repro.flow.config import CtsConfig
+from repro.flow.config import BackendSelection, CtsConfig
 from repro.serve import (
     CtsServer,
     ProtocolError,
@@ -212,16 +212,18 @@ EDITS = [{"kind": "insert_buffer", "node": "ff_3"}]
 
 
 class TestWhatIf:
-    def test_warm_reply_byte_identical_to_cold(self, pdk, monkeypatch):
+    def test_warm_reply_byte_identical_to_cold(self, pdk):
         """The acceptance pin: warm what_if == cold one-shot, byte for byte.
 
-        workers=2 exercises the parallel tier.
+        The warm session is built at workers=2, where this net's insertion
+        DP ships subtrees to the pool; the cold reply is built serially.
         """
-        monkeypatch.setenv("REPRO_FLOW_WORKERS", "2")
-        net = random_sink_cloud(80, seed=7)
-        session = build_session(pdk, net, CtsConfig())
+        config = CtsConfig(backends=BackendSelection(dp="vectorized"))
+        net = random_sink_cloud(500, seed=7)
+        session = build_session(pdk, net, config.with_updates(workers=2))
+        assert session.run.parallel_tasks >= 2
         warm = session.what_if(EDITS)
-        cold = one_shot_reply(pdk, net, CtsConfig(), edits=EDITS)
+        cold = one_shot_reply(pdk, net, config.with_updates(workers=1), edits=EDITS)
         assert encode_reply(warm) == encode_reply(cold)
 
     def test_what_if_reverts_unless_committed(self, pdk):
