@@ -14,29 +14,20 @@ class ConnectivityError(RuntimeError):
     """Raised when a tree violates the double-side connectivity constraint."""
 
 
-#: Edit-log length beyond which the log is collapsed into a single full
-#: invalidation (shared by ``DesignArrays``, whose log the incremental timer
-#: replays; past this point a fresh compile is cheaper than hundreds of
-#: patches).
-_MAX_EDIT_LOG = 256
-
-
 class ClockTree:
     """A rooted clock tree with helpers for traversal, metrics, and editing.
 
     The tree owns a name counter so that flows can create uniquely named
     buffers, nTSVs, and Steiner points without coordinating with each other.
 
-    Structural edits performed through the tree API (:meth:`insert_on_edge`,
-    :meth:`add_buffer`, :meth:`add_ntsv`) are recorded in a bounded edit log.
-    Its :attr:`version` keys :class:`~repro.timing.VectorizedElmoreEngine`'s
-    cached compile of the tree (any recorded edit recompiles), and the log
-    feeds the guard's edit-log coherence probes (:mod:`repro.guard`).
-    Incremental re-timing runs on :class:`~repro.ir.design.DesignArrays`,
-    whose log has the same shape.  Code that mutates nodes directly
-    (``node.add_child`` / ``node.detach`` / attribute writes) must tell the
-    tree about it with :meth:`mark_rewire` (when the changes are confined to
-    one node's subtree) or :meth:`touch` (arbitrary changes).
+    The tree is a realised view of a :class:`~repro.ir.design.DesignArrays`
+    design (reference timing, DEF export, SVG) or a baseline flow's own
+    working tree.  Its :attr:`version` keys
+    :class:`~repro.timing.VectorizedElmoreEngine`'s cached compile of the
+    tree, so every structural edit bumps it: the tree API
+    (:meth:`insert_on_edge`, :meth:`add_buffer`, :meth:`add_ntsv`) does so
+    itself, and code that mutates nodes directly (``node.add_child`` /
+    ``node.detach`` / attribute writes) must call :meth:`touch`.
     """
 
     def __init__(self, root: ClockTreeNode, name: str = "clk") -> None:
@@ -48,65 +39,16 @@ class ClockTree:
         self.root = root
         self._counter = 0
         self._version = 0
-        self._edits: list[tuple[int, str, ClockTreeNode | None]] = []
-        self._find_cache: dict[str, ClockTreeNode] | None = None
 
-    # ------------------------------------------------------- edit tracking
+    # ------------------------------------------------------------ versioning
     @property
     def version(self) -> int:
-        """Monotonic structural version; bumped by every recorded edit."""
+        """Monotonic structural version; bumped by every structural edit."""
         return self._version
 
-    def _record(self, kind: str, node: ClockTreeNode | None) -> None:
-        self._version += 1
-        self._edits.append((self._version, kind, node))
-        if len(self._edits) > _MAX_EDIT_LOG:
-            # Collapse: consumers past the first entry see "unknown edits".
-            self._edits = [(self._version, "touch", None)]
-
-    def mark_splice(self, node: ClockTreeNode) -> None:
-        """Record that ``node`` was spliced onto the edge above its only child.
-
-        ``node`` must be freshly inserted between its parent and exactly one
-        pre-existing child (the :meth:`insert_on_edge` shape).
-        """
-        self._record("splice", node)
-
-    def mark_rewire(self, node: ClockTreeNode) -> None:
-        """Record that the subtree rooted at ``node`` changed arbitrarily.
-
-        Covers re-parenting, node insertion/removal, and attribute changes
-        (locations, capacitances, wire sides) as long as every affected node
-        lies inside ``node``'s subtree and ``node`` itself stays attached.
-        """
-        self._record("rewire", node)
-
     def touch(self) -> None:
-        """Record an unscoped structural change (forces full re-analysis)."""
-        self._record("touch", None)
-
-    @property
-    def edit_log(self) -> tuple[tuple[int, str, ClockTreeNode | None], ...]:
-        """The recorded ``(version, kind, node)`` edits, oldest first.
-
-        Read-only view for coherence checks (:mod:`repro.guard`); incremental
-        consumers should use :meth:`edits_since` instead.
-        """
-        return tuple(self._edits)
-
-    def edits_since(
-        self, version: int
-    ) -> list[tuple[int, str, ClockTreeNode | None]] | None:
-        """Edits recorded after ``version``, or None when the log was pruned.
-
-        ``None`` means an incremental consumer compiled at ``version`` cannot
-        catch up by replaying patches and must recompile from scratch.
-        """
-        if version == self._version:
-            return []
-        if not self._edits or self._edits[0][0] > version + 1:
-            return None
-        return [edit for edit in self._edits if edit[0] > version]
+        """Record a structural change (the next timing query recompiles)."""
+        self._version += 1
 
     # ------------------------------------------------------------- traversal
     def nodes(self) -> Iterator[ClockTreeNode]:
@@ -141,34 +83,11 @@ class ClockTree:
         return [(n.parent, n) for n in self.nodes() if n.parent is not None]
 
     def find(self, name: str) -> ClockTreeNode:
-        """Find a node by name in O(1) amortised (raises ``KeyError`` when absent).
-
-        A lazily built name index replaces the original O(n) scan.  Because
-        trees can also be edited through node-level operations the tree never
-        sees, every cache hit is verified (name unchanged and node still
-        attached below this root); a stale hit or a miss falls back to one
-        full scan that rebuilds the index.
-        """
-        cache = self._find_cache
-        if cache is not None:
-            node = cache.get(name)
-            if node is not None and node.name == name and self._is_attached(node):
-                return node
-        # Miss or stale entry: rescan once, keeping first-in-preorder
-        # semantics for (pathological) duplicate names.
-        cache = {}
+        """The first node in pre-order named ``name`` (``KeyError`` when absent)."""
         for node in self.nodes():
-            cache.setdefault(node.name, node)
-        self._find_cache = cache
-        if name in cache:
-            return cache[name]
+            if node.name == name:
+                return node
         raise KeyError(f"clock tree {self.name}: no node named {name!r}")
-
-    def _is_attached(self, node: ClockTreeNode) -> bool:
-        """True when walking parent links from ``node`` reaches this root."""
-        while node.parent is not None:
-            node = node.parent
-        return node is self.root
 
     # -------------------------------------------------------------- metrics
     def counts(self) -> tuple[int, int, int, int]:
@@ -264,7 +183,7 @@ class ClockTree:
         child.parent = None
         parent.add_child(node)
         node.add_child(child)
-        self.mark_splice(node)
+        self.touch()
         return node
 
     def add_buffer(
@@ -319,18 +238,17 @@ class ClockTree:
         * a buffer sits on the back side,
         * a sink is not on the front side,
         * the parent/child links are inconsistent or contain a cycle,
-        * two nodes share a name,
-        * the :meth:`find` name index disagrees with the traversal.
+        * two nodes share a name.
         """
         seen: set[int] = set()
-        names: dict[str, ClockTreeNode] = {}
+        names: set[str] = set()
         for node in self.nodes():
             if id(node) in seen:
                 raise ConnectivityError(f"cycle detected at node {node.name!r}")
             seen.add(id(node))
             if node.name in names:
                 raise ConnectivityError(f"duplicate node name {node.name!r}")
-            names[node.name] = node
+            names.add(node.name)
             for child in node.children:
                 if child.parent is not node:
                     raise ConnectivityError(
@@ -341,29 +259,6 @@ class ClockTree:
             if node.is_sink and node.side is not Side.FRONT:
                 raise ConnectivityError(f"sink {node.name!r} is on the back side")
             self._check_side_consistency(node)
-        self._check_find_index(names)
-
-    def _check_find_index(self, names: dict[str, ClockTreeNode]) -> None:
-        """Verify the lazy :meth:`find` cache is coherent with the traversal.
-
-        Entries for renamed or detached nodes are fine — :meth:`find`
-        detects those itself and rescans.  What it cannot detect is an entry
-        whose node still carries the looked-up name and still reaches this
-        root through parent links but is *not* part of the traversal (its
-        parent does not list it as a child): :meth:`find` would keep serving
-        a node the tree does not contain.
-        """
-        cache = self._find_cache
-        if cache is None:
-            return
-        for key, cached in cache.items():
-            if cached.name != key or names.get(key) is cached:
-                continue
-            if self._is_attached(cached):
-                raise ConnectivityError(
-                    f"find() index incoherent: entry {key!r} resolves to a "
-                    "node the traversal does not reach"
-                )
 
     def _check_side_consistency(self, node: ClockTreeNode) -> None:
         """Verify every wire touching ``node`` is compatible with its side."""
@@ -428,8 +323,8 @@ class ClockTree:
         Default pickling recurses through the parent/child links and blows
         the recursion limit on deep (chained) trees; the flat form keeps
         process-pool transport (e.g. the parallel DSE grid) depth-safe.  The
-        edit log and caches are deliberately dropped: the unpickled tree is
-        a fresh structural copy, exactly like :meth:`copy`.
+        version is deliberately dropped: the unpickled tree is a fresh
+        structural copy, exactly like :meth:`copy`.
         """
         index: dict[int, int] = {}
         rows = []

@@ -173,12 +173,7 @@ def evaluate_tree(
             corner_latencies[name] = result.latency
     front_wl = tree.wirelength(Side.FRONT)
     back_wl = tree.wirelength(Side.BACK)
-    if isinstance(tree, DesignArrays):
-        _nodes, sinks, buffers, ntsvs = tree.counts()
-    else:
-        sinks = tree.sink_count()
-        buffers = tree.buffer_count()
-        ntsvs = tree.ntsv_count()
+    _nodes, sinks, buffers, ntsvs = tree.counts()
     return ClockTreeMetrics(
         design=design,
         flow=flow,

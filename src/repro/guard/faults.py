@@ -2,12 +2,12 @@
 
 The guard's value rests on a falsifiable claim: *every* anomaly class it
 advertises is actually detected, and the degrade path actually recovers.
-The injectors here corrupt a clock tree the way a buggy kernel would —
-NaN escaping into a :class:`~repro.ir.design.DesignArrays` column,
-a silently dropped sink subtree, a lost edit-log entry, an off-side wire
-(the observable effect of a DME backend returning a node on the wrong
-side), a duplicated node name — so the test suite can run the full flow
-with a fault armed at a chosen stage and assert:
+The injectors here corrupt a :class:`~repro.ir.design.DesignArrays` the way
+a buggy kernel would — NaN escaping into a column, a silently dropped sink
+subtree, a lost edit-log entry, an off-side wire (the observable effect of
+a DME backend returning a node on the wrong side), a duplicated node name —
+so the test suite can run the full flow with a fault armed at a chosen
+stage and assert:
 
 * ``strict`` raises :class:`~repro.guard.GuardError` naming that stage,
 * ``degrade`` completes with a recorded diagnostic and a final tree
@@ -44,31 +44,23 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.clocktree.node import NodeKind
-from repro.clocktree.tree import ClockTree
-from repro.geometry import Point
 from repro.ir.design import KIND_NTSV, KIND_STEINER, KIND_TAP, DesignArrays
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flow.config import CtsConfig
 
-#: Either tree form a fault may be asked to corrupt.
-FlowState = ClockTree | DesignArrays
-
 
 @dataclass(frozen=True)
 class StageFault:
-    """Corrupt the tree right after the flow stage named ``stage``.
+    """Corrupt the design right after the flow stage named ``stage``.
 
     ``stage`` is one of the guarded stage names (``"routing"``,
     ``"insertion"``, ``"refinement"``); ``inject`` is a module-level callable
-    taking the live :class:`ClockTree` or :class:`DesignArrays`.  Every
-    injector here handles both forms: the flow stages hand it their
-    :class:`DesignArrays`, and the probe tests corrupt object trees directly.
+    taking the stage's live :class:`DesignArrays`.
     """
 
     stage: str
-    inject: Callable[[FlowState], None]
+    inject: Callable[[DesignArrays], None]
 
     @property
     def name(self) -> str:
@@ -76,111 +68,82 @@ class StageFault:
 
 
 def apply_faults(
-    faults: Iterable[StageFault], stage: str, tree: FlowState
+    faults: Iterable[StageFault], stage: str, design: DesignArrays
 ) -> None:
-    """Apply every fault registered for ``stage`` to ``tree``."""
+    """Apply every fault registered for ``stage`` to ``design``."""
     for fault in faults:
         if fault.stage == stage:
-            fault.inject(tree)
+            fault.inject(design)
 
 
 # ---------------------------------------------------------------- injectors
-def poke_nan_capacitance(tree: FlowState) -> None:
+def poke_nan_capacitance(design: DesignArrays) -> None:
     """NaN escaping a numpy kernel into a pin capacitance (``cap`` column)."""
-    if isinstance(tree, DesignArrays):
-        tree.cap[int(tree.sink_rows()[0])] = float("nan")
-    else:
-        tree.sinks()[0].capacitance = float("nan")
-    tree.touch()
+    design.cap[int(design.sink_rows()[0])] = float("nan")
+    design.touch()
 
 
-def poke_nan_location(tree: FlowState) -> None:
+def poke_nan_location(design: DesignArrays) -> None:
     """NaN coordinates on a node (poisons the ``edge_length`` column)."""
-    if isinstance(tree, DesignArrays):
-        row = int(tree.sink_rows()[-1])
-        tree.x[row] = tree.y[row] = float("nan")
-        tree.edge_length[row] = tree._edge(row, int(tree.parent_row[row]))
-    else:
-        tree.sinks()[-1].location = Point(float("nan"), float("nan"))
-    tree.touch()
+    row = int(design.sink_rows()[-1])
+    design.x[row] = design.y[row] = float("nan")
+    design.edge_length[row] = design._edge(row, int(design.parent_row[row]))
+    design.touch()
 
 
-def poke_negative_capacitance(tree: FlowState) -> None:
+def poke_negative_capacitance(design: DesignArrays) -> None:
     """A negative capacitance (an underflowing subtraction in a kernel)."""
-    if isinstance(tree, DesignArrays):
-        tree.cap[int(tree.sink_rows()[0])] = -1.0
-    else:
-        tree.sinks()[0].capacitance = -1.0
-    tree.touch()
+    design.cap[int(design.sink_rows()[0])] = -1.0
+    design.touch()
 
 
-def drop_sink(tree: FlowState) -> None:
+def drop_sink(design: DesignArrays) -> None:
     """Silently lose one sink subtree (the PR-5 silent-sink-drop bug class)."""
-    if isinstance(tree, DesignArrays):
-        tree.detach_subtree(int(tree.sink_rows()[0]))
-    else:
-        tree.sinks()[0].detach()
-    tree.touch()
+    design.detach_subtree(int(design.sink_rows()[0]))
+    design.touch()
 
 
-def flip_wire_side(tree: FlowState) -> None:
+def flip_wire_side(design: DesignArrays) -> None:
     """Move one wire to the opposite die side without an nTSV.
 
     This is the observable effect of a routing backend returning an
     off-side node: a non-nTSV vertex now touches wires on both sides,
     violating the paper's shared-vertex side constraint.
     """
-    if isinstance(tree, DesignArrays):
-        for row in tree.rows_preorder():
-            parent = int(tree.parent_row[row])
-            if parent < 0:
-                continue
-            if tree.kind[row] == KIND_NTSV or tree.kind[parent] == KIND_NTSV:
-                continue
-            tree.wire_front[row] = not tree.wire_front[row]
-            tree.touch()
-            return
-        raise AssertionError("no flippable wire found")  # pragma: no cover
-    for node in tree.nodes():
-        if node.parent is None or node.is_ntsv or node.parent.is_ntsv:
+    for row in design.rows_preorder():
+        parent = int(design.parent_row[row])
+        if parent < 0:
             continue
-        node.wire_side = node.wire_side.opposite
-        tree.touch()
+        if design.kind[row] == KIND_NTSV or design.kind[parent] == KIND_NTSV:
+            continue
+        design.wire_front[row] = not design.wire_front[row]
+        design.touch()
         return
     raise AssertionError("no flippable wire found")  # pragma: no cover
 
 
-def duplicate_node_name(tree: FlowState) -> None:
+def duplicate_node_name(design: DesignArrays) -> None:
     """Give an internal node the name of an existing sink."""
-    if isinstance(tree, DesignArrays):
-        sink_name = tree.names[int(tree.sink_rows()[0])]
-        for row in tree.rows_preorder():
-            if tree.kind[row] in (KIND_STEINER, KIND_TAP):
-                # Bypass rename(): the simulated bug corrupts the name
-                # column without maintaining the lookup index.
-                tree.names[row] = sink_name
-                tree.touch()
-                return
-        raise AssertionError("no internal node to rename")  # pragma: no cover
-    sink_name = tree.sinks()[0].name
-    for node in tree.nodes():
-        if node.kind in (NodeKind.STEINER, NodeKind.TAP):
-            node.name = sink_name
-            tree.touch()
+    sink_name = design.names[int(design.sink_rows()[0])]
+    for row in design.rows_preorder():
+        if design.kind[row] in (KIND_STEINER, KIND_TAP):
+            # Bypass rename(): the simulated bug corrupts the name column
+            # without maintaining the lookup index.
+            design.names[row] = sink_name
+            design.touch()
             return
     raise AssertionError("no internal node to rename")  # pragma: no cover
 
 
-def drop_edit_log_entry(tree: FlowState) -> None:
+def drop_edit_log_entry(design: DesignArrays) -> None:
     """Lose one recorded edit (incremental timers would silently desync).
 
     Reaches into the private log on purpose: that is the corruption being
-    simulated.  The tree structure is untouched; only the log lies.  Both
-    representations keep the same private log shape.
+    simulated.  The design structure is untouched; only the log lies.
     """
-    if not tree._edits:
-        tree.touch()
-    del tree._edits[-1]
+    if not design._edits:
+        design.touch()
+    del design._edits[-1]
 
 
 # ------------------------------------------------------------ worker faults

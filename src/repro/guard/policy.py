@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.clocktree import ClockTree
     from repro.guard.faults import StageFault
     from repro.ir.design import DesignArrays
     from repro.netlist.clock import ClockNet
@@ -162,32 +161,33 @@ class StageGuard:
 
         validate_flow_inputs(self.clock_net, pdk, corners=corners)
 
-    def inject(self, stage: str, tree: "ClockTree | DesignArrays") -> None:
+    def inject(self, stage: str, design: "DesignArrays") -> None:
         """Apply the injected faults registered for ``stage`` (all policies)."""
         if not self.faults:
             return
         from repro.guard.faults import apply_faults
 
-        apply_faults(self.faults, stage, tree)
+        apply_faults(self.faults, stage, design)
 
     def check(
         self,
         stage: str,
-        tree: "ClockTree | DesignArrays | None",
+        design: "DesignArrays | None",
         extra: Callable[[], str | None] | None = None,
     ) -> bool:
         """Check the stage output; True when the stage must be degraded.
 
         ``extra`` supplies a stage-specific anomaly probe (timing results,
-        metrics) evaluated after the shared tree checks; pass ``tree=None``
-        for result-only stages (evaluation does not mutate the tree, so
-        re-probing it there would just duplicate the refinement check).
+        metrics) evaluated after the shared design checks; pass
+        ``design=None`` for result-only stages (evaluation does not mutate
+        the design, so re-probing it there would just duplicate the
+        refinement check).
         Under ``strict`` an anomaly raises :class:`GuardError` instead of
         returning.
         """
         if not self.active:
             return False
-        anomaly = self._anomaly(tree, extra)
+        anomaly = self._anomaly(design, extra)
         if anomaly is None:
             return False
         if not self.degrading:
@@ -198,7 +198,7 @@ class StageGuard:
     def confirm(
         self,
         stage: str,
-        tree: "ClockTree | DesignArrays | None",
+        design: "DesignArrays | None",
         extra: Callable[[], str | None] | None = None,
         backend: str = "reference",
     ) -> None:
@@ -207,7 +207,7 @@ class StageGuard:
         An anomaly that survives the reference backend is not a kernel bug
         the degrade path can route around — it raises even under ``degrade``.
         """
-        anomaly = self._anomaly(tree, extra)
+        anomaly = self._anomaly(design, extra)
         if anomaly is not None:
             raise GuardError(
                 stage,
@@ -227,12 +227,12 @@ class StageGuard:
 
     def _anomaly(
         self,
-        tree: "ClockTree | DesignArrays | None",
+        design: "DesignArrays | None",
         extra: Callable[[], str | None] | None,
     ) -> str | None:
         from repro.guard.validation import stage_anomaly
 
-        anomaly = stage_anomaly(tree, self.clock_net) if tree is not None else None
+        anomaly = stage_anomaly(design, self.clock_net) if design is not None else None
         if anomaly is None and extra is not None:
             anomaly = extra()
         return anomaly

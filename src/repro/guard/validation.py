@@ -10,10 +10,11 @@ Two layers live here:
   three and raises a :class:`~repro.guard.policy.GuardError` with every
   problem listed.
 * **Stage invariants** — :func:`stage_anomaly` is the shared post-stage
-  probe: the structural invariants of :meth:`ClockTree.validate`, edit-log
-  coherence, finite/non-negative capacitance and edge-length columns, and
-  sink preservation against the input clock net (the PR-5 silent-sink-drop
-  bug class, made a permanent check) — all fused into a single traversal,
+  probe of a stage's :class:`~repro.ir.design.DesignArrays`: the structural
+  invariants of :meth:`DesignArrays.validate` (parent links included),
+  edit-log coherence, finite/non-negative capacitance and edge-length
+  columns, and sink preservation against the input clock net (the PR-5
+  silent-sink-drop bug class, made a permanent check) — all column screens,
   because the probe runs after every guarded stage and the healthy path
   must stay cheap.  The per-result probes (:func:`timing_anomaly`,
   :func:`insertion_anomaly`, :func:`metrics_anomaly`) cover the numeric
@@ -33,10 +34,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.clocktree.node import ClockTreeNode, NodeKind
-from repro.clocktree.tree import ClockTree, ConnectivityError
+from repro.clocktree.tree import ConnectivityError
 from repro.ir.design import DesignArrays
-from repro.tech.layers import Side
 from repro.guard.policy import GuardError
 from repro.netlist.clock import ClockNet
 from repro.tech.corners import CornerSet
@@ -48,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.insertion.concurrent import InsertionResult
     from repro.timing.analysis import TimingResult
 
-#: Edit kinds :meth:`ClockTree._record` may legally log.
+#: Edit kinds :meth:`DesignArrays._record` may legally log.
 _EDIT_KINDS = ("splice", "rewire", "touch")
 
 
@@ -344,151 +343,29 @@ def _raise_on_problems(problems: list[str], fingerprint: str) -> None:
 
 # ------------------------------------------------------------------- stages
 def stage_anomaly(
-    tree: ClockTree | DesignArrays, clock_net: ClockNet | None = None
+    design: DesignArrays, clock_net: ClockNet | None = None
 ) -> str | None:
     """The shared post-stage probe: None when healthy, else a summary.
 
-    Semantically this is :meth:`ClockTree.validate` (cycles, parent links,
-    duplicate names, side constraints, name-index coherence) plus edit-log
-    coherence, finite/non-negative capacitance and edge-length screens,
-    and — when the input net is supplied — sink preservation.  All of it is
-    fused into one iterative traversal with numpy doing the numeric
-    screens: the probe runs after every guarded stage, so the healthy path
-    must cost a couple of milliseconds, not a handful of full-tree passes
-    (``tests/test_guard.py`` proves each corruption class is still caught,
-    and the ``guarded_flow`` bench row gates the overhead in CI).
-
-    :class:`~repro.ir.design.DesignArrays` designs take a fully vectorized
-    variant of the same probe (column screens instead of a node traversal).
+    Semantically this is :meth:`DesignArrays.validate` (root, cycles,
+    reachability, parent links, duplicate names, side constraints) plus
+    edit-log coherence, finite/non-negative capacitance and edge-length
+    screens, and — when the input net is supplied — sink preservation, all
+    reduced over the design's columns: the probe runs after every guarded
+    stage, so the healthy path must cost a couple of milliseconds
+    (``tests/test_guard.py`` proves each corruption class is caught, and
+    the ``guarded_flow`` bench row gates the overhead in CI).  Edge lengths
+    are recomputed from the coordinate columns, so a NaN poked into either
+    the geometry or the capacitance column is caught.
     """
-    if isinstance(tree, DesignArrays):
-        return _stage_anomaly_design(tree, clock_net)
-    sink_kind, buffer_kind, ntsv_kind = NodeKind.SINK, NodeKind.BUFFER, NodeKind.NTSV
-    front = Side.FRONT
-    seen: set[int] = set()
-    names: dict[str, ClockTreeNode] = {}
-    order: list[ClockTreeNode] = []
-    caps: list[float] = []
-    lengths: list[float] = []
-    sink_names: list[str] = []
-    stack = [tree.root]
-    pop = stack.pop
-    extend = stack.extend
-    while stack:
-        node = pop()
-        if id(node) in seen:
-            return f"invariant violation: cycle detected at node {node.name!r}"
-        seen.add(id(node))
-        name = node.name
-        if name in names:
-            return f"invariant violation: duplicate node name {name!r}"
-        names[name] = node
-        order.append(node)
-        parent = node.parent
-        kind = node.kind
-        node_side = node.side
-        children = node.children
-        caps.append(node.capacitance)
-        if parent is None:
-            lengths.append(0.0)
-        else:
-            # Inlined node.edge_length(): this loop visits every node after
-            # every stage, so the method + Point.manhattan call overhead is
-            # measurable.
-            loc, ploc = node.location, parent.location
-            lengths.append(abs(loc.x - ploc.x) + abs(loc.y - ploc.y))
-        for child in children:
-            if child.parent is not node:
-                return (
-                    "invariant violation: broken parent link: "
-                    f"{child.name!r} does not point to {name!r}"
-                )
-        if kind is sink_kind:
-            sink_names.append(name)
-            if node_side is not front:
-                return f"invariant violation: sink {name!r} is on the back side"
-        elif kind is buffer_kind and node_side is not front:
-            return f"invariant violation: buffer {name!r} is on the back side"
-        if kind is ntsv_kind:
-            # An nTSV spans both sides: upstream wire on the stored
-            # (upstream) side, downstream wires on the opposite side.
-            if parent is not None and node.wire_side is not node_side:
-                return (
-                    f"invariant violation: nTSV {name!r}: upstream wire on "
-                    f"{node.wire_side.value}, expected {node_side.value}"
-                )
-            opposite = node_side.opposite
-            for child in children:
-                if child.wire_side is not opposite:
-                    return (
-                        f"invariant violation: nTSV {name!r}: downstream wire "
-                        f"on {child.wire_side.value}, expected {opposite.value}"
-                    )
-        else:
-            # The paper's shared-vertex constraint: every wire touching a
-            # non-nTSV node lies on that node's side.
-            if parent is not None and node.wire_side is not node_side:
-                return (
-                    f"invariant violation: node {name!r} ({kind.value}) on side "
-                    f"{node_side.value} touches a wire on side {node.wire_side.value}"
-                )
-            for child in children:
-                if child.wire_side is not node_side:
-                    return (
-                        f"invariant violation: node {name!r} ({kind.value}) on side "
-                        f"{node_side.value} touches a wire on side "
-                        f"{child.wire_side.value}"
-                    )
-        extend(children)
-    try:
-        # Private on purpose: the probe reuses the tree's own index check so
-        # the two stay coherent.
-        tree._check_find_index(names)
-    except ConnectivityError as exc:
-        return f"invariant violation: {exc}"
-    anomaly = edit_log_anomaly(tree)
-    if anomaly is None:
-        anomaly = _column_anomaly(order, caps, "node capacitance")
-    if anomaly is None:
-        anomaly = _column_anomaly(order, lengths, "edge length")
-    if anomaly is None and clock_net is not None:
-        anomaly = _sink_preservation_anomaly(sink_names, clock_net)
-    return anomaly
-
-
-def _stage_anomaly_design(
-    design: DesignArrays, clock_net: ClockNet | None
-) -> str | None:
-    """The IR twin of the shared probe, reduced over the design's rows.
-
-    Structure (cycles, reachability, duplicate names, side constraints)
-    reuses :meth:`DesignArrays.validate` after a bounded reachability walk —
-    the walk must come first because a corrupted ``children_rows`` cycle
-    would spin ``validate``'s level grouping forever.  The numeric screens
-    recompute edge lengths from the coordinate columns (mirroring the object
-    probe, which derives lengths from node locations), so a NaN poked into
-    either the geometry or the capacitance column is caught.
-    """
-    rows = design.alive_rows()
-    total = int(rows.size)
-    if not total or not design.alive[0]:
-        return "invariant violation: design has no alive root row"
-    reached = 0
-    frontier = [0]
-    while frontier:
-        reached += len(frontier)
-        if reached > total:
-            return "invariant violation: cycle detected in the design rows"
-        frontier = [c for row in frontier for c in design.children_rows[row]]
     try:
         design.validate()
     except ConnectivityError as exc:
         return f"invariant violation: {exc}"
     anomaly = edit_log_anomaly(design)
+    rows = design.alive_rows()
     if anomaly is None:
-        anomaly = _design_column_anomaly(
-            design, rows, design.cap[rows], "node capacitance"
-        )
+        anomaly = _column_anomaly(design, rows, design.cap[rows], "node capacitance")
     if anomaly is None:
         parents = design.parent_row[rows]
         edge_rows = rows[parents >= 0]
@@ -496,14 +373,14 @@ def _stage_anomaly_design(
         lengths = np.abs(design.x[edge_rows] - design.x[edge_parents]) + np.abs(
             design.y[edge_rows] - design.y[edge_parents]
         )
-        anomaly = _design_column_anomaly(design, edge_rows, lengths, "edge length")
+        anomaly = _column_anomaly(design, edge_rows, lengths, "edge length")
     if anomaly is None and clock_net is not None:
         sink_names = [design.names[int(row)] for row in design.sink_rows()]
         anomaly = _sink_preservation_anomaly(sink_names, clock_net)
     return anomaly
 
 
-def _design_column_anomaly(
+def _column_anomaly(
     design: DesignArrays, rows: np.ndarray, values: np.ndarray, label: str
 ) -> str | None:
     """Non-finite or negative entries in one per-row numeric column."""
@@ -517,26 +394,6 @@ def _design_column_anomaly(
         bad = rows[negative]
         names = [design.names[int(row)] for row in bad[:3]]
         return f"{label}: {bad.size}/{values.size} negative entries (e.g. {names})"
-    return None
-
-
-def _column_anomaly(
-    order: list[ClockTreeNode], values: list[float], label: str
-) -> str | None:
-    """Non-finite or negative entries in one per-node numeric column."""
-    column = np.asarray(values)
-    finite = np.isfinite(column)
-    if not finite.all():
-        rows = np.flatnonzero(~finite)
-        names = [order[row].name for row in rows[:3]]
-        return (
-            f"{label}: {rows.size}/{column.size} non-finite entries (e.g. {names})"
-        )
-    negative = column < 0
-    if negative.any():
-        rows = np.flatnonzero(negative)
-        names = [order[row].name for row in rows[:3]]
-        return f"{label}: {rows.size}/{column.size} negative entries (e.g. {names})"
     return None
 
 
@@ -558,25 +415,25 @@ def _sink_preservation_anomaly(
     return "sink preservation violated: " + ", ".join(parts)
 
 
-def edit_log_anomaly(tree: ClockTree | DesignArrays) -> str | None:
+def edit_log_anomaly(design: DesignArrays) -> str | None:
     """Coherence of the edit log incremental timers replay.
 
     The log must carry known edit kinds with strictly increasing versions,
-    splice/rewire entries must name their node, and the newest entry must
-    match the tree version (an edited tree with a pruned or stale log would
-    silently desync every incremental consumer).  Designs share the log
-    shape (including ``compact()``'s collapsed single-touch log), so the
-    same checks apply to both tree forms.
+    splice/rewire entries must name their row, and the newest entry must
+    match the design version (an edited design with a pruned or stale log
+    would silently desync every incremental consumer).  ``compact()``'s
+    collapsed single-touch log is coherent.
     """
-    edits = tree.edit_log
+    edits = design.edit_log
     if not edits:
-        if tree.version != 0:
+        if design.version != 0:
             return (
-                f"edit log incoherent: empty log on a tree at version {tree.version}"
+                "edit log incoherent: empty log on a design at version "
+                f"{design.version}"
             )
         return None
     last = 0
-    for version, kind, node in edits:
+    for version, kind, row in edits:
         if kind not in _EDIT_KINDS:
             return f"edit log incoherent: unknown edit kind {kind!r}"
         if version <= last:
@@ -585,11 +442,12 @@ def edit_log_anomaly(tree: ClockTree | DesignArrays) -> str | None:
                 f"({version} after {last})"
             )
         last = version
-        if kind != "touch" and node is None:
-            return f"edit log incoherent: {kind} entry at {version} names no node"
-    if last != tree.version:
+        if kind != "touch" and row is None:
+            return f"edit log incoherent: {kind} entry at {version} names no row"
+    if last != design.version:
         return (
-            f"edit log incoherent: newest entry {last} != tree version {tree.version}"
+            f"edit log incoherent: newest entry {last} != design version "
+            f"{design.version}"
         )
     return None
 

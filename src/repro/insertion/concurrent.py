@@ -753,13 +753,13 @@ class ConcurrentInserter:
                 raise RuntimeError(
                     f"top-down decision reached {dp_node.name} without a pattern"
                 )
-            self._realize_pattern(dp_tree.clock_tree, dp_node, cand.pattern)
+            self._realize_pattern(dp_tree.design, dp_node, cand.pattern)
             merged = cand.children[0]
             stack.extend(zip(dp_node.predecessors, merged.children))
         # Pattern realisation rewrites wire sides directly on the rows, which
         # the design's edit log cannot see — record an unscoped change so that
         # incremental timing engines recompile instead of serving stale data.
-        dp_tree.clock_tree.touch()
+        dp_tree.design.touch()
 
     def _realize_pattern(
         self, design: DesignArrays, dp_node: DpNode, pattern: EdgePattern

@@ -85,7 +85,7 @@ class DpTree:
     nodes: list[DpNode]
     root_nodes: list[DpNode]
     #: The routed design the DP reads and realises its decisions on.
-    clock_tree: DesignArrays
+    design: DesignArrays
 
     @property
     def node_count(self) -> int:
@@ -216,7 +216,7 @@ def attach_corner_bases(dp_tree: DpTree, corner_pdks: Sequence[Pdk]) -> None:
     nominal-only (or for another corner set) can be reused.
     """
     layers = [corner_pdk.front_layer for corner_pdk in corner_pdks]
-    design = dp_tree.clock_tree
+    design = dp_tree.design
     for dp_node in dp_tree.nodes:
         caps, maxs, mins = _leaf_net_bases(design, dp_node.tree_row, layers)
         dp_node.corner_base_capacitance = tuple(caps)
@@ -318,7 +318,7 @@ def build_dp_tree(
     ]
     if not root_nodes:
         raise ValueError("the clock tree has no trunk edges to optimise")
-    dp_tree = DpTree(nodes=nodes, root_nodes=root_nodes, clock_tree=design)
+    dp_tree = DpTree(nodes=nodes, root_nodes=root_nodes, design=design)
     if corner_pdks is not None:
         attach_corner_bases(dp_tree, corner_pdks)
     return dp_tree

@@ -541,7 +541,7 @@ class VectorizedInsertionDp:
                 raise RuntimeError(
                     f"top-down decision reached {dp_node.name} without a pattern"
                 )
-            realize_pattern(dp_tree.clock_tree, dp_node, PATTERNS[pattern_id])
+            realize_pattern(dp_tree.design, dp_node, PATTERNS[pattern_id])
             stack.extend(
                 (pred, int(c))
                 for pred, c in zip(dp_node.predecessors, frontier.choice[i])
@@ -549,7 +549,7 @@ class VectorizedInsertionDp:
         # Pattern realisation rewrites wire sides directly on the rows, which
         # the design's edit log cannot see — record an unscoped change so that
         # incremental timing engines recompile instead of serving stale data.
-        dp_tree.clock_tree.touch()
+        dp_tree.design.touch()
 
     # --------------------------------------------------------------- DP steps
     def _leaf_base_columns(

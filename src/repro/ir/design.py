@@ -11,11 +11,10 @@ the name counter that keeps fresh node names identical to the object
 tree's.  This module owns the row format, including the integer ``kind``
 codes (:data:`KIND_CODE`).
 
-Structural edits go through the same edit-log protocol as
-:class:`~repro.clocktree.ClockTree` (``mark_splice`` / ``mark_rewire`` /
-``touch`` with the same bounded log), except entries carry *rows* instead of
-node objects and the structure is updated eagerly at edit time.  The
-vectorized engine replays the log to re-time only the dirty cone.
+Structural edits are recorded in a bounded edit log (``mark_splice`` /
+``mark_rewire`` / ``touch``) of ``(version, kind, row)`` entries, and the
+structure is updated eagerly at edit time.  The vectorized engine replays
+the log to re-time only the dirty cone.
 
 Object trees exist only at the boundaries: :meth:`to_clock_tree` /
 :meth:`from_clock_tree` are lossless (names, children order, sides, caps,
@@ -27,9 +26,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clocktree.node import ClockTreeNode, NodeKind
-from repro.clocktree.tree import _MAX_EDIT_LOG, ClockTree, ConnectivityError
+from repro.clocktree.tree import ClockTree, ConnectivityError
 from repro.geometry import Point
 from repro.tech.layers import Side
+
+#: Edit-log length beyond which the log is collapsed into a single full
+#: invalidation (past this point a fresh compile is cheaper than replaying
+#: hundreds of patches).
+_MAX_EDIT_LOG = 256
 
 #: Integer codes of :class:`NodeKind` stored in the ``kind`` column.
 KIND_ROOT, KIND_STEINER, KIND_SINK, KIND_BUFFER, KIND_NTSV, KIND_TAP = range(6)
@@ -53,10 +57,10 @@ class DesignArrays:
     """A persistent, editable struct-of-arrays clock-tree design.
 
     Row 0 is always the clock root.  ``size`` counts allocated rows
-    including tombstones; ``alive`` filters.  All structural operations
+    including tombstones; ``alive`` filters.  The structural operations
     mirror the :class:`~repro.clocktree.ClockTree` editing API one-to-one
-    (same children ordering, same fresh-name sequence, same edit log), so a
-    flow run on rows makes exactly the decisions the object flow makes.
+    (same children ordering, same fresh-name sequence), so a design and its
+    realised tree (:meth:`to_clock_tree`) describe the same clock tree.
 
     .. warning:: Row indices are only stable between compactions.  Any
        engine sync may compact (``VectorizedElmoreEngine._compile`` calls
@@ -455,8 +459,8 @@ class DesignArrays:
         """Detach ``row`` from its parent and append it under ``new_parent``.
 
         Mirrors ``node.detach(); new_parent.add_child(node)`` — the caller is
-        responsible for recording the covering rewire edit, exactly like the
-        object API.
+        responsible for recording the covering rewire edit
+        (:meth:`mark_rewire`).
         """
         old_parent = int(self.parent_row[row])
         if old_parent < 0:
@@ -510,8 +514,8 @@ class DesignArrays:
     def rename(self, row: int, name: str) -> None:
         """Rename a row (duplicate names allowed, like the object tree).
 
-        Duplicate names resolve like a cold :meth:`ClockTree.find` index:
-        the first holder in *pre-order* owns the ``name_to_row`` entry.
+        Duplicate names resolve like :meth:`ClockTree.find`: the first
+        holder in *pre-order* owns the ``name_to_row`` entry.
         Duplicates only ever arise through renames (appends reject them),
         so the pre-order rescan runs only on an actual collision and the
         unique-name fast path stays O(1).
@@ -682,19 +686,45 @@ class DesignArrays:
         """Vectorized structural + double-side connectivity invariants.
 
         The IR twin of :meth:`ClockTree.validate`: raises
-        :class:`ConnectivityError` on cycles/orphans, duplicate names,
-        back-side sinks or buffers, and the paper's shared-vertex side
-        constraint.
+        :class:`ConnectivityError` on a missing root, cycles, unreachable
+        alive rows, broken parent links (a row whose ``parent_row``
+        disagrees with the ``children_rows`` entry listing it), duplicate
+        names, back-side sinks or buffers, and the paper's shared-vertex
+        side constraint.  The walk is bounded by the alive-row count, so a
+        corrupted ``children_rows`` cycle raises instead of spinning.
         """
-        rows = self.alive_rows()
+        # Not the cached alive_rows(): a corruption bypasses the caches.
+        rows = np.flatnonzero(self.alive[: self.size])
         if not rows.size or self.kind[0] != KIND_ROOT or not self.alive[0]:
             raise ConnectivityError("design has no alive root row")
-        reached = sum(level.size for level in self.levels())
-        if reached != rows.size:
+        children = self.children_rows
+        order = [0]
+        frontier = [0]
+        while frontier:
+            frontier = [c for row in frontier for c in children[row]]
+            order.extend(frontier)
+            if len(order) > rows.size:
+                raise ConnectivityError("cycle detected in the design rows")
+        if len(order) != rows.size:
             raise ConnectivityError(
-                f"{rows.size - reached} alive rows unreachable from the root"
+                f"{rows.size - len(order)} alive rows unreachable from the root"
             )
-        names = [self.names[row] for row in rows]
+        # Breadth-first, the i-th listed child belongs to the i-th parent
+        # slot, so each row's listing parent is one repeat away.
+        walked = np.asarray(order, dtype=np.int64)
+        fanout = np.fromiter(
+            map(len, map(children.__getitem__, order)), np.int64, len(order)
+        )
+        listed_by = np.concatenate(([-1], np.repeat(walked, fanout)))
+        broken = np.flatnonzero(self.parent_row[walked] != listed_by)
+        if broken.size:
+            row, owner = order[broken[0]], int(listed_by[broken[0]])
+            expected = repr(self.names[owner]) if owner >= 0 else "no parent"
+            raise ConnectivityError(
+                f"broken parent link: {self.names[row]!r} does not point to "
+                f"{expected}"
+            )
+        names = [self.names[row] for row in order]
         if len(set(names)) != len(names):
             seen: set[str] = set()
             for name in names:
@@ -711,7 +741,6 @@ class DesignArrays:
                 )
         parents = self.parent_row[rows]
         has_parent = parents >= 0
-        ntsv = kinds == KIND_NTSV
         # Upstream wire must match the node side (nTSV and non-nTSV alike).
         bad = rows[has_parent & (self.wire_front[rows] != front)]
         if bad.size:
@@ -734,7 +763,6 @@ class DesignArrays:
                 f"node {self.names[parent]!r} touches a downstream wire on "
                 f"the wrong side (child {self.names[row]!r})"
             )
-        del ntsv
 
     # ----------------------------------------------------------- boundary
     def to_clock_tree(self) -> ClockTree:
@@ -792,7 +820,7 @@ class DesignArrays:
         design._counter = tree._counter
         if len(design.name_to_row) != len(order):
             # Pathological duplicate names: redo the index in pre-order so
-            # lookups match a cold ClockTree.find scan.
+            # lookups match ClockTree.find's pre-order scan.
             design._rebuild_name_index()
         return design
 

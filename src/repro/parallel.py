@@ -76,6 +76,8 @@ PARALLEL_MODES = ("degrade", "strict")
 _POOL: ProcessPoolExecutor | None = None
 _POOL_SIZE = 0
 _EXIT_SWEEP_REGISTERED = False
+#: True inside a pool worker, whose own run_tasks calls run inline.
+_IN_POOL_WORKER = False
 
 
 def _pool_workers(pool: ProcessPoolExecutor) -> list:
@@ -461,6 +463,8 @@ def _policed_call(args: tuple) -> Any:
     :class:`~repro.guard.faults.WorkerFault` rows), so the injectors work
     under any multiprocessing start method and need no worker-side state.
     """
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
     fn, payload, stage, index, attempt, faults = args
     for fault in faults:
         fault.worker_before(stage, index, attempt)
@@ -497,7 +501,9 @@ def run_tasks(
 
     With ``workers <= 1`` or a single payload there is nothing to fan out:
     tasks run inline (exactly the serial flow — no pool, no injected worker
-    faults, no diagnostics).
+    faults, no diagnostics).  Inside a pool worker (a DSE point whose
+    insertion DP fans out) tasks run inline too: a nested pool would start
+    its own fork server and workers that no exit sweep reaps.
     """
     payloads = list(payloads)
     count = len(payloads)
@@ -511,7 +517,7 @@ def run_tasks(
         for i, payload in enumerate(payloads)
     ]
 
-    if workers <= 1 or count == 1:
+    if workers <= 1 or count == 1 or _IN_POOL_WORKER:
         results = []
         for i in range(count):
             result = serial(payloads[i])

@@ -242,12 +242,13 @@ class HierarchicalClockRouter:
         """
         routed = self.route_design(clock_net)
         tree = routed.design.to_clock_tree()
+        by_name = {node.name: node for node in tree.nodes()}
         return HierarchicalRoutingResult(
             tree=tree,
             clustering=routed.clustering,
             trunk_wirelength=routed.trunk_wirelength,
             leaf_wirelength=routed.leaf_wirelength,
-            tap_nodes=[tree.find(name) for name in routed.tap_names],
+            tap_nodes=[by_name[name] for name in routed.tap_names],
         )
 
     def route_design(self, clock_net: ClockNet) -> DesignRoutingResult:

@@ -22,7 +22,8 @@ large design therefore costs O(cone) instead of O(tree).
 A :class:`~repro.clocktree.ClockTree` argument is compiled into a private
 design (:meth:`DesignArrays.from_clock_tree`) cached on the tree and its
 ``version``: repeated queries on an unchanged tree hit the cache, and any
-recorded edit recompiles from scratch.
+version bump (a tree-API edit or :meth:`ClockTree.touch`) recompiles from
+scratch.
 
 **Multi-corner batching**: every numeric array carries a leading scenario
 axis of size ``K = len(corners)`` (:class:`~repro.tech.corners.CornerSet`).

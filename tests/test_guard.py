@@ -5,7 +5,7 @@ Three layers under test:
 * input validation at flow entry (bad designs, PDKs, and corner sets are
   rejected with every problem listed),
 * the stage-anomaly probes (each corruption class is detected on a live
-  tree),
+  routed design),
 * the full fault-injection matrix: with a fault armed at a chosen stage the
   ``strict`` policy raises a :class:`GuardError` naming that stage, the
   ``degrade`` policy restores the pre-stage design snapshot, re-runs the
@@ -16,12 +16,13 @@ Three layers under test:
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from repro.clocktree.node import ClockTreeNode, NodeKind
+from repro.clocktree import ConnectivityError
 from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS
 from repro.guard import (
     GuardError,
@@ -48,10 +49,11 @@ from repro.guard.faults import (
 )
 from repro.netlist import ClockNet, ClockSource
 from repro.geometry import Point
+from repro.ir.design import KIND_STEINER
 from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech import CornerSet
 from repro.tech.corners import Scenario
-from repro.tech.layers import MetalStack, Side
+from repro.tech.layers import MetalStack
 from repro.tech.nldm import NldmTable
 from tests.conftest import make_random_clock_net
 from tests.harness import assert_clock_trees_identical
@@ -197,16 +199,96 @@ class TestInputValidation:
 
 
 # ------------------------------------------------------------ stage anomalies
+def routed_design(pdk):
+    """A routed harness net and its design, as the routing stage hands it on."""
+    net = small_net()
+    router = HierarchicalClockRouter(pdk, config=ROUTING_CONFIG)
+    return net, router.route_design(net).design
+
+
+def _kill_root(design):
+    design.alive[0] = False
+
+
+def _cycle(design):
+    design.children_rows[int(design.sink_rows()[0])].append(0)
+
+
+def _orphan(design):
+    sink = int(design.sink_rows()[0])
+    design.children_rows[int(design.parent_row[sink])].remove(sink)
+
+
+def _duplicate_name(design):
+    steiner = int(design.kind_rows(KIND_STEINER)[0])
+    design.names[steiner] = design.names[int(design.sink_rows()[0])]
+
+
+def _back_side_sink(design):
+    design.side_front[int(design.sink_rows()[0])] = False
+
+
+def _back_side_buffer(design):
+    sink = int(design.sink_rows()[0])
+    x, y = float(design.x[sink]), float(design.y[sink])
+    design.side_front[design.add_buffer(sink, x, y, 1.0)] = False
+
+
+def _upstream_wire(design):
+    design.wire_front[int(design.sink_rows()[0])] = False
+
+
+def _downstream_wire(design):
+    # Moving a Steiner row and its upstream wire to the back side keeps its
+    # own side and wire consistent; its front-side parent then drives a
+    # back-side wire without an nTSV.
+    steiner = int(design.kind_rows(KIND_STEINER)[0])
+    design.side_front[steiner] = False
+    design.wire_front[steiner] = False
+
+
+def _broken_parent_link(design):
+    # A sink below an internal row now claims the root, which does not list
+    # it as a child.
+    sink = next(
+        int(row) for row in design.sink_rows() if int(design.parent_row[row]) > 0
+    )
+    design.parent_row[sink] = 0
+
+
+#: (corruption, expected message) of every DesignArrays.validate branch.
+INVARIANT_CASES = [
+    (_kill_root, "no alive root row"),
+    (_cycle, "cycle detected"),
+    (_orphan, "1 alive rows unreachable"),
+    (_duplicate_name, "duplicate node name"),
+    (_back_side_sink, "sink .* is on the back side"),
+    (_back_side_buffer, "buffer .* is on the back side"),
+    (_upstream_wire, "side/wire mismatch"),
+    (_downstream_wire, "downstream wire on the wrong side"),
+    (_broken_parent_link, "broken parent link"),
+]
+INVARIANT_IDS = [corrupt.__name__.lstrip("_") for corrupt, _ in INVARIANT_CASES]
+
+
+@pytest.mark.parametrize("corrupt, message", INVARIANT_CASES, ids=INVARIANT_IDS)
+def test_design_validate_rejects(pdk, corrupt, message):
+    """Every failure branch of DesignArrays.validate, on a routed design."""
+    _net, design = routed_design(pdk)
+    design.validate()
+    corrupt(design)
+    with pytest.raises(ConnectivityError, match=message):
+        design.validate()
+
+
 class TestStageAnomalies:
     @pytest.fixture()
     def routed(self, pdk):
-        net = small_net()
-        tree = HierarchicalClockRouter(pdk, config=ROUTING_CONFIG).route(net).tree
-        return net, tree
+        return routed_design(pdk)
 
-    def test_clean_tree_has_no_anomaly(self, routed):
-        net, tree = routed
-        assert stage_anomaly(tree, net) is None
+    def test_clean_design_has_no_anomaly(self, routed):
+        net, design = routed
+        assert stage_anomaly(design, net) is None
 
     @pytest.mark.parametrize(
         "injector, expected",
@@ -222,82 +304,47 @@ class TestStageAnomalies:
         ids=lambda arg: getattr(arg, "__name__", str(arg)),
     )
     def test_each_corruption_is_detected(self, routed, injector, expected):
-        net, tree = routed
-        injector(tree)
-        anomaly = stage_anomaly(tree, net)
+        net, design = routed
+        injector(design)
+        anomaly = stage_anomaly(design, net)
         assert anomaly is not None and expected in anomaly
 
-    # The fused probe owns the structural checks that ClockTree.validate()
-    # also performs; corrupt each invariant directly to pin every branch.
-    def test_broken_parent_link(self, routed):
-        net, tree = routed
-        child = tree.root.children[0]
-        child.parent = child  # root no longer the recorded parent
-        anomaly = stage_anomaly(tree, net)
-        assert anomaly is not None and "broken parent link" in anomaly
-
-    def test_cycle_detected(self, routed):
-        net, tree = routed
-        leaf = tree.sinks()[0]
-        leaf.children.append(tree.root)
-        tree.root.parent = leaf
-        anomaly = stage_anomaly(tree, net)
-        assert anomaly is not None and "cycle detected" in anomaly
-
-    def test_sink_on_back_side(self, routed):
-        net, tree = routed
-        tree.sinks()[0].side = Side.BACK
-        anomaly = stage_anomaly(tree, net)
-        assert anomaly is not None and "back side" in anomaly
-
-    def test_child_wire_disagrees_with_node_side(self, routed):
-        net, tree = routed
-        # Flip a leaf's wire under a same-side parent: the shared-vertex
-        # check must flag it (the nTSV checks have their own messages).
-        leaf = next(s for s in tree.sinks() if not s.parent.is_ntsv)
-        leaf.wire_side = leaf.wire_side.opposite
-        anomaly = stage_anomaly(tree, net)
-        assert anomaly is not None and "touches a wire on side" in anomaly
-
-    def test_ghost_find_index_entry(self, routed):
-        net, tree = routed
-        name = tree.sinks()[0].name
-        tree.find(name)  # build the cache
-        ghost = ClockTreeNode(name, NodeKind.SINK, Point(1.0, 1.0), capacitance=1.0)
-        ghost.parent = tree.root  # reaches the root, but is nobody's child
-        tree._find_cache[name] = ghost
-        anomaly = stage_anomaly(tree, net)
-        assert anomaly is not None and "find() index incoherent" in anomaly
+    @pytest.mark.parametrize("corrupt, message", INVARIANT_CASES, ids=INVARIANT_IDS)
+    def test_each_invariant_violation_is_reported(self, routed, corrupt, message):
+        net, design = routed
+        corrupt(design)
+        anomaly = stage_anomaly(design, net)
+        assert anomaly is not None
+        assert re.match(f"invariant violation: .*{message}", anomaly)
 
 
 class TestEditLogProbe:
-    """Branch coverage of the edit-log coherence probe on a live tree."""
+    """Branch coverage of the edit-log coherence probe on a routed design."""
 
     @pytest.fixture()
-    def tree(self, pdk):
-        net = small_net()
-        return HierarchicalClockRouter(pdk, config=ROUTING_CONFIG).route(net).tree
+    def design(self, pdk):
+        return routed_design(pdk)[1]
 
-    def test_clean_log_passes(self, tree):
-        assert edit_log_anomaly(tree) is None
+    def test_clean_log_passes(self, design):
+        assert edit_log_anomaly(design) is None
 
-    def test_unknown_edit_kind(self, tree):
-        tree._edits.append((tree.version + 1, "bogus", None))
-        assert "unknown edit kind" in edit_log_anomaly(tree)
+    def test_unknown_edit_kind(self, design):
+        design._edits.append((design.version + 1, "bogus", None))
+        assert "unknown edit kind" in edit_log_anomaly(design)
 
-    def test_versions_not_increasing(self, tree):
-        tree.touch()
-        tree._edits.append((1, "touch", None))
-        assert "versions not strictly increasing" in edit_log_anomaly(tree)
+    def test_versions_not_increasing(self, design):
+        design.touch()
+        design._edits.append((1, "touch", None))
+        assert "versions not strictly increasing" in edit_log_anomaly(design)
 
-    def test_splice_entry_without_node(self, tree):
-        tree._edits.append((tree.version + 1, "splice", None))
-        assert "names no node" in edit_log_anomaly(tree)
+    def test_splice_entry_without_row(self, design):
+        design._edits.append((design.version + 1, "splice", None))
+        assert "names no row" in edit_log_anomaly(design)
 
-    def test_emptied_log_on_edited_tree(self, tree):
-        tree.touch()
-        tree._edits.clear()
-        assert "empty log" in edit_log_anomaly(tree)
+    def test_emptied_log_on_edited_design(self, design):
+        design.touch()
+        design._edits.clear()
+        assert "empty log" in edit_log_anomaly(design)
 
 
 class TestResultProbes:

@@ -172,7 +172,6 @@ class TestRenameDuplicateSemantics:
         # Rename c -> "q": c precedes q in pre-order, so find("q") serves c.
         design.rename(design.name_to_row["c"], "q")
         tree.find("c").name = "q"
-        tree._find_cache = None  # pin the cold-index (rescan) semantics
         node = tree.find("q")
         row = design.name_to_row["q"]
         assert design.names[row] == "q"
@@ -183,7 +182,6 @@ class TestRenameDuplicateSemantics:
         # Rename q -> "c": c (under p) still precedes q in pre-order.
         design.rename(design.name_to_row["q"], "c")
         tree.find("q").name = "c"
-        tree._find_cache = None
         node = tree.find("c")
         row = design.name_to_row["c"]
         assert design.location_of(row) == node.location
@@ -193,12 +191,10 @@ class TestRenameDuplicateSemantics:
         design.rename(design.name_to_row["c"], "q")
         tree.find("c").name = "q"
         # Two rows are now named "q"; rename the pre-order-first holder
-        # away — the other must take the index entry over (find rescans
-        # the same way on its next stale hit).
+        # away — the other must take the index entry over, as find's
+        # pre-order scan does.
         design.rename(design.name_to_row["q"], "solo")
-        tree._find_cache = None
         tree.find("q").name = "solo"
-        tree._find_cache = None
         node = tree.find("q")
         row = design.name_to_row["q"]
         assert design.names[row] == "q"

@@ -18,6 +18,7 @@ crash-on-pickle, exit-mid-task, broken pool) through every pool consumer
 
 from __future__ import annotations
 
+import os
 import socket
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -93,6 +94,15 @@ def _serial_marker(payload):
 
 def _reject_everything(result, payload):
     raise RuntimeError("injected validate failure")
+
+
+def _pid(payload):
+    return os.getpid()
+
+
+def _nested_fan_out(payload):
+    """A DSE point's shape: a pool task whose insertion DP fans out again."""
+    return os.getpid(), run_tasks("insertion", _pid, [0, 1], 2, policy=RETRY)
 
 
 # ---------------------------------------------------------------- the policy
@@ -230,6 +240,15 @@ class TestRunTasks:
                 "teststage", _double, [1, 2], 1, diagnostics=sink
             ) == [2, 4]
             assert sink == []
+
+    def test_pool_workers_run_nested_tasks_inline(self):
+        # A nested pool would start its own fork server and workers, which
+        # no exit sweep of this process can see: they outlive the run.
+        outcomes = run_tasks("dse", _nested_fan_out, [0, 1], 2, policy=RETRY)
+        for outer_pid, inner_pids in outcomes:
+            assert outer_pid != os.getpid()
+            assert inner_pids == [outer_pid, outer_pid]
+        assert os.getpid() not in run_tasks("dse", _pid, [0, 1], 2, policy=RETRY)
 
     def test_healthy_parallel_run_records_nothing(self):
         sink: list = []
