@@ -36,12 +36,12 @@ def test_fig12_dse_comparison(benchmark, pdk, designs, flow_cache, results_dir):
         ours_sweep = explorer.explore(design, fanout_thresholds=OUR_FANOUT_SWEEP)
         buffered = flow_cache.single(BENCH_ID)
         fanout_sweep = explorer.sweep_fanout_baseline(
-            buffered.tree, thresholds=BASELINE_FANOUT_SWEEP, design_name=design.name
+            buffered.design, thresholds=BASELINE_FANOUT_SWEEP, design_name=design.name
         )
         critical_sweep = explorer.sweep_critical_baseline(
-            buffered.tree, fractions=CRITICAL_FRACTION_SWEEP, design_name=design.name
+            buffered.design, fractions=CRITICAL_FRACTION_SWEEP, design_name=design.name
         )
-        veloso = explorer.veloso_point(buffered.tree, design_name=design.name)
+        veloso = explorer.veloso_point(buffered.design, design_name=design.name)
         return ours_sweep, fanout_sweep, critical_sweep, veloso, buffered
 
     ours_sweep, fanout_sweep, critical_sweep, veloso, buffered = benchmark.pedantic(

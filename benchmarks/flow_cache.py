@@ -15,7 +15,7 @@ warmed cache holds exactly the results a serial session would have computed
 under CPU contention the runtime *columns* come out larger than a serial
 run.  Keep the default (serial, lazy) when reproducing the paper's runtime
 numbers; use workers for the figure benches, where runtime is not reported.
-The post-CTS flows ([2]/[6]/[7] flavours) derive from a base tree and stay
+The post-CTS flows ([2]/[6]/[7] flavours) copy a base run's design and stay
 lazy.
 """
 
@@ -219,7 +219,7 @@ class FlowCache:
         if key not in self._cache:
             base = self.openroad(bench_id)
             run = VelosoBacksideOptimizer(self.pdk).run(
-                base.tree, design_name=self.designs[bench_id].name
+                base.design, design_name=self.designs[bench_id].name
             )
             self._cache[key] = self._with_total_runtime(run, base.metrics.runtime)
         return self._cache[key]
@@ -229,7 +229,7 @@ class FlowCache:
         if key not in self._cache:
             base = self.single(bench_id)
             run = VelosoBacksideOptimizer(self.pdk).run(
-                base.tree, design_name=self.designs[bench_id].name
+                base.design, design_name=self.designs[bench_id].name
             )
             self._cache[key] = self._with_total_runtime(run, base.metrics.runtime)
         return self._cache[key]
@@ -240,7 +240,7 @@ class FlowCache:
             base = self.single(bench_id)
             run = FanoutBacksideOptimizer(
                 self.pdk, fanout_threshold=fanout_threshold
-            ).run(base.tree, design_name=self.designs[bench_id].name)
+            ).run(base.design, design_name=self.designs[bench_id].name)
             self._cache[key] = self._with_total_runtime(run, base.metrics.runtime)
         return self._cache[key]
 
@@ -250,7 +250,7 @@ class FlowCache:
             base = self.single(bench_id)
             run = TimingCriticalBacksideOptimizer(
                 self.pdk, critical_fraction=critical_fraction
-            ).run(base.tree, design_name=self.designs[bench_id].name)
+            ).run(base.design, design_name=self.designs[bench_id].name)
             self._cache[key] = self._with_total_runtime(run, base.metrics.runtime)
         return self._cache[key]
 

@@ -46,16 +46,16 @@ def main() -> int:
         "our_buffered_tree": single.metrics,
         "openroad_buffered_tree": openroad.metrics,
         "openroad+[2]": VelosoBacksideOptimizer(pdk)
-        .run(openroad.tree, design_name=design.name)
+        .run(openroad.design, design_name=design.name)
         .metrics,
         "our_buffered_tree+[2]": VelosoBacksideOptimizer(pdk)
-        .run(single.tree, design_name=design.name)
+        .run(single.design, design_name=design.name)
         .metrics,
         "our_buffered_tree+[7]": FanoutBacksideOptimizer(pdk, fanout_threshold=100)
-        .run(single.tree, design_name=design.name)
+        .run(single.design, design_name=design.name)
         .metrics,
         "our_buffered_tree+[6]": TimingCriticalBacksideOptimizer(pdk, critical_fraction=0.5)
-        .run(single.tree, design_name=design.name)
+        .run(single.design, design_name=design.name)
         .metrics,
     }
 

@@ -4,7 +4,7 @@
 Reproduces the Fig. 12 experiment in miniature: the heterogeneous DP tree's
 insertion modes are controlled through a fanout threshold, and sweeping it
 traces a Pareto frontier that trades latency and skew against buffer and
-nTSV usage.  The baselines [7] and [6] are swept on a fixed buffered tree
+nTSV usage.  The baselines [7] and [6] are swept on a fixed buffered design
 for comparison.
 
 Usage::
@@ -46,10 +46,10 @@ def main() -> int:
     print("\nBaseline sweeps on a fixed buffered clock tree:")
     buffered = SingleSideCTS(pdk, config).run(design)
     fanout = explorer.sweep_fanout_baseline(
-        buffered.tree, thresholds=[20, 100, 400, 1000], design_name=design.name
+        buffered.design, thresholds=[20, 100, 400, 1000], design_name=design.name
     )
     critical = explorer.sweep_critical_baseline(
-        buffered.tree, fractions=[0.2, 0.5, 0.8], design_name=design.name
+        buffered.design, fractions=[0.2, 0.5, 0.8], design_name=design.name
     )
     print(format_table(fanout.rows() + critical.rows(), columns=columns))
 

@@ -6,7 +6,7 @@ timing kernel:
 
 1. direct engine use — one ``VectorizedElmoreEngine`` evaluating five
    corners (tt/ss/ff/hot/cold) in a single level-synchronous pass over a
-   shared tree compile, cross-checked against the reference per-corner loop;
+   shared design compile, cross-checked against a sequential per-corner loop;
 2. flow integration — ``CtsConfig(corners=...)`` attaches per-corner skew
    and latency columns (plus the worst-corner summary) to the flow metrics;
 3. worst-corner DSE — with corners configured, the fanout-threshold sweep
@@ -47,8 +47,8 @@ def main() -> int:
     print("  " + format_metrics(result.metrics))
     print(format_corner_table(result.metrics))
 
-    print("\nBatched vs sequential corner analysis on the synthesised tree:")
-    tree = result.tree
+    print("\nBatched vs sequential corner analysis on the synthesised design:")
+    design_arrays = result.design
     # Engines are built outside the timed region on both sides so the
     # comparison isolates the analysis cost (like the bench harness does).
     batched = create_engine(pdk, corners=corners)
@@ -57,11 +57,11 @@ def main() -> int:
         for scenario in corners
     }
     start = time.perf_counter()
-    batched_skews = batched.skew_per_corner(tree)
+    batched_skews = batched.skew_per_corner(design_arrays)
     t_batched = time.perf_counter() - start
     start = time.perf_counter()
     sequential_skews = {
-        name: engine.skew(tree) for name, engine in sequential.items()
+        name: engine.skew(design_arrays) for name, engine in sequential.items()
     }
     t_sequential = time.perf_counter() - start
     for corner, skew in batched_skews.items():

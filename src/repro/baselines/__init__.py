@@ -4,7 +4,7 @@
   single-side buffered CTS (geometric bisection topology, cap-driven
   buffering); the "OpenROAD Buffered Clock Tree" columns of Table III.
 * :mod:`repro.baselines.backside` — the shared machinery that flips a chosen
-  set of trunk edges of an existing buffered tree to the back side and
+  set of trunk edges of an existing buffered design to the back side and
   inserts the nTSVs needed to keep buffers and leaf nets on the front side.
 * :mod:`repro.baselines.veloso` — [2]: flip *all* trunk nets (latency-driven).
 * :mod:`repro.baselines.fanout` — [7]: flip nets whose fanout exceeds a
@@ -14,6 +14,11 @@
   delay-criticality oracle selects the same fraction, see DESIGN.md).
 * :mod:`repro.baselines.pdn_aware` — [29]: the criticality-driven flipping of
   [6] under a back-side resource (nTSV) budget reserved for the PDN.
+
+Every baseline builds or edits a :class:`~repro.ir.design.DesignArrays`: a
+post-CTS optimizer's ``run(design)`` flips edges on a copy of a buffered
+substrate (an OpenROAD-like or single-side run's ``.design``) and returns
+the copy on ``.design``; an object tree is rejected with a ``TypeError``.
 """
 
 from repro.baselines.openroad_cts import OpenRoadLikeCTS, OpenRoadCtsConfig

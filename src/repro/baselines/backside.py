@@ -1,25 +1,37 @@
 """Post-CTS back-side assignment: the incremental flow of Fig. 1 (left).
 
 All the baselines [2], [6], [7], [29] share the same mechanics: starting from
-a *buffered, single-side* clock tree they choose a subset of trunk edges to
-move onto the back-side metal layers and insert nTSVs wherever a back-side
-wire meets something that has to stay on the front side (buffer pins, the
-clock root, leaf nets).  Only the *selection* of edges differs between the
-methods, so this module exposes a generic :func:`assign_backside` driven by
-an edge-selector callable.
+a *buffered, single-side* clock-tree design they choose a subset of trunk
+edges to move onto the back-side metal layers and insert nTSVs wherever a
+back-side wire meets something that has to stay on the front side (buffer
+pins, the clock root, leaf nets).  Only the *selection* of edges differs
+between the methods, so this module exposes one :func:`assign_backside` over
+an explicit edge list.
+
+An edge is named by the row of its downstream (child) node in a
+:class:`~repro.ir.design.DesignArrays`.  A timing query may compact the
+design and renumber its rows, so methods select rows after their last one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
-from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
-from repro.tech.layers import Side
+import numpy as np
+
+from repro.ir.design import (
+    KIND_BUFFER,
+    KIND_ROOT,
+    KIND_SINK,
+    KIND_STEINER,
+    KIND_TAP,
+    DesignArrays,
+)
 from repro.tech.pdk import Pdk
 
-#: An edge of the clock tree, identified by its downstream (child) node.
-EdgeSelector = Callable[[ClockTreeNode], bool]
+#: Node kinds pinned to the front side by a back-side assignment.
+_FRONT_PINNED = (KIND_ROOT, KIND_BUFFER, KIND_SINK, KIND_TAP)
 
 
 @dataclass
@@ -38,86 +50,73 @@ class BacksideAssignment:
         }
 
 
-def trunk_edges(tree: ClockTree) -> list[ClockTreeNode]:
-    """Children of all *trunk* edges: everything above the leaf nets.
+def subtree_totals(
+    design: DesignArrays, values: np.ndarray, ufunc: np.ufunc = np.add
+) -> np.ndarray:
+    """Reduce per-row ``values`` over every row's subtree (the row included)."""
+    totals = np.array(values)
+    for rows in reversed(design.levels()[1:]):
+        ufunc.at(totals, design.parent_row[rows], totals[rows])
+    return totals
+
+
+def trunk_edges(design: DesignArrays) -> list[int]:
+    """Child rows of all *trunk* edges (pre-order): everything above the leaf nets.
 
     An edge is a trunk edge when its downstream node is a tap (low-level
     cluster centroid), a Steiner point, or any node whose subtree still
     contains a tap or Steiner point (i.e. the edge is above the leaf level).
     Leaf nets (tap/buffer to sinks) and end-point buffers are excluded.
     """
-    children = []
-    for node in tree.nodes():
-        if node.parent is None or node.is_sink:
-            continue
-        if _is_trunk_node(node):
-            children.append(node)
-    return children
-
-
-def _is_trunk_node(node: ClockTreeNode) -> bool:
-    if node.kind in (NodeKind.TAP, NodeKind.STEINER):
-        return True
-    return any(
-        descendant.kind in (NodeKind.TAP, NodeKind.STEINER)
-        for descendant in node.iter_subtree()
-        if descendant is not node
+    kind = design.kind[: design.size]
+    structure = subtree_totals(
+        design, ((kind == KIND_TAP) | (kind == KIND_STEINER)).astype(np.int64)
     )
+    return [
+        row
+        for row in design.rows_preorder()
+        if design.parent_row[row] >= 0 and kind[row] != KIND_SINK and structure[row]
+    ]
 
 
 def assign_backside(
-    tree: ClockTree,
-    pdk: Pdk,
-    edge_selector: EdgeSelector | None = None,
-    edges: Iterable[ClockTreeNode] | None = None,
+    design: DesignArrays, pdk: Pdk, edges: Iterable[int]
 ) -> BacksideAssignment:
-    """Move the selected edges of ``tree`` to the back side (in place).
+    """Move the given edges of ``design`` to the back side (in place).
 
     Args:
-        tree: a buffered, front-side clock tree (modified in place).
+        design: a buffered, front-side clock-tree design (modified in place).
         pdk: technology providing the nTSV cell.
-        edge_selector: predicate over the downstream node of each trunk edge;
-            edges for which it returns True are flipped.  Ignored when
-            ``edges`` is given.
-        edges: explicit collection of downstream nodes whose parent edges are
-            flipped.
+        edges: child rows whose parent edges are flipped, in flip order.  The
+            order matters for bit-identity: every inserted nTSV moves to the
+            end of its parent's children list.
 
     Returns:
         A :class:`BacksideAssignment` with flip and nTSV statistics.
     """
     if not pdk.has_backside or pdk.ntsv is None:
         raise ValueError("back-side assignment needs a back-side enabled PDK")
-    if edges is None:
-        if edge_selector is None:
-            raise ValueError("either an edge selector or an explicit edge list is needed")
-        selected = [child for child in trunk_edges(tree) if edge_selector(child)]
-    else:
-        selected = [child for child in edges if child.parent is not None]
-
+    selected = [int(row) for row in edges if design.parent_row[row] >= 0]
     if not selected:
-        return BacksideAssignment(flipped_edges=0, inserted_ntsvs=0, back_wirelength=0.0)
+        return BacksideAssignment(
+            flipped_edges=0, inserted_ntsvs=0, back_wirelength=0.0
+        )
 
-    selected_ids = {id(child) for child in selected}
-    node_sides = _solve_node_sides(tree, selected_ids)
-
+    front = _solve_node_sides(design, set(selected))
     ntsv_cap = pdk.ntsv.capacitance
     inserted = 0
     back_wl = 0.0
     for child in selected:
-        parent = child.parent
-        parent_side = node_sides[id(parent)]
-        child_side = node_sides[id(child)]
-        back_wl += child.edge_length()
-        inserted += _flip_edge(tree, child, parent_side, child_side, ntsv_cap)
+        parent = int(design.parent_row[child])
+        back_wl += float(design.edge_length[child])
+        inserted += _flip_edge(design, child, front[parent], front[child], ntsv_cap)
 
-    # Commit the computed sides of non-inserted nodes (Steiner points that
-    # ended up entirely on the back side).
-    for node in tree.nodes():
-        if node.is_ntsv:
-            continue
-        side = node_sides.get(id(node))
-        if side is not None and node.kind is NodeKind.STEINER:
-            node.side = side
+    # Commit the computed sides of the Steiner points that ended up entirely
+    # on the back side.
+    for row, is_front in front.items():
+        if design.kind[row] == KIND_STEINER:
+            design.side_front[row] = is_front
+    design.touch()
 
     return BacksideAssignment(
         flipped_edges=len(selected),
@@ -126,62 +125,57 @@ def assign_backside(
     )
 
 
-def _solve_node_sides(
-    tree: ClockTree, selected_ids: set[int]
-) -> dict[int, Side]:
-    """Decide which side every existing node ends up on.
+def _solve_node_sides(design: DesignArrays, selected: set[int]) -> dict[int, bool]:
+    """Decide which side every existing row ends up on (True = front).
 
     Buffers, sinks, taps (which keep front-side leaf nets) and the clock root
     are pinned to the front side; a Steiner point moves to the back side only
     when *all* of its incident edges are flipped, otherwise it stays on the
     front side and nTSVs are inserted on its flipped edges.
     """
-    sides: dict[int, Side] = {}
-    for node in tree.nodes():
-        if node.kind in (NodeKind.ROOT, NodeKind.BUFFER, NodeKind.SINK, NodeKind.TAP):
-            sides[id(node)] = Side.FRONT
+    front: dict[int, bool] = {}
+    for row in design.rows_preorder():
+        if design.kind[row] in _FRONT_PINNED:
+            front[row] = True
             continue
-        incident_flipped = []
-        if node.parent is not None:
-            incident_flipped.append(id(node) in selected_ids)
-        incident_flipped.extend(id(child) in selected_ids for child in node.children)
-        if incident_flipped and all(incident_flipped):
-            sides[id(node)] = Side.BACK
-        else:
-            sides[id(node)] = Side.FRONT
-    return sides
+        incident_flipped = [c in selected for c in design.children_rows[row]]
+        if design.parent_row[row] >= 0:
+            incident_flipped.append(row in selected)
+        front[row] = not (incident_flipped and all(incident_flipped))
+    return front
 
 
 def _flip_edge(
-    tree: ClockTree,
-    child: ClockTreeNode,
-    parent_side: Side,
-    child_side: Side,
+    design: DesignArrays,
+    child: int,
+    parent_front: bool,
+    child_front: bool,
     ntsv_capacitance: float,
 ) -> int:
     """Move one edge to the back side, inserting nTSVs at front-side ends.
 
     Returns the number of nTSVs inserted for this edge.
     """
-    parent = child.parent
-    assert parent is not None
-    if parent_side is Side.BACK and child_side is Side.BACK:
-        child.wire_side = Side.BACK
+    parent = int(design.parent_row[child])
+    if not parent_front and not child_front:
+        design.wire_front[child] = False
         return 0
-    if parent_side is Side.BACK and child_side is Side.FRONT:
+    x, y = float(design.x[child]), float(design.y[child])
+    px, py = float(design.x[parent]), float(design.y[parent])
+    if not parent_front:
         # nTSV at the child (downstream) end only.
-        child.wire_side = Side.FRONT
-        tree.add_ntsv(child, child.location, ntsv_capacitance, Side.BACK)
+        design.wire_front[child] = True
+        design.add_ntsv(child, x, y, ntsv_capacitance, upstream_front=False)
         return 1
-    if parent_side is Side.FRONT and child_side is Side.BACK:
+    if not child_front:
         # nTSV at the parent (upstream) end only.
-        child.wire_side = Side.BACK
-        tree.add_ntsv(child, parent.location, ntsv_capacitance, Side.FRONT)
+        design.wire_front[child] = False
+        design.add_ntsv(child, px, py, ntsv_capacitance, upstream_front=True)
         return 1
     # Both ends stay on the front: via down at the parent end, via up at the
     # child end, back-side wire in between (the paper's Fig. 2(b) situation
     # around buffers).
-    child.wire_side = Side.FRONT
-    low = tree.add_ntsv(child, child.location, ntsv_capacitance, Side.BACK)
-    tree.add_ntsv(low, parent.location, ntsv_capacitance, Side.FRONT)
+    design.wire_front[child] = True
+    low = design.add_ntsv(child, x, y, ntsv_capacitance, upstream_front=False)
+    design.add_ntsv(low, px, py, ntsv_capacitance, upstream_front=True)
     return 2

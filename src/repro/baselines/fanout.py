@@ -8,9 +8,11 @@ upper levels of the tree, so the method is a tunable version of [2].
 
 from __future__ import annotations
 
-from repro.baselines.backside import trunk_edges
+import numpy as np
+
+from repro.baselines.backside import subtree_totals, trunk_edges
 from repro.baselines.veloso import BacksideOptimizerBase
-from repro.clocktree import ClockTree, ClockTreeNode
+from repro.ir.design import KIND_SINK, DesignArrays
 
 
 class FanoutBacksideOptimizer(BacksideOptimizerBase):
@@ -24,9 +26,9 @@ class FanoutBacksideOptimizer(BacksideOptimizerBase):
             raise ValueError("the fanout threshold must be at least 1")
         self.fanout_threshold = fanout_threshold
 
-    def select_edges(self, tree: ClockTree) -> list[ClockTreeNode]:
+    def select_edges(self, design: DesignArrays) -> list[int]:
+        sinks = design.kind[: design.size] == KIND_SINK
+        fanout = subtree_totals(design, sinks.astype(np.int64))
         return [
-            child
-            for child in trunk_edges(tree)
-            if child.sink_count() >= self.fanout_threshold
+            row for row in trunk_edges(design) if fanout[row] >= self.fanout_threshold
         ]

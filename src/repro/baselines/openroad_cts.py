@@ -6,6 +6,9 @@ centres, and (iii) inserting buffers level by level so that no driver exceeds
 its load limit.  This module reimplements that recipe from scratch (no DME
 balancing, no back-side awareness), which is the comparison point used by the
 "OpenROAD Buffered Clock Tree" columns of Table III.
+
+The tree is built straight into a :class:`~repro.ir.design.DesignArrays`,
+the substrate the post-CTS baselines copy and edit.
 """
 
 from __future__ import annotations
@@ -15,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
 from repro.clustering.kmeans import KMeans
 from repro.evaluation.metrics import ClockTreeMetrics, evaluate_tree
 from repro.geometry import Point
+from repro.ir.design import KIND_BUFFER, KIND_SINK, KIND_STEINER, KIND_TAP, DesignArrays
 from repro.netlist.clock import ClockNet
 from repro.netlist.design import Design
 from repro.routing.topology import TopologyNode, balanced_bipartition_topology
-from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
 
 
@@ -50,7 +52,7 @@ class OpenRoadCtsResult:
     """Result of the OpenROAD-like baseline run."""
 
     design_name: str
-    tree: ClockTree
+    design: DesignArrays
     metrics: ClockTreeMetrics
     runtime: float
 
@@ -66,40 +68,35 @@ class OpenRoadLikeCTS:
         self.config = config if config is not None else OpenRoadCtsConfig()
 
     # ----------------------------------------------------------------- public
-    def run(self, design: Design | ClockNet, design_name: str | None = None) -> OpenRoadCtsResult:
-        """Build the buffered single-side clock tree for ``design``."""
-        if isinstance(design, Design):
-            clock_net = design.require_clock_net()
-            name = design_name or design.name
-        else:
-            clock_net = design
-            name = design_name or design.name
+    def run(
+        self, design: Design | ClockNet, design_name: str | None = None
+    ) -> OpenRoadCtsResult:
+        """Build the buffered single-side clock-tree design for ``design``."""
+        clock_net = design.require_clock_net() if isinstance(design, Design) else design
+        name = design_name or design.name
         start = time.perf_counter()
-        tree = self._build_tree(clock_net)
+        arrays = self._build_design(clock_net)
         runtime = time.perf_counter() - start
-        tree.validate()
+        arrays.validate()
         metrics = evaluate_tree(
-            tree, self.pdk, design=name, flow=self.flow_name, runtime=runtime
+            arrays, self.pdk, design=name, flow=self.flow_name, runtime=runtime
         )
-        return OpenRoadCtsResult(design_name=name, tree=tree, metrics=metrics, runtime=runtime)
+        return OpenRoadCtsResult(
+            design_name=name, design=arrays, metrics=metrics, runtime=runtime
+        )
 
     # --------------------------------------------------------------- internals
-    def _build_tree(self, clock_net: ClockNet) -> ClockTree:
+    def _build_design(self, clock_net: ClockNet) -> DesignArrays:
         clusters = self._cluster_sinks(clock_net)
-        root = ClockTreeNode(
-            name="clkroot",
-            kind=NodeKind.ROOT,
-            location=clock_net.source.location,
-            side=Side.FRONT,
-        )
-        tree = ClockTree(root, name=clock_net.name)
+        design = DesignArrays(name=clock_net.name)
+        source = clock_net.source.location
+        root = design.add_root("clkroot", source.x, source.y)
         centroids = [c[0] for c in clusters]
         topology = balanced_bipartition_topology(centroids)
-        top = self._materialise(tree, root, topology, clusters, level=0)
-        self._buffer_long_edges(tree)
-        self._buffer_taps(tree)
-        del top
-        return tree
+        self._materialise(design, root, topology, clusters, level=0)
+        self._buffer_long_edges(design)
+        self._buffer_taps(design)
+        return design
 
     def _cluster_sinks(self, clock_net: ClockNet):
         from repro.clustering.dual_level import split_by_capacitance
@@ -140,86 +137,79 @@ class OpenRoadLikeCTS:
 
     def _materialise(
         self,
-        tree: ClockTree,
-        parent: ClockTreeNode,
+        design: DesignArrays,
+        parent: int,
         topology: TopologyNode,
         clusters,
         level: int,
-    ) -> ClockTreeNode:
+    ) -> None:
         if topology.is_leaf:
             centroid, members = clusters[topology.terminal_index]
-            tap = ClockTreeNode(
-                name=tree.new_name("tap"),
-                kind=NodeKind.TAP,
-                location=centroid,
-                side=Side.FRONT,
-                wire_side=Side.FRONT,
+            tap = design.add_child(
+                parent, design.new_name("tap"), KIND_TAP, centroid.x, centroid.y
             )
-            parent.add_child(tap)
-            for sink in members:
-                tap.add_child(
-                    ClockTreeNode(
-                        name=sink.name,
-                        kind=NodeKind.SINK,
-                        location=sink.location,
-                        capacitance=sink.capacitance,
-                        side=Side.FRONT,
-                        wire_side=Side.FRONT,
-                    )
-                )
-            return tap
-        steiner = ClockTreeNode(
-            name=tree.new_name("st"),
-            kind=NodeKind.STEINER,
-            location=topology.location_hint,
-            side=Side.FRONT,
-            wire_side=Side.FRONT,
+            design.add_children(
+                tap,
+                [sink.name for sink in members],
+                KIND_SINK,
+                [sink.location.x for sink in members],
+                [sink.location.y for sink in members],
+                [sink.capacitance for sink in members],
+            )
+            return
+        location = topology.location_hint
+        steiner = design.add_child(
+            parent, design.new_name("st"), KIND_STEINER, location.x, location.y
         )
-        parent.add_child(steiner)
         for child in topology.children:
-            self._materialise(tree, steiner, child, clusters, level + 1)
+            self._materialise(design, steiner, child, clusters, level + 1)
         # Buffer every N levels of the topology (drives the branch below).
-        if self.config.buffer_every_level > 0 and level % self.config.buffer_every_level == 0:
-            tree.add_buffer(
-                steiner, steiner.location, self.pdk.buffer.input_capacitance
+        every = self.config.buffer_every_level
+        if every > 0 and level % every == 0:
+            design.add_buffer(
+                steiner, location.x, location.y, self.pdk.buffer.input_capacitance
             )
-        return steiner
 
-    def _buffer_long_edges(self, tree: ClockTree) -> None:
+    def _buffer_long_edges(self, design: DesignArrays) -> None:
         """Chain buffers along trunk edges longer than the buffer distance."""
         from repro.geometry.point import point_toward
 
         distance = self.config.buffer_distance
         trunk_children = [
-            node for node in tree.nodes() if node.parent is not None and not node.is_sink
+            row
+            for row in design.rows_preorder()
+            if design.parent_row[row] >= 0 and design.kind[row] != KIND_SINK
         ]
         for child in trunk_children:
-            length = child.edge_length()
+            length = float(design.edge_length[child])
             count = int(length // distance)
             if count < 1:
                 continue
-            parent = child.parent
+            origin = design.location_of(child)
+            target = design.location_of(int(design.parent_row[child]))
             for i in range(count, 0, -1):
-                location = point_toward(
-                    child.location, parent.location, length * i / (count + 1)
+                location = point_toward(origin, target, length * i / (count + 1))
+                design.add_buffer(
+                    child, location.x, location.y, self.pdk.buffer.input_capacitance
                 )
-                tree.add_buffer(child, location, self.pdk.buffer.input_capacitance)
 
-    def _buffer_taps(self, tree: ClockTree) -> None:
+    def _buffer_taps(self, design: DesignArrays) -> None:
         """Give every leaf cluster its own driving buffer (TritonCTS leaf level)."""
-        for tap in [n for n in tree.nodes() if n.kind is NodeKind.TAP]:
-            sink_children = [c for c in tap.children if c.is_sink]
-            if not sink_children:
+        taps = [row for row in design.rows_preorder() if design.kind[row] == KIND_TAP]
+        for tap in taps:
+            sinks = [
+                c for c in design.children_rows[tap] if design.kind[c] == KIND_SINK
+            ]
+            if not sinks:
                 continue
-            buffer_node = ClockTreeNode(
-                name=tree.new_name("leafbuf"),
-                kind=NodeKind.BUFFER,
-                location=tap.location,
-                side=Side.FRONT,
+            buffer = design.add_child(
+                tap,
+                design.new_name("leafbuf"),
+                KIND_BUFFER,
+                float(design.x[tap]),
+                float(design.y[tap]),
                 capacitance=self.pdk.buffer.input_capacitance,
-                wire_side=Side.FRONT,
             )
-            tap.add_child(buffer_node)
-            for sink in sink_children:
-                sink.detach()
-                buffer_node.add_child(sink)
+            for sink in sinks:
+                design.move_child(sink, buffer)
+            design.mark_rewire(buffer)

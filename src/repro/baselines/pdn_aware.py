@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.baselines.backside import trunk_edges
 from repro.baselines.timing_critical import TimingCriticalBacksideOptimizer
-from repro.clocktree import ClockTree, ClockTreeNode
+from repro.ir.design import KIND_BUFFER, DesignArrays
 
 
 class PdnAwareBacksideOptimizer(TimingCriticalBacksideOptimizer):
@@ -30,30 +30,23 @@ class PdnAwareBacksideOptimizer(TimingCriticalBacksideOptimizer):
             raise ValueError("the nTSV budget must be non-negative")
         self.ntsv_budget = ntsv_budget
 
-    def select_edges(self, tree: ClockTree) -> list[ClockTreeNode]:
-        endpoints = self._rank_endpoints(tree)
-        if not endpoints:
-            return []
-        count = max(1, int(round(len(endpoints) * self.critical_fraction)))
-        critical = endpoints[:count]
-        allowed = {id(child) for child in trunk_edges(tree)}
-
-        selected: dict[int, ClockTreeNode] = {}
+    def select_edges(self, design: DesignArrays) -> list[int]:
+        critical = self._critical_endpoints(design)
+        allowed = set(trunk_edges(design))
+        selected: dict[int, None] = {}
         estimated_ntsvs = 0
         for endpoint in critical:
-            path: list[ClockTreeNode] = []
-            node = endpoint
-            while node is not None and node.parent is not None:
-                if id(node) in allowed and id(node) not in selected:
-                    path.append(node)
-                node = node.parent
+            path = [
+                row
+                for row in self._path_to_root(design, endpoint)
+                if row in allowed and row not in selected
+            ]
             # Rough per-path cost: one via pair where the path meets the
             # front-side root/leaf plus one via pair per buffer on the path.
-            buffers_on_path = sum(1 for n in path if n.is_buffer)
+            buffers_on_path = sum(1 for row in path if design.kind[row] == KIND_BUFFER)
             cost = 2 + 2 * buffers_on_path
             if estimated_ntsvs + cost > self.ntsv_budget and selected:
                 break
             estimated_ntsvs += cost
-            for node in path:
-                selected[id(node)] = node
-        return list(selected.values())
+            selected.update(dict.fromkeys(path))
+        return list(selected)

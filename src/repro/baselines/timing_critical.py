@@ -6,14 +6,19 @@ back side.  The GNN only acts as a selector, so this reproduction replaces it
 with a delay-criticality oracle: end-points (taps / leaf buffers) are ranked
 by their worst sink arrival time and the top ``critical_fraction`` of them is
 selected (0.5 in Table III, swept 0.2..0.9 in Fig. 12).  Every trunk edge on
-the root-to-end-point path of a selected end-point is flipped.
+the root-to-end-point path of a selected end-point is flipped, in the order
+the walks up from the end-points first reach them.
 """
 
 from __future__ import annotations
 
-from repro.baselines.backside import trunk_edges
+from typing import Iterator
+
+import numpy as np
+
+from repro.baselines.backside import subtree_totals, trunk_edges
 from repro.baselines.veloso import BacksideOptimizerBase
-from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
+from repro.ir.design import KIND_ROOT, KIND_SINK, KIND_TAP, DesignArrays
 from repro.timing import create_engine
 
 
@@ -29,41 +34,51 @@ class TimingCriticalBacksideOptimizer(BacksideOptimizerBase):
         self.critical_fraction = critical_fraction
 
     # ------------------------------------------------------------------ logic
-    def select_edges(self, tree: ClockTree) -> list[ClockTreeNode]:
-        endpoints = self._rank_endpoints(tree)
+    def select_edges(self, design: DesignArrays) -> list[int]:
+        critical = self._critical_endpoints(design)
+        allowed = set(trunk_edges(design))
+        selected: dict[int, None] = {}
+        for endpoint in critical:
+            for row in self._path_to_root(design, endpoint):
+                if row in allowed:
+                    selected[row] = None
+        return list(selected)
+
+    def _critical_endpoints(self, design: DesignArrays) -> list[int]:
+        """The ``critical_fraction`` most critical end-point rows, worst first.
+
+        Ranking times ``design``, which may compact it and renumber its rows:
+        callers read every other row after this call.
+        """
+        endpoints = self._rank_endpoints(design)
         if not endpoints:
             return []
         count = max(1, int(round(len(endpoints) * self.critical_fraction)))
-        critical = endpoints[:count]
-        allowed = {id(child) for child in trunk_edges(tree)}
-        selected: dict[int, ClockTreeNode] = {}
-        for endpoint in critical:
-            node = endpoint
-            while node is not None and node.parent is not None:
-                if id(node) in allowed:
-                    selected[id(node)] = node
-                node = node.parent
-        return list(selected.values())
+        return endpoints[:count]
 
-    def _rank_endpoints(self, tree: ClockTree) -> list[ClockTreeNode]:
-        """End-points ordered from most to least timing critical."""
+    @staticmethod
+    def _path_to_root(design: DesignArrays, row: int) -> Iterator[int]:
+        """``row`` and its ancestors, up to but excluding the root."""
+        while design.parent_row[row] >= 0:
+            yield row
+            row = int(design.parent_row[row])
+
+    def _rank_endpoints(self, design: DesignArrays) -> list[int]:
+        """End-point rows ordered from most to least timing critical."""
         engine = create_engine(self.pdk)
-        timing = engine.analyze(tree, with_slew=False)
-        endpoints = [n for n in tree.nodes() if n.kind is NodeKind.TAP]
+        timing = engine.analyze(design, with_slew=False)
+        order = design.rows_preorder()
+        kind = design.kind
+        endpoints = [row for row in order if kind[row] == KIND_TAP]
         if not endpoints:
-            endpoints = [
-                parent
-                for parent in {id(s.parent): s.parent for s in tree.sinks()}.values()
-                if parent is not None and parent.kind is not NodeKind.ROOT
-            ]
-        scored = []
-        for endpoint in endpoints:
-            arrivals = [
-                timing.arrivals[node.name]
-                for node in endpoint.iter_subtree()
-                if node.is_sink and node.name in timing.arrivals
-            ]
-            if arrivals:
-                scored.append((max(arrivals), endpoint))
+            parents = dict.fromkeys(
+                int(design.parent_row[row]) for row in order if kind[row] == KIND_SINK
+            )
+            endpoints = [row for row in parents if row >= 0 and kind[row] != KIND_ROOT]
+        arrival = np.full(design.size, -np.inf)
+        for name, value in timing.arrivals.items():
+            arrival[design.name_to_row[name]] = value
+        worst = subtree_totals(design, arrival, np.maximum)
+        scored = [(worst[row], row) for row in endpoints if worst[row] > -np.inf]
         scored.sort(key=lambda item: item[0], reverse=True)
-        return [endpoint for _score, endpoint in scored]
+        return [row for _score, row in scored]

@@ -84,13 +84,18 @@ class CliError(ValueError):
     """
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_scale(parser: argparse.ArgumentParser) -> None:
+    # Only the commands that load a benchmark take --scale; serve requests
+    # carry their own.
     parser.add_argument(
         "--scale",
         type=float,
         default=1.0,
         help="scale factor applied to the benchmark size (default: full size)",
     )
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         choices=ENGINE_NAMES,
@@ -183,11 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the double-side CTS flow on one benchmark")
     run.add_argument("design", help="benchmark id (C1..C5) or name (jpeg, aes, ...)")
+    _add_scale(run)
     _add_common(run)
     _add_construction_workers(run)
 
     compare = sub.add_parser("compare", help="compare flows on one or more benchmarks")
     compare.add_argument("designs", nargs="+", help="benchmark ids or names")
+    _add_scale(compare)
     _add_common(compare)
     _add_construction_workers(compare)
 
@@ -202,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="evaluate the sweep grid on this many parallel processes",
     )
+    _add_scale(dse)
     _add_common(dse)
 
     serve = sub.add_parser(
@@ -293,7 +301,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ours = DoubleSideCTS(pdk, config).run(design)
         openroad = OpenRoadLikeCTS(pdk).run(design)
         veloso = VelosoBacksideOptimizer(pdk).run(
-            openroad.tree, design_name=design.name
+            openroad.design, design_name=design.name
         )
         single = SingleSideCTS(pdk, config).run(design)
         for metrics in (ours.metrics, openroad.metrics, veloso.metrics, single.metrics):

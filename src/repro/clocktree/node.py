@@ -72,10 +72,6 @@ class ClockTreeNode:
     def is_ntsv(self) -> bool:
         return self.kind is NodeKind.NTSV
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
     def add_child(self, child: "ClockTreeNode") -> "ClockTreeNode":
         """Attach ``child`` below this node and return it."""
         if child.parent is not None:
@@ -86,38 +82,12 @@ class ClockTreeNode:
         self.children.append(child)
         return child
 
-    def detach(self) -> "ClockTreeNode":
-        """Detach this node (and its subtree) from its parent and return it."""
-        if self.parent is None:
-            raise ValueError(f"node {self.name} has no parent to detach from")
-        self.parent.children.remove(self)
-        self.parent = None
-        return self
-
     # --------------------------------------------------------------- queries
     def edge_length(self) -> float:
         """Manhattan length (um) of the wire from the parent to this node."""
         if self.parent is None:
             return 0.0
         return self.location.manhattan(self.parent.location)
-
-    def depth(self) -> int:
-        """Number of edges between this node and the tree root."""
-        depth = 0
-        node = self
-        while node.parent is not None:
-            node = node.parent
-            depth += 1
-        return depth
-
-    def ancestors(self) -> list["ClockTreeNode"]:
-        """Return the chain of ancestors from the parent up to the root."""
-        chain = []
-        node = self.parent
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        return chain
 
     def iter_subtree(self):
         """Yield this node and every descendant (pre-order)."""
@@ -126,10 +96,6 @@ class ClockTreeNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def sink_count(self) -> int:
-        """Number of sinks in the subtree rooted at this node."""
-        return sum(1 for node in self.iter_subtree() if node.is_sink)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,11 +1,10 @@
-"""The :class:`ClockTree` container and its structural operations."""
+"""The :class:`ClockTree` container: traversal, counts and validation."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.geometry import Point
 from repro.tech.layers import Side
 from repro.clocktree.node import ClockTreeNode, NodeKind
 
@@ -15,19 +14,15 @@ class ConnectivityError(RuntimeError):
 
 
 class ClockTree:
-    """A rooted clock tree with helpers for traversal, metrics, and editing.
+    """A rooted clock tree with helpers for traversal, metrics and validation.
 
-    The tree owns a name counter so that flows can create uniquely named
-    buffers, nTSVs, and Steiner points without coordinating with each other.
-
-    The tree is a realised view of a :class:`~repro.ir.design.DesignArrays`
-    design (reference timing, DEF export, SVG) or a baseline flow's own
-    working tree.  Its :attr:`version` keys
-    :class:`~repro.timing.VectorizedElmoreEngine`'s cached compile of the
-    tree, so every structural edit bumps it: the tree API
-    (:meth:`insert_on_edge`, :meth:`add_buffer`, :meth:`add_ntsv`) does so
-    itself, and code that mutates nodes directly (``node.add_child`` /
-    ``node.detach`` / attribute writes) must call :meth:`touch`.
+    The tree is a read-only realised view of a
+    :class:`~repro.ir.design.DesignArrays` design
+    (:meth:`~repro.ir.design.DesignArrays.to_clock_tree`): the reference
+    timing engine, DEF/JSON export and SVG read it.  Every edit goes
+    through the design.  The tree carries the design's name counter, so
+    ``DesignArrays.from_clock_tree(tree)`` continues the design's
+    fresh-name sequence.
     """
 
     def __init__(self, root: ClockTreeNode, name: str = "clk") -> None:
@@ -38,17 +33,6 @@ class ClockTree:
         self.name = name
         self.root = root
         self._counter = 0
-        self._version = 0
-
-    # ------------------------------------------------------------ versioning
-    @property
-    def version(self) -> int:
-        """Monotonic structural version; bumped by every structural edit."""
-        return self._version
-
-    def touch(self) -> None:
-        """Record a structural change (the next timing query recompiles)."""
-        self._version += 1
 
     # ------------------------------------------------------------- traversal
     def nodes(self) -> Iterator[ClockTreeNode]:
@@ -77,10 +61,6 @@ class ClockTree:
     def ntsvs(self) -> list[ClockTreeNode]:
         """All inserted nTSV nodes."""
         return [n for n in self.nodes() if n.is_ntsv]
-
-    def edges(self) -> list[tuple[ClockTreeNode, ClockTreeNode]]:
-        """All (parent, child) edges."""
-        return [(n.parent, n) for n in self.nodes() if n.parent is not None]
 
     def find(self, name: str) -> ClockTreeNode:
         """The first node in pre-order named ``name`` (``KeyError`` when absent)."""
@@ -137,95 +117,6 @@ class ClockTree:
                 continue
             total += node.edge_length()
         return total
-
-    def max_depth(self) -> int:
-        """Longest root-to-leaf path length in edges."""
-        best = 0
-        for node in self.nodes():
-            if node.is_leaf:
-                best = max(best, node.depth())
-        return best
-
-    # -------------------------------------------------------------- editing
-    def new_name(self, prefix: str) -> str:
-        """Return a fresh unique node name with the given prefix."""
-        self._counter += 1
-        return f"{prefix}_{self._counter}"
-
-    def insert_on_edge(
-        self,
-        child: ClockTreeNode,
-        kind: NodeKind,
-        location: Point,
-        side: Side = Side.FRONT,
-        capacitance: float = 0.0,
-        wire_side: Side | None = None,
-        name: str | None = None,
-    ) -> ClockTreeNode:
-        """Insert a new node on the edge between ``child`` and its parent.
-
-        The new node becomes the parent of ``child``.  ``wire_side`` sets the
-        side of the *upper* wire (new node to old parent); the lower wire
-        keeps ``child.wire_side`` unless the caller changes it afterwards.
-        """
-        parent = child.parent
-        if parent is None:
-            raise ValueError(f"cannot insert above the root node {child.name!r}")
-        node = ClockTreeNode(
-            name=name or self.new_name(kind.value),
-            kind=kind,
-            location=location,
-            side=side,
-            capacitance=capacitance,
-            wire_side=wire_side if wire_side is not None else child.wire_side,
-        )
-        parent.children.remove(child)
-        child.parent = None
-        parent.add_child(node)
-        node.add_child(child)
-        self.touch()
-        return node
-
-    def add_buffer(
-        self,
-        child: ClockTreeNode,
-        location: Point,
-        input_capacitance: float,
-        name: str | None = None,
-    ) -> ClockTreeNode:
-        """Insert a clock buffer on the edge above ``child`` (front side)."""
-        return self.insert_on_edge(
-            child,
-            NodeKind.BUFFER,
-            location,
-            side=Side.FRONT,
-            capacitance=input_capacitance,
-            wire_side=Side.FRONT,
-            name=name,
-        )
-
-    def add_ntsv(
-        self,
-        child: ClockTreeNode,
-        location: Point,
-        capacitance: float,
-        upstream_side: Side,
-        name: str | None = None,
-    ) -> ClockTreeNode:
-        """Insert an nTSV on the edge above ``child``.
-
-        ``upstream_side`` is the side of the wire toward the root; the wire
-        toward ``child`` keeps its existing side.
-        """
-        return self.insert_on_edge(
-            child,
-            NodeKind.NTSV,
-            location,
-            side=upstream_side,
-            capacitance=capacitance,
-            wire_side=upstream_side,
-            name=name,
-        )
 
     # ----------------------------------------------------------- validation
     def validate(self) -> None:
@@ -288,43 +179,12 @@ class ClockTree:
                     f"touches a wire on side {side.value}"
                 )
 
-    # ------------------------------------------------------------------ misc
-    def apply(self, visitor: Callable[[ClockTreeNode], None]) -> None:
-        """Apply ``visitor`` to every node (pre-order)."""
-        for node in self.nodes():
-            visitor(node)
-
-    def copy(self) -> "ClockTree":
-        """Deep-copy the tree (nodes are duplicated, locations shared)."""
-        mapping: dict[int, ClockTreeNode] = {}
-        new_root: ClockTreeNode | None = None
-        for node in self.nodes():
-            clone = ClockTreeNode(
-                name=node.name,
-                kind=node.kind,
-                location=node.location,
-                side=node.side,
-                capacitance=node.capacitance,
-                wire_side=node.wire_side,
-            )
-            mapping[id(node)] = clone
-            if node.parent is None:
-                new_root = clone
-            else:
-                mapping[id(node.parent)].add_child(clone)
-        assert new_root is not None
-        tree = ClockTree(new_root, name=self.name)
-        tree._counter = self._counter
-        return tree
-
     def __reduce__(self):
         """Pickle as a flat node table instead of the linked node graph.
 
         Default pickling recurses through the parent/child links and blows
         the recursion limit on deep (chained) trees; the flat form keeps
-        process-pool transport (e.g. the parallel DSE grid) depth-safe.  The
-        version is deliberately dropped: the unpickled tree is a fresh
-        structural copy, exactly like :meth:`copy`.
+        process-pool transport depth-safe.
         """
         index: dict[int, int] = {}
         rows = []

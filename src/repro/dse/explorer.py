@@ -34,7 +34,6 @@ from typing import Callable, Iterable
 from repro.baselines.fanout import FanoutBacksideOptimizer
 from repro.baselines.timing_critical import TimingCriticalBacksideOptimizer
 from repro.baselines.veloso import VelosoBacksideOptimizer
-from repro.clocktree import ClockTree
 from repro.dse.pareto import pareto_front
 from repro.evaluation.metrics import ClockTreeMetrics, evaluate_tree
 from repro.flow.config import CtsConfig
@@ -156,11 +155,18 @@ class DesignSpaceExplorer:
         serial sweep.  ``config.workers`` stays the construction-stage knob,
         exactly as in the flow.
 
+        ``workers`` must be an integer of at least 1
+        (:func:`repro.parallel.resolve_workers` raises ``ValueError``
+        otherwise, before any routing).
+
         ``point_hook`` is a picklable callable invoked with
         ``(config, threshold)`` before each point is evaluated; the fault
         harness (:class:`~repro.guard.faults.SweepCrash`) uses it to crash
         chosen points and prove the sweep's failure isolation.
         """
+        from repro.parallel import resolve_workers, run_tasks
+
+        workers = resolve_workers(workers)
         clock_net, name = DoubleSideCTS._resolve_input(design, design_name)
         guard = StageGuard(self.config.resolved_backends().guard, clock_net)
         guard.validate_inputs(self.pdk, corners=self.config.corners)
@@ -171,8 +177,6 @@ class DesignSpaceExplorer:
         # One task per threshold on the fault-tolerant pool tier: a crashed
         # or hung worker is retried and, at worst, recomputed inline, so one
         # broken process never discards the completed points.
-        from repro.parallel import run_tasks
-
         payloads = [
             (self.pdk, self.config, clock_net, snapshot, t, name, point_hook)
             for t in thresholds
@@ -196,15 +200,15 @@ class DesignSpaceExplorer:
     # -------------------------------------------------------------- baselines
     def sweep_fanout_baseline(
         self,
-        buffered_tree: ClockTree,
+        buffered: DesignArrays,
         thresholds: Iterable[int],
         design_name: str = "",
     ) -> DseResult:
-        """Sweep [7]'s fanout threshold on a fixed buffered clock tree."""
+        """Sweep [7]'s fanout threshold on a fixed buffered design."""
         result = DseResult(design_name=design_name)
         for threshold in thresholds:
             optimizer = FanoutBacksideOptimizer(self.pdk, fanout_threshold=int(threshold))
-            run = optimizer.run(buffered_tree, design_name=design_name, copy=True)
+            run = optimizer.run(buffered, design_name=design_name)
             result.points.append(
                 DsePoint(
                     configuration="bethur_fanout_2023",
@@ -216,17 +220,17 @@ class DesignSpaceExplorer:
 
     def sweep_critical_baseline(
         self,
-        buffered_tree: ClockTree,
+        buffered: DesignArrays,
         fractions: Iterable[float],
         design_name: str = "",
     ) -> DseResult:
-        """Sweep [6]'s critical-path fraction on a fixed buffered clock tree."""
+        """Sweep [6]'s critical-path fraction on a fixed buffered design."""
         result = DseResult(design_name=design_name)
         for fraction in fractions:
             optimizer = TimingCriticalBacksideOptimizer(
                 self.pdk, critical_fraction=float(fraction)
             )
-            run = optimizer.run(buffered_tree, design_name=design_name, copy=True)
+            run = optimizer.run(buffered, design_name=design_name)
             result.points.append(
                 DsePoint(
                     configuration="bethur_gnn_2024",
@@ -236,11 +240,9 @@ class DesignSpaceExplorer:
             )
         return result
 
-    def veloso_point(self, buffered_tree: ClockTree, design_name: str = "") -> DsePoint:
-        """The single configuration of [2] on a fixed buffered clock tree."""
-        run = VelosoBacksideOptimizer(self.pdk).run(
-            buffered_tree, design_name=design_name, copy=True
-        )
+    def veloso_point(self, buffered: DesignArrays, design_name: str = "") -> DsePoint:
+        """The single configuration of [2] on a fixed buffered design."""
+        run = VelosoBacksideOptimizer(self.pdk).run(buffered, design_name=design_name)
         return DsePoint(configuration="veloso_2023", parameter=0.0, metrics=run.metrics)
 
 

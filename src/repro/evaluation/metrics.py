@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.clocktree import ClockTree
 from repro.ir.design import DesignArrays
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.layers import Side
@@ -131,7 +130,7 @@ class ClockTreeMetrics:
 
 
 def evaluate_tree(
-    tree: ClockTree | DesignArrays,
+    arrays: DesignArrays,
     pdk: Pdk,
     design: str = "",
     flow: str = "",
@@ -140,7 +139,7 @@ def evaluate_tree(
     corners: CornerSet | Scenario | str | None = None,
     timing_engine: "VectorizedElmoreEngine | None" = None,
 ) -> ClockTreeMetrics:
-    """Run the consistent evaluation of the paper on a synthesised tree.
+    """Run the consistent evaluation of the paper on a synthesised design.
 
     ``engine`` selects the timing engine by factory name (``"vectorized"``
     by default, ``"reference"`` for differential checks).  ``corners`` adds a
@@ -148,9 +147,11 @@ def evaluate_tree(
     latencies are computed in one batched pass (vectorized engine) or one
     per-corner loop (reference engine) and attached to the metrics.
 
-    ``tree`` may be a :class:`~repro.ir.design.DesignArrays` design: counts
-    and per-side wirelength reduce over the rows directly, and either timing
-    engine analyses the design (the reference engine realises it itself).
+    ``arrays`` is a :class:`~repro.ir.design.DesignArrays`: counts and
+    per-side wirelength reduce over its rows, and either timing engine
+    analyses it (the reference engine realises it itself).  An object
+    ``ClockTree`` raises a ``TypeError``; compile it with
+    ``DesignArrays.from_clock_tree(tree)``.
 
     ``timing_engine`` reuses an already-compiled engine instead of creating
     one (the serve tier's warm path: repeated evaluations of a long-lived
@@ -158,22 +159,27 @@ def evaluate_tree(
     a fresh compile).  The caller owns corner consistency: the instance's
     corner batch is what the per-corner columns report.
     """
+    if not isinstance(arrays, DesignArrays):
+        raise TypeError(
+            "evaluate_tree scores a DesignArrays; compile object trees with "
+            "DesignArrays.from_clock_tree(tree)"
+        )
     if timing_engine is None:
         timing_engine = create_engine(pdk, engine, corners=corners)
-    timing = timing_engine.analyze(tree)
+    timing = timing_engine.analyze(arrays)
     corner_skews: dict[str, float] = {}
     corner_latencies: dict[str, float] = {}
     if len(timing_engine.corners) > 1:
         # One analyze_corners pass yields both dicts (this matters for the
         # reference engine, whose per-corner loop is a full analysis each).
         for name, result in timing_engine.analyze_corners(
-            tree, with_slew=False
+            arrays, with_slew=False
         ).items():
             corner_skews[name] = result.skew
             corner_latencies[name] = result.latency
-    front_wl = tree.wirelength(Side.FRONT)
-    back_wl = tree.wirelength(Side.BACK)
-    _nodes, sinks, buffers, ntsvs = tree.counts()
+    front_wl = arrays.wirelength(Side.FRONT)
+    back_wl = arrays.wirelength(Side.BACK)
+    _nodes, sinks, buffers, ntsvs = arrays.counts()
     return ClockTreeMetrics(
         design=design,
         flow=flow,

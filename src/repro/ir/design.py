@@ -7,17 +7,17 @@ its ``parent_row`` / ``kind`` / ``edge_length`` / ``wire_front`` / ``cap`` /
 ``alive`` columns, ``children_rows``, ``levels()`` and ``sink_rows()`` are
 what the engine's level-batched passes read directly.  Beyond that timing
 view it carries what a *design* needs: names, coordinates, node sides, and
-the name counter that keeps fresh node names identical to the object
-tree's.  This module owns the row format, including the integer ``kind``
-codes (:data:`KIND_CODE`).
+the name counter behind every fresh node name.  It is the only editing API
+for clock trees (flow stages and baselines alike).  This module owns the
+row format, including the integer ``kind`` codes (:data:`KIND_CODE`).
 
 Structural edits are recorded in a bounded edit log (``mark_splice`` /
 ``mark_rewire`` / ``touch``) of ``(version, kind, row)`` entries, and the
 structure is updated eagerly at edit time.  The vectorized engine replays
 the log to re-time only the dirty cone.
 
-Object trees exist only at the boundaries: :meth:`to_clock_tree` /
-:meth:`from_clock_tree` are lossless (names, children order, sides, caps,
+Object trees are read-only views at the boundaries: :meth:`to_clock_tree`
+/ :meth:`from_clock_tree` are lossless (names, children order, sides, caps,
 coordinates, and the name counter are bit-preserved both ways).
 """
 
@@ -57,10 +57,9 @@ class DesignArrays:
     """A persistent, editable struct-of-arrays clock-tree design.
 
     Row 0 is always the clock root.  ``size`` counts allocated rows
-    including tombstones; ``alive`` filters.  The structural operations
-    mirror the :class:`~repro.clocktree.ClockTree` editing API one-to-one
-    (same children ordering, same fresh-name sequence), so a design and its
-    realised tree (:meth:`to_clock_tree`) describe the same clock tree.
+    including tombstones; ``alive`` filters.  Children order is part of the
+    design: it fixes the breadth-first row order the timing passes sum in,
+    and :meth:`to_clock_tree` realises it node for node.
 
     .. warning:: Row indices are only stable between compactions.  Any
        engine sync may compact (``VectorizedElmoreEngine._compile`` calls
@@ -160,7 +159,7 @@ class DesignArrays:
         return [edit for edit in self._edits if edit[0] > version]
 
     def new_name(self, prefix: str) -> str:
-        """Return a fresh unique node name (same sequence as ``ClockTree``)."""
+        """Return a fresh node name (the counter survives copies and bridges)."""
         self._counter += 1
         return f"{prefix}_{self._counter}"
 
@@ -310,7 +309,7 @@ class DesignArrays:
         capacitance: float = 0.0,
         wire_front: bool = True,
     ) -> int:
-        """Append a new leaf row under ``parent`` (mirrors ``add_child``)."""
+        """Append a new leaf row at the end of ``parent``'s children."""
         row = self._append_row(
             name, kind_code, x, y, side_front, capacitance, wire_front
         )
@@ -394,10 +393,10 @@ class DesignArrays:
     ) -> int:
         """Insert a new row on the edge between ``child`` and its parent.
 
-        Mirrors :meth:`ClockTree.insert_on_edge` exactly: the fresh name uses
-        the kind's value as prefix, the new row replaces ``child`` at the
-        *end* of the parent's children list (remove + append), and a splice
-        edit is recorded.
+        The fresh name uses the kind's value as prefix, the new row replaces
+        ``child`` at the *end* of the parent's children list (remove +
+        append), and a splice edit is recorded.  ``wire_front`` sets the
+        upper wire (new row to parent); the lower wire keeps ``child``'s.
         """
         parent = int(self.parent_row[child])
         if parent < 0:
@@ -458,8 +457,7 @@ class DesignArrays:
     def move_child(self, row: int, new_parent: int) -> None:
         """Detach ``row`` from its parent and append it under ``new_parent``.
 
-        Mirrors ``node.detach(); new_parent.add_child(node)`` — the caller is
-        responsible for recording the covering rewire edit
+        The caller is responsible for recording the covering rewire edit
         (:meth:`mark_rewire`).
         """
         old_parent = int(self.parent_row[row])

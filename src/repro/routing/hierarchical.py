@@ -236,9 +236,9 @@ class HierarchicalClockRouter:
     def route(self, clock_net: ClockNet) -> HierarchicalRoutingResult:
         """Route ``clock_net`` and realise the result as a :class:`ClockTree`.
 
-        A boundary adapter over :meth:`route_design` for callers that edit
-        object trees (baselines, benches, examples); the flow itself stays
-        on the design rows.
+        A boundary adapter over :meth:`route_design` for callers that read
+        object trees (examples, tests); the flow and the baselines stay on
+        the design rows.
         """
         routed = self.route_design(clock_net)
         tree = routed.design.to_clock_tree()

@@ -14,9 +14,10 @@ Two interchangeable engines implement these models:
   vectorized level-synchronous passes over the columns of a
   :class:`~repro.ir.design.DesignArrays`; repeated queries on an unchanged
   design are served from cache, and structural edits recorded through the
-  design's edit log re-time only the dirty cone.  A ``ClockTree`` argument
-  is compiled into a design once per tree version.  Use it everywhere
-  performance matters — it is the default of :func:`create_engine`.
+  design's edit log re-time only the dirty cone.  Its timing entries take
+  designs only (compile an object tree with
+  ``DesignArrays.from_clock_tree``).  Use it everywhere performance
+  matters — it is the default of :func:`create_engine`.
 * :class:`ElmoreTimingEngine` — the straightforward per-node reference
   implementation over object trees (a design is realised once per version).
   Use it for differential testing, for debugging suspected kernel bugs (set

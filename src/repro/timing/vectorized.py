@@ -9,7 +9,7 @@ PERI slew propagation) on the columns of a
 * subtree capacitances and driver loads are one bottom-up sweep over the
   breadth-first levels (one ``bincount`` scatter per level),
 * arrivals and slews are one top-down sweep (one gather per level),
-* repeated queries on an unchanged tree reuse the cached arrays outright.
+* repeated queries on an unchanged design reuse the cached arrays outright.
 
 On top of the full pass the engine supports **incremental re-timing**: when
 the design records structural edits through its edit log
@@ -19,11 +19,10 @@ the first shielding buffer (or the root), and re-times just that driver's
 cone instead of the whole tree.  A single end-point buffer insertion on a
 large design therefore costs O(cone) instead of O(tree).
 
-A :class:`~repro.clocktree.ClockTree` argument is compiled into a private
-design (:meth:`DesignArrays.from_clock_tree`) cached on the tree and its
-``version``: repeated queries on an unchanged tree hit the cache, and any
-version bump (a tree-API edit or :meth:`ClockTree.touch`) recompiles from
-scratch.
+The timing entries take designs only (a ``ClockTree`` raises a
+``TypeError``).  The two ``id(node)``-keyed load queries take a
+``ClockTree`` and compile it with :meth:`DesignArrays.from_clock_tree` on
+every call.
 
 **Multi-corner batching**: every numeric array carries a leading scenario
 axis of size ``K = len(corners)`` (:class:`~repro.tech.corners.CornerSet`).
@@ -168,7 +167,6 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         self.full_compiles = 0
         self.incremental_updates = 0
         self._state: _EngineState | None = None
-        self._tree_design: tuple[ClockTree, int, DesignArrays] | None = None
         self._primary = self.corners.nominal_index()
         self._compile_corner_tables()
 
@@ -228,22 +226,13 @@ class VectorizedElmoreEngine(ElmoreWireModel):
     def invalidate(self) -> None:
         """Drop the cached state (next query recompiles from scratch)."""
         self._state = None
-        self._tree_design = None
 
-    def _design_of(self, tree: ClockTree | DesignArrays) -> DesignArrays:
-        """The design the passes read: ``tree`` itself, or its cached compile."""
-        if isinstance(tree, DesignArrays):
-            return tree
-        cached = self._tree_design
-        if cached is None or cached[0] is not tree or cached[1] != tree.version:
-            cached = (tree, tree.version, DesignArrays.from_clock_tree(tree))
-            self._tree_design = cached
-        return cached[2]
-
-    def _sync(
-        self, tree: ClockTree | DesignArrays, need_slews: bool
-    ) -> _EngineState:
-        design = self._design_of(tree)
+    def _sync(self, design: DesignArrays, need_slews: bool) -> _EngineState:
+        if not isinstance(design, DesignArrays):
+            raise TypeError(
+                "VectorizedElmoreEngine times a DesignArrays; compile object "
+                "trees with DesignArrays.from_clock_tree(tree)"
+            )
         state = self._state
         if state is None or state.arrays is not design:
             state = self._compile(design)
@@ -645,11 +634,9 @@ class VectorizedElmoreEngine(ElmoreWireModel):
             state.sink_arrival[:, cols] = state.arrival[:, rows]
 
     # ---------------------------------------------------------------- analyze
-    def analyze(
-        self, tree: ClockTree | DesignArrays, with_slew: bool = True
-    ) -> TimingResult:
+    def analyze(self, design: DesignArrays, with_slew: bool = True) -> TimingResult:
         """Run a full (or incremental) analysis; reports the primary corner."""
-        state = self._sync(tree, need_slews=with_slew)
+        state = self._sync(design, need_slews=with_slew)
         arrays = state.arrays
         sink_rows = self._checked_sink_rows(arrays)
         if state.result_version != state.version:
@@ -677,10 +664,10 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         return TimingResult(arrivals=dict(state.result_arrivals), slews=slews)
 
     def analyze_corners(
-        self, tree: ClockTree | DesignArrays, with_slew: bool = True
+        self, design: DesignArrays, with_slew: bool = True
     ) -> dict[str, TimingResult]:
         """One batched pass, one :class:`TimingResult` per corner name."""
-        state = self._sync(tree, need_slews=with_slew)
+        state = self._sync(design, need_slews=with_slew)
         arrays = state.arrays
         sink_rows = self._checked_sink_rows(arrays)
         names = self._sink_names(arrays, sink_rows)
@@ -708,56 +695,54 @@ class VectorizedElmoreEngine(ElmoreWireModel):
             raise ValueError(f"clock tree {design.name!r} has no sinks to analyse")
         return sink_rows
 
-    def latency(self, tree: ClockTree | DesignArrays) -> float:
+    def latency(self, design: DesignArrays) -> float:
         """Convenience: maximum sink arrival (ps) at the primary corner."""
-        state = self._sync(tree, need_slews=False)
+        state = self._sync(design, need_slews=False)
         self._checked_sink_rows(state.arrays)
         return float(self._sink_arrival_matrix(state)[self._primary].max())
 
-    def skew(self, tree: ClockTree | DesignArrays) -> float:
+    def skew(self, design: DesignArrays) -> float:
         """Convenience: global skew (ps) at the primary corner."""
-        state = self._sync(tree, need_slews=False)
+        state = self._sync(design, need_slews=False)
         self._checked_sink_rows(state.arrays)
         arrivals = self._sink_arrival_matrix(state)[self._primary]
         return float(arrivals.max() - arrivals.min())
 
     # ---------------------------------------------------------- corner batch
-    def skew_per_corner(self, tree: ClockTree | DesignArrays) -> dict[str, float]:
+    def skew_per_corner(self, design: DesignArrays) -> dict[str, float]:
         """Global skew (ps) of every corner, from one batched pass."""
-        state = self._sync(tree, need_slews=False)
+        state = self._sync(design, need_slews=False)
         self._checked_sink_rows(state.arrays)
         arrivals = self._sink_arrival_matrix(state)
         skews = arrivals.max(axis=1) - arrivals.min(axis=1)
         return dict(zip(self.corners.names, skews.tolist()))
 
-    def latency_per_corner(
-        self, tree: ClockTree | DesignArrays
-    ) -> dict[str, float]:
+    def latency_per_corner(self, design: DesignArrays) -> dict[str, float]:
         """Maximum sink arrival (ps) of every corner, from one batched pass."""
-        state = self._sync(tree, need_slews=False)
+        state = self._sync(design, need_slews=False)
         self._checked_sink_rows(state.arrays)
         latencies = self._sink_arrival_matrix(state).max(axis=1)
         return dict(zip(self.corners.names, latencies.tolist()))
 
-    def worst_skew(self, tree: ClockTree | DesignArrays) -> float:
+    def worst_skew(self, design: DesignArrays) -> float:
         """The largest skew (ps) across the corner batch."""
-        return max(self.skew_per_corner(tree).values())
+        return max(self.skew_per_corner(design).values())
 
-    def worst_latency(self, tree: ClockTree | DesignArrays) -> float:
+    def worst_latency(self, design: DesignArrays) -> float:
         """The largest latency (ps) across the corner batch."""
-        return max(self.latency_per_corner(tree).values())
+        return max(self.latency_per_corner(design).values())
 
     # ------------------------------------------------------------------ loads
     def subtree_capacitances(self, tree: ClockTree) -> dict[int, float]:
         """Capacitance looking into each node (``id(node) -> fF``)."""
         require_clock_tree(tree, "subtree_capacitances")
-        state = self._sync(tree, need_slews=False)
+        state = self._sync(DesignArrays.from_clock_tree(tree), need_slews=False)
         return self._by_node(tree, state.down_cap[self._primary])
 
     def driver_loads(self, tree: ClockTree) -> dict[int, float]:
         """Load (fF) seen by each node when driving its children."""
         require_clock_tree(tree, "driver_loads")
-        state = self._sync(tree, need_slews=False)
+        state = self._sync(DesignArrays.from_clock_tree(tree), need_slews=False)
         return self._by_node(tree, state.load[self._primary])
 
     @staticmethod
@@ -768,11 +753,11 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         return {id(node): value for node, value in zip(nodes, values.tolist())}
 
     def max_capacitance_violations(
-        self, tree: ClockTree | DesignArrays
+        self, design: DesignArrays
     ) -> list[tuple[str, float]]:
         """``(driver name, load)`` pairs exceeding the PDK max load."""
         limit = self.pdk.max_capacitance
-        state = self._sync(tree, need_slews=False)
+        state = self._sync(design, need_slews=False)
         design = state.arrays
         loads = state.load[self._primary]
         violations = []

@@ -24,6 +24,15 @@ class TestParser:
         args = build_parser().parse_args(["compare", "C4", "C5"])
         assert args.designs == ["C4", "C5"]
 
+    def test_scale_only_on_benchmark_commands(self):
+        for command in (["run", "C4"], ["compare", "C4"], ["dse", "C4"]):
+            args = build_parser().parse_args([*command, "--scale", "0.1"])
+            assert args.scale == pytest.approx(0.1)
+        # Serve requests carry their own scale; the flag would be ignored.
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["serve", "--stdio", "--scale", "0.05"])
+        assert err.value.code == 2
+
 
 class TestCommands:
     def test_table2(self, capsys):
@@ -141,6 +150,17 @@ class TestErrorHandling:
         assert main(["run", "C4", "--scale", "0.05", "--corners", "bogus:x"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+
+    def test_dse_zero_workers_is_one_line_error(self, capsys):
+        # Same message as `run --workers 0`: a zero worker count must not
+        # silently run the sweep serially.
+        argv = ["dse", "C4", "--scale", "0.05", "--workers", "0", "--fanout", "20"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: workers must be an integer of at least 1, got 0\n"
+        )
+        assert captured.out == ""
 
     def test_usage_errors_keep_argparse_exit(self):
         # SystemExit from argparse passes through untouched (exit code 2).

@@ -467,8 +467,10 @@ class TestEffectivenessRegression:
         )
 
         signoff = create_engine(pdk, engine, corners=SIGNOFF)
-        nominal_opt_worst = signoff.worst_skew(nominal_tree)
-        corner_opt_worst = signoff.worst_skew(corner_tree)
+        nominal_opt_worst = signoff.worst_skew(
+            DesignArrays.from_clock_tree(nominal_tree)
+        )
+        corner_opt_worst = signoff.worst_skew(DesignArrays.from_clock_tree(corner_tree))
         assert corner_opt_worst <= nominal_opt_worst + TOLERANCE, (
             bench_id,
             engine,

@@ -93,12 +93,12 @@ class TestDesignSpaceExplorer:
         buffered = SingleSideCTS(pdk, small_config).run(small_design)
         explorer = DesignSpaceExplorer(pdk, small_config)
         fanout_sweep = explorer.sweep_fanout_baseline(
-            buffered.tree, thresholds=[5, 1000], design_name="unit"
+            buffered.design, thresholds=[5, 1000], design_name="unit"
         )
         critical_sweep = explorer.sweep_critical_baseline(
-            buffered.tree, fractions=[0.2, 0.8], design_name="unit"
+            buffered.design, fractions=[0.2, 0.8], design_name="unit"
         )
-        veloso_point = explorer.veloso_point(buffered.tree, design_name="unit")
+        veloso_point = explorer.veloso_point(buffered.design, design_name="unit")
         assert len(fanout_sweep.points) == 2
         assert len(critical_sweep.points) == 2
         # [2] flips every trunk edge, so it uses at least as much back-side

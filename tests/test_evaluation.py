@@ -61,7 +61,7 @@ class TestClockTreeMetrics:
         assert math.isinf(ours.ratio_to(other)["ntsvs"])
 
     def test_evaluate_tree_consistency(self, pdk, ours_result):
-        m = evaluate_tree(ours_result.tree, pdk, design="x", flow="y", runtime=1.5)
+        m = evaluate_tree(ours_result.design, pdk, design="x", flow="y", runtime=1.5)
         assert m.buffers == ours_result.tree.buffer_count()
         assert m.ntsvs == ours_result.tree.ntsv_count()
         assert m.wirelength == pytest.approx(

@@ -18,7 +18,9 @@ from repro.insertion import InsertionMode
 from repro.tech import asap7_backside
 
 BENCH_IDS = ["C4"]
-FLOWS = ("ours_moes", "single")
+FLOWS = ("ours_moes", "single", "openroad")
+#: Post-CTS runs derived from a base run's design (never warmed themselves).
+POST_CTS = ("openroad_veloso", "single_veloso", "single_fanout", "single_critical")
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +103,20 @@ class TestFlowCacheWarm:
                 lazy_single.metrics
             )
             assert tree_shape(warm_single.tree) == tree_shape(lazy_single.tree)
+            # The OpenROAD-like run ships its design back from the pool.
+            warm_or, lazy_or = warmed.openroad(bench_id), lazy.openroad(bench_id)
+            assert comparable_row(warm_or.metrics) == comparable_row(lazy_or.metrics)
+            assert tree_shape(warm_or.design.to_clock_tree()) == tree_shape(
+                lazy_or.design.to_clock_tree()
+            )
+            # Post-CTS runs derived from a warmed substrate equal the lazy ones.
+            for flow in POST_CTS:
+                warm_run = getattr(warmed, flow)(bench_id)
+                lazy_run = getattr(lazy, flow)(bench_id)
+                assert comparable_row(warm_run.metrics) == comparable_row(
+                    lazy_run.metrics
+                ), flow
+                assert warm_run.assignment == lazy_run.assignment, flow
 
     def test_warm_skips_cached_pairs(self, tiny_setup):
         pdk, designs, config = tiny_setup

@@ -29,16 +29,16 @@ def flows(pdk, small_design, small_config):
     single = SingleSideCTS(pdk, small_config).run(small_design)
     openroad = OpenRoadLikeCTS(pdk, OpenRoadCtsConfig(leaf_cluster_size=10)).run(small_design)
     openroad_veloso = VelosoBacksideOptimizer(pdk).run(
-        openroad.tree, design_name=small_design.name
+        openroad.design, design_name=small_design.name
     )
     ours_veloso = VelosoBacksideOptimizer(pdk).run(
-        single.tree, design_name=small_design.name
+        single.design, design_name=small_design.name
     )
     ours_fanout = FanoutBacksideOptimizer(pdk, fanout_threshold=20).run(
-        single.tree, design_name=small_design.name
+        single.design, design_name=small_design.name
     )
     ours_critical = TimingCriticalBacksideOptimizer(pdk, critical_fraction=0.5).run(
-        single.tree, design_name=small_design.name
+        single.design, design_name=small_design.name
     )
     return {
         "ours": ours,
@@ -54,12 +54,13 @@ def flows(pdk, small_design, small_config):
 class TestTableIiiShape:
     def test_all_trees_are_legal(self, flows):
         for run in flows.values():
-            run.tree.validate()
+            run.design.validate()
 
     def test_all_flows_reach_every_sink(self, flows, small_design):
         expected = {ff.name for ff in small_design.flip_flops()}
         for run in flows.values():
-            assert {n.name for n in run.tree.sinks()} == expected
+            design = run.design
+            assert {design.names[row] for row in design.sink_rows()} == expected
 
     def test_ours_beats_single_side_on_latency(self, flows):
         assert flows["ours"].metrics.latency <= flows["single"].metrics.latency + 1e-6
@@ -103,9 +104,9 @@ class TestTableIiiShape:
         assert engine.max_capacitance_violations(flows["ours"].tree) == []
 
     def test_evaluation_is_flow_independent(self, pdk, flows):
-        """Re-evaluating any tree reproduces the metrics reported by its flow."""
+        """Re-evaluating any design reproduces the metrics reported by its flow."""
         for run in flows.values():
-            again = evaluate_tree(run.tree, pdk)
+            again = evaluate_tree(run.design, pdk)
             assert again.latency == pytest.approx(run.metrics.latency)
             assert again.skew == pytest.approx(run.metrics.skew)
             assert again.buffers == run.metrics.buffers
@@ -139,7 +140,7 @@ class TestFig12Shape:
         sweep = explorer.explore(small_design, fanout_thresholds=[0, 5, 20, 10 ** 6])
         single = SingleSideCTS(pdk, small_config).run(small_design)
         baseline = explorer.sweep_fanout_baseline(
-            single.tree, thresholds=[5, 20, 100], design_name=small_design.name
+            single.design, thresholds=[5, 20, 100], design_name=small_design.name
         )
         best_ours = min(p.metrics.latency for p in sweep.points)
         best_baseline = min(p.metrics.latency for p in baseline.points)

@@ -147,6 +147,7 @@ def test_counter_roundtrips_through_new_names():
     tree = ClockTree(root, name="clk")
     design = DesignArrays.from_clock_tree(tree)
     first = design.new_name("buffer")
-    rebuilt = design.to_clock_tree()
+    rebuilt = DesignArrays.from_clock_tree(design.to_clock_tree())
     second = rebuilt.new_name("buffer")
     assert first != second  # the counter carried over, no name reuse
+    assert second == design.new_name("buffer")  # the sequence continues

@@ -78,7 +78,7 @@ class TestSkewRefiner:
 
     def test_object_tree_rejected(self, pdk, unrefined):
         with pytest.raises(TypeError, match=r"DesignArrays\.from_clock_tree"):
-            SkewRefiner(pdk, force=True).refine(unrefined.tree.copy())
+            SkewRefiner(pdk, force=True).refine(unrefined.design.to_clock_tree())
 
     def test_not_triggered_when_skew_is_small(self, pdk, unrefined):
         refiner = SkewRefiner(pdk, skew_trigger_fraction=0.999)

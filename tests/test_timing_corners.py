@@ -1,6 +1,6 @@
 """Differential tests for multi-corner scenario batching.
 
-The batched vectorized engine (one tree compile, leading scenario axis) must
+The batched vectorized engine (one design compile, leading scenario axis) must
 be numerically indistinguishable (to 1e-9) from the reference engine's
 per-corner loop — i.e. from running ``ElmoreTimingEngine(scenario.apply_to(
 pdk))`` once per scenario — on arbitrary trees, for both wire models, with
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.evaluation import evaluate_tree
 from repro.flow import CtsConfig
+from repro.ir.design import DesignArrays
 from repro.tech import CornerSet, Scenario
 from repro.tech.corners import PRESET_SCENARIOS
 from repro.timing import (
@@ -37,9 +38,16 @@ SIGNOFF = CornerSet.parse("tt,ss,ff,hot,cold")
 
 
 def assert_corners_match(reference, vectorized, tree, context="") -> None:
-    """Batched vectorized results equal the per-corner reference loop."""
+    """Batched vectorized results equal the per-corner reference loop.
+
+    ``tree`` is a design or an object tree; the vectorized engine times an
+    object tree through its compiled design.
+    """
+    design = (
+        tree if isinstance(tree, DesignArrays) else DesignArrays.from_clock_tree(tree)
+    )
     ref_results = reference.analyze_corners(tree)
-    vec_results = vectorized.analyze_corners(tree)
+    vec_results = vectorized.analyze_corners(design)
     assert ref_results.keys() == vec_results.keys(), context
     for corner in ref_results:
         ref, vec = ref_results[corner], vec_results[corner]
@@ -52,16 +60,16 @@ def assert_corners_match(reference, vectorized, tree, context="") -> None:
                 vec.slews[sink], abs=TOLERANCE
             ), (context, corner, sink)
     ref_skews = reference.skew_per_corner(tree)
-    vec_skews = vectorized.skew_per_corner(tree)
+    vec_skews = vectorized.skew_per_corner(design)
     for corner in ref_skews:
         assert ref_skews[corner] == pytest.approx(
             vec_skews[corner], abs=TOLERANCE
         ), (context, corner)
     assert reference.worst_skew(tree) == pytest.approx(
-        vectorized.worst_skew(tree), abs=TOLERANCE
+        vectorized.worst_skew(design), abs=TOLERANCE
     ), context
     assert reference.worst_latency(tree) == pytest.approx(
-        vectorized.worst_latency(tree), abs=TOLERANCE
+        vectorized.worst_latency(design), abs=TOLERANCE
     ), context
 
 
@@ -200,21 +208,24 @@ class TestBatchedFullAnalysis:
             pdk, corners=CornerSet((Scenario("ss_lin", wire_res_scale=1.15,
                                              buffer_derate=1.18),))
         )
-        assert vec.analyze_corners(tree)["ss_nldm"].latency != pytest.approx(
+        design = DesignArrays.from_clock_tree(tree)
+        assert vec.analyze_corners(design)["ss_nldm"].latency != pytest.approx(
             linear.analyze_corners(tree)["ss_lin"].latency, abs=TOLERANCE
         )
 
     def test_primary_corner_is_nominal(self, pdk):
         """analyze()/skew()/latency() report nominal even mid-batch."""
-        tree = random_tree(np.random.default_rng(3))
+        design = random_design(np.random.default_rng(3))
         batched = VectorizedElmoreEngine(pdk, corners="ss,tt,ff")
         nominal = VectorizedElmoreEngine(pdk)
-        assert batched.skew(tree) == pytest.approx(nominal.skew(tree), abs=TOLERANCE)
-        assert batched.latency(tree) == pytest.approx(
-            nominal.latency(tree), abs=TOLERANCE
+        assert batched.skew(design) == pytest.approx(
+            nominal.skew(design), abs=TOLERANCE
         )
-        result = batched.analyze(tree)
-        assert result.skew == pytest.approx(nominal.skew(tree), abs=TOLERANCE)
+        assert batched.latency(design) == pytest.approx(
+            nominal.latency(design), abs=TOLERANCE
+        )
+        result = batched.analyze(design)
+        assert result.skew == pytest.approx(nominal.skew(design), abs=TOLERANCE)
 
     def test_nominal_inserted_when_missing(self, pdk):
         engine = VectorizedElmoreEngine(pdk, corners="ss,ff")
@@ -308,8 +319,8 @@ class TestFactoryAndConfig:
         assert _config_for(args).corners is None
 
     def test_evaluate_tree_corner_columns(self, pdk):
-        tree = random_tree(np.random.default_rng(1))
-        metrics = evaluate_tree(tree, pdk, design="d", flow="f", corners="tt,ss,ff")
+        design = random_design(np.random.default_rng(1))
+        metrics = evaluate_tree(design, pdk, design="d", flow="f", corners="tt,ss,ff")
         assert set(metrics.corner_skews) == {"tt", "ss", "ff"}
         assert metrics.worst_skew >= metrics.skew - TOLERANCE
         assert metrics.corner_skews["tt"] == pytest.approx(metrics.skew, abs=TOLERANCE)
@@ -317,15 +328,16 @@ class TestFactoryAndConfig:
         assert row["worst_corner"] in {"tt", "ss", "ff"}
         assert row["skew_ss_ps"] == pytest.approx(metrics.corner_skews["ss"], abs=1e-3)
         # Nominal-only evaluation keeps the classic columns.
-        nominal = evaluate_tree(tree, pdk, design="d", flow="f")
+        nominal = evaluate_tree(design, pdk, design="d", flow="f")
         assert not nominal.corner_skews
         assert "worst_corner" not in nominal.as_row()
 
     def test_dse_objectives_use_worst_corner(self, pdk):
         from repro.dse.explorer import DsePoint
 
-        tree = random_tree(np.random.default_rng(2))
-        metrics = evaluate_tree(tree, pdk, corners="tt,ss")
+        metrics = evaluate_tree(
+            random_design(np.random.default_rng(2)), pdk, corners="tt,ss"
+        )
         point = DsePoint(configuration="c", parameter=1.0, metrics=metrics)
         assert point.objectives[0] == pytest.approx(metrics.worst_latency)
         assert point.objectives[1] == pytest.approx(metrics.worst_skew)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
 from repro.geometry import Point
+from repro.ir.design import DesignArrays
 from repro.tech.layers import Side
 from repro.timing import ElmoreTimingEngine, WireModel
 
@@ -21,6 +22,18 @@ def two_sink_tree(length=100.0, sink_cap=2.0) -> ClockTree:
         ClockTreeNode("b", NodeKind.SINK, Point(length, 0), capacitance=sink_cap)
     )
     return tree
+
+
+def buffered_two_sink_tree(pdk, buffer_x: float, **kwargs) -> ClockTree:
+    """:func:`two_sink_tree` with a buffer at ``(buffer_x, 0)`` above ``st``.
+
+    Object trees are read-only views, so the edit goes through the design.
+    """
+    design = DesignArrays.from_clock_tree(two_sink_tree(**kwargs))
+    design.add_buffer(
+        design.name_to_row["st"], buffer_x, 0.0, pdk.buffer.input_capacitance
+    )
+    return design.to_clock_tree()
 
 
 class TestWireDelay:
@@ -59,9 +72,8 @@ class TestSubtreeCapacitance:
         assert caps[id(tree.root)] == pytest.approx(4.0 + wire_cap)
 
     def test_buffer_shields_downstream_load(self, pdk):
-        tree = two_sink_tree()
+        tree = buffered_two_sink_tree(pdk, 50.0)
         engine = ElmoreTimingEngine(pdk)
-        tree.add_buffer(tree.find("st"), Point(50, 0), pdk.buffer.input_capacitance)
         caps = engine.subtree_capacitances(tree)
         buffer_node = tree.buffers()[0]
         assert caps[id(buffer_node)] == pytest.approx(pdk.buffer.input_capacitance)
@@ -73,7 +85,7 @@ class TestSubtreeCapacitance:
         assert violations and violations[0][0] == "root"
         # After buffering near the sinks the root still drives the long wire
         # (violating), but the buffer itself must not violate.
-        tree.add_buffer(tree.find("st"), Point(399, 0), pdk.buffer.input_capacitance)
+        tree = buffered_two_sink_tree(pdk, 399.0, length=400.0, sink_cap=25.0)
         names = [name for name, _ in engine.max_capacitance_violations(tree)]
         assert all(not name.startswith("buffer") for name in names)
 
@@ -106,20 +118,21 @@ class TestArrivals:
         heavy = two_sink_tree(length=300.0, sink_cap=25.0)
         engine = ElmoreTimingEngine(pdk)
         before = engine.latency(heavy)
-        buffered = two_sink_tree(length=300.0, sink_cap=25.0)
-        buffered.add_buffer(
-            buffered.find("st"), Point(150, 0), pdk.buffer.input_capacitance
-        )
+        buffered = buffered_two_sink_tree(pdk, 150.0, length=300.0, sink_cap=25.0)
         after = engine.latency(buffered)
         assert after < before
 
     def test_ntsv_pattern_matches_eq2(self, pdk):
         """Two nTSVs + back-side wire must reproduce Eq. (2) exactly."""
         length, sink_cap = 120.0, 3.0
-        tree = two_sink_tree(length=length, sink_cap=sink_cap)
-        steiner = tree.find("st")
-        low = tree.add_ntsv(steiner, steiner.location, pdk.ntsv.capacitance, Side.BACK)
-        tree.add_ntsv(low, tree.root.location, pdk.ntsv.capacitance, Side.FRONT)
+        design = DesignArrays.from_clock_tree(
+            two_sink_tree(length=length, sink_cap=sink_cap)
+        )
+        steiner = design.name_to_row["st"]
+        cap = pdk.ntsv.capacitance
+        low = design.add_ntsv(steiner, length, 0.0, cap, upstream_front=False)
+        design.add_ntsv(low, 0.0, 0.0, cap, upstream_front=True)
+        tree = design.to_clock_tree()
         tree.validate()
 
         engine = ElmoreTimingEngine(pdk)
@@ -139,8 +152,7 @@ class TestArrivals:
         assert result.latency == pytest.approx(expected, rel=1e-9)
 
     def test_nldm_mode_changes_buffer_delay(self, pdk):
-        tree = two_sink_tree(length=200.0, sink_cap=10.0)
-        tree.add_buffer(tree.find("st"), Point(100, 0), pdk.buffer.input_capacitance)
+        tree = buffered_two_sink_tree(pdk, 100.0, length=200.0, sink_cap=10.0)
         linear = ElmoreTimingEngine(pdk, use_nldm=False).latency(tree)
         nldm = ElmoreTimingEngine(pdk, use_nldm=True).latency(tree)
         assert linear != pytest.approx(nldm, abs=1e-12) or linear > 0

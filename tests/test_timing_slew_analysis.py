@@ -4,6 +4,7 @@ import pytest
 
 from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
 from repro.geometry import Point
+from repro.ir.design import DesignArrays
 from repro.timing import ElmoreTimingEngine, SlewAnalyzer, TimingResult, ramp_slew
 from repro.timing.slew import peri_combine
 
@@ -44,10 +45,11 @@ class TestSlewAnalyzer:
         analyzer = SlewAnalyzer(pdk)
         unbuffered = self._tree(300.0)
         slew_unbuffered = analyzer.sink_slews(unbuffered, engine)["a"]
-        buffered = self._tree(300.0)
-        buffered.add_buffer(
-            buffered.find("a"), Point(295, 0), pdk.buffer.input_capacitance
+        design = DesignArrays.from_clock_tree(self._tree(300.0))
+        design.add_buffer(
+            design.name_to_row["a"], 295.0, 0.0, pdk.buffer.input_capacitance
         )
+        buffered = design.to_clock_tree()
         slew_buffered = analyzer.sink_slews(buffered, engine)["a"]
         assert slew_buffered < slew_unbuffered
 

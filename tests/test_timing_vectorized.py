@@ -77,8 +77,11 @@ def random_tree(
 
 
 def assert_engines_match(reference, vectorized, tree, context="") -> None:
+    """The reference engine on ``tree`` equals the vectorized engine on the
+    tree's compiled design (the node-keyed load queries take the tree)."""
+    design = DesignArrays.from_clock_tree(tree)
     a = reference.analyze(tree)
-    b = vectorized.analyze(tree)
+    b = vectorized.analyze(design)
     assert a.arrivals.keys() == b.arrivals.keys(), context
     for name in a.arrivals:
         assert a.arrivals[name] == pytest.approx(b.arrivals[name], abs=TOLERANCE), (
@@ -99,7 +102,7 @@ def assert_engines_match(reference, vectorized, tree, context="") -> None:
     for key in ref_caps:
         assert ref_caps[key] == pytest.approx(vec_caps[key], abs=TOLERANCE), context
     ref_violations = sorted(reference.max_capacitance_violations(tree))
-    vec_violations = sorted(vectorized.max_capacitance_violations(tree))
+    vec_violations = sorted(vectorized.max_capacitance_violations(design))
     assert [name for name, _ in ref_violations] == [
         name for name, _ in vec_violations
     ], context
@@ -129,10 +132,11 @@ class TestFullAnalysisDifferential:
 
     def test_latency_and_skew_shortcuts(self, pdk):
         tree = random_tree(np.random.default_rng(5))
+        design = DesignArrays.from_clock_tree(tree)
         ref = ElmoreTimingEngine(pdk)
         vec = VectorizedElmoreEngine(pdk)
-        assert vec.latency(tree) == pytest.approx(ref.latency(tree), abs=TOLERANCE)
-        assert vec.skew(tree) == pytest.approx(ref.skew(tree), abs=TOLERANCE)
+        assert vec.latency(design) == pytest.approx(ref.latency(tree), abs=TOLERANCE)
+        assert vec.skew(design) == pytest.approx(ref.skew(tree), abs=TOLERANCE)
 
     def test_inner_root_kind_node_matches_reference(self, pdk):
         """A ROOT-kind node grafted internally still gets the source stage."""
@@ -149,7 +153,7 @@ class TestFullAnalysisDifferential:
     def test_no_sinks_raises(self, pdk):
         tree = ClockTree(ClockTreeNode("root", NodeKind.ROOT, Point(0, 0)))
         with pytest.raises(ValueError, match="no sinks"):
-            VectorizedElmoreEngine(pdk).analyze(tree)
+            VectorizedElmoreEngine(pdk).analyze(DesignArrays.from_clock_tree(tree))
 
     def test_ntsv_without_pdk_cell_raises(self, front_pdk):
         from dataclasses import replace
@@ -164,7 +168,9 @@ class TestFullAnalysisDifferential:
             ClockTreeNode("s_extra", NodeKind.SINK, Point(2, 2), capacitance=1.0)
         )
         with pytest.raises(ValueError, match="nTSVs but the PDK has none"):
-            VectorizedElmoreEngine(no_via_pdk).analyze(tree)
+            VectorizedElmoreEngine(no_via_pdk).analyze(
+                DesignArrays.from_clock_tree(tree)
+            )
         with pytest.raises(ValueError, match="nTSVs but the PDK has none"):
             ElmoreTimingEngine(no_via_pdk).analyze(tree)
 
@@ -413,22 +419,46 @@ class TestSinkArrivalCache:
 
 # ----------------------------------------------------------- tree boundary
 class TestClockTreeArguments:
-    """A ``ClockTree`` is compiled into a design cached on its version; the
-    reference engine realises a design once per version."""
+    """The vectorized engine times designs only; the reference engine
+    realises a design once per version."""
 
-    def test_tree_compile_is_cached_per_version(self, pdk):
+    @pytest.mark.parametrize(
+        "method",
+        [
+            "analyze",
+            "analyze_corners",
+            "latency",
+            "skew",
+            "skew_per_corner",
+            "latency_per_corner",
+            "worst_skew",
+            "worst_latency",
+            "max_capacitance_violations",
+        ],
+    )
+    def test_vectorized_timing_entries_reject_a_tree(self, pdk, method):
+        tree = random_tree(np.random.default_rng(21), sinks=30, internals=10)
+        query = getattr(VectorizedElmoreEngine(pdk), method)
+        with pytest.raises(TypeError, match="DesignArrays.from_clock_tree"):
+            query(tree)
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_evaluate_tree_rejects_a_tree(self, pdk, engine):
+        from repro.evaluation.metrics import evaluate_tree
+
+        tree = random_tree(np.random.default_rng(21), sinks=30, internals=10)
+        with pytest.raises(TypeError, match="DesignArrays.from_clock_tree"):
+            evaluate_tree(tree, pdk, engine=engine)
+
+    def test_node_keyed_loads_compile_the_tree_per_call(self, pdk):
         tree = random_tree(np.random.default_rng(21), sinks=30, internals=10)
         vec = VectorizedElmoreEngine(pdk)
-        vec.skew(tree)
-        vec.analyze(tree)
-        assert vec.full_compiles == 1
-        sink = tree.sinks()[0]
-        tree.add_buffer(sink, sink.parent.location, pdk.buffer.input_capacitance)
-        assert_engines_match(ElmoreTimingEngine(pdk), vec, tree, "after edit")
+        ref = ElmoreTimingEngine(pdk)
+        assert vec.driver_loads(tree) == pytest.approx(ref.driver_loads(tree))
+        assert vec.subtree_capacitances(tree) == pytest.approx(
+            ref.subtree_capacitances(tree)
+        )
         assert vec.full_compiles == 2
-        vec.invalidate()
-        vec.skew(tree)
-        assert vec.full_compiles == 3
 
     def test_reference_realises_a_design_once_per_version(self, pdk, monkeypatch):
         design = random_design(np.random.default_rng(24), sinks=30, internals=10)
