@@ -3,9 +3,10 @@
 Times these access patterns on generated 500 / 2000 / 8000-sink clock trees
 (the timing rows run the vectorized engine on a ``DesignArrays`` compiled once
 from the generated tree, and the reference engine on that design realised as
-an object tree before the timer starts):
+an object tree before the timer starts, so each reference analysis compiles
+the tree back into a design and walks its rows):
 
-* ``full_analysis`` — one cold analysis (reference per-node engine vs. a
+* ``full_analysis`` — one cold analysis (reference per-row engine vs. a
   fresh vectorized compile),
 * ``repeated_skew`` — repeated ``skew()`` queries on an unchanged tree (the
   inner loop of the DSE and refinement flows),

@@ -13,7 +13,10 @@ loop over one socket:
    answered warm through the timing engine's incremental dirty-cone path
    and reverted after measuring;
 4. one malformed request — the server replies with a structured
-   ``ProtocolError`` instead of dying (the never-swallow error contract);
+   ``ProtocolError`` instead of dying (the never-swallow error contract) —
+   and one committed buffer insert at ``x = NaN``, rejected with a
+   ``ProtocolError`` before it touches the session, whose next ``query``
+   still reports the build's fingerprint;
 5. one request line longer than ``MAX_REQUEST_BYTES`` — the server discards
    it, replies with a structured ``RequestTooLarge`` error, and answers the
    next request on the same connection;
@@ -117,9 +120,19 @@ def main() -> int:
             print(f"malformed request -> {broken['error']['type']} "
                   f"({broken['error']['message'][:40]}...); server still up")
             assert rpc({"op": "ping", "id": 6})["result"]["pong"] is True
+            poisoned = rpc({"op": "what_if", "id": 7, "session": session,
+                            "commit": True,
+                            "edits": [{"kind": "insert_buffer", "node": "ff_3",
+                                       "x": float("nan")}]})
+            assert poisoned["ok"] is False, poisoned
+            assert poisoned["error"]["type"] == "ProtocolError", poisoned
+            queried = rpc({"op": "query", "id": 8, "session": session})
+            assert queried["result"]["fingerprint"] == built["result"]["fingerprint"]
+            print(f"committed NaN buffer -> {poisoned['error']['type']}; "
+                  "session fingerprint unchanged")
 
             # 5. An oversized line is discarded and answered, not fatal.
-            oversized = json.dumps({"op": "ping", "id": 7,
+            oversized = json.dumps({"op": "ping", "id": 9,
                                     "pad": "x" * (MAX_REQUEST_BYTES + 1)})
             start = time.perf_counter()
             too_large = rpc(oversized)
@@ -128,10 +141,10 @@ def main() -> int:
             print(f"{len(oversized) / 2**20:.0f} MiB request -> "
                   f"{too_large['error']['type']} in "
                   f"{(time.perf_counter() - start) * 1e3:.0f} ms; server still up")
-            assert rpc({"op": "ping", "id": 8})["result"]["pong"] is True
+            assert rpc({"op": "ping", "id": 10})["result"]["pong"] is True
 
             # 6. Clean shutdown: reply first, then stop.
-            assert rpc({"op": "shutdown", "id": 9})["result"]["stopping"] is True
+            assert rpc({"op": "shutdown", "id": 11})["result"]["stopping"] is True
     finally:
         try:
             code = proc.wait(timeout=60)

@@ -17,7 +17,7 @@ path — see :mod:`repro.serve.protocol` for the wire format.
 
 Every flow command accepts ``--engine {reference,vectorized}`` to pick the
 timing engine: ``vectorized`` (the default) runs the array-based incremental
-kernel, ``reference`` the per-node Elmore implementation — useful to
+kernel, ``reference`` the per-row scalar Elmore walk — useful to
 cross-check results or debug suspected kernel issues.  The analogous
 ``--dp-backend {reference,vectorized}`` switches the insertion DP between
 the array-based candidate-frontier engine (default) and the per-candidate
@@ -25,8 +25,8 @@ object DP (the executable spec); both build identical trees.  The same
 pattern covers clock routing: ``--dme-backend {reference,vectorized}``
 switches the DME router between the level-batched array backend (default)
 and the per-node scalar router; both embed identical trees.  The flow keeps
-one persistent struct-of-arrays design through every stage; an object clock
-tree exists only inside a stage running a reference backend.  ``dse`` runs
+one persistent struct-of-arrays design through every stage, under every
+backend; an object clock tree is only an export view.  ``dse`` runs
 every sweep point through the same stages, so each point equals ``dscts
 run`` at that fanout threshold under the same flags.
 ``dse --workers N`` evaluates the sweep grid on ``N`` parallel processes.
@@ -101,7 +101,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=ENGINE_NAMES,
         default=None,
         help="timing engine: 'vectorized' (fast array kernel, default) or "
-        "'reference' (per-node Elmore, for differential checks)",
+        "'reference' (per-row scalar Elmore, for differential checks)",
     )
     parser.add_argument(
         "--dp-backend",

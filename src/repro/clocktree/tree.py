@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator
 
 from repro.tech.layers import Side
@@ -16,11 +15,12 @@ class ConnectivityError(RuntimeError):
 class ClockTree:
     """A rooted clock tree with helpers for traversal, metrics and validation.
 
-    The tree is a read-only realised view of a
+    The tree is a read-only export view of a
     :class:`~repro.ir.design.DesignArrays` design
-    (:meth:`~repro.ir.design.DesignArrays.to_clock_tree`): the reference
-    timing engine, DEF/JSON export and SVG read it.  Every edit goes
-    through the design.  The tree carries the design's name counter, so
+    (:meth:`~repro.ir.design.DesignArrays.to_clock_tree`): run results,
+    DEF/JSON export and SVG read it, and the reference timing engine
+    compiles it back to a design.  Every edit goes through the design.
+    The tree carries the design's name counter, so
     ``DesignArrays.from_clock_tree(tree)`` continues the design's
     fresh-name sequence.
     """
@@ -38,17 +38,6 @@ class ClockTree:
     def nodes(self) -> Iterator[ClockTreeNode]:
         """Yield every node in pre-order (root first)."""
         return self.root.iter_subtree()
-
-    def nodes_bottom_up(self) -> list[ClockTreeNode]:
-        """Return every node ordered so children precede their parents."""
-        order: list[ClockTreeNode] = []
-        queue: deque[ClockTreeNode] = deque([self.root])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            queue.extend(node.children)
-        order.reverse()
-        return order
 
     def sinks(self) -> list[ClockTreeNode]:
         """All sink nodes."""
@@ -122,62 +111,22 @@ class ClockTree:
     def validate(self) -> None:
         """Check structural and double-side connectivity invariants.
 
-        Raises :class:`ConnectivityError` when:
+        The tree is compiled (:meth:`DesignArrays.from_clock_tree`) and
+        checked by :meth:`DesignArrays.validate`, the one place the rules
+        are written.  Raises :class:`ConnectivityError` when:
 
         * a non-nTSV node touches a wire on the opposite side (the paper's
           "shared vertex of any two edges must have the same side type"),
+          or an nTSV's downstream wires are not on the opposite side,
         * a buffer sits on the back side,
         * a sink is not on the front side,
         * the parent/child links are inconsistent or contain a cycle,
         * two nodes share a name.
         """
-        seen: set[int] = set()
-        names: set[str] = set()
-        for node in self.nodes():
-            if id(node) in seen:
-                raise ConnectivityError(f"cycle detected at node {node.name!r}")
-            seen.add(id(node))
-            if node.name in names:
-                raise ConnectivityError(f"duplicate node name {node.name!r}")
-            names.add(node.name)
-            for child in node.children:
-                if child.parent is not node:
-                    raise ConnectivityError(
-                        f"broken parent link: {child.name!r} does not point to {node.name!r}"
-                    )
-            if node.is_buffer and node.side is not Side.FRONT:
-                raise ConnectivityError(f"buffer {node.name!r} is on the back side")
-            if node.is_sink and node.side is not Side.FRONT:
-                raise ConnectivityError(f"sink {node.name!r} is on the back side")
-            self._check_side_consistency(node)
+        # Deferred import: repro.ir.design imports this module.
+        from repro.ir.design import DesignArrays
 
-    def _check_side_consistency(self, node: ClockTreeNode) -> None:
-        """Verify every wire touching ``node`` is compatible with its side."""
-        incident_sides: list[Side] = []
-        if node.parent is not None:
-            incident_sides.append(node.wire_side)
-        incident_sides.extend(child.wire_side for child in node.children)
-        if node.is_ntsv:
-            # An nTSV spans both sides: the upstream wire must match the
-            # stored (upstream) side and downstream wires the opposite side.
-            if node.parent is not None and node.wire_side is not node.side:
-                raise ConnectivityError(
-                    f"nTSV {node.name!r}: upstream wire on {node.wire_side.value}, "
-                    f"expected {node.side.value}"
-                )
-            for child in node.children:
-                if child.wire_side is not node.side.opposite:
-                    raise ConnectivityError(
-                        f"nTSV {node.name!r}: downstream wire on "
-                        f"{child.wire_side.value}, expected {node.side.opposite.value}"
-                    )
-            return
-        for side in incident_sides:
-            if side is not node.side:
-                raise ConnectivityError(
-                    f"node {node.name!r} ({node.kind.value}) on side {node.side.value} "
-                    f"touches a wire on side {side.value}"
-                )
+        DesignArrays.from_clock_tree(self).validate()
 
     def __reduce__(self):
         """Pickle as a flat node table instead of the linked node graph.

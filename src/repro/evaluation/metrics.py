@@ -149,7 +149,7 @@ def evaluate_tree(
 
     ``arrays`` is a :class:`~repro.ir.design.DesignArrays`: counts and
     per-side wirelength reduce over its rows, and either timing engine
-    analyses it (the reference engine realises it itself).  An object
+    analyses those rows.  An object
     ``ClockTree`` raises a ``TypeError``; compile it with
     ``DesignArrays.from_clock_tree(tree)``.
 

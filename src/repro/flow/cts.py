@@ -9,9 +9,9 @@ The flow follows Fig. 4 of the paper:
 
 The stages are the :mod:`repro.ir.stages` pipeline: one persistent
 :class:`~repro.ir.design.DesignArrays` design threads through all of them,
-and an object :class:`~repro.clocktree.ClockTree` exists only inside the
-reference timing engine's entry points (that executable spec walks object
-trees).
+and every backend (both timing engines included) reads its rows.  The
+object :class:`~repro.clocktree.ClockTree` is only the run result's export
+view (:attr:`CtsRunResult.tree`).
 
 Every stage is *guarded* (see :mod:`repro.guard`): under the default
 ``off`` policy the flow runs unchecked, while ``degrade`` / ``strict``

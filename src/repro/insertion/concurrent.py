@@ -66,6 +66,7 @@ from repro.tech.corners import CornerSet, Scenario
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
 from repro.timing import TimingResult, create_engine
+from repro.timing.elmore import ROOT_DRIVE_RESISTANCE
 
 
 @dataclass
@@ -84,13 +85,6 @@ class InsertionConfig:
             quadratic merge cost.
         default_mode: insertion mode applied to every DP node unless a
             mode assignment callable or fanout threshold overrides it.
-        root_resistance: drive resistance (kOhm) of the clock source, used to
-            translate root candidates into latency estimates.
-        corners: PVT corner batch the DP optimises against (a
-            :class:`~repro.tech.corners.CornerSet`, a scenario, or a spec
-            string); ``None`` keeps the classic nominal-only cost model.  An
-            explicit ``corners=`` argument to :class:`ConcurrentInserter`
-            takes precedence.
         dp_backend: ``"vectorized"`` (the array-based
             :class:`~repro.insertion.frontier.VectorizedInsertionDp` fast
             engine) or ``"reference"`` (the per-candidate DP, the executable
@@ -105,8 +99,6 @@ class InsertionConfig:
     keep_resource_diversity: bool = False
     max_candidates_per_side: int | None = 16
     default_mode: InsertionMode = InsertionMode.FULL
-    root_resistance: float = 0.1
-    corners: CornerSet | Scenario | str | None = None
     dp_backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -205,8 +197,6 @@ class ConcurrentInserter:
         if dp_backend is None:
             dp_backend = self.config.dp_backend
         self.dp_backend = resolve_dp_backend(dp_backend)
-        if corners is None:
-            corners = self.config.corners
         self._engine = create_engine(pdk, engine, corners=corners)
         # The engine resolves the corner set (nominal prepended when absent)
         # and derives the per-corner PDKs, so DP candidate tuples and engine
@@ -696,7 +686,7 @@ class ConcurrentInserter:
         # so each corner gets its own source delay.
         final = []
         for combo in combos:
-            source_delay = self.config.root_resistance * combo.capacitance
+            source_delay = ROOT_DRIVE_RESISTANCE * combo.capacitance
             final.append(
                 CandidateSolution(
                     up_side=Side.FRONT,
@@ -709,7 +699,7 @@ class ConcurrentInserter:
                     corner_capacitance=combo.corner_capacitance,
                     corner_max_delay=(
                         tuple(
-                            d + self.config.root_resistance * cap
+                            d + ROOT_DRIVE_RESISTANCE * cap
                             for d, cap in zip(
                                 combo.corner_max_delay, combo.corner_capacitance
                             )
@@ -719,7 +709,7 @@ class ConcurrentInserter:
                     ),
                     corner_min_delay=(
                         tuple(
-                            d + self.config.root_resistance * cap
+                            d + ROOT_DRIVE_RESISTANCE * cap
                             for d, cap in zip(
                                 combo.corner_min_delay, combo.corner_capacitance
                             )

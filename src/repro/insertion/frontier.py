@@ -43,6 +43,7 @@ from repro.insertion.patterns import PATTERNS, EdgePattern, patterns_for
 from repro.ir.design import DesignArrays
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
+from repro.timing.elmore import ROOT_DRIVE_RESISTANCE
 
 #: Backend used when neither the caller, the config, nor the environment
 #: chooses one.  Mirrors ``repro.flow.config.DP_BACKEND_CHOICE`` (kept as
@@ -1157,7 +1158,7 @@ class VectorizedInsertionDp:
         # The clock source drives the root load; the drive resistance is
         # corner-independent but the driven load is not, so every corner row
         # gets its own source delay.
-        source_delay = self.config.root_resistance * combo.cap
+        source_delay = ROOT_DRIVE_RESISTANCE * combo.cap
         return CandidateFrontier(
             side=combo.side,
             cap=combo.cap,

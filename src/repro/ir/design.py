@@ -2,10 +2,12 @@
 
 :class:`DesignArrays` is the one design object the flow threads through
 clustering → topology → DME → insertion → refinement → evaluation, and the
-only representation :class:`~repro.timing.VectorizedElmoreEngine` compiles:
+only representation both timing engines read:
 its ``parent_row`` / ``kind`` / ``edge_length`` / ``wire_front`` / ``cap`` /
 ``alive`` columns, ``children_rows``, ``levels()`` and ``sink_rows()`` are
-what the engine's level-batched passes read directly.  Beyond that timing
+what :class:`~repro.timing.VectorizedElmoreEngine`'s level-batched passes
+read directly, and :class:`~repro.timing.ElmoreTimingEngine` walks the same
+rows one at a time (wire lengths from the coordinates).  Beyond that timing
 view it carries what a *design* needs: names, coordinates, node sides, and
 the name counter behind every fresh node name.  It is the only editing API
 for clock trees (flow stages and baselines alike).  This module owns the
@@ -16,9 +18,10 @@ Structural edits are recorded in a bounded edit log (``mark_splice`` /
 structure is updated eagerly at edit time.  The vectorized engine replays
 the log to re-time only the dirty cone.
 
-Object trees are read-only views at the boundaries: :meth:`to_clock_tree`
-/ :meth:`from_clock_tree` are lossless (names, children order, sides, caps,
-coordinates, and the name counter are bit-preserved both ways).
+Object trees are read-only export views: :meth:`to_clock_tree` /
+:meth:`from_clock_tree` are lossless (names, children order, sides, caps,
+coordinates, and the name counter are bit-preserved both ways), and
+:meth:`ClockTree.validate` is :meth:`validate` on the compiled tree.
 """
 
 from __future__ import annotations
@@ -579,7 +582,7 @@ class DesignArrays:
         After compaction the row order, and therefore the level grouping
         every vectorized pass reduces over, is exactly what
         :meth:`from_clock_tree` produces for the equivalent object tree — so
-        a design and its realised tree time bit-identically.
+        a design and its compiled realisation time bit-identically.
 
         A compaction that actually permutes rows is a *structural edit*:
         the version bumps (through :meth:`_record`) and the edit log
@@ -683,7 +686,8 @@ class DesignArrays:
     def validate(self) -> None:
         """Vectorized structural + double-side connectivity invariants.
 
-        The IR twin of :meth:`ClockTree.validate`: raises
+        The one connectivity validator (:meth:`ClockTree.validate` compiles
+        the tree and calls it): raises
         :class:`ConnectivityError` on a missing root, cycles, unreachable
         alive rows, broken parent links (a row whose ``parent_row``
         disagrees with the ``children_rows`` entry listing it), duplicate
@@ -793,20 +797,28 @@ class DesignArrays:
 
     @classmethod
     def from_clock_tree(cls, tree: ClockTree) -> "DesignArrays":
-        """Compile an object tree into a fresh design (BFS row order)."""
+        """Compile an object tree into a fresh design (BFS row order).
+
+        Raises :class:`ConnectivityError` when the walk reaches a node twice
+        (a cycle).  A parent outside the tree compiles to "no parent", which
+        :meth:`validate` reports as a broken link.
+        """
         order: list[ClockTreeNode] = []
+        row_of: dict[int, int] = {}
         frontier = [tree.root]
         while frontier:
-            order.extend(frontier)
+            for node in frontier:
+                if id(node) in row_of:
+                    raise ConnectivityError(f"cycle detected at node {node.name!r}")
+                row_of[id(node)] = len(order)
+                order.append(node)
             frontier = [c for node in frontier for c in node.children]
         design = cls(name=tree.name, capacity=len(order))
-        row_of = {id(node): row for row, node in enumerate(order)}
         for row, node in enumerate(order):
             design.names.append(node.name)
             design.children_rows.append([row_of[id(c)] for c in node.children])
             design.name_to_row.setdefault(node.name, row)
-            parent = node.parent
-            design.parent_row[row] = -1 if parent is None else row_of[id(parent)]
+            design.parent_row[row] = row_of.get(id(node.parent), -1)
             design.kind[row] = KIND_CODE[node.kind]
             design.edge_length[row] = node.edge_length()
             design.wire_front[row] = node.wire_side is Side.FRONT

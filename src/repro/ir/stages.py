@@ -6,14 +6,14 @@ Every construction stage here has one shape: a
 out.  The design flows through routing -> insertion -> refinement ->
 evaluation without realising an object tree between stages.  Every stage
 hands its design to the selected backend directly and every backend edits
-it in place, under every backend selection; an object tree exists only
-inside the reference timing engine's own entry points, which realise a
-design once per version.  The guard's *degrade* path restores the
-pre-stage design from a :meth:`~repro.ir.design.DesignArrays.snapshot` and
-re-runs just the anomalous stage on the reference backends — no earlier
-stage is replayed.  The reference and vectorized backends are
-decision-identical, so every backend selection builds the same tree bit
-for bit (``tests/test_ir_flow.py`` pins this across the backend matrix).
+it in place, under every backend selection; no object tree exists
+mid-flow (both timing engines walk the design's rows).  The guard's
+*degrade* path restores the pre-stage design from a
+:meth:`~repro.ir.design.DesignArrays.snapshot` and re-runs just the
+anomalous stage on the reference backends — no earlier stage is replayed.
+The reference and vectorized backends are decision-identical, so every
+backend selection builds the same tree bit for bit
+(``tests/test_ir_flow.py`` pins this across the backend matrix).
 
 The stage objects also centralise *construction*: :func:`build_router`,
 :func:`build_inserter`, and :func:`build_refiner` are the single place a

@@ -25,7 +25,7 @@ is scored by one corner-batched (incremental) engine pass — the engine is
 created once and never re-instantiated in the loop.
 
 The refiner edits a :class:`~repro.ir.design.DesignArrays` in place with
-either timing engine (the reference engine realises each design version).
+either timing engine (both walk the design's rows).
 End-points and trial buffers are tracked by *name*, because the vectorized
 engine compacts the design and renumbers its rows.  Compile an object tree
 with :meth:`DesignArrays.from_clock_tree` first.

@@ -40,6 +40,7 @@ bytes depend only on its content — the byte-identity contract the warm
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from repro.guard.policy import GuardError
@@ -73,6 +74,18 @@ class SessionError(KeyError):
 
     def __str__(self) -> str:  # KeyError reprs its argument; keep it readable
         return self.args[0] if self.args else ""
+
+
+def finite_number(value: Any, field: str) -> float:
+    """``float(value)``, or a :class:`ProtocolError` naming ``field`` when it
+    is not a finite number (NaN and infinities poison every later reply)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ProtocolError(f"{field} must be a finite number, got {value!r}")
+    return number
 
 
 def decode_request(line: str) -> dict[str, Any]:

@@ -39,6 +39,7 @@ from repro.serve.protocol import (
     decode_request,
     encode_reply,
     error_reply,
+    finite_number,
     ok_reply,
 )
 from repro.serve.session import SessionCache, build_session
@@ -85,17 +86,25 @@ def _inline_net(spec: dict[str, Any]) -> ClockNet:
         source = ClockSource(
             name=str(source_spec.get("name", "clk_root")),
             location=Point(
-                float(source_spec.get("x", 0.0)), float(source_spec.get("y", 0.0))
+                finite_number(source_spec.get("x", 0.0), "source x"),
+                finite_number(source_spec.get("y", 0.0), "source y"),
             ),
         )
-        sinks = [
-            ClockSink(
-                name=str(sink["name"]),
-                location=Point(float(sink["x"]), float(sink["y"])),
-                capacitance=float(sink.get("cap", 1.0)),
+        sinks = []
+        for sink in spec.get("sinks", []):
+            name = str(sink["name"])
+            sinks.append(
+                ClockSink(
+                    name=name,
+                    location=Point(
+                        finite_number(sink["x"], f"sink {name!r} x"),
+                        finite_number(sink["y"], f"sink {name!r} y"),
+                    ),
+                    capacitance=finite_number(
+                        sink.get("cap", 1.0), f"sink {name!r} cap"
+                    ),
+                )
             )
-            for sink in spec.get("sinks", [])
-        ]
         return ClockNet(str(spec.get("name", "inline")), source, sinks)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad inline design spec: {exc}") from None

@@ -32,7 +32,12 @@ from repro.flow.cts import CtsRunResult, DoubleSideCTS
 from repro.guard.validation import design_cache_key
 from repro.ir.design import KIND_BUFFER, KIND_SINK, DesignArrays
 from repro.netlist.clock import ClockNet
-from repro.serve.protocol import EDIT_KINDS, ProtocolError, SessionError
+from repro.serve.protocol import (
+    EDIT_KINDS,
+    ProtocolError,
+    SessionError,
+    finite_number,
+)
 from repro.tech.corners import CornerSet
 from repro.tech.pdk import Pdk
 from repro.timing.vectorized import VectorizedElmoreEngine
@@ -83,9 +88,18 @@ def apply_edit(
         parent = int(design.parent_row[row])
         if parent < 0:
             raise ProtocolError(f"cannot insert a buffer above the root {node!r}")
-        x = float(edit.get("x", (design.x[row] + design.x[parent]) / 2.0))
-        y = float(edit.get("y", (design.y[row] + design.y[parent]) / 2.0))
-        name = edit.get("name") or _fresh_name(design, f"wi_buf_{node}")
+        x = finite_number(
+            edit.get("x", (design.x[row] + design.x[parent]) / 2.0),
+            "insert_buffer x",
+        )
+        y = finite_number(
+            edit.get("y", (design.y[row] + design.y[parent]) / 2.0),
+            "insert_buffer y",
+        )
+        name = edit.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ProtocolError(f"insert_buffer name must be a string, got {name!r}")
+        name = name or _fresh_name(design, f"wi_buf_{node}")
         design.insert_on_edge(
             row,
             KIND_BUFFER,

@@ -18,11 +18,12 @@ Two interchangeable engines implement these models:
   designs only (compile an object tree with
   ``DesignArrays.from_clock_tree``).  Use it everywhere performance
   matters — it is the default of :func:`create_engine`.
-* :class:`ElmoreTimingEngine` — the straightforward per-node reference
-  implementation over object trees (a design is realised once per version).
-  Use it for differential testing, for debugging suspected kernel bugs (set
-  ``REPRO_TIMING_ENGINE=reference`` to switch the whole library), and as
-  the executable specification of the timing model.
+* :class:`ElmoreTimingEngine` — the straightforward per-row reference
+  implementation: scalar walks over the same design rows (it compiles a
+  ``ClockTree`` it is given).  Use it for differential testing, for
+  debugging suspected kernel bugs (set ``REPRO_TIMING_ENGINE=reference`` to
+  switch the whole library), and as the executable specification of the
+  timing model.
 
 Both engines produce identical results to well below 1e-9 ps (only the
 floating-point summation order differs); the equivalence is enforced by the
@@ -36,7 +37,7 @@ axis in the vectorized kernel, as a per-corner loop in the reference engine.
 """
 
 from repro.tech.corners import CornerSet, Scenario
-from repro.timing.elmore import ElmoreTimingEngine, WireModel
+from repro.timing.elmore import ElmoreTimingEngine
 from repro.timing.analysis import TimingResult
 from repro.timing.factory import (
     DEFAULT_ENGINE,
@@ -45,7 +46,7 @@ from repro.timing.factory import (
     create_engine,
     default_engine_name,
 )
-from repro.timing.slew import SlewAnalyzer, ramp_slew
+from repro.timing.slew import ramp_slew
 from repro.timing.vectorized import VectorizedElmoreEngine
 
 __all__ = [
@@ -58,8 +59,6 @@ __all__ = [
     "default_engine_name",
     "DEFAULT_ENGINE",
     "ENGINE_NAMES",
-    "WireModel",
     "TimingResult",
-    "SlewAnalyzer",
     "ramp_slew",
 ]

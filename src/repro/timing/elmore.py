@@ -1,65 +1,44 @@
 """Elmore-based timing engine for double-side clock trees.
 
-The engine evaluates the delay of a :class:`~repro.clocktree.ClockTree`
-against a :class:`~repro.tech.Pdk`.  Wires use the L-type lumped Elmore model
-of the paper (all wire capacitance lumped at the far end), buffers shield
-their downstream load, and nTSVs contribute a series RC without shielding —
-exactly matching Eq. (1) and Eq. (2).
+The engine evaluates the delay of a :class:`~repro.ir.design.DesignArrays`
+design against a :class:`~repro.tech.Pdk`.  Wires use the L-type lumped
+Elmore model of the paper (all wire capacitance lumped at the far end),
+buffers shield their downstream load, and nTSVs contribute a series RC
+without shielding — exactly matching Eq. (1) and Eq. (2).
 
-The engine walks object trees.  Its timing entries also accept a
-:class:`~repro.ir.design.DesignArrays` and realise it (``to_clock_tree()``)
-once per design version, so flow stages hand either engine their design.
+The engine walks the design's rows one scalar at a time: loads bottom-up
+over the breadth-first levels, arrivals and slews top-down in pre-order,
+wire lengths from the coordinates.  It never edits, compacts or caches the
+design.  A :class:`~repro.clocktree.ClockTree` it is given is compiled with
+:meth:`DesignArrays.from_clock_tree` first.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Mapping
+from typing import NamedTuple
 
-from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
-from repro.ir.design import DesignArrays
+from repro.clocktree import ClockTree
+from repro.ir.design import KIND_BUFFER, KIND_NTSV, KIND_ROOT, KIND_SINK, DesignArrays
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
 from repro.timing.analysis import TimingResult
-from repro.timing.slew import SOURCE_SLEW, SlewAnalyzer
+from repro.timing.slew import SOURCE_SLEW, peri_combine, ramp_slew
 
-#: Drive resistance (kOhm) of the clock source, shared by every engine.
+#: Drive resistance (kOhm) of the clock source, shared by both timing
+#: engines and both insertion-DP backends.
 ROOT_DRIVE_RESISTANCE = 0.1
 
 
-def require_clock_tree(tree: ClockTree | DesignArrays, method: str) -> None:
-    """Reject a design where a result is keyed by ``id(node)``."""
-    if isinstance(tree, DesignArrays):
-        raise TypeError(
-            f"{method}() keys loads by id(node), which needs a ClockTree; "
-            "realise the design with to_clock_tree()"
-        )
+class ElmoreModel:
+    """The wire-reduction model shared by every engine.
 
-
-class WireModel(enum.Enum):
-    """Wire reduction model.
-
-    ``L``: the paper's model, all wire capacitance lumped at the far end,
-    delay = R * (C_wire + C_load).
-    ``PI``: the classic pi-model, half the wire capacitance at each end,
-    delay = R * (C_wire / 2 + C_load).
-    """
-
-    L = "l"
-    PI = "pi"
-
-
-class ElmoreWireModel:
-    """The wire-reduction and source-driver model shared by every engine.
-
-    Keeping these in one place (rather than per engine) is what preserves
+    Keeping it in one place (rather than per engine) is what preserves
     the 1e-9 reference/vectorized equivalence contract when the model is
-    tuned.  Subclasses set ``pdk`` and ``wire_model``.
+    tuned.  Subclasses set ``pdk``.
     """
 
     pdk: Pdk
-    wire_model: WireModel
 
     def wire_capacitance(self, length: float, side: Side) -> float:
         """Total capacitance (fF) of a clock wire of ``length`` um on ``side``."""
@@ -70,19 +49,23 @@ class ElmoreWireModel:
         return self.pdk.clock_layer(side).wire_resistance(length)
 
     def wire_delay(self, length: float, side: Side, load_capacitance: float) -> float:
-        """Elmore delay (ps) of a wire driving ``load_capacitance`` fF."""
+        """L-type Elmore delay (ps) of a wire driving ``load_capacitance`` fF:
+        R * (C_wire + C_load)."""
         resistance = self.wire_resistance(length, side)
         capacitance = self.wire_capacitance(length, side)
-        if self.wire_model is WireModel.PI:
-            return resistance * (capacitance / 2.0 + load_capacitance)
         return resistance * (capacitance + load_capacitance)
 
-    def _root_resistance(self) -> float:
-        """Drive resistance (kOhm) of the clock source."""
-        return ROOT_DRIVE_RESISTANCE
+
+class _RowLoads(NamedTuple):
+    """Per-row results of the bottom-up pass, indexed by design row."""
+
+    wire_cap: list[float]  # capacitance of the wire to the parent
+    wire_delay: list[float]  # Elmore delay of the wire to the parent
+    down: list[float]  # capacitance looking into the row from that wire
+    load: list[float]  # load the row drives
 
 
-class ElmoreTimingEngine(ElmoreWireModel):
+class ElmoreTimingEngine(ElmoreModel):
     """Computes per-node loads and per-sink arrival times of a clock tree.
 
     Multi-corner analysis is a plain per-corner loop: every scenario of the
@@ -95,32 +78,20 @@ class ElmoreTimingEngine(ElmoreWireModel):
     def __init__(
         self,
         pdk: Pdk,
-        wire_model: WireModel = WireModel.L,
         use_nldm: bool = False,
         corners: CornerSet | Scenario | str | None = None,
     ) -> None:
         self.pdk = pdk
-        self.wire_model = wire_model
         self.use_nldm = use_nldm
         self.corners = CornerSet.resolve(corners).ensure_nominal()
-        self._slew = SlewAnalyzer(pdk)
         self._corner_engines: list["ElmoreTimingEngine"] | None = None
-        self._realised_design: tuple[DesignArrays, int, ClockTree] | None = None
 
-    def _realised(self, tree: ClockTree | DesignArrays) -> ClockTree:
-        """The object tree the reference walks.
-
-        A design is realised once per ``(design, version)``: queries at an
-        unchanged version (a refiner trial's skew and latency, an
-        evaluation's nominal and per-corner passes) share one realisation.
-        """
-        if not isinstance(tree, DesignArrays):
-            return tree
-        cached = self._realised_design
-        if cached is None or cached[0] is not tree or cached[1] != tree.version:
-            cached = (tree, tree.version, tree.to_clock_tree())
-            self._realised_design = cached
-        return cached[2]
+    @staticmethod
+    def _design(tree: ClockTree | DesignArrays) -> DesignArrays:
+        """The design an entry walks: a ``ClockTree`` is compiled first."""
+        if isinstance(tree, ClockTree):
+            return DesignArrays.from_clock_tree(tree)
+        return tree
 
     @property
     def corner_pdks(self) -> list[Pdk]:
@@ -139,45 +110,68 @@ class ElmoreTimingEngine(ElmoreWireModel):
         return 0 if index is None else index
 
     # ------------------------------------------------------------------ loads
-    def subtree_capacitances(self, tree: ClockTree) -> dict[int, float]:
-        """Capacitance looking into each node from its parent wire.
+    def _loads(self, design: DesignArrays) -> _RowLoads:
+        """Bottom-up pass over ``design.levels()``.
 
-        Returns a mapping ``id(node) -> capacitance`` (fF).  Buffers shield
-        their downstream load and present only their input pin capacitance.
+        A buffer presents only its input pin capacitance.  Any other row
+        presents its pin capacitance plus, for each child in
+        ``children_rows`` order, the child's wire and then the child's own
+        downstream capacitance.
         """
-        require_clock_tree(tree, "subtree_capacitances")
-        caps: dict[int, float] = {}
-        for node in tree.nodes_bottom_up():
-            if node.kind is NodeKind.BUFFER:
-                caps[id(node)] = node.capacitance
-                continue
-            if node.is_leaf:
-                caps[id(node)] = node.capacitance
-                continue
-            total = node.capacitance
-            for child in node.children:
-                total += self.wire_capacitance(child.edge_length(), child.wire_side)
-                total += caps[id(child)]
-            caps[id(node)] = total
-        return caps
+        size = design.size
+        xs = design.x[:size].tolist()
+        ys = design.y[:size].tolist()
+        caps = design.cap[:size].tolist()
+        kinds = design.kind[:size].tolist()
+        fronts = design.wire_front[:size].tolist()
+        children = design.children_rows
+        wire_cap = [0.0] * size
+        wire_delay = [0.0] * size
+        down = [0.0] * size
+        load = [0.0] * size
+        for level in reversed(design.levels()):
+            for row in level.tolist():
+                x, y = xs[row], ys[row]
+                # Two running sums, not ``total = cap + driven``: each keeps
+                # its own floating-point association.
+                driven = 0.0
+                total = caps[row]
+                for child in children[row]:
+                    length = abs(xs[child] - x) + abs(ys[child] - y)
+                    side = Side.FRONT if fronts[child] else Side.BACK
+                    capacitance = self.wire_capacitance(length, side)
+                    wire_cap[child] = capacitance
+                    wire_delay[child] = self.wire_delay(length, side, down[child])
+                    driven += capacitance
+                    driven += down[child]
+                    total += capacitance
+                    total += down[child]
+                load[row] = driven
+                down[row] = caps[row] if kinds[row] == KIND_BUFFER else total
+        return _RowLoads(wire_cap, wire_delay, down, load)
 
-    def driver_loads(self, tree: ClockTree) -> dict[int, float]:
-        """Load (fF) seen by each node when driving its children.
+    def subtree_capacitances(
+        self, tree: ClockTree | DesignArrays
+    ) -> dict[str, float]:
+        """Capacitance (fF) looking into each node from its parent wire.
+
+        Keyed by node name, in pre-order.  Buffers shield their downstream
+        load and present only their input pin capacitance.
+        """
+        design = self._design(tree)
+        down = self._loads(design).down
+        return {design.names[row]: down[row] for row in design.rows_preorder()}
+
+    def driver_loads(self, tree: ClockTree | DesignArrays) -> dict[str, float]:
+        """Load (fF) seen by each node when driving its children, by name.
 
         For buffers this is the load the buffer output drives; for the root
         it is the load on the clock source; for nTSVs it is the capacitance
         downstream of the via (excluding the via's own capacitance).
         """
-        require_clock_tree(tree, "driver_loads")
-        caps = self.subtree_capacitances(tree)
-        loads: dict[int, float] = {}
-        for node in tree.nodes():
-            load = 0.0
-            for child in node.children:
-                load += self.wire_capacitance(child.edge_length(), child.wire_side)
-                load += caps[id(child)]
-            loads[id(node)] = load
-        return loads
+        design = self._design(tree)
+        load = self._loads(design).load
+        return {design.names[row]: load[row] for row in design.rows_preorder()}
 
     def max_capacitance_violations(
         self, tree: ClockTree | DesignArrays
@@ -187,71 +181,97 @@ class ElmoreTimingEngine(ElmoreWireModel):
         Checked drivers are the clock root and every buffer (the elements
         with an output stage); Steiner points and nTSVs do not drive.
         """
-        tree = self._realised(tree)
-        loads = self.driver_loads(tree)
+        design = self._design(tree)
+        load = self._loads(design).load
         limit = self.pdk.max_capacitance
-        violations = []
-        for node in tree.nodes():
-            if node.kind in (NodeKind.ROOT, NodeKind.BUFFER):
-                load = loads[id(node)]
-                if load > limit + 1e-9:
-                    violations.append((node.name, load))
-        return violations
+        kinds = design.kind
+        return [
+            (design.names[row], load[row])
+            for row in design.rows_preorder()
+            if kinds[row] in (KIND_ROOT, KIND_BUFFER) and load[row] > limit + 1e-9
+        ]
 
     # --------------------------------------------------------------- arrivals
-    def node_arrivals(self, tree: ClockTree) -> dict[int, float]:
-        """Arrival time (ps) at every node, measured from the clock root."""
-        caps = self.subtree_capacitances(tree)
-        arrivals: dict[int, float] = {id(tree.root): 0.0}
-        slews: dict[int, float] = {id(tree.root): SOURCE_SLEW}
-
-        for node in tree.nodes():
-            node_arrival = arrivals[id(node)]
-            extra = self._stage_delay(node, caps, slews)
-            for child in node.children:
-                length = child.edge_length()
-                delay = self.wire_delay(length, child.wire_side, caps[id(child)])
-                arrivals[id(child)] = node_arrival + extra + delay
-                slews[id(child)] = slews[id(node)]
-        return arrivals
-
-    def _stage_delay(
-        self,
-        node: ClockTreeNode,
-        caps: Mapping[int, float],
-        slews: Mapping[int, float],
-    ) -> float:
-        """Delay added *at* a node before its outgoing wires (driver stages)."""
-        load = 0.0
-        for child in node.children:
-            load += self.wire_capacitance(child.edge_length(), child.wire_side)
-            load += caps[id(child)]
-        if node.kind is NodeKind.BUFFER:
-            input_slew = slews.get(id(node)) if self.use_nldm else None
+    def _stage_delay(self, kind: int, load: float) -> float:
+        """Delay added *at* a row driving ``load`` before its outgoing wires."""
+        if kind == KIND_BUFFER:
+            # The delay model takes the source slew at every buffer input;
+            # propagated slews are the separate slew pass.
+            input_slew = SOURCE_SLEW if self.use_nldm else None
             return self.pdk.buffer.delay(load, input_slew=input_slew)
-        if node.kind is NodeKind.NTSV:
+        if kind == KIND_NTSV:
             ntsv = self.pdk.ntsv
             if ntsv is None:
                 raise ValueError("tree contains nTSVs but the PDK has none")
             return ntsv.resistance * (ntsv.capacitance + load)
-        if node.kind is NodeKind.ROOT:
+        if kind == KIND_ROOT:
             # The clock source behaves as a driver with a fixed resistance.
-            return 0.0 if load == 0 else self._root_resistance() * load
+            return 0.0 if load == 0 else ROOT_DRIVE_RESISTANCE * load
         return 0.0
+
+    def _sink_arrivals(
+        self, design: DesignArrays, loads: _RowLoads, order: list[int]
+    ) -> dict[str, float]:
+        """Arrival (ps) of every sink, from the root, in pre-order."""
+        kinds = design.kind[: design.size].tolist()
+        names = design.names
+        children = design.children_rows
+        arrival = [0.0] * design.size
+        sinks: dict[str, float] = {}
+        for row in order:
+            kind = kinds[row]
+            if kind == KIND_SINK:
+                sinks[names[row]] = arrival[row]
+            start = arrival[row] + self._stage_delay(kind, loads.load[row])
+            for child in children[row]:
+                arrival[child] = start + loads.wire_delay[child]
+        return sinks
+
+    def _sink_slews(
+        self, design: DesignArrays, loads: _RowLoads, order: list[int]
+    ) -> dict[str, float]:
+        """Slew (ps) at every sink, by the PERI rule of :mod:`repro.timing.slew`.
+
+        Buffers regenerate the slew from their load and input slew, nTSVs
+        and wires degrade it.  A driver's load here is the plain
+        ``sum(wire + down)`` over its children.
+        """
+        kinds = design.kind[: design.size].tolist()
+        names = design.names
+        children = design.children_rows
+        wire_cap, wire_delay, down = loads.wire_cap, loads.wire_delay, loads.down
+        ntsv = self.pdk.ntsv
+        slew = [SOURCE_SLEW] * design.size
+        sinks: dict[str, float] = {}
+        for row in order:
+            here = slew[row]
+            kind = kinds[row]
+            if kind == KIND_BUFFER:
+                load = sum(wire_cap[c] + down[c] for c in children[row])
+                here = self.pdk.buffer.slew(load, input_slew=here)
+            elif kind == KIND_NTSV and ntsv is not None:
+                load = sum(wire_cap[c] + down[c] for c in children[row])
+                here = peri_combine(
+                    here, ramp_slew(ntsv.resistance * (ntsv.capacitance + load))
+                )
+            for child in children[row]:
+                slew[child] = peri_combine(here, ramp_slew(wire_delay[child]))
+                if kinds[child] == KIND_SINK:
+                    sinks[names[child]] = slew[child]
+        return sinks
 
     # ---------------------------------------------------------------- analyze
     def analyze(
         self, tree: ClockTree | DesignArrays, with_slew: bool = True
     ) -> TimingResult:
         """Run a full analysis and return the :class:`TimingResult`."""
-        tree = self._realised(tree)
-        arrivals = self.node_arrivals(tree)
-        sink_arrivals = {
-            node.name: arrivals[id(node)] for node in tree.nodes() if node.is_sink
-        }
+        design = self._design(tree)
+        loads = self._loads(design)
+        order = design.rows_preorder()
+        sink_arrivals = self._sink_arrivals(design, loads, order)
         if not sink_arrivals:
-            raise ValueError(f"clock tree {tree.name!r} has no sinks to analyse")
-        slews = self._slew.sink_slews(tree, self) if with_slew else {}
+            raise ValueError(f"clock tree {design.name!r} has no sinks to analyse")
+        slews = self._sink_slews(design, loads, order) if with_slew else {}
         return TimingResult(arrivals=sink_arrivals, slews=slews)
 
     def latency(self, tree: ClockTree | DesignArrays) -> float:
@@ -269,7 +289,6 @@ class ElmoreTimingEngine(ElmoreWireModel):
             self._corner_engines = [
                 ElmoreTimingEngine(
                     scenario.apply_to(self.pdk),
-                    wire_model=self.wire_model,
                     use_nldm=(
                         self.use_nldm
                         if scenario.use_nldm is None
@@ -284,17 +303,17 @@ class ElmoreTimingEngine(ElmoreWireModel):
         self, tree: ClockTree | DesignArrays, with_slew: bool = True
     ) -> dict[str, TimingResult]:
         """Per-corner loop over fresh single-corner analyses."""
-        tree = self._realised(tree)
+        design = self._design(tree)
         return {
-            scenario.name: engine.analyze(tree, with_slew=with_slew)
+            scenario.name: engine.analyze(design, with_slew=with_slew)
             for scenario, engine in zip(self.corners, self._engines_per_corner())
         }
 
     def skew_per_corner(self, tree: ClockTree | DesignArrays) -> dict[str, float]:
         """Global skew (ps) of every corner (one full analysis each)."""
-        tree = self._realised(tree)
+        design = self._design(tree)
         return {
-            scenario.name: engine.skew(tree)
+            scenario.name: engine.skew(design)
             for scenario, engine in zip(self.corners, self._engines_per_corner())
         }
 
@@ -302,9 +321,9 @@ class ElmoreTimingEngine(ElmoreWireModel):
         self, tree: ClockTree | DesignArrays
     ) -> dict[str, float]:
         """Maximum sink arrival (ps) of every corner (one analysis each)."""
-        tree = self._realised(tree)
+        design = self._design(tree)
         return {
-            scenario.name: engine.latency(tree)
+            scenario.name: engine.latency(design)
             for scenario, engine in zip(self.corners, self._engines_per_corner())
         }
 

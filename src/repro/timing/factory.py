@@ -11,8 +11,9 @@ differential debugging of a whole benchmark run).
 Multi-corner sign-off goes through the same factory: pass ``corners=`` (a
 :class:`~repro.tech.corners.CornerSet`, a single scenario, or a spec string
 like ``"tt,ss,ff"``) and the returned engine batches every corner — the
-vectorized kernel in one level-synchronous pass sharing a single tree
-compile, the reference engine as a per-corner loop.  Never hand-roll
+vectorized kernel in one level-synchronous pass sharing a single design
+compile, the reference engine as a per-corner loop of row walks.  Both time
+a :class:`~repro.ir.design.DesignArrays`.  Never hand-roll
 per-corner PDK loops at call sites; the factory keeps both engines on the
 same corner semantics.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.pdk import Pdk
-from repro.timing.elmore import ElmoreTimingEngine, WireModel
+from repro.timing.elmore import ElmoreTimingEngine
 from repro.timing.vectorized import VectorizedElmoreEngine
 
 #: Engine used when neither the caller nor the environment chooses one.
@@ -61,7 +62,6 @@ def resolve_engine_name(engine: str | None = None) -> str:
 def create_engine(
     pdk: Pdk,
     engine: str | None = None,
-    wire_model: WireModel = WireModel.L,
     use_nldm: bool = False,
     corners: CornerSet | Scenario | str | None = None,
 ) -> TimingEngine:
@@ -71,7 +71,6 @@ def create_engine(
         pdk: the technology to time against.
         engine: ``"vectorized"`` (default), ``"reference"``, or None to use
             the library default (overridable via ``REPRO_TIMING_ENGINE``).
-        wire_model: L-type lumped (paper) or PI wire reduction.
         use_nldm: look buffer delays up in the NLDM table instead of the
             linear model.
         corners: operating points to evaluate — a
@@ -81,9 +80,5 @@ def create_engine(
     """
     name = resolve_engine_name(engine)
     if name == "reference":
-        return ElmoreTimingEngine(
-            pdk, wire_model=wire_model, use_nldm=use_nldm, corners=corners
-        )
-    return VectorizedElmoreEngine(
-        pdk, wire_model=wire_model, use_nldm=use_nldm, corners=corners
-    )
+        return ElmoreTimingEngine(pdk, use_nldm=use_nldm, corners=corners)
+    return VectorizedElmoreEngine(pdk, use_nldm=use_nldm, corners=corners)

@@ -1,4 +1,4 @@
-"""Slew (transition time) propagation along the clock tree.
+"""Slew (transition time) primitives shared by both timing engines.
 
 Follows the slew model of Sitik et al. referenced by the paper: the output
 slew of a stage is combined with the slew degradation of the interconnect via
@@ -8,19 +8,13 @@ the PERI rule
 
 where ``slew_step`` of a wire is approximated by ``ln(9) * Elmore`` of that
 wire stage, and the slew at a buffer output comes from the buffer model
-(NLDM table when available, linear otherwise).
+(NLDM table when available, linear otherwise).  The propagation itself is a
+pass of each engine.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
-from repro.clocktree import ClockTree, NodeKind
-from repro.tech.pdk import Pdk
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.timing.elmore import ElmoreTimingEngine
 
 #: ln(9): converts an Elmore delay into a 10%-90% ramp transition time.
 LN9 = math.log(9.0)
@@ -39,59 +33,3 @@ def ramp_slew(elmore_delay: float) -> float:
 def peri_combine(slew_in: float, slew_step: float) -> float:
     """Combine an input slew with a stage slew using the PERI rule."""
     return math.sqrt(slew_in * slew_in + slew_step * slew_step)
-
-
-class SlewAnalyzer:
-    """Propagates slews from the clock root to every sink."""
-
-    def __init__(self, pdk: Pdk) -> None:
-        self.pdk = pdk
-
-    def sink_slews(self, tree: ClockTree, engine: "ElmoreTimingEngine") -> dict[str, float]:
-        """Return ``sink name -> slew (ps)`` for every sink of the tree."""
-        caps = engine.subtree_capacitances(tree)
-        slews: dict[int, float] = {id(tree.root): SOURCE_SLEW}
-        result: dict[str, float] = {}
-
-        for node in tree.nodes():
-            slew_here = slews[id(node)]
-            # Driver stages regenerate or degrade the slew at the node itself.
-            if node.kind is NodeKind.BUFFER:
-                load = sum(
-                    engine.wire_capacitance(c.edge_length(), c.wire_side) + caps[id(c)]
-                    for c in node.children
-                )
-                slew_here = self.pdk.buffer.slew(load, input_slew=slew_here)
-            elif node.kind is NodeKind.NTSV:
-                ntsv = self.pdk.ntsv
-                if ntsv is not None:
-                    load = sum(
-                        engine.wire_capacitance(c.edge_length(), c.wire_side) + caps[id(c)]
-                        for c in node.children
-                    )
-                    slew_here = peri_combine(
-                        slew_here, ramp_slew(ntsv.resistance * (ntsv.capacitance + load))
-                    )
-            for child in node.children:
-                stage = engine.wire_delay(
-                    child.edge_length(), child.wire_side, caps[id(child)]
-                )
-                slews[id(child)] = peri_combine(slew_here, ramp_slew(stage))
-                if child.is_sink:
-                    result[child.name] = slews[id(child)]
-        # A degenerate tree whose root is directly a sink has no edges.
-        for node in tree.nodes():
-            if node.is_sink and node.name not in result:
-                result[node.name] = slews.get(id(node), SOURCE_SLEW)
-        return result
-
-    def max_slew_violations(
-        self, tree: ClockTree, engine: "ElmoreTimingEngine"
-    ) -> list[tuple[str, float]]:
-        """Return ``(sink name, slew)`` pairs exceeding the PDK max slew."""
-        limit = self.pdk.max_slew
-        return [
-            (name, slew)
-            for name, slew in self.sink_slews(tree, engine).items()
-            if slew > limit + 1e-9
-        ]

@@ -2,7 +2,7 @@
 
 :class:`VectorizedElmoreEngine` is a drop-in replacement for
 :class:`~repro.timing.ElmoreTimingEngine` that computes the exact same model
-(L or PI wire reduction, buffer shielding, nTSV series RC, NLDM buffer delay,
+(L-type wire reduction, buffer shielding, nTSV series RC, NLDM buffer delay,
 PERI slew propagation) on the columns of a
 :class:`~repro.ir.design.DesignArrays` instead of per-node Python dicts:
 
@@ -19,10 +19,9 @@ the first shielding buffer (or the root), and re-times just that driver's
 cone instead of the whole tree.  A single end-point buffer insertion on a
 large design therefore costs O(cone) instead of O(tree).
 
-The timing entries take designs only (a ``ClockTree`` raises a
-``TypeError``).  The two ``id(node)``-keyed load queries take a
-``ClockTree`` and compile it with :meth:`DesignArrays.from_clock_tree` on
-every call.
+Every entry takes a design only (a ``ClockTree`` raises a ``TypeError``;
+compile it with :meth:`DesignArrays.from_clock_tree`), and the load queries
+report by node name.
 
 **Multi-corner batching**: every numeric array carries a leading scenario
 axis of size ``K = len(corners)`` (:class:`~repro.tech.corners.CornerSet`).
@@ -44,13 +43,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clocktree import ClockTree
 from repro.ir.design import KIND_BUFFER, KIND_NTSV, KIND_ROOT, KIND_SINK, DesignArrays
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
 from repro.timing.analysis import TimingResult
-from repro.timing.elmore import ElmoreWireModel, WireModel, require_clock_tree
+from repro.timing.elmore import ROOT_DRIVE_RESISTANCE, ElmoreModel
 from repro.timing.slew import LN9, SOURCE_SLEW
 
 #: Edit batches larger than this are cheaper to recompile than to replay.
@@ -139,12 +137,12 @@ class _EngineState:
             setattr(self, name, grown)
 
 
-class VectorizedElmoreEngine(ElmoreWireModel):
+class VectorizedElmoreEngine(ElmoreModel):
     """Array-based timing engine, API-compatible with the reference engine.
 
-    The wire-reduction and source-driver model comes from the shared
-    :class:`ElmoreWireModel` base, so a model tweak cannot drift the two
-    engines apart.
+    The wire-reduction model comes from the shared :class:`ElmoreModel`
+    base and the source driver from ``ROOT_DRIVE_RESISTANCE``, so a model
+    tweak cannot drift the two engines apart.
 
     Attributes:
         corners: the resolved :class:`CornerSet` this engine batches over
@@ -156,12 +154,10 @@ class VectorizedElmoreEngine(ElmoreWireModel):
     def __init__(
         self,
         pdk: Pdk,
-        wire_model: WireModel = WireModel.L,
         use_nldm: bool = False,
         corners: CornerSet | Scenario | str | None = None,
     ) -> None:
         self.pdk = pdk
-        self.wire_model = wire_model
         self.use_nldm = use_nldm
         self.corners = CornerSet.resolve(corners).ensure_nominal()
         self.full_compiles = 0
@@ -358,16 +354,13 @@ class VectorizedElmoreEngine(ElmoreWireModel):
             # spliced in as an internal node still drives with the source R).
             loads = state.load[:, root_rows]
             state.stage[:, root_rows] = np.where(
-                loads == 0, 0.0, self._root_resistance() * loads
+                loads == 0, 0.0, ROOT_DRIVE_RESISTANCE * loads
             )
 
     def _refresh_wire_delay(self, state: _EngineState, rows: np.ndarray) -> None:
         """Recompute the Elmore delay of the parent wire of each of ``rows``."""
-        wire_cap = state.wire_cap[:, rows]
-        if self.wire_model is WireModel.PI:
-            wire_cap = wire_cap / 2.0
         state.wire_delay[:, rows] = state.wire_res[:, rows] * (
-            wire_cap + state.down_cap[:, rows]
+            state.wire_cap[:, rows] + state.down_cap[:, rows]
         )
 
     def _full_arrivals(self, state: _EngineState) -> None:
@@ -733,24 +726,21 @@ class VectorizedElmoreEngine(ElmoreWireModel):
         return max(self.latency_per_corner(design).values())
 
     # ------------------------------------------------------------------ loads
-    def subtree_capacitances(self, tree: ClockTree) -> dict[int, float]:
-        """Capacitance looking into each node (``id(node) -> fF``)."""
-        require_clock_tree(tree, "subtree_capacitances")
-        state = self._sync(DesignArrays.from_clock_tree(tree), need_slews=False)
-        return self._by_node(tree, state.down_cap[self._primary])
+    def subtree_capacitances(self, design: DesignArrays) -> dict[str, float]:
+        """Capacitance (fF) looking into each node, by name, in pre-order."""
+        state = self._sync(design, need_slews=False)
+        return self._by_name(state.arrays, state.down_cap[self._primary])
 
-    def driver_loads(self, tree: ClockTree) -> dict[int, float]:
-        """Load (fF) seen by each node when driving its children."""
-        require_clock_tree(tree, "driver_loads")
-        state = self._sync(DesignArrays.from_clock_tree(tree), need_slews=False)
-        return self._by_node(tree, state.load[self._primary])
+    def driver_loads(self, design: DesignArrays) -> dict[str, float]:
+        """Load (fF) each node drives, by name, in pre-order."""
+        state = self._sync(design, need_slews=False)
+        return self._by_name(state.arrays, state.load[self._primary])
 
     @staticmethod
-    def _by_node(tree: ClockTree, values: np.ndarray) -> dict[int, float]:
-        # ``from_clock_tree`` numbers rows breadth-first: the reverse of
-        # ``nodes_bottom_up``.
-        nodes = reversed(tree.nodes_bottom_up())
-        return {id(node): value for node, value in zip(nodes, values.tolist())}
+    def _by_name(design: DesignArrays, values: np.ndarray) -> dict[str, float]:
+        names = design.names
+        values = values.tolist()
+        return {names[row]: values[row] for row in design.rows_preorder()}
 
     def max_capacitance_violations(
         self, design: DesignArrays

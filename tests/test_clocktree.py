@@ -104,14 +104,6 @@ class TestTreeStructure:
         assert tree.buffer_count() == 0
         assert tree.ntsv_count() == 0
 
-    def test_bottom_up_order(self):
-        tree = simple_tree()
-        order = tree.nodes_bottom_up()
-        positions = {node.name: i for i, node in enumerate(order)}
-        assert positions["a"] < positions["st1"]
-        assert positions["b"] < positions["st1"]
-        assert positions["st1"] < positions["root"]
-
     def test_find_missing_raises(self):
         with pytest.raises(KeyError):
             simple_tree().find("nope")
@@ -159,6 +151,31 @@ class TestValidation:
         sink.parent = tree.root  # inconsistent with root.children
         with pytest.raises(ConnectivityError):
             tree.validate()
+
+    def test_cycle_built_with_add_child_detected(self):
+        tree = simple_tree()
+        tree.find("st1").add_child(tree.root)  # root -> st1 -> root
+        with pytest.raises(ConnectivityError, match="cycle detected"):
+            DesignArrays.from_clock_tree(tree)
+        with pytest.raises(ConnectivityError, match="cycle detected"):
+            tree.validate()
+
+    def test_child_shared_by_two_parents_detected(self):
+        tree = simple_tree()
+        tree.root.children.append(tree.find("a"))  # "a" also stays under st1
+        with pytest.raises(ConnectivityError):
+            DesignArrays.from_clock_tree(tree)
+        with pytest.raises(ConnectivityError):
+            tree.validate()
+
+    def test_parent_outside_the_tree_is_a_broken_link(self):
+        tree = simple_tree()
+        tree.find("a").parent = ClockTreeNode("stray", NodeKind.STEINER, Point(0, 0))
+        design = DesignArrays.from_clock_tree(tree)
+        assert design.parent_row[design.name_to_row["a"]] == -1
+        for checked in (design, tree):
+            with pytest.raises(ConnectivityError, match="broken parent link"):
+                checked.validate()
 
     def test_duplicate_node_name_detected(self):
         tree = simple_tree()

@@ -338,6 +338,72 @@ class TestServerErrors:
         assert empty["ok"] is False
         assert rpc(server, op="ping")["result"]["pong"] is True
 
+    @staticmethod
+    def _c1_session(server: CtsServer) -> tuple[str, str, dict]:
+        """A C1 session at scale 0.1: (key, a sink name, the first query)."""
+        key = rpc(server, op="build", design="C1", scale=0.1)["result"]["session"]
+        design = server.sessions.require(key).design
+        sink = design.names[int(design.sink_rows()[0])]
+        return key, sink, rpc(server, op="query", session=key)["result"]
+
+    def test_non_finite_buffer_coordinate_is_rejected(self, pdk):
+        server = CtsServer(pdk, CtsConfig())
+        key, sink, before = self._c1_session(server)
+        edit = {"kind": "insert_buffer", "node": sink}
+        nan = rpc(server, op="what_if", session=key, commit=True,
+                  edits=[dict(edit, x=float("nan"))])
+        huge = json.loads(server.handle_line(
+            '{"op": "what_if", "session": "%s", "commit": true, "edits": '
+            '[{"kind": "insert_buffer", "node": "%s", "y": 1e999}]}' % (key, sink)
+        ))
+        for reply, field in ((nan, "x"), (huge, "y")):
+            assert reply["ok"] is False
+            assert reply["error"]["type"] == "ProtocolError"
+            assert f"insert_buffer {field} must be a finite number" in (
+                reply["error"]["message"]
+            )
+        assert rpc(server, op="query", session=key)["result"] == before
+
+    def test_non_string_buffer_name_is_rejected(self, pdk):
+        server = CtsServer(pdk, CtsConfig())
+        key, sink, before = self._c1_session(server)
+        reply = rpc(server, op="what_if", session=key, commit=True,
+                    edits=[{"kind": "insert_buffer", "node": sink, "name": 5}])
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "ProtocolError"
+        assert "name must be a string" in reply["error"]["message"]
+        assert rpc(server, op="query", session=key)["result"] == before
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("x", float("nan")), ("y", float("inf")), ("cap", float("nan"))],
+    )
+    def test_non_finite_inline_sink_is_rejected(self, pdk, field, value):
+        server = CtsServer(pdk, CtsConfig())
+        spec = net_spec(random_sink_cloud(30, seed=1))
+        spec["sinks"][3][field] = value
+        reply = rpc(server, op="build", design=spec)
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "ProtocolError"
+        name = spec["sinks"][3]["name"]
+        assert f"sink {name!r} {field} must be a finite number" in (
+            reply["error"]["message"]
+        )
+        assert len(server.sessions) == 0
+
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_non_finite_inline_source_is_rejected(self, pdk, field):
+        server = CtsServer(pdk, CtsConfig())
+        spec = net_spec(random_sink_cloud(30, seed=1))
+        spec["source"][field] = float("-inf")
+        reply = rpc(server, op="build", design=spec)
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "ProtocolError"
+        assert f"source {field} must be a finite number" in (
+            reply["error"]["message"]
+        )
+        assert len(server.sessions) == 0
+
     def test_guard_error_reply_carries_typed_fields(self, pdk):
         """GuardError is surfaced with stage/anomaly/fingerprint, not swallowed."""
         from repro.guard.policy import GuardError

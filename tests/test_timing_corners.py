@@ -3,9 +3,9 @@
 The batched vectorized engine (one design compile, leading scenario axis) must
 be numerically indistinguishable (to 1e-9) from the reference engine's
 per-corner loop — i.e. from running ``ElmoreTimingEngine(scenario.apply_to(
-pdk))`` once per scenario — on arbitrary trees, for both wire models, with
-per-scenario NLDM overrides, and after arbitrary sequences of incremental
-edits served from the dirty-cone path.
+pdk))`` once per scenario — on arbitrary trees, with per-scenario NLDM
+overrides, and after arbitrary sequences of incremental edits served from
+the dirty-cone path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.tech.corners import PRESET_SCENARIOS
 from repro.timing import (
     ElmoreTimingEngine,
     VectorizedElmoreEngine,
-    WireModel,
     create_engine,
 )
 from tests.test_timing_vectorized import (
@@ -170,18 +169,13 @@ class TestCornerSet:
 
 # ----------------------------------------------------------- full analysis
 class TestBatchedFullAnalysis:
-    @pytest.mark.parametrize("wire_model", [WireModel.L, WireModel.PI])
     @pytest.mark.parametrize("use_nldm", [False, True])
-    def test_matches_reference_loop(self, pdk, wire_model, use_nldm):
+    def test_matches_reference_loop(self, pdk, use_nldm):
         rng = np.random.default_rng(31)
         for trial in range(5):
             tree = random_tree(rng, sinks=30 + 10 * trial, internals=10 + 4 * trial)
-            ref = ElmoreTimingEngine(
-                pdk, wire_model=wire_model, use_nldm=use_nldm, corners=SIGNOFF
-            )
-            vec = VectorizedElmoreEngine(
-                pdk, wire_model=wire_model, use_nldm=use_nldm, corners=SIGNOFF
-            )
+            ref = ElmoreTimingEngine(pdk, use_nldm=use_nldm, corners=SIGNOFF)
+            vec = VectorizedElmoreEngine(pdk, use_nldm=use_nldm, corners=SIGNOFF)
             assert_corners_match(ref, vec, tree, context=f"trial {trial}")
 
     def test_matches_without_backside(self, front_pdk):
@@ -233,13 +227,14 @@ class TestBatchedFullAnalysis:
         assert len(engine.corners) == 3
 
     def test_loads_report_primary_corner(self, pdk):
-        tree = random_tree(np.random.default_rng(12))
+        design = random_design(np.random.default_rng(12))
         batched = VectorizedElmoreEngine(pdk, corners=SIGNOFF)
         nominal = ElmoreTimingEngine(pdk)
-        ref_loads = nominal.driver_loads(tree)
-        vec_loads = batched.driver_loads(tree)
-        for key in ref_loads:
-            assert ref_loads[key] == pytest.approx(vec_loads[key], abs=TOLERANCE)
+        ref_loads = nominal.driver_loads(design)
+        vec_loads = batched.driver_loads(design)
+        assert ref_loads.keys() == vec_loads.keys()
+        for name in ref_loads:
+            assert ref_loads[name] == pytest.approx(vec_loads[name], abs=TOLERANCE)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -255,12 +250,11 @@ class TestBatchedFullAnalysis:
 
 # ------------------------------------------------------------- incremental
 class TestBatchedIncremental:
-    @pytest.mark.parametrize("wire_model", [WireModel.L, WireModel.PI])
-    def test_edit_sequences_match_fresh_reference(self, pdk, wire_model):
+    def test_edit_sequences_match_fresh_reference(self, pdk):
         rng = np.random.default_rng(77)
         design = random_design(rng, sinks=50, internals=25)
-        vec = VectorizedElmoreEngine(pdk, wire_model=wire_model, corners=SIGNOFF)
-        ref = ElmoreTimingEngine(pdk, wire_model=wire_model, corners=SIGNOFF)
+        vec = VectorizedElmoreEngine(pdk, corners=SIGNOFF)
+        ref = ElmoreTimingEngine(pdk, corners=SIGNOFF)
         assert_corners_match(ref, vec, design, context="initial")
         for step in range(15):
             kind = random_design_edit(design, rng, pdk)

@@ -5,7 +5,7 @@ import pytest
 from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
 from repro.geometry import Point
 from repro.ir.design import DesignArrays
-from repro.timing import ElmoreTimingEngine, SlewAnalyzer, TimingResult, ramp_slew
+from repro.timing import ElmoreTimingEngine, TimingResult, ramp_slew
 from repro.timing.slew import peri_combine
 
 
@@ -22,7 +22,7 @@ class TestSlewPrimitives:
         assert peri_combine(0.0, 7.0) == pytest.approx(7.0)
 
 
-class TestSlewAnalyzer:
+class TestSlewPropagation:
     def _tree(self, length):
         root = ClockTreeNode("root", NodeKind.ROOT, Point(0, 0))
         tree = ClockTree(root)
@@ -35,30 +35,19 @@ class TestSlewAnalyzer:
 
     def test_longer_wire_degrades_slew(self, pdk):
         engine = ElmoreTimingEngine(pdk)
-        analyzer = SlewAnalyzer(pdk)
-        short = analyzer.sink_slews(self._tree(20.0), engine)["a"]
-        long = analyzer.sink_slews(self._tree(200.0), engine)["a"]
-        assert long > short
+        short = engine.analyze(DesignArrays.from_clock_tree(self._tree(20.0)))
+        long = engine.analyze(DesignArrays.from_clock_tree(self._tree(200.0)))
+        assert long.slews["a"] > short.slews["a"]
 
     def test_buffer_regenerates_slew(self, pdk):
         engine = ElmoreTimingEngine(pdk)
-        analyzer = SlewAnalyzer(pdk)
-        unbuffered = self._tree(300.0)
-        slew_unbuffered = analyzer.sink_slews(unbuffered, engine)["a"]
         design = DesignArrays.from_clock_tree(self._tree(300.0))
+        slew_unbuffered = engine.analyze(design).slews["a"]
         design.add_buffer(
             design.name_to_row["a"], 295.0, 0.0, pdk.buffer.input_capacitance
         )
-        buffered = design.to_clock_tree()
-        slew_buffered = analyzer.sink_slews(buffered, engine)["a"]
+        slew_buffered = engine.analyze(design).slews["a"]
         assert slew_buffered < slew_unbuffered
-
-    def test_violations_reported_against_pdk_limit(self, pdk):
-        engine = ElmoreTimingEngine(pdk)
-        analyzer = SlewAnalyzer(pdk)
-        tree = self._tree(2000.0)  # absurdly long unbuffered wire
-        violations = analyzer.max_slew_violations(tree, engine)
-        assert violations and violations[0][0] == "a"
 
     def test_analyze_populates_slews(self, pdk):
         tree = self._tree(100.0)

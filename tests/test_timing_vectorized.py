@@ -1,10 +1,10 @@
 """Differential tests: VectorizedElmoreEngine vs the reference engine.
 
 The vectorized kernel must be numerically indistinguishable (to 1e-9) from
-:class:`ElmoreTimingEngine` on arbitrary trees, for both wire models, with
-and without NLDM delays and nTSVs, and — crucially — after arbitrary
-sequences of incremental :class:`DesignArrays` edits served from the
-engine's dirty-cone path.
+:class:`ElmoreTimingEngine` on arbitrary trees, with and without NLDM
+delays and nTSVs, and — crucially — after arbitrary sequences of
+incremental :class:`DesignArrays` edits served from the engine's
+dirty-cone path.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.tech.layers import Side
 from repro.timing import (
     ElmoreTimingEngine,
     VectorizedElmoreEngine,
-    WireModel,
     create_engine,
 )
 
@@ -78,7 +77,7 @@ def random_tree(
 
 def assert_engines_match(reference, vectorized, tree, context="") -> None:
     """The reference engine on ``tree`` equals the vectorized engine on the
-    tree's compiled design (the node-keyed load queries take the tree)."""
+    tree's compiled design; loads are compared by node name."""
     design = DesignArrays.from_clock_tree(tree)
     a = reference.analyze(tree)
     b = vectorized.analyze(design)
@@ -93,12 +92,13 @@ def assert_engines_match(reference, vectorized, tree, context="") -> None:
             name,
         )
     ref_loads = reference.driver_loads(tree)
-    vec_loads = vectorized.driver_loads(tree)
+    vec_loads = vectorized.driver_loads(design)
     assert ref_loads.keys() == vec_loads.keys(), context
     for key in ref_loads:
         assert ref_loads[key] == pytest.approx(vec_loads[key], abs=TOLERANCE), context
     ref_caps = reference.subtree_capacitances(tree)
-    vec_caps = vectorized.subtree_capacitances(tree)
+    vec_caps = vectorized.subtree_capacitances(design)
+    assert ref_caps.keys() == vec_caps.keys(), context
     for key in ref_caps:
         assert ref_caps[key] == pytest.approx(vec_caps[key], abs=TOLERANCE), context
     ref_violations = sorted(reference.max_capacitance_violations(tree))
@@ -112,14 +112,13 @@ def assert_engines_match(reference, vectorized, tree, context="") -> None:
 
 # ----------------------------------------------------------- full analysis
 class TestFullAnalysisDifferential:
-    @pytest.mark.parametrize("wire_model", [WireModel.L, WireModel.PI])
     @pytest.mark.parametrize("use_nldm", [False, True])
-    def test_matches_reference_on_random_trees(self, pdk, wire_model, use_nldm):
+    def test_matches_reference_on_random_trees(self, pdk, use_nldm):
         rng = np.random.default_rng(17)
         for trial in range(10):
             tree = random_tree(rng, sinks=40 + 10 * trial, internals=10 + 5 * trial)
-            ref = ElmoreTimingEngine(pdk, wire_model=wire_model, use_nldm=use_nldm)
-            vec = VectorizedElmoreEngine(pdk, wire_model=wire_model, use_nldm=use_nldm)
+            ref = ElmoreTimingEngine(pdk, use_nldm=use_nldm)
+            vec = VectorizedElmoreEngine(pdk, use_nldm=use_nldm)
             assert_engines_match(ref, vec, tree, context=f"trial {trial}")
 
     def test_matches_reference_without_backside(self, front_pdk):
@@ -271,12 +270,12 @@ def assert_design_engines_match(reference, vectorized, design, context="") -> No
     vec_caps = state.down_cap[vectorized.primary_index]
     for node in tree.nodes():
         row = design.name_to_row[node.name]
-        assert ref_loads[id(node)] == pytest.approx(vec_loads[row], abs=TOLERANCE), (
+        assert ref_loads[node.name] == pytest.approx(vec_loads[row], abs=TOLERANCE), (
             context,
             "load",
             node.name,
         )
-        assert ref_caps[id(node)] == pytest.approx(vec_caps[row], abs=TOLERANCE), (
+        assert ref_caps[node.name] == pytest.approx(vec_caps[row], abs=TOLERANCE), (
             context,
             "down_cap",
             node.name,
@@ -291,12 +290,11 @@ def assert_design_engines_match(reference, vectorized, design, context="") -> No
 
 
 class TestIncrementalDifferential:
-    @pytest.mark.parametrize("wire_model", [WireModel.L, WireModel.PI])
-    def test_edit_sequences_match_fresh_reference(self, pdk, wire_model):
+    def test_edit_sequences_match_fresh_reference(self, pdk):
         rng = np.random.default_rng(41)
         design = random_design(rng, sinks=60, internals=30)
-        vec = VectorizedElmoreEngine(pdk, wire_model=wire_model)
-        ref = ElmoreTimingEngine(pdk, wire_model=wire_model)
+        vec = VectorizedElmoreEngine(pdk)
+        ref = ElmoreTimingEngine(pdk)
         assert_design_engines_match(ref, vec, design, context="initial")
         for step in range(25):
             kind = random_design_edit(design, rng, pdk)
@@ -419,8 +417,8 @@ class TestSinkArrivalCache:
 
 # ----------------------------------------------------------- tree boundary
 class TestClockTreeArguments:
-    """The vectorized engine times designs only; the reference engine
-    realises a design once per version."""
+    """The vectorized engine times designs only; the reference engine walks
+    design rows and compiles a tree it is given."""
 
     @pytest.mark.parametrize(
         "method",
@@ -434,6 +432,8 @@ class TestClockTreeArguments:
             "worst_skew",
             "worst_latency",
             "max_capacitance_violations",
+            "subtree_capacitances",
+            "driver_loads",
         ],
     )
     def test_vectorized_timing_entries_reject_a_tree(self, pdk, method):
@@ -450,42 +450,6 @@ class TestClockTreeArguments:
         with pytest.raises(TypeError, match="DesignArrays.from_clock_tree"):
             evaluate_tree(tree, pdk, engine=engine)
 
-    def test_node_keyed_loads_compile_the_tree_per_call(self, pdk):
-        tree = random_tree(np.random.default_rng(21), sinks=30, internals=10)
-        vec = VectorizedElmoreEngine(pdk)
-        ref = ElmoreTimingEngine(pdk)
-        assert vec.driver_loads(tree) == pytest.approx(ref.driver_loads(tree))
-        assert vec.subtree_capacitances(tree) == pytest.approx(
-            ref.subtree_capacitances(tree)
-        )
-        assert vec.full_compiles == 2
-
-    def test_reference_realises_a_design_once_per_version(self, pdk, monkeypatch):
-        design = random_design(np.random.default_rng(24), sinks=30, internals=10)
-        realise = DesignArrays.to_clock_tree
-        calls = []
-
-        def counting(self):
-            calls.append(self.version)
-            return realise(self)
-
-        monkeypatch.setattr(DesignArrays, "to_clock_tree", counting)
-        ref = ElmoreTimingEngine(pdk, corners="tt,ss,ff")
-        ref.skew_per_corner(design)
-        ref.latency_per_corner(design)
-        ref.analyze_corners(design)
-        ref.max_capacitance_violations(design)
-        assert len(calls) == 1
-        random_design_edit(design, np.random.default_rng(25), pdk)
-        assert ref.skew_per_corner(design) == ElmoreTimingEngine(
-            pdk, corners="tt,ss,ff"
-        ).skew_per_corner(design)
-        assert calls[1] == design.version
-        # A different design at the same version number is not a hit.
-        other = random_design(np.random.default_rng(26), sinks=20, internals=5)
-        ref.analyze(other)
-        assert len(calls) == 4
-
     @pytest.mark.parametrize("corners", [None, "tt,ss,ff"])
     def test_reference_analyzes_a_design_as_its_tree(self, pdk, corners):
         design = random_design(np.random.default_rng(22), sinks=40, internals=15)
@@ -500,13 +464,47 @@ class TestClockTreeArguments:
             design
         ) == ref.max_capacitance_violations(tree)
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     @pytest.mark.parametrize("method", ["subtree_capacitances", "driver_loads"])
-    def test_node_keyed_loads_reject_a_design(self, pdk, engine, method):
+    def test_load_queries_take_a_design_and_agree_by_name(self, pdk, method):
         design = random_design(np.random.default_rng(23), sinks=10, internals=5)
-        query = getattr(create_engine(pdk, engine), method)
-        with pytest.raises(TypeError, match="needs a ClockTree"):
-            query(design)
+        design.add_buffer(int(design.sink_rows()[0]), 1.0, 1.0, 0.8)
+        reference = getattr(create_engine(pdk, "reference"), method)(design)
+        vectorized = getattr(create_engine(pdk, "vectorized"), method)(design)
+        names = [design.names[row] for row in design.rows_preorder()]
+        assert list(reference) == names
+        assert list(vectorized) == names
+        for name in names:
+            assert reference[name] == pytest.approx(
+                vectorized[name], abs=TOLERANCE
+            ), name
+
+    def test_reference_reports_sinks_in_tree_preorder(self, pdk):
+        tree = random_tree(np.random.default_rng(26), sinks=30, internals=10)
+        sinks = [node.name for node in tree.nodes() if node.is_sink]
+        result = ElmoreTimingEngine(pdk).analyze(tree)
+        assert list(result.arrivals) == sinks
+        assert sorted(result.slews) == sorted(sinks)
+
+    def test_reference_reads_lengths_from_coordinates(self, pdk):
+        design = random_design(np.random.default_rng(27), sinks=30, internals=10)
+        clean = DesignArrays.from_clock_tree(design.to_clock_tree())
+        sink = int(design.sink_rows()[0])
+        design.edge_length[sink] += 50.0  # a stale cached length column
+        design.touch()
+        ref = ElmoreTimingEngine(pdk)
+        assert ref.analyze(design) == ref.analyze(clean)
+
+    def test_reference_never_mutates_the_design(self, pdk):
+        design = random_design(np.random.default_rng(28), sinks=30, internals=10)
+        design.remove_leaf(int(design.sink_rows()[0]))
+        design.mark_rewire(0)
+        assert design.dead_count == 1
+        version, size = design.version, design.size
+        order = design.rows_preorder()
+        ElmoreTimingEngine(pdk, corners="tt,ss,ff").analyze_corners(design)
+        assert (design.version, design.size) == (version, size)
+        assert design.dead_count == 1
+        assert design.rows_preorder() == order
 
 
 class TestEngineFactory:
