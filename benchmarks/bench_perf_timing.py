@@ -24,7 +24,9 @@ the tree back into a design and walks its rows):
   design): the array-based candidate-frontier engine vs. the per-candidate
   DP, nominal and at K=5 corners, in the Pareto-rich
   ``keep_resource_diversity`` configuration where the DP dominates the flow
-  runtime.
+  runtime.  ``insertion_dp_default`` replays the same design under the
+  default ``InsertionConfig`` (nominal, default beam): the configuration
+  every flow runs.
 * ``dme_embed`` / ``dme_embed_corners`` — the two DME routing backends on
   one shared matching topology over a 2k/5k-terminal sink cloud: the
   level-batched array router (bottom-up merge + top-down embedding) vs. the
@@ -73,6 +75,7 @@ from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
 from repro.designs import random_sink_cloud
 from repro.geometry import Point
 from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig
+from repro.insertion.dp_tree import build_dp_tree
 from repro.ir.design import KIND_BUFFER, KIND_SINK, KIND_TAP, DesignArrays
 from repro.routing.dme import DmeRouter, DmeTerminal
 from repro.routing.dme_arrays import VectorizedDmeRouter
@@ -411,8 +414,9 @@ def bench_insertion_dp(sink_count: int, pdk, corners_spec: str | None = None) ->
     with diverse candidate frontiers the DP — not routing or timing — is the
     flow bottleneck, and the array backend's broadcast merges and pairwise
     dominance sweeps replace the per-candidate loops (whose cost grows with
-    frontier size times corner count).  The sparse default-beam nominal DP
-    is roughly a wash between backends and is not what this row gates.
+    frontier size times corner count).  The default configuration every
+    flow runs is gated by ``insertion_dp_default``
+    (:func:`bench_insertion_dp_default`).
     """
     routed = HierarchicalClockRouter(pdk).route_design(random_sink_cloud(sink_count))
     name, snapshot = routed.design.name, routed.design.snapshot()
@@ -455,6 +459,64 @@ def bench_insertion_dp(sink_count: int, pdk, corners_spec: str | None = None) ->
     if corners_spec:
         row["corners"] = len(corners)
     return row
+
+
+def bench_insertion_dp_default(sink_count: int, pdk) -> dict:
+    """The bottom-up DP of both backends under the default ``InsertionConfig``.
+
+    Routes a sink cloud once and builds its DP tree the way the inserter
+    does, then times only Step 2 plus the root combination — the part the
+    backends implement differently — in the nominal default-beam
+    configuration every flow runs: the per-candidate generation
+    (``ConcurrentInserter._bottom_up`` and ``_root_candidates``) against the
+    level-synchronous frontier DP (``VectorizedInsertionDp.run``, serial).
+    The shared DP-tree build, selection, realisation and final timing stay
+    outside the timer, so they do not dilute the ratio.  Median of five
+    rounds per backend, after the two root fronts are checked equal.
+    """
+    from repro.insertion.frontier import VectorizedInsertionDp
+
+    routed = HierarchicalClockRouter(pdk).route_design(random_sink_cloud(sink_count))
+    config = InsertionConfig()
+    dp_tree = build_dp_tree(
+        routed.design,
+        pdk,
+        max_segment_length=config.max_segment_length,
+        default_mode=config.default_mode,
+    )
+    inserter = ConcurrentInserter(pdk, config, dp_backend="reference")
+
+    def reference():
+        return inserter._root_candidates(dp_tree, inserter._bottom_up(dp_tree))
+
+    def vectorized():
+        return VectorizedInsertionDp(pdk, config, [pdk]).run(dp_tree)[1]
+
+    ref, vec = reference(), vectorized()
+    ref_front = [
+        (c.capacitance, c.max_delay, c.buffer_count, c.ntsv_count) for c in ref
+    ]
+    vec_front = list(
+        zip(
+            vec.cap[0].tolist(),
+            vec.max_delay[0].tolist(),
+            vec.buffers.tolist(),
+            vec.ntsvs.tolist(),
+        )
+    )
+    if ref_front != vec_front:
+        raise AssertionError(
+            f"default-config DP backends diverge on {sink_count} sinks"
+        )
+    t_ref = _median_time(reference, rounds=5)
+    t_vec = _median_time(vectorized, rounds=5)
+    return {
+        "flow": "insertion_dp_default",
+        "sinks": sink_count,
+        "reference_s": round(t_ref, 6),
+        "vectorized_s": round(t_vec, 6),
+        "speedup": round(t_ref / t_vec, 2),
+    }
 
 
 def bench_dme_embed(terminal_count: int, pdk, corners_spec: str | None = None) -> dict:
@@ -797,6 +859,7 @@ def run_bench() -> list[dict]:
         if sink_count in INSERTION_DP_SIZES:
             rows.append(bench_insertion_dp(sink_count, pdk))
             rows.append(bench_insertion_dp(sink_count, pdk, BENCH_CORNERS))
+            rows.append(bench_insertion_dp_default(sink_count, pdk))
     for terminal_count in dme_embed_sizes():
         rows.append(bench_dme_embed(terminal_count, pdk))
     if not smoke_mode():

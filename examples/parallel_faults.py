@@ -19,9 +19,9 @@ Every pool consumer (the insertion DP's bottom subtrees, the DSE sweep,
   never caught at a call site.
 
 This script arms the worker-fault injectors from ``repro.guard.faults``
-against the insertion stage of a real flow run at ``workers=2`` (at the
-default 2000 sinks the DP ships 6 subtrees to the pool) and shows the
-whole ladder: a crash retried, a corrupted subtree frontier degraded to
+against the insertion stage of a real flow run at ``workers=2`` (the DP
+ships its bottom subtrees to the pool as one forest per worker) and shows
+the whole ladder: a crash retried, a corrupted forest result degraded to
 serial, and strict mode failing fast.  It exits non-zero when a recovered
 tree differs from the serial one, when no pool task ran, or when strict
 mode does not raise.

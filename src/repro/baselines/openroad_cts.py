@@ -117,8 +117,7 @@ class OpenRoadLikeCTS:
                 max_cluster_size=self.config.leaf_cluster_size + 2,
             ).fit(points)
             clusters = []
-            for cluster in range(result.cluster_count):
-                members_idx = result.members(cluster)
+            for members_idx in result.groups():
                 if len(members_idx) == 0:
                     continue
                 members = [sinks[i] for i in members_idx]

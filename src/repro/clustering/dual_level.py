@@ -193,8 +193,7 @@ def _cluster_sinks(
         n_clusters=count, seed=seed, max_cluster_size=max_size
     ).fit(points)
     groups: list[tuple[Point, list[ClockSink]]] = []
-    for cluster in range(result.cluster_count):
-        member_idx = result.members(cluster)
+    for member_idx in result.groups():
         if len(member_idx) == 0:
             continue
         members = [sinks[i] for i in member_idx]

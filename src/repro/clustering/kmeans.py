@@ -5,6 +5,15 @@ uses vanilla K-means), but determinism matters for reproducible benchmarks,
 so the implementation seeds its own random generator and uses K-means++
 initialisation.  An optional capacity balancing pass caps the maximum cluster
 size, which keeps low-level clusters close to the target size ``Lc``.
+
+Each Lloyd iteration updates all centroids in one pass: ``np.bincount``
+sums every cluster's member coordinates (weights ``x`` and ``y``) and
+divides by the member counts.  ``bincount`` adds each cluster's members in
+their original point order starting from 0.0, which is exactly what the
+per-cluster ``points[labels == c].mean(axis=0)`` does on a C-contiguous
+``(m, 2)`` block (numpy sums pairwise only along the fast axis), so the
+centroids are bit-identical to the per-cluster loop.  The ``(n, k)``
+distance matrix of the assignment step is the remaining arithmetic floor.
 """
 
 from __future__ import annotations
@@ -41,6 +50,15 @@ class KMeansResult:
     def members(self, cluster: int) -> np.ndarray:
         """Indices of the points assigned to ``cluster``."""
         return np.flatnonzero(self.labels == cluster)
+
+    def groups(self) -> list[np.ndarray]:
+        """``members(c)`` of every cluster ``c``, grouped by one stable sort.
+
+        Each entry holds the same ascending indices ``members`` returns,
+        without a scan over every label per cluster.
+        """
+        order = np.argsort(self.labels, kind="stable")
+        return np.split(order, np.cumsum(self.cluster_sizes())[:-1])
 
 
 class KMeans:
@@ -88,25 +106,11 @@ class KMeans:
             distances -= 2.0 * (pts @ centroids.T)
             np.maximum(distances, 0.0, out=distances)
             labels = np.argmin(distances, axis=1)
-            new_centroids = centroids.copy()
-            # One stable grouping pass replaces the per-cluster boolean
-            # masks; each contiguous slice holds exactly the rows
-            # ``pts[labels == cluster]`` in original order, so the means
-            # reduce over identical arrays (bit-equal centroids).
-            order = np.argsort(labels, kind="stable")
-            grouped = pts[order]
-            counts = np.bincount(labels, minlength=k)
-            stops = np.cumsum(counts)
-            for cluster in range(k):
-                stop = stops[cluster]
-                if counts[cluster] > 0:
-                    new_centroids[cluster] = grouped[
-                        stop - counts[cluster]:stop
-                    ].mean(axis=0)
-                else:
-                    # Re-seed empty clusters at the point farthest from its centroid.
-                    farthest = int(np.argmax(np.min(distances, axis=1)))
-                    new_centroids[cluster] = pts[farthest]
+            new_centroids, empty = self._cluster_means(pts, labels, k, centroids)
+            if empty.any():
+                # Re-seed empty clusters at the point farthest from its centroid.
+                farthest = int(np.argmax(np.min(distances, axis=1)))
+                new_centroids[empty] = pts[farthest]
             shift = float(np.max(np.abs(new_centroids - centroids)))
             centroids = new_centroids
             if shift < self.tolerance:
@@ -114,7 +118,7 @@ class KMeans:
 
         if self.max_cluster_size is not None:
             labels = self._balance(pts, centroids, labels, self.max_cluster_size)
-            centroids = self._recompute_centroids(pts, labels, k, centroids)
+            centroids, _ = self._cluster_means(pts, labels, k, centroids)
 
         inertia = float(
             np.sum((pts - centroids[labels]) ** 2)
@@ -162,15 +166,22 @@ class KMeans:
         return centroids
 
     @staticmethod
-    def _recompute_centroids(
+    def _cluster_means(
         points: np.ndarray, labels: np.ndarray, k: int, fallback: np.ndarray
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Member means of every cluster, and the mask of empty clusters.
+
+        Empty clusters keep their ``fallback`` row.  Bit-identical to
+        ``points[labels == c].mean(axis=0)`` per cluster (see the module
+        docstring).
+        """
+        counts = np.bincount(labels, minlength=k)
+        filled = counts > 0
         centroids = fallback.copy()
-        for cluster in range(k):
-            members = points[labels == cluster]
-            if len(members) > 0:
-                centroids[cluster] = members.mean(axis=0)
-        return centroids
+        for axis in (0, 1):
+            sums = np.bincount(labels, weights=points[:, axis], minlength=k)
+            centroids[filled, axis] = sums[filled] / counts[filled]
+        return centroids, ~filled
 
     @staticmethod
     def _balance(
@@ -192,15 +203,20 @@ class KMeans:
                 f"cannot balance {n} points into {k} clusters of at most {max_size}"
             )
         labels = labels.copy()
-        sizes = np.bincount(labels, minlength=k)
+        counts = np.bincount(labels, minlength=k)
         distances = KMeans._distances(points, centroids)
         order = np.argsort(distances[np.arange(n), labels])[::-1]
-        for idx in order:
-            cluster = labels[idx]
+        # Moves only go to clusters below the cap, so a cluster that starts
+        # at or under it never exceeds it: only members of initially
+        # overfull clusters can move, and the rest are skipped up front.
+        order = order[(counts > max_size)[labels[order]]]
+        sizes = counts.tolist()
+        for idx in order.tolist():
+            cluster = int(labels[idx])
             if sizes[cluster] <= max_size:
                 continue
             # Move to the nearest non-full cluster.
-            for candidate in np.argsort(distances[idx]):
+            for candidate in np.argsort(distances[idx]).tolist():
                 if candidate == cluster:
                     continue
                 if sizes[candidate] < max_size:

@@ -177,16 +177,13 @@ class _Unpicklable:
 def corrupt_worker_result(result: object) -> object:
     """Structurally corrupt a pool-task result the way a buggy worker would.
 
-    A DP-subtree frontier dict gets NaN capacitances poked into one frontier
-    (caught by the finiteness probe).  Other result shapes pass through
-    unchanged (nothing meaningful to corrupt).
+    A DP-subtree result (its forest record) gets NaN capacitances poked into
+    its candidate arrays (caught by the finiteness probe).  Other result
+    shapes pass through unchanged (nothing meaningful to corrupt).
     """
-    if isinstance(result, dict) and result:
-        frontier = result[min(result)]
-        cap = getattr(frontier, "cap", None)
-        if cap is not None:
-            cap[...] = float("nan")
-        return result
+    cap = getattr(getattr(result, "frontier", None), "cap", None)
+    if cap is not None:
+        cap[...] = float("nan")
     return result
 
 

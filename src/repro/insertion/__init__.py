@@ -36,6 +36,7 @@ from repro.insertion.dp_tree import DpNode, DpTree, build_dp_tree
 from repro.insertion.frontier import (
     CandidateFrontier,
     DP_BACKEND_NAMES,
+    FrontierStore,
     VectorizedInsertionDp,
     default_dp_backend,
     resolve_dp_backend,
@@ -57,6 +58,7 @@ __all__ = [
     "build_dp_tree",
     "CandidateFrontier",
     "DP_BACKEND_NAMES",
+    "FrontierStore",
     "VectorizedInsertionDp",
     "default_dp_backend",
     "resolve_dp_backend",

@@ -4,42 +4,73 @@ Mirrors the two-engine pattern of :mod:`repro.timing`: the object DP in
 :mod:`repro.insertion.concurrent` (per-candidate
 :class:`~repro.insertion.candidate.CandidateSolution` objects) is the
 executable spec, and this module is the production backend.  Every DP node's
-candidate set lives in a :class:`CandidateFrontier` struct-of-arrays, so
+candidate set lives in a :class:`CandidateFrontier` struct-of-arrays, and the
+DP evaluates the tree one *height level* at a time (leaves are height 0, a
+node sits one above its highest predecessor): all nodes of a level go
+through each step as one ragged batch, with each candidate's node recorded
+as a segment id, instead of one small-array pass per node.
 
-* ``_merge`` becomes a broadcast cross-product over two frontiers (outer-sum
-  capacitance grids, element-wise max/min delay grids),
-* pattern application evaluates all (candidate x pattern x corner) costs in
-  one shot through the batched cell models
-  (:meth:`~repro.tech.cells.BufferCell.delay_batch`, which routes through the
-  batched NLDM path when a table and slew are available),
-* the maximum driven-capacitance filter is a boolean mask, and
-* dominance pruning is a vectorized staircase sweep (sort + cummin for the
-  scalar case, an ``(n, n, K)`` broadcast — blocked for very large sets —
-  vector-dominance test for corner batches).
+* **Merge** is one ragged cross-product per predecessor position: offset
+  arithmetic enumerates every node's (combo, candidate) pairs row-major,
+  drops side mismatches, and folds three or more predecessors left to right.
+  Chain nodes (one predecessor, no static load) take their predecessor's
+  pruned frontier as is.
+* **Insert** groups the level's (node, side-block) segments by their allowed
+  pattern tuple and evaluates every (candidate x pattern x corner) cost of a
+  group in one call through the batched cell models
+  (:meth:`~repro.tech.cells.BufferCell.delay_batch`), with a per-candidate
+  edge-length row in place of the scalar, then scatters the results back
+  into per-node order.
+* **Prune** is one segmented sweep over (node, side) segments: the
+  maximum driven-capacitance mask, one stable ``lexsort`` keyed by node and
+  side, a segmented running-min staircase for nominal runs (the exact
+  tolerance scan only where records tie within it), per-segment calls of
+  the vector-dominance and resource-diversity sweeps for corner-aware and
+  diversity runs, and a beam sample from per-count index tables.
+
+Nodes whose every candidate breaks the load cap re-run insert and prune
+unchecked as one sub-batch (the relaxed fallback).  Every level's pruned
+candidates are appended to one :class:`FrontierStore`, which a level batch
+gathers its predecessors from and which ``run`` returns: a mapping whose
+per-node frontiers are views of its arrays, cut on access, while the
+top-down realisation reads its rows directly.
+
+With ``workers > 1`` the maximal bottom subtrees of at most
+``n / (4 * workers)`` DP nodes are dealt into one forest per worker.  A
+forest crosses the process boundary as a few flat columns; the worker runs
+the same level driver over it and ships back its store's arrays as one
+record, which the main process appends to its own store before evaluating
+the remaining spine on top.
 
 Backends are selected through ``InsertionConfig.dp_backend`` /
 ``CtsConfig.backends.dp`` / ``dscts --dp-backend`` / the ``REPRO_DP_BACKEND``
 environment variable, defaulting to ``vectorized``.
 
-Both backends are kept *decision-identical*: candidate values are computed
-with the same operation order (bit-identical floats), candidate ordering
-follows the same stable sort keys, pruning implements the single rule
-documented in :mod:`repro.insertion.pruning`, and the top-down realisation
-walks the recorded back-pointers in the same stack order, so inserted nodes
-receive identical names.  ``tests/test_insertion_vectorized.py`` enforces
-identical selected trees and 1e-9-equal root candidate fronts.
+Both backends are kept *decision-identical*: every candidate goes through
+the same element-wise operations in the same order (bit-identical floats),
+candidate ordering follows the same stable sort keys, pruning implements the
+single rule documented in :mod:`repro.insertion.pruning`, and the top-down
+realisation walks the recorded back-pointers in the same stack order, so
+inserted nodes receive identical names.  ``tests/test_insertion_vectorized.py``
+enforces identical selected trees and 1e-9-equal root candidate fronts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.insertion.candidate import CandidateSolution
 from repro.insertion.dp_tree import DpNode, DpTree
-from repro.insertion.patterns import PATTERNS, EdgePattern, patterns_for
+from repro.insertion.patterns import (
+    PATTERNS,
+    EdgePattern,
+    InsertionMode,
+    patterns_for,
+)
 from repro.ir.design import DesignArrays
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
@@ -61,12 +92,21 @@ _SIDE_CODES = {Side.FRONT: SIDE_FRONT, Side.BACK: SIDE_BACK}
 #: Pattern name -> compact pattern id (index into ``PATTERNS``).
 _PATTERN_INDEX = {pattern.name: i for i, pattern in enumerate(PATTERNS)}
 
+#: Per pattern id: up-side code, buffers added, nTSVs added.
+_UP_SIDE = np.asarray([_SIDE_CODES[p.up_side] for p in PATTERNS], np.int8)
+_ADDED_BUFFERS = np.asarray([p.buffer_count for p in PATTERNS], np.int64)
+_ADDED_NTSVS = np.asarray([p.ntsv_count for p in PATTERNS], np.int64)
+
 #: Tolerance shared with the object backend's dominance and load checks.
 _TOL = 1e-9
 
 #: Above this candidate count the pairwise dominance test runs in column
 #: blocks (bounding the (n, n, K) broadcast memory).
 _PAIRWISE_LIMIT = 512
+
+#: Fewest DP nodes a pool task (a forest of subtrees) carries: below this a
+#: process hop costs more than the forest's level-batched evaluation.
+_MIN_FOREST = 32
 
 
 def default_dp_backend() -> str:
@@ -135,20 +175,45 @@ class CandidateFrontier:
             choice=self.choice[idx],
         )
 
+    def window(self, start: int, stop: int, width: int) -> "CandidateFrontier":
+        """Views of candidates ``[start, stop)`` with ``width`` back-pointer
+        columns (a level batch pads narrower back-pointer matrices)."""
+        return CandidateFrontier(
+            side=self.side[start:stop],
+            cap=self.cap[:, start:stop],
+            max_delay=self.max_delay[:, start:stop],
+            min_delay=self.min_delay[:, start:stop],
+            buffers=self.buffers[start:stop],
+            ntsvs=self.ntsvs[start:stop],
+            pattern=self.pattern[start:stop],
+            choice=self.choice[start:stop, :width],
+        )
+
     @staticmethod
     def concatenate(parts: Sequence["CandidateFrontier"]) -> "CandidateFrontier":
-        """Concatenate frontiers with identical K and back-pointer width."""
+        """Concatenate frontiers with identical K; narrower back-pointer
+        matrices are zero-padded to the widest."""
         if len(parts) == 1:
             return parts[0]
+        side = np.concatenate([p.side for p in parts])
+        widths = [p.choice.shape[1] for p in parts]
+        if min(widths) == max(widths):
+            choice = np.concatenate([p.choice for p in parts], axis=0)
+        else:
+            choice = np.zeros((side.size, max(widths)), np.int64)
+            start = 0
+            for p, width in zip(parts, widths):
+                choice[start : start + p.size, :width] = p.choice
+                start += p.size
         return CandidateFrontier(
-            side=np.concatenate([p.side for p in parts]),
+            side=side,
             cap=np.concatenate([p.cap for p in parts], axis=1),
             max_delay=np.concatenate([p.max_delay for p in parts], axis=1),
             min_delay=np.concatenate([p.min_delay for p in parts], axis=1),
             buffers=np.concatenate([p.buffers for p in parts]),
             ntsvs=np.concatenate([p.ntsvs for p in parts]),
             pattern=np.concatenate([p.pattern for p in parts]),
-            choice=np.concatenate([p.choice for p in parts], axis=0),
+            choice=choice,
         )
 
 
@@ -202,38 +267,10 @@ class VectorizedInsertionDp:
         else:
             self.b_ur = self.b_uc = self.ntsv_r = self.ntsv_c = None
 
-        # Shared small constants (never mutated): leaf frontier scaffolding,
-        # identity back-pointer ranges, per-pattern-set constant rows.
-        self._leaf_side = np.zeros(1, np.int8)
-        self._leaf_zeros = np.zeros(1, np.int64)
-        self._leaf_pattern = np.full(1, -1, np.int16)
-        self._leaf_choice = np.empty((1, 0), np.int64)
-        self._arange_cache: dict[int, np.ndarray] = {}
-        self._no_pattern_cache: dict[int, np.ndarray] = {}
+        # Shared small constants (never mutated): upper-triangle masks and
+        # per-pattern-set id rows.
         self._triu_cache: dict[int, np.ndarray] = {}
-        self._tiled_cache: dict[
-            tuple[tuple[EdgePattern, ...], int],
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
-        self._pattern_consts: dict[
-            tuple[EdgePattern, ...],
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
-
-    def _arange(self, n: int) -> np.ndarray:
-        cached = self._arange_cache.get(n)
-        if cached is None:
-            cached = np.arange(n, dtype=np.int64)
-            self._arange_cache[n] = cached
-        return cached
-
-    def _no_pattern(self, n: int) -> np.ndarray:
-        """Shared ``(n,)`` array of -1 pattern ids (merged frontiers)."""
-        cached = self._no_pattern_cache.get(n)
-        if cached is None:
-            cached = np.full(n, -1, np.int16)
-            self._no_pattern_cache[n] = cached
-        return cached
+        self._pattern_ids: dict[tuple[EdgePattern, ...], np.ndarray] = {}
 
     def _triu(self, n: int) -> np.ndarray:
         """Shared strict upper-triangle mask (earlier-candidate pairs)."""
@@ -244,57 +281,24 @@ class VectorizedInsertionDp:
             self._triu_cache[n] = cached
         return cached
 
-    def _tiled_rows(
-        self, allowed: tuple[EdgePattern, ...], n_base: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached per-(pattern set, base count) constant rows, pre-tiled:
-        (pattern ids, up-side codes, added buffers, added nTSVs, base rows
-        for an identity selection)."""
-        key = (allowed, n_base)
-        cached = self._tiled_cache.get(key)
-        if cached is None:
-            ids_row, sides_row, bufs_row, ntsvs_row = self._pattern_rows(allowed)
-            cached = (
-                np.tile(ids_row, n_base),
-                np.tile(sides_row, n_base),
-                np.tile(bufs_row, n_base),
-                np.tile(ntsvs_row, n_base),
-                np.repeat(self._arange(n_base), len(allowed)),
-            )
-            self._tiled_cache[key] = cached
-        return cached
-
-    def _pattern_rows(
-        self, allowed: tuple[EdgePattern, ...]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached (ids, up-side codes, buffer counts, nTSV counts) rows."""
-        cached = self._pattern_consts.get(allowed)
-        if cached is None:
-            cached = (
-                np.asarray([_PATTERN_INDEX[p.name] for p in allowed], np.int16),
-                np.asarray([_SIDE_CODES[p.up_side] for p in allowed], np.int8),
-                np.asarray([p.buffer_count for p in allowed], np.int64),
-                np.asarray([p.ntsv_count for p in allowed], np.int64),
-            )
-            self._pattern_consts[allowed] = cached
-        return cached
-
     # ------------------------------------------------------------------ driver
     def run(
         self,
         dp_tree: DpTree,
         workers: int = 1,
         parallel_policy=None,
-    ) -> tuple[dict[int, CandidateFrontier], CandidateFrontier]:
-        """Bottom-up generation: the pruned frontier of every DP node plus
-        the combined root frontier (Steps 2 and the root part of Step 3).
+    ) -> tuple["FrontierStore", CandidateFrontier]:
+        """Bottom-up generation: the pruned frontier of every DP node (a
+        :class:`FrontierStore` keyed by DP node index) plus the combined
+        root frontier (Steps 2 and the root part of Step 3).
 
         With ``workers > 1`` the DP ships disjoint bottom subtrees to a
         process pool first (each node's frontier depends only on its
         predecessors' frontiers, so a whole subtree evaluates without any
-        cross-subtree data) and finishes the remaining spine serially.  The
-        per-node arithmetic is byte-for-byte the serial code, so the result
-        is bit-identical at every worker count.
+        cross-subtree data) and finishes the remaining spine serially.  Both
+        run the same level driver (:meth:`_run_levels`), whose per-candidate
+        arithmetic does not depend on how nodes are batched, so the result is
+        bit-identical at every worker count.
 
         The pool hops go through the fault-tolerant
         :func:`~repro.parallel.run_tasks` map under ``parallel_policy``
@@ -305,143 +309,241 @@ class VectorizedInsertionDp:
         """
         self.parallel_tasks = 0
         self.parallel_diagnostics = []
-        frontiers: dict[int, CandidateFrontier] = {}
+        store = FrontierStore(self._k)
         remaining = dp_tree.nodes
         if workers > 1:
-            subtrees = self._partition_dp_subtrees(dp_tree, workers)
-            if len(subtrees) >= 2:
-                frontiers.update(
-                    self._run_subtrees_parallel(
-                        subtrees,
-                        workers,
-                        policy=parallel_policy,
-                        diagnostics=self.parallel_diagnostics,
-                    )
-                )
-                self.parallel_tasks = len(subtrees)
-                remaining = [n for n in dp_tree.nodes if n.index not in frontiers]
-        for dp_node in remaining:
-            frontiers[dp_node.index] = self._generate(dp_node, frontiers)
-        return frontiers, self._root_frontier(dp_tree, frontiers)
+            forests = self._partition_dp_subtrees(dp_tree, workers)
+            if len(forests) >= 2:
+                for record in self._run_subtrees_parallel(
+                    forests,
+                    workers,
+                    policy=parallel_policy,
+                    diagnostics=self.parallel_diagnostics,
+                ):
+                    store.add(record)
+                self.parallel_tasks = len(forests)
+                runs = store.runs
+                remaining = [n for n in dp_tree.nodes if n.index not in runs]
+        self._run_levels(remaining, store)
+        return store, self._root_frontier(dp_tree, store)
 
-    def _generate(
-        self, dp_node: DpNode, frontiers: dict[int, CandidateFrontier]
-    ) -> CandidateFrontier:
-        """One DP node's pruned frontier (merge, insert, prune, relax)."""
-        merged = self._merge(dp_node, frontiers)
-        inserted = self._insert(dp_node, merged)
-        pruned = self._prune(inserted, max_capacitance=self.pdk.max_capacitance)
-        if pruned.size == 0:
-            # Mirror the object backend: retain unchecked candidates when
-            # even a buffer cannot legalise the load.
-            relaxed = self._insert(dp_node, merged, enforce_driver_load=False)
-            pruned = self._prune(relaxed)
-        if pruned.size == 0:  # pragma: no cover - relaxed set is non-empty
-            raise RuntimeError(
-                f"DP node {dp_node.name} has no feasible candidate solutions"
+    def _run_levels(self, nodes: Sequence[DpNode], store: "FrontierStore") -> None:
+        """Evaluate ``nodes`` (bottom-up order) level by level into ``store``.
+
+        A node's height is 1 + the largest height of its predecessors among
+        ``nodes``, and leaves sit at height 0; a predecessor outside
+        ``nodes`` (the root of a shipped subtree) is already in ``store``.
+        Each level is one ragged batch: its nodes depend only on lower
+        levels.
+        """
+        height: dict[int, int] = {}
+        levels: list[list[DpNode]] = []
+        for node in nodes:
+            level = 0
+            for pred in node.predecessors:
+                below = height.get(pred.index)
+                if below is not None and below >= level:
+                    level = below + 1
+            height[node.index] = level
+            if level == len(levels):
+                levels.append([])
+            levels[level].append(node)
+        for level_nodes in levels:
+            for record in self._generate_level(level_nodes, store):
+                store.add(record)
+
+    def _generate_level(
+        self, nodes: list[DpNode], store: "FrontierStore"
+    ) -> list["_LevelRecord"]:
+        """One level's pruned frontiers: merge, insert, prune, relax."""
+        nodes, n_leaf, n_chain = self._level_order(nodes)
+        merged, seg = self._merge_level(nodes, n_leaf, n_chain, store)
+        inserted, inserted_seg = self._insert_level(merged, seg, nodes)
+        pruned, pruned_seg = self._prune_segments(
+            inserted, inserted_seg, max_capacitance=self.pdk.max_capacitance
+        )
+        counts = np.bincount(pruned_seg, minlength=len(nodes))
+        records = [_LevelRecord.of(nodes, pruned, counts)]
+        empty = counts == 0
+        if empty.any():
+            # Mirror the object backend: nodes whose every candidate breaks
+            # the load cap (even a buffer cannot legalise it) retain their
+            # unchecked candidates, as one sub-batch.
+            sub = np.nonzero(empty[seg])[0]
+            relaxed, relaxed_seg = self._insert_level(
+                merged.take(sub), seg[sub], nodes, enforce_driver_load=False
             )
-        return pruned
+            relaxed, relaxed_seg = self._prune_segments(relaxed, relaxed_seg)
+            relaxed_counts = np.bincount(relaxed_seg, minlength=len(nodes))
+            if (relaxed_counts[empty] == 0).any():  # pragma: no cover
+                bad = nodes[int(np.flatnonzero(empty & (relaxed_counts == 0))[0])]
+                raise RuntimeError(
+                    f"DP node {bad.name} has no feasible candidate solutions"
+                )
+            records.append(_LevelRecord.of(nodes, relaxed, relaxed_counts))
+        return records
 
     # ------------------------------------------------------ subtree parallelism
     @staticmethod
     def _partition_dp_subtrees(dp_tree: DpTree, workers: int) -> list[list[DpNode]]:
-        """Disjoint bottom subtrees big enough to amortise a process hop.
+        """At most ``workers`` disjoint forests of bottom subtrees, one pool
+        task each, or none when the tree is too small to amortise a hop.
 
-        A node roots a shipped subtree iff its subtree holds at least
-        ``target`` DP nodes while every predecessor's subtree is still below
-        the target.  No strict descendant of such a root reaches the target
-        (so no nested root below) and every ancestor has a >= target
-        predecessor on the path down (so no nested root above): the selected
-        subtrees are provably disjoint.  Each returned list is in the global
+        The shipped subtrees are the maximal ones of at most ``target`` DP
+        nodes: a node roots one iff its subtree fits the target while its
+        successor's does not (or it hangs off the clock root).  They are
+        disjoint and cover every node but the *spine* (the nodes whose
+        subtree exceeds the target), which the caller evaluates afterwards.
+        Subtrees are dealt largest first onto the forest holding the fewest
+        nodes so far, so each worker evaluates one balanced forest as one
+        level-batched run.  Every forest holds at least ``_MIN_FOREST``
+        nodes: while the lightest one falls short, the subtrees are dealt
+        into one forest fewer.  Each returned list is in the global
         bottom-up order, so a worker can evaluate it front to back.
         """
         nodes = dp_tree.nodes
-        target = max(32, len(nodes) // (workers * 4))
+        target = max(_MIN_FOREST, len(nodes) // (4 * workers))
         size: dict[int, int] = {}
+        successor: dict[int, int] = {}
         for node in nodes:
-            size[node.index] = 1 + sum(size[p.index] for p in node.predecessors)
-        position = {node.index: i for i, node in enumerate(nodes)}
-        subtrees: list[list[DpNode]] = []
-        for root in nodes:
-            if size[root.index] < target:
-                continue
-            if any(size[p.index] >= target for p in root.predecessors):
-                continue
-            members = []
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                members.append(node)
-                stack.extend(node.predecessors)
-            members.sort(key=lambda n: position[n.index])
-            subtrees.append(members)
-        return subtrees
+            index, total = node.index, 1
+            for pred in node.predecessors:
+                total += size[pred.index]
+                successor[pred.index] = index
+            size[index] = total
+        # Top-down, every node below the spine joins its successor's subtree.
+        root_of: dict[int, int] = {}
+        for node in reversed(nodes):
+            index = node.index
+            if size[index] <= target:
+                above = successor.get(index)
+                if above is None or size[above] > target:
+                    root_of[index] = index
+                else:
+                    root_of[index] = root_of[above]
+        roots = sorted(set(root_of.values()), key=lambda i: (-size[i], i))
+        for count in range(min(workers, len(roots)), 1, -1):
+            load = [0] * count
+            forest_of: dict[int, int] = {}
+            for index in roots:
+                forest = load.index(min(load))
+                forest_of[index] = forest
+                load[forest] += size[index]
+            if min(load) >= _MIN_FOREST:
+                break
+        else:
+            return []
+        forests: list[list[DpNode]] = [[] for _ in range(count)]
+        for node in nodes:
+            root = root_of.get(node.index)
+            if root is not None:
+                forests[forest_of[root]].append(node)
+        return forests
 
     @staticmethod
-    def _subtree_tables(nodes: list[DpNode]) -> list[tuple]:
-        """Flatten a subtree into primitive rows for the process boundary.
+    def _subtree_tables(nodes: list[DpNode]) -> "_ForestTable":
+        """Flatten a forest into columns for the process boundary.
 
         Recursive :class:`DpNode` graphs and the live design never cross
-        into a worker: each row carries the node's own scalars, its design
-        row, the direct-sink flag, and predecessor links as positions into
-        this same table.
+        into a worker: the table carries every node's own scalars, its
+        design row and direct-sink flag, and its predecessor links as
+        positions into this same table.
         """
         local = {node.index: i for i, node in enumerate(nodes)}
-        return [
-            (
-                node.index,
-                node.length,
-                node.mode,
-                node.fanout,
-                node.base_capacitance,
-                node.base_max_delay,
-                node.base_min_delay,
-                node.corner_base_capacitance,
-                node.corner_base_max_delay,
-                node.corner_base_min_delay,
-                node.tree_row,
-                node.has_direct_sinks,
-                [local[p.index] for p in node.predecessors],
+        modes = tuple(InsertionMode)
+        corner_aware = bool(nodes) and nodes[0].corner_base_capacitance is not None
+        return _ForestTable(
+            index=np.asarray([node.index for node in nodes], np.int64),
+            tree_row=np.asarray([node.tree_row for node in nodes], np.int64),
+            length=np.asarray([node.length for node in nodes], float),
+            fanout=np.asarray([node.fanout for node in nodes], np.int64),
+            base=np.asarray(
+                [
+                    [node.base_capacitance for node in nodes],
+                    [node.base_max_delay for node in nodes],
+                    [node.base_min_delay for node in nodes],
+                ],
+                float,
+            ).reshape(3, len(nodes)),
+            corner_base=np.asarray(
+                [
+                    [node.corner_base_capacitance for node in nodes],
+                    [node.corner_base_max_delay for node in nodes],
+                    [node.corner_base_min_delay for node in nodes],
+                ],
+                float,
             )
-            for node in nodes
-        ]
+            if corner_aware
+            else None,
+            direct=np.asarray([node.has_direct_sinks for node in nodes], bool),
+            mode=np.asarray([modes.index(node.mode) for node in nodes], np.int64),
+            modes=modes,
+            pred_stop=np.cumsum(
+                [len(node.predecessors) for node in nodes], dtype=np.int64
+            ),
+            pred=np.asarray(
+                [local[p.index] for node in nodes for p in node.predecessors],
+                np.int64,
+            ),
+        )
 
     @staticmethod
-    def _nodes_from_tables(tables: list[tuple]) -> list[DpNode]:
-        """Rebuild worker-side :class:`DpNode` objects from flat rows."""
+    def _nodes_from_tables(table: "_ForestTable") -> list[DpNode]:
+        """Rebuild worker-side :class:`DpNode` objects from a forest table.
+
+        The fields go in positionally, in ``DpNode`` declaration order
+        (about twice as fast as keywords on the worker's critical path).
+        """
+        size = table.index.size
+        if table.corner_base is None:
+            corners = [(None, None, None)] * size
+        else:
+            corners = zip(*[map(tuple, rows) for rows in table.corner_base.tolist()])
+        modes = [table.modes[m] for m in table.mode.tolist()]
+        pred = table.pred.tolist()
         nodes: list[DpNode] = []
+        start = 0
         for (
             index,
+            tree_row,
             length,
+            stop,
             mode,
             fanout,
             base_cap,
             base_max,
             base_min,
-            corner_cap,
-            corner_max,
-            corner_min,
-            tree_row,
+            (corner_cap, corner_max, corner_min),
             has_direct_sinks,
-            preds,
-        ) in tables:
+        ) in zip(
+            table.index.tolist(),
+            table.tree_row.tolist(),
+            table.length.tolist(),
+            table.pred_stop.tolist(),
+            modes,
+            table.fanout.tolist(),
+            *table.base.tolist(),
+            corners,
+            table.direct.tolist(),
+        ):
             nodes.append(
                 DpNode(
-                    index=index,
-                    tree_row=tree_row,
-                    length=length,
-                    predecessors=[nodes[p] for p in preds],
-                    mode=mode,
-                    fanout=fanout,
-                    base_capacitance=base_cap,
-                    base_max_delay=base_max,
-                    base_min_delay=base_min,
-                    corner_base_capacitance=corner_cap,
-                    corner_base_max_delay=corner_max,
-                    corner_base_min_delay=corner_min,
-                    has_direct_sinks=has_direct_sinks,
+                    index,
+                    tree_row,
+                    length,
+                    [nodes[p] for p in pred[start:stop]],
+                    mode,
+                    fanout,
+                    base_cap,
+                    base_max,
+                    base_min,
+                    corner_cap,
+                    corner_max,
+                    corner_min,
+                    has_direct_sinks,
                 )
             )
+            start = stop
         return nodes
 
     def _run_subtrees_parallel(
@@ -450,11 +552,12 @@ class VectorizedInsertionDp:
         workers: int,
         policy=None,
         diagnostics: list | None = None,
-    ) -> dict[int, CandidateFrontier]:
-        """Evaluate shipped subtrees on the shared pool, frontiers keyed by
-        the original DP node indices (the serial spine reads them directly).
+    ) -> list["_LevelRecord"]:
+        """Evaluate shipped forests on the shared pool: one record per
+        forest, keyed by the original DP node indices, for the caller to
+        append to its store (the serial spine reads them from there).
 
-        Each subtree is one fault-tolerant :func:`~repro.parallel.run_tasks`
+        Each forest is one fault-tolerant :func:`~repro.parallel.run_tasks`
         task: a failed worker is retried and finally recomputed inline by
         the very same :func:`_dp_subtree_worker` (bit-identical by
         construction) under the ``degrade`` policy, or raises a typed
@@ -473,7 +576,7 @@ class VectorizedInsertionDp:
             )
             for nodes in subtrees
         ]
-        results = run_tasks(
+        return run_tasks(
             "insertion",
             _dp_subtree_worker,
             payloads,
@@ -481,12 +584,8 @@ class VectorizedInsertionDp:
             policy=policy,
             validate=_validate_subtree_frontiers,
             diagnostics=diagnostics,
-            label=lambda i, payload: f"subtree {i} ({len(payload[5])} nodes)",
+            label=lambda i, payload: f"subtree {i} ({payload[5].index.size} nodes)",
         )
-        merged: dict[int, CandidateFrontier] = {}
-        for result in results:
-            merged.update(result)
-        return merged
 
     def materialize_root(self, root: CandidateFrontier) -> list[CandidateSolution]:
         """Root frontier rows as :class:`CandidateSolution` objects.
@@ -521,31 +620,33 @@ class VectorizedInsertionDp:
     def realize(
         self,
         dp_tree: DpTree,
-        frontiers: dict[int, CandidateFrontier],
+        frontiers: "FrontierStore",
         root_choice: np.ndarray,
         realize_pattern: Callable[[DesignArrays, DpNode, EdgePattern], None],
     ) -> None:
         """Top-down decision (Step 4): retrace back-pointers, realise patterns.
 
         The stack order matches the object backend's ``_top_down`` exactly, so
-        inserted buffers/nTSVs receive identical generated names.
+        inserted buffers/nTSVs receive identical generated names.  Each
+        chosen candidate is read straight from the store's rows (its padded
+        back-pointer row zips against the node's own predecessors).
         """
+        runs, pattern, choice = frontiers.runs, frontiers.pattern, frontiers.choice
         stack: list[tuple[DpNode, int]] = [
             (root_dp, int(idx))
             for root_dp, idx in zip(dp_tree.root_nodes, root_choice)
         ]
         while stack:
             dp_node, i = stack.pop()
-            frontier = frontiers[dp_node.index]
-            pattern_id = int(frontier.pattern[i])
+            row = runs[dp_node.index][0] + i
+            pattern_id = int(pattern[row])
             if pattern_id < 0:
                 raise RuntimeError(
                     f"top-down decision reached {dp_node.name} without a pattern"
                 )
             realize_pattern(dp_tree.design, dp_node, PATTERNS[pattern_id])
             stack.extend(
-                (pred, int(c))
-                for pred, c in zip(dp_node.predecessors, frontier.choice[i])
+                (pred, int(c)) for pred, c in zip(dp_node.predecessors, choice[row])
             )
         # Pattern realisation rewrites wire sides directly on the rows, which
         # the design's edit log cannot see — record an unscoped change so that
@@ -553,242 +654,308 @@ class VectorizedInsertionDp:
         dp_tree.design.touch()
 
     # --------------------------------------------------------------- DP steps
-    def _leaf_base_columns(
-        self, dp_node: DpNode
+    @staticmethod
+    def _level_order(nodes: list[DpNode]) -> tuple[list[DpNode], int, int]:
+        """The level's nodes as leaves, chain nodes, then merge nodes by
+        ascending predecessor count; plus the leaf and chain counts.
+
+        A chain node (a segmentation Steiner: one predecessor, no pin cap, no
+        direct sinks) merges nothing, so its merged frontier IS its
+        predecessor's pruned frontier.
+        """
+        leaves, chains, merges = [], [], []
+        for node in nodes:
+            if node.is_leaf:
+                leaves.append(node)
+            elif (
+                len(node.predecessors) == 1
+                and node.base_capacitance == 0.0
+                and not node.has_direct_sinks
+            ):
+                chains.append(node)
+            else:
+                merges.append(node)
+        merges.sort(key=lambda node: len(node.predecessors))
+        return leaves + chains + merges, len(leaves), len(chains)
+
+    def _base_rows(
+        self, nodes: Sequence[DpNode]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(K, 1) columns of the node's static leaf-net base quantities."""
+        """``(K, len(nodes))`` static leaf-net base quantities, one column
+        per node."""
         if self.corner_aware:
             return (
-                np.asarray(dp_node.corner_base_capacitance, float)[:, None],
-                np.asarray(dp_node.corner_base_max_delay, float)[:, None],
-                np.asarray(dp_node.corner_base_min_delay, float)[:, None],
+                np.asarray([n.corner_base_capacitance for n in nodes], float).T,
+                np.asarray([n.corner_base_max_delay for n in nodes], float).T,
+                np.asarray([n.corner_base_min_delay for n in nodes], float).T,
             )
         return (
-            np.asarray([[dp_node.base_capacitance]], float),
-            np.asarray([[dp_node.base_max_delay]], float),
-            np.asarray([[dp_node.base_min_delay]], float),
+            np.asarray([[n.base_capacitance for n in nodes]], float),
+            np.asarray([[n.base_max_delay for n in nodes]], float),
+            np.asarray([[n.base_min_delay for n in nodes]], float),
         )
 
-    def _merge(
-        self, dp_node: DpNode, frontiers: dict[int, CandidateFrontier]
-    ) -> CandidateFrontier:
-        """Broadcast cross-product merge at the node's downstream vertex."""
-        if dp_node.is_leaf:
-            base_cap, base_max, base_min = self._leaf_base_columns(dp_node)
-            return CandidateFrontier(
-                side=self._leaf_side,
-                cap=base_cap,
-                max_delay=base_max,
-                min_delay=base_min,
-                buffers=self._leaf_zeros,
-                ntsvs=self._leaf_zeros,
-                pattern=self._leaf_pattern,
-                choice=self._leaf_choice,
-            )
+    def _merge_level(
+        self,
+        nodes: list[DpNode],
+        n_leaf: int,
+        n_chain: int,
+        store: "FrontierStore",
+    ) -> tuple[CandidateFrontier, np.ndarray]:
+        """Every level node's merged frontier, grouped by node.
 
-        predecessors = dp_node.predecessors
-        first = frontiers[predecessors[0].index]
-        combo = CandidateFrontier(
-            side=first.side,
-            cap=first.cap,
-            max_delay=first.max_delay,
-            min_delay=first.min_delay,
-            buffers=first.buffers,
-            ntsvs=first.ntsvs,
-            pattern=self._no_pattern(first.size),
-            choice=self._arange(first.size)[:, None],
-        )
-        if (
-            len(predecessors) == 1
-            and dp_node.base_capacitance == 0.0
-            and not dp_node.has_direct_sinks
-        ):
-            # Chain node (a segmentation Steiner): the merged frontier IS the
-            # predecessor's pruned frontier, value for value, and pruning is
-            # idempotent on an already-pruned, already-sorted set — skip it.
-            return combo
-        for pred in predecessors[1:]:
-            frontier = frontiers[pred.index]
-            # Row-major pair enumeration matches the object backend's nested
-            # loop (combo-major, candidate-minor, side mismatches skipped).
-            ia, ib = np.nonzero(combo.side[:, None] == frontier.side[None, :])
-            if ia.size == 0:
-                raise RuntimeError(
-                    f"DP node {dp_node.name}: predecessors have no "
-                    "side-compatible candidate combination"
+        Returns the candidates and their node positions in ``nodes``; each
+        node's candidates are contiguous, front block before back block.
+        """
+        parts: list[CandidateFrontier] = []
+        segs: list[np.ndarray] = []
+        if n_leaf:
+            # Leaves start from the lumped leaf-net load on the front side.
+            base_cap, base_max, base_min = self._base_rows(nodes[:n_leaf])
+            parts.append(
+                CandidateFrontier(
+                    side=np.zeros(n_leaf, np.int8),
+                    cap=base_cap,
+                    max_delay=base_max,
+                    min_delay=base_min,
+                    buffers=np.zeros(n_leaf, np.int64),
+                    ntsvs=np.zeros(n_leaf, np.int64),
+                    pattern=np.full(n_leaf, -1, np.int16),
+                    choice=np.empty((n_leaf, 0), np.int64),
                 )
-            combo = CandidateFrontier(
-                side=combo.side[ia],
-                cap=combo.cap[:, ia] + frontier.cap[:, ib],
-                max_delay=np.maximum(combo.max_delay[:, ia], frontier.max_delay[:, ib]),
-                min_delay=np.minimum(combo.min_delay[:, ia], frontier.min_delay[:, ib]),
-                buffers=combo.buffers[ia] + frontier.buffers[ib],
-                ntsvs=combo.ntsvs[ia] + frontier.ntsvs[ib],
-                pattern=self._no_pattern(ia.size),
-                choice=np.concatenate(
-                    [combo.choice[ia], ib[:, None].astype(np.int64)], axis=1
-                ),
             )
+            segs.append(np.arange(n_leaf, dtype=np.int64))
+        if n_chain:
+            # The predecessor's pruned frontier, value for value; pruning is
+            # idempotent on an already-pruned, already-sorted set, so skip it.
+            positions = np.arange(n_leaf, n_leaf + n_chain, dtype=np.int64)
+            chain, sizes = store.gather(
+                [nodes[s].predecessors[0].index for s in positions.tolist()]
+            )
+            parts.append(chain)
+            segs.append(np.repeat(positions, sizes))
+        if n_leaf + n_chain < len(nodes):
+            merged, seg = self._merge_nodes(nodes, n_leaf + n_chain, store)
+            parts.append(merged)
+            segs.append(seg)
+        return CandidateFrontier.concatenate(parts), np.concatenate(segs)
+
+    def _merge_nodes(
+        self, nodes: list[DpNode], first: int, store: "FrontierStore"
+    ) -> tuple[CandidateFrontier, np.ndarray]:
+        """Ragged cross-product merge of ``nodes[first:]`` at their
+        downstream vertices, static load added, pruned (no cap).
+
+        ``nodes[first:]`` are sorted by predecessor count, so the nodes whose
+        fold completes at step ``j`` lead the still-active run.
+        """
+        active = np.arange(first, len(nodes), dtype=np.int64)
+        pred_counts = np.asarray([len(nodes[s].predecessors) for s in active])
+        combo, sizes = store.gather(
+            [nodes[s].predecessors[0].index for s in active.tolist()]
+        )
+        seg = np.repeat(active, sizes)
+        done: list[CandidateFrontier] = []
+        done_seg: list[np.ndarray] = []
+        for j in range(1, int(pred_counts[-1])):
+            finished = int(np.searchsorted(pred_counts, j, side="right"))
+            if finished:
+                cut = int(np.searchsorted(seg, active[finished]))
+                done.append(combo.window(0, cut, j))
+                done_seg.append(seg[:cut])
+                combo = combo.window(cut, combo.size, j)
+                seg = seg[cut:]
+                active, pred_counts = active[finished:], pred_counts[finished:]
+            combo, seg = self._cross(nodes, active, combo, seg, j, store)
+        done.append(combo)
+        done_seg.append(seg)
+        merged = CandidateFrontier.concatenate(done)
+        seg = np.concatenate(done_seg)
 
         # Add the static load at the vertex (pin cap + direct leaf net).
-        # Chain nodes (no pin cap, no direct sinks) skip the arithmetic
-        # entirely: adding a zero base is the identity on positive floats.
-        side = combo.side
-        cap = combo.cap
-        max_delay = combo.max_delay
-        min_delay = combo.min_delay
-        buffers, ntsvs, choice = combo.buffers, combo.ntsvs, combo.choice
-        if dp_node.base_capacitance != 0.0 or dp_node.has_direct_sinks:
-            base_cap, base_max, base_min = self._leaf_base_columns(dp_node)
-            cap = cap + base_cap
-            if dp_node.has_direct_sinks:
-                keep = np.nonzero(side == SIDE_FRONT)[0]
-                if keep.size == 0:
-                    raise RuntimeError(
-                        f"DP node {dp_node.name}: no merged candidate satisfies "
-                        "the front-side leaf-net constraint"
-                    )
-                if keep.size != side.size:
-                    side = side[keep]
-                    cap = cap[:, keep]
-                    max_delay = max_delay[:, keep]
-                    min_delay = min_delay[:, keep]
-                    buffers, ntsvs = buffers[keep], ntsvs[keep]
-                    choice = choice[keep]
-                max_delay = np.maximum(max_delay, base_max)
-                min_delay = np.minimum(min_delay, base_min)
+        # Nodes with no pin cap and no direct sinks skip the arithmetic:
+        # adding a zero base is the identity on positive floats.
+        merging = nodes[first:]
+        local = seg - first
+        base_cap, base_max, base_min = self._base_rows(merging)
+        add = np.asarray(
+            [n.base_capacitance != 0.0 or n.has_direct_sinks for n in merging]
+        )
+        direct = np.asarray([n.has_direct_sinks for n in merging])
+        cap = merged.cap
+        if add.any():
+            cap = np.where(add[local], cap + base_cap[:, local], cap)
+        max_delay, min_delay = merged.max_delay, merged.min_delay
+        keep = None
+        if direct.any():
+            # Leaf nets are front-side: a direct-sink vertex must be front.
+            direct_c = direct[local]
+            max_delay = np.where(
+                direct_c, np.maximum(max_delay, base_max[:, local]), max_delay
+            )
+            min_delay = np.where(
+                direct_c, np.minimum(min_delay, base_min[:, local]), min_delay
+            )
+            keep = ~direct_c | (merged.side == SIDE_FRONT)
+            kept = np.bincount(local[keep], minlength=len(merging))
+            bad = np.flatnonzero(direct & (kept == 0))
+            if bad.size:
+                raise RuntimeError(
+                    f"DP node {merging[int(bad[0])].name}: no merged "
+                    "candidate satisfies the front-side leaf-net constraint"
+                )
         merged = CandidateFrontier(
-            side=side,
+            side=merged.side,
             cap=cap,
             max_delay=max_delay,
             min_delay=min_delay,
-            buffers=buffers,
-            ntsvs=ntsvs,
-            pattern=self._no_pattern(side.size),
-            choice=choice,
+            buffers=merged.buffers,
+            ntsvs=merged.ntsvs,
+            pattern=merged.pattern,
+            choice=merged.choice,
         )
-        return self._prune(merged)
+        if keep is not None and not keep.all():
+            rows = np.nonzero(keep)[0]
+            merged, seg = merged.take(rows), seg[rows]
+        return self._prune_segments(merged, seg)
 
-    def _insert(
+    def _cross(
         self,
-        dp_node: DpNode,
-        merged: CandidateFrontier,
-        enforce_driver_load: bool = True,
-    ) -> CandidateFrontier:
-        """Apply every allowed pattern to every merged candidate, batched.
+        nodes: list[DpNode],
+        active: np.ndarray,
+        combo: CandidateFrontier,
+        seg: np.ndarray,
+        j: int,
+        store: "FrontierStore",
+    ) -> tuple[CandidateFrontier, np.ndarray]:
+        """Combine every active node's combos with its predecessor ``j``.
 
-        A pruned frontier groups front-side candidates before back-side ones,
-        so processing the two side blocks in that order reproduces the object
-        backend's base-major / pattern-minor result order.
+        Pairs are enumerated per node row-major (combo-major,
+        candidate-minor) with side mismatches dropped: the object backend's
+        nested loop order.
         """
-        side = merged.side
-        any_back = bool(side.any())
-        all_back = any_back and bool(side.all())
-        parts: list[CandidateFrontier] = []
-        has_backside = self.pdk.has_backside
-        for side_enum, code in ((Side.FRONT, SIDE_FRONT), (Side.BACK, SIDE_BACK)):
-            if code == SIDE_FRONT and all_back:
-                continue
-            if code == SIDE_BACK and not any_back:
-                continue
-            allowed = patterns_for(
-                dp_node.mode, has_backside, required_down_side=side_enum
-            )
-            if not allowed:  # pragma: no cover - every reachable side has one
-                continue
-            if all_back or not any_back:  # single-side frontier (common case)
-                sel = self._arange(merged.size)
-                base_cap = merged.cap
-                base_max = merged.max_delay
-                base_min = merged.min_delay
-            else:
-                sel = np.nonzero(side == code)[0]
-                base_cap = merged.cap[:, sel]
-                base_max = merged.max_delay[:, sel]
-                base_min = merged.min_delay[:, sel]
-            parts.append(
-                self._insert_block(
-                    dp_node,
-                    merged,
-                    sel,
-                    base_cap,
-                    base_max,
-                    base_min,
-                    allowed,
-                    enforce_driver_load,
-                )
-            )
-        if not parts:  # pragma: no cover - defensive: merged is never empty
-            return merged.take(np.empty(0, np.int64))
-        return CandidateFrontier.concatenate(parts)
-
-    def _insert_block(
-        self,
-        dp_node: DpNode,
-        merged: CandidateFrontier,
-        sel: np.ndarray,
-        base_cap: np.ndarray,
-        base_max: np.ndarray,
-        base_min: np.ndarray,
-        allowed: tuple[EdgePattern, ...],
-        enforce_driver_load: bool,
-    ) -> CandidateFrontier:
-        """Batched pattern application for one side block of ``merged``."""
-        length = dp_node.length
-        delays, caps = [], []
-        valid: np.ndarray | None = None
-        for pattern in allowed:
-            delay, cap, pattern_valid = self._pattern_cost_batch(
-                pattern, length, base_cap, enforce_driver_load
-            )
-            delays.append(delay)
-            caps.append(cap)
-            if pattern_valid is not None:
-                if valid is None:
-                    valid = np.ones((sel.size, len(allowed)), bool)
-                valid[:, len(delays) - 1] = pattern_valid
-        n_base, n_pat = sel.size, len(allowed)
-        delay_grid = np.stack(delays, axis=2)  # (K, B, P)
-        new_cap = np.stack(caps, axis=2).reshape(self._k, n_base * n_pat)
-        new_max = (base_max[:, :, None] + delay_grid).reshape(self._k, n_base * n_pat)
-        new_min = (base_min[:, :, None] + delay_grid).reshape(self._k, n_base * n_pat)
-        tiled = self._tiled_rows(allowed, n_base)
-        pattern_ids, up_sides, add_buffers, add_ntsvs, identity_rows = tiled
-        if sel is self._arange_cache.get(n_base):
-            base_rows = identity_rows
-        else:
-            base_rows = np.repeat(sel, n_pat)
-        buffers = merged.buffers[base_rows] + add_buffers
-        ntsvs = merged.ntsvs[base_rows] + add_ntsvs
-        choice = merged.choice[base_rows]
-        if valid is not None:
-            mask = valid.reshape(n_base * n_pat)  # (B, P) flat: base-major
-            if not mask.all():
-                return CandidateFrontier(
-                    side=up_sides[mask],
-                    cap=new_cap[:, mask],
-                    max_delay=new_max[:, mask],
-                    min_delay=new_min[:, mask],
-                    buffers=buffers[mask],
-                    ntsvs=ntsvs[mask],
-                    pattern=pattern_ids[mask],
-                    choice=choice[mask],
-                )
-        return CandidateFrontier(
-            side=up_sides,
-            cap=new_cap,
-            max_delay=new_max,
-            min_delay=new_min,
-            buffers=buffers,
-            ntsvs=ntsvs,
-            pattern=pattern_ids,
-            choice=choice,
+        pred, pred_sizes = store.gather(
+            [nodes[s].predecessors[j].index for s in active.tolist()]
         )
+        combo_sizes = np.diff(np.append(np.searchsorted(seg, active), seg.size))
+        pairs = combo_sizes * pred_sizes
+        owner = np.repeat(np.arange(active.size), pairs)
+        t = np.arange(int(pairs.sum()), dtype=np.int64) - np.repeat(
+            np.cumsum(pairs) - pairs, pairs
+        )
+        width = pred_sizes[owner]
+        ia = (np.cumsum(combo_sizes) - combo_sizes)[owner] + t // width
+        ib_local = t % width
+        ib = (np.cumsum(pred_sizes) - pred_sizes)[owner] + ib_local
+        ok = combo.side[ia] == pred.side[ib]
+        ia, ib, ib_local, owner = ia[ok], ib[ok], ib_local[ok], owner[ok]
+        missing = np.flatnonzero(np.bincount(owner, minlength=active.size) == 0)
+        if missing.size:
+            raise RuntimeError(
+                f"DP node {nodes[int(active[missing[0]])].name}: predecessors "
+                "have no side-compatible candidate combination"
+            )
+        merged = CandidateFrontier(
+            side=combo.side[ia],
+            cap=combo.cap[:, ia] + pred.cap[:, ib],
+            max_delay=np.maximum(combo.max_delay[:, ia], pred.max_delay[:, ib]),
+            min_delay=np.minimum(combo.min_delay[:, ia], pred.min_delay[:, ib]),
+            buffers=combo.buffers[ia] + pred.buffers[ib],
+            ntsvs=combo.ntsvs[ia] + pred.ntsvs[ib],
+            pattern=np.full(ia.size, -1, np.int16),
+            choice=np.concatenate([combo.choice[ia], ib_local[:, None]], axis=1),
+        )
+        return merged, seg[ia]
+
+    def _insert_level(
+        self,
+        merged: CandidateFrontier,
+        seg: np.ndarray,
+        nodes: list[DpNode],
+        enforce_driver_load: bool = True,
+    ) -> tuple[CandidateFrontier, np.ndarray]:
+        """Apply every allowed pattern to every merged candidate of a level.
+
+        The (node, side-block) segments are grouped by their allowed-pattern
+        tuple (the node's mode and the required down side) and each group's
+        costs come from one batched call per pattern.  Results land in the
+        object backend's per-node order: node-major, the front block before
+        the back block (a merged frontier lists its front candidates first),
+        base-major and pattern-minor within a block.
+        """
+        has_backside = self.pdk.has_backside
+        mode_ids: dict[InsertionMode, int] = {}
+        node_mode = np.asarray(
+            [mode_ids.setdefault(n.mode, len(mode_ids)) for n in nodes], np.int64
+        )
+        lengths = np.asarray([n.length for n in nodes], float)
+        key = 2 * node_mode[seg] + merged.side
+        groups = []
+        counts = np.zeros(merged.size, np.int64)
+        for mode, mode_id in mode_ids.items():
+            for side_enum, code in ((Side.FRONT, SIDE_FRONT), (Side.BACK, SIDE_BACK)):
+                sel = np.nonzero(key == 2 * mode_id + code)[0]
+                allowed = patterns_for(mode, has_backside, required_down_side=side_enum)
+                if sel.size and allowed:
+                    counts[sel] = len(allowed)
+                    groups.append((sel, allowed))
+        first = np.cumsum(counts) - counts
+        total = int(counts.sum())
+        k = self._k
+        cap = np.empty((k, total))
+        max_delay = np.empty((k, total))
+        min_delay = np.empty((k, total))
+        pattern = np.empty(total, np.int16)
+        base = np.empty(total, np.int64)
+        valid = np.ones(total, bool)
+        for sel, allowed in groups:
+            n_pat = len(allowed)
+            pos = (first[sel][:, None] + np.arange(n_pat)).ravel()
+            length = lengths[seg[sel]][None, :]
+            base_cap = merged.cap[:, sel]
+            delays, caps = [], []
+            for p, edge_pattern in enumerate(allowed):
+                delay, new_cap, pattern_valid = self._pattern_cost_batch(
+                    edge_pattern, length, base_cap, enforce_driver_load
+                )
+                delays.append(delay)
+                caps.append(new_cap)
+                if pattern_valid is not None:
+                    valid[pos[p::n_pat]] = pattern_valid
+            delay_grid = np.stack(delays, axis=2)  # (K, B, P): base-major
+            cap[:, pos] = np.stack(caps, axis=2).reshape(k, -1)
+            max_delay[:, pos] = (
+                merged.max_delay[:, sel][:, :, None] + delay_grid
+            ).reshape(k, -1)
+            min_delay[:, pos] = (
+                merged.min_delay[:, sel][:, :, None] + delay_grid
+            ).reshape(k, -1)
+            ids = self._pattern_ids.get(allowed)
+            if ids is None:
+                ids = np.asarray([_PATTERN_INDEX[q.name] for q in allowed], np.int16)
+                self._pattern_ids[allowed] = ids
+            pattern[pos] = np.tile(ids, sel.size)
+            base[pos] = np.repeat(sel, n_pat)
+        inserted = CandidateFrontier(
+            side=_UP_SIDE[pattern],
+            cap=cap,
+            max_delay=max_delay,
+            min_delay=min_delay,
+            buffers=merged.buffers[base] + _ADDED_BUFFERS[pattern],
+            ntsvs=merged.ntsvs[base] + _ADDED_NTSVS[pattern],
+            pattern=pattern,
+            choice=merged.choice[base],
+        )
+        inserted_seg = seg[base]
+        if not valid.all():
+            rows = np.nonzero(valid)[0]
+            inserted, inserted_seg = inserted.take(rows), inserted_seg[rows]
+        return inserted, inserted_seg
 
     def _pattern_cost_batch(
         self,
         pattern: EdgePattern,
-        length: float,
+        length: float | np.ndarray,
         cap: np.ndarray,
         enforce_driver_load: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -796,7 +963,9 @@ class VectorizedInsertionDp:
 
         Mirrors ``ConcurrentInserter._pattern_cost`` operation for operation
         (bit-identical element-wise arithmetic) with the candidate axis
-        vectorized and the corner axis broadcast.  The returned validity mask
+        vectorized and the corner axis broadcast.  ``length`` is a scalar or
+        a ``(1, n)`` row of per-candidate edge lengths; either way every
+        element sees the same IEEE operations.  The returned validity mask
         is ``None`` unless the pattern can reject candidates (P1's maximum
         driven-capacitance check, enforced at every corner).
         """
@@ -817,7 +986,7 @@ class VectorizedInsertionDp:
                 if violating.any():
                     valid = ~violating
             delay = delay + self._buffer_delay(cap)
-            cap = np.broadcast_to(self.buf_incap, cap.shape)
+            cap = np.repeat(self.buf_incap, cap.shape[1], axis=1)
             delay = delay + self._wire_delay(self.f_ur, self.f_uc, half, cap)
             return delay, cap + self.f_uc * half, valid
         if name == "P4_nTSV1":
@@ -841,7 +1010,10 @@ class VectorizedInsertionDp:
 
     @staticmethod
     def _wire_delay(
-        unit_r: np.ndarray, unit_c: np.ndarray, length: float, load: np.ndarray
+        unit_r: np.ndarray,
+        unit_c: np.ndarray,
+        length: float | np.ndarray,
+        load: np.ndarray,
     ) -> np.ndarray:
         """Batched ``LayerRC.wire_delay`` (same operation order)."""
         resistance = unit_r * length
@@ -864,104 +1036,127 @@ class VectorizedInsertionDp:
         frontier: CandidateFrontier,
         max_capacitance: float | None = None,
     ) -> CandidateFrontier:
-        """Vectorized ``prune_per_side``: mask filter, per-side sweep, beam."""
-        n = frontier.size
-        if n == 0:
-            return frontier
+        """Vectorized ``prune_per_side`` of one frontier (one segment)."""
+        pruned, _ = self._prune_segments(
+            frontier, np.zeros(frontier.size, np.int64), max_capacitance
+        )
+        return pruned
+
+    def _prune_segments(
+        self,
+        frontier: CandidateFrontier,
+        seg: np.ndarray,
+        max_capacitance: float | None = None,
+    ) -> tuple[CandidateFrontier, np.ndarray]:
+        """Vectorized ``prune_per_side`` of every node at once.
+
+        ``seg`` holds each candidate's node; a sweep segment is one (node,
+        side).  The stable ``lexsort`` keyed by node and side puts every
+        segment in the per-node sort order (worst cap, worst delay,
+        resources; ties by position), so the result is grouped by ascending
+        node, front block before back block, each block exactly as per-node
+        pruning returns it.  Returns the pruned candidates and their nodes.
+        """
         scalar = self._k == 1
         worst_cap = frontier.cap[0] if scalar else frontier.cap.max(axis=0)
-        if max_capacitance is not None:
-            legal = worst_cap <= max_capacitance + _TOL
-            if not legal.all():
-                keep = np.nonzero(legal)[0]
-                frontier = frontier.take(keep)
-                worst_cap = worst_cap[keep]
-                n = frontier.size
-                if n == 0:
-                    return frontier
-        if n == 1:
-            return frontier
-        side = frontier.side
-        any_back = bool(side.any())
-        all_back = any_back and bool(side.all())
         worst_delay = (
             frontier.max_delay[0] if scalar else frontier.max_delay.max(axis=0)
         )
         resources = frontier.buffers + frontier.ntsvs
+        segment = 2 * seg + frontier.side
+        # ``rows`` maps positions of the (legal) candidates being swept back
+        # to ``frontier``; one gather at the end builds the result.
+        rows = np.arange(frontier.size)
+        if max_capacitance is not None:
+            legal = worst_cap <= max_capacitance + _TOL
+            if not legal.all():
+                rows = np.nonzero(legal)[0]
+                worst_cap, worst_delay = worst_cap[rows], worst_delay[rows]
+                resources, segment = resources[rows], segment[rows]
+        n = rows.size
+        if n == 0:
+            return frontier.take(rows), seg[rows]
+        order = np.lexsort((resources, worst_delay, worst_cap, segment))
+        sorted_segment = segment[order]
+        first = np.empty(n, bool)
+        first[0] = True
+        first[1:] = sorted_segment[1:] != sorted_segment[:-1]
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.append(starts, n))
+        sorted_delay = worst_delay[order]
+        if scalar and not self.config.keep_resource_diversity:
+            kept = self._staircase(sorted_delay, starts, sizes)
+        else:
+            # Corner-aware and diversity runs sweep one segment at a time, so
+            # each kept-set rule stays written once.
+            pieces = []
+            for start, size in zip(starts.tolist(), sizes.tolist()):
+                if size == 1:
+                    pieces.append(np.array([start], np.int64))
+                    continue
+                block = order[start : start + size]
+                caps = frontier.cap[:, rows[block]]
+                delays = frontier.max_delay[:, rows[block]]
+                if self.config.keep_resource_diversity:
+                    pos = self._diversity_sweep(caps, delays, resources[block])
+                else:
+                    pos = self._corner_sweep(caps, delays)
+                pieces.append(start + pos)
+            kept = np.concatenate(pieces)
         beam = self.config.max_candidates_per_side
-        parts: list[np.ndarray] = []
-        for code in (SIDE_FRONT, SIDE_BACK):
-            if code == SIDE_FRONT and all_back:
-                continue
-            if code == SIDE_BACK and not any_back:
-                continue
-            if all_back or not any_back:
-                side_idx = self._arange(n)
-            else:
-                side_idx = np.nonzero(side == code)[0]
-            if side_idx.size == 1:
-                parts.append(side_idx)
-                continue
-            order = side_idx[
-                np.lexsort(
-                    (
-                        resources[side_idx],
-                        worst_delay[side_idx],
-                        worst_cap[side_idx],
-                    )
-                )
-            ]
-            kept_pos = self._dominance_sweep(
-                frontier.cap[:, order],
-                frontier.max_delay[:, order],
-                resources[order],
-                self.config.keep_resource_diversity,
-            )
-            kept = order[kept_pos]
-            if beam is not None and kept.size > beam:
-                kept = self._beam_select(kept, worst_delay, beam)
-            parts.append(kept)
-        if len(parts) == 1 and parts[0].size == n:
-            # Everything survived on a single side: still gather, because
-            # the object backend returns candidates in sorted order.
-            return frontier.take(parts[0])
-        return frontier.take(np.concatenate(parts))
+        if beam is not None:
+            kept = self._beam_segments(kept, starts, sorted_delay, beam)
+        rows = rows[order[kept]]
+        return frontier.take(rows), seg[rows]
 
-    def _dominance_sweep(
-        self,
-        caps: np.ndarray,
-        delays: np.ndarray,
-        resources: np.ndarray,
-        keep_resource_diversity: bool,
+    @staticmethod
+    def _staircase(
+        delays: np.ndarray, starts: np.ndarray, sizes: np.ndarray
     ) -> np.ndarray:
-        """Positions kept by the dominance sweep over one sorted side block.
+        """Positions kept by the scalar dominance sweep of sorted segments.
 
-        Implements exactly the rule of
-        :func:`repro.insertion.pruning.prune_dominated` (including the
-        dominator-relative resource-diversity exception) on ``(K, n)`` arrays
-        already gathered in sorted order.
+        ``delays`` lists each segment (starting at ``starts``) in sort order.
+        Every true keeper is a strict running-min record of its segment's
+        delays (a dropped candidate's delay is always >= some earlier
+        delay), so a segmented cummin over a padded ``(segments, width)``
+        grid reduces the exact tolerance sweep to the records.  A record is
+        kept iff it beats the last kept record by more than the tolerance;
+        when every record beats the previous one by that much all are kept,
+        and only segments holding a near-tie run the sequential scan.  A
+        single-candidate segment is always kept.
         """
-        if keep_resource_diversity:
-            return self._diversity_sweep(caps, delays, resources)
-        if caps.shape[0] == 1:
-            # Scalar staircase: every true keeper is a strict running-min
-            # record of the delay sequence (a dropped candidate's delay is
-            # always >= some earlier delay), so a cummin prefilter reduces
-            # the exact tolerance sweep to the record positions.
-            d = delays[0]
-            running = np.minimum.accumulate(d)
-            record = np.empty(d.size, dtype=bool)
-            record[0] = True
-            record[1:] = d[1:] < running[:-1]
-            positions = np.nonzero(record)[0]
-            kept: list[int] = []
-            best = float("inf")
-            for pos, value in zip(positions.tolist(), d[positions].tolist()):
-                if value < best - _TOL:
-                    kept.append(pos)
-                    best = value
-            return np.asarray(kept, np.int64)
-        return self._corner_sweep(caps, delays)
+        n = delays.size
+        rows = np.repeat(np.arange(starts.size), sizes)
+        cols = np.arange(n) - starts[rows]
+        grid = np.full((starts.size, int(sizes.max())), np.inf)
+        grid[rows, cols] = delays
+        running = np.minimum.accumulate(grid, axis=1)
+        record = cols == 0
+        inner = np.flatnonzero(~record)
+        record[inner] = delays[inner] < running[rows[inner], cols[inner] - 1]
+        positions = np.flatnonzero(record)
+        values = delays[positions]
+        lead = cols[positions] == 0
+        previous = np.empty_like(values)
+        previous[0] = np.inf
+        previous[1:] = values[:-1]
+        previous[lead] = np.inf
+        clear = (values < previous - _TOL) | (lead & (sizes[rows[positions]] == 1))
+        if clear.all():
+            return positions
+        owner = rows[positions]
+        tied = np.zeros(starts.size, bool)
+        tied[owner[~clear]] = True
+        keep = ~tied[owner]
+        best = float("inf")
+        current = -1
+        for i in np.flatnonzero(tied[owner]).tolist():
+            if owner[i] != current:
+                current, best = owner[i], float("inf")
+            if values[i] < best - _TOL:
+                keep[i] = True
+                best = values[i]
+        return positions[keep]
 
     def _corner_sweep(self, caps: np.ndarray, delays: np.ndarray) -> np.ndarray:
         """Vector-dominance sweep over a sorted corner-aware side block.
@@ -1091,28 +1286,43 @@ class VectorizedInsertionDp:
             kept.append(pos)
         return np.asarray(kept, np.int64)
 
-    @staticmethod
-    def _beam_select(
-        kept: np.ndarray, worst_delay: np.ndarray, beam_width: int
+    def _beam_segments(
+        self,
+        kept: np.ndarray,
+        starts: np.ndarray,
+        sorted_delay: np.ndarray,
+        beam_width: int,
     ) -> np.ndarray:
-        """Vectorized ``_beam_select``: sample the staircase evenly.
+        """Per-segment beam sample of the kept sorted positions.
 
-        ``kept`` is already sorted by (worst cap, worst delay, resources),
-        which the object backend's stable re-sort by (worst cap, worst delay)
-        leaves unchanged.
+        The kept positions of a segment are already sorted by (worst cap,
+        worst delay, resources), which the object backend's stable re-sort
+        by (worst cap, worst delay) leaves unchanged; a segment keeping more
+        than ``beam_width`` candidates samples its staircase evenly (first
+        and last included), or keeps its lowest worst delay (first on ties)
+        at ``beam_width <= 1``.
         """
-        if beam_width <= 1:
-            first_min = int(np.argmin(worst_delay[kept]))
-            return kept[first_min : first_min + 1]
-        last = kept.size - 1
-        indices = sorted(
-            {round(i * last / (beam_width - 1)) for i in range(beam_width)}
-        )
-        return kept[np.asarray(indices, np.int64)]
+        owner = np.searchsorted(starts, kept, side="right") - 1
+        counts = np.bincount(owner, minlength=starts.size)
+        over = counts > beam_width
+        if not over.any():
+            return kept
+        offsets = np.cumsum(counts) - counts
+        mask = ~over[owner]
+        for b in np.flatnonzero(over).tolist():
+            first, count = int(offsets[b]), int(counts[b])
+            if beam_width <= 1:
+                run = kept[first : first + count]
+                mask[first + int(np.argmin(sorted_delay[run]))] = True
+            else:
+                last = count - 1
+                picks = [round(i * last / (beam_width - 1)) for i in range(beam_width)]
+                mask[[first + pick for pick in picks]] = True
+        return kept[mask]
 
     # ------------------------------------------------------------------- root
     def _root_frontier(
-        self, dp_tree: DpTree, frontiers: dict[int, CandidateFrontier]
+        self, dp_tree: DpTree, frontiers: "FrontierStore"
     ) -> CandidateFrontier:
         """Cross-combine the root DP nodes at the clock source (front only)."""
         combo: CandidateFrontier | None = None
@@ -1171,14 +1381,188 @@ class VectorizedInsertionDp:
         )
 
 
-def _dp_subtree_worker(payload) -> dict[int, CandidateFrontier]:
-    """Evaluate one shipped DP subtree in a worker process.
+class _LevelRecord(NamedTuple):
+    """Pruned candidates grouped by node: one level batch, or a whole
+    shipped forest.
 
-    Rebuilds an equivalent :class:`VectorizedInsertionDp` and the subtree's
-    nodes, then runs the exact serial per-node generation bottom-up.  The
-    returned frontiers are keyed by the original DP node indices.
+    ``counts[i]`` candidates of node ``keys[i]`` follow those of
+    ``keys[i - 1]`` in ``frontier``; ``widths[i]`` is the node's
+    back-pointer width (its predecessor count).
     """
-    pdk, config, corner_pdks, primary, corner_aware, tables = payload
+
+    frontier: CandidateFrontier
+    keys: list[int]
+    counts: list[int]
+    widths: list[int]
+
+    @staticmethod
+    def of(
+        nodes: list[DpNode], frontier: CandidateFrontier, counts: np.ndarray
+    ) -> "_LevelRecord":
+        return _LevelRecord(
+            frontier,
+            [node.index for node in nodes],
+            counts.tolist(),
+            [len(node.predecessors) for node in nodes],
+        )
+
+
+class _ForestTable(NamedTuple):
+    """A shipped forest as flat columns (see ``_subtree_tables``).
+
+    ``pred[pred_stop[i - 1]:pred_stop[i]]`` are node ``i``'s predecessors as
+    positions into the table; ``base`` stacks the nominal base capacitance,
+    max and min delay, ``corner_base`` their per-corner tuples (``None`` on
+    nominal trees), and ``mode`` indexes ``modes``.
+    """
+
+    index: np.ndarray
+    tree_row: np.ndarray
+    length: np.ndarray
+    fanout: np.ndarray
+    base: np.ndarray
+    corner_base: np.ndarray | None
+    direct: np.ndarray
+    mode: np.ndarray
+    modes: tuple[InsertionMode, ...]
+    pred_stop: np.ndarray
+    pred: np.ndarray
+
+
+class FrontierStore(Mapping):
+    """The pruned frontier of every DP node evaluated so far, appended
+    record by record into one set of growing arrays.
+
+    A level batch gathers its predecessors' frontiers from here with one
+    fancy index per array, never touching per-node objects, and
+    :meth:`VectorizedInsertionDp.run` returns the store itself: a mapping
+    from DP node index to that node's :class:`CandidateFrontier`, cut as
+    views of the arrays on access (so no per-node object is built unless
+    asked for).  ``choice`` is zero-padded to the widest node; a node's
+    frontier carries only its own predecessor count of columns.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.size = 0
+        self.side = np.empty(0, np.int8)
+        self.cap = np.empty((k, 0))
+        self.max_delay = np.empty((k, 0))
+        self.min_delay = np.empty((k, 0))
+        self.buffers = np.empty(0, np.int64)
+        self.ntsvs = np.empty(0, np.int64)
+        self.pattern = np.empty(0, np.int16)
+        self.choice = np.zeros((0, 0), np.int64)
+        #: DP node index -> (first row, candidate count, back-pointer width)
+        self.runs: dict[int, tuple[int, int, int]] = {}
+
+    def __getitem__(self, index: int) -> CandidateFrontier:
+        start, count, width = self.runs[index]
+        return self._window(start, start + count, width)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.runs)
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __contains__(self, index: object) -> bool:
+        return index in self.runs
+
+    def _window(self, start: int, stop: int, width: int) -> CandidateFrontier:
+        return CandidateFrontier(
+            side=self.side[start:stop],
+            cap=self.cap[:, start:stop],
+            max_delay=self.max_delay[:, start:stop],
+            min_delay=self.min_delay[:, start:stop],
+            buffers=self.buffers[start:stop],
+            ntsvs=self.ntsvs[start:stop],
+            pattern=self.pattern[start:stop],
+            choice=self.choice[start:stop, :width],
+        )
+
+    def add(self, record: _LevelRecord) -> None:
+        """Append a record's candidates and index its nodes' runs."""
+        frontier = record.frontier
+        stop = self.size + frontier.size
+        width = frontier.choice.shape[1]
+        if stop > self.side.size or width > self.choice.shape[1]:
+            self._grow(max(stop, 2 * self.side.size), max(width, self.choice.shape[1]))
+        rows = slice(self.size, stop)
+        self.side[rows] = frontier.side
+        self.cap[:, rows] = frontier.cap
+        self.max_delay[:, rows] = frontier.max_delay
+        self.min_delay[:, rows] = frontier.min_delay
+        self.buffers[rows] = frontier.buffers
+        self.ntsvs[rows] = frontier.ntsvs
+        self.pattern[rows] = frontier.pattern
+        self.choice[rows, :width] = frontier.choice
+        start = self.size
+        runs = self.runs
+        for key, count, node_width in zip(record.keys, record.counts, record.widths):
+            if count:
+                runs[key] = (start, count, node_width)
+                start += count
+        self.size = stop
+
+    def _grow(self, capacity: int, width: int) -> None:
+        size = self.size
+        for name in ("side", "buffers", "ntsvs", "pattern"):
+            old = getattr(self, name)
+            grown = np.empty(capacity, old.dtype)
+            grown[:size] = old[:size]
+            setattr(self, name, grown)
+        for name in ("cap", "max_delay", "min_delay"):
+            old = getattr(self, name)
+            grown = np.empty((old.shape[0], capacity))
+            grown[:, :size] = old[:, :size]
+            setattr(self, name, grown)
+        # Zero-filled: rows past ``size`` and columns past a node's own
+        # width must read as padding.
+        grown = np.zeros((capacity, width), np.int64)
+        grown[:size, : self.choice.shape[1]] = self.choice[:size]
+        self.choice = grown
+
+    def record(self) -> _LevelRecord:
+        """Everything stored, as one record (a pool task's result)."""
+        runs = self.runs.values()
+        return _LevelRecord(
+            self._window(0, self.size, self.choice.shape[1]),
+            list(self.runs),
+            [count for _, count, _ in runs],
+            [width for _, _, width in runs],
+        )
+
+    def gather(self, keys: list[int]) -> tuple[CandidateFrontier, np.ndarray]:
+        """The frontiers of ``keys``, concatenated, with -1 patterns and each
+        candidate's index in its own frontier as the one back-pointer column;
+        plus the frontier sizes."""
+        runs = np.asarray([self.runs[key] for key in keys], np.int64).reshape(-1, 3)
+        sizes = runs[:, 1]
+        local = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
+        )
+        rows = np.repeat(runs[:, 0], sizes) + local
+        frontier = CandidateFrontier(
+            side=self.side[rows],
+            cap=self.cap[:, rows],
+            max_delay=self.max_delay[:, rows],
+            min_delay=self.min_delay[:, rows],
+            buffers=self.buffers[rows],
+            ntsvs=self.ntsvs[rows],
+            pattern=np.full(rows.size, -1, np.int16),
+            choice=local[:, None],
+        )
+        return frontier, sizes
+
+
+def _dp_subtree_worker(payload) -> _LevelRecord:
+    """Evaluate one shipped forest of DP subtrees in a worker process.
+
+    Rebuilds an equivalent :class:`VectorizedInsertionDp` and the forest's
+    nodes, then runs the serial spine's level driver over them.  Returns
+    the forest's store as one record keyed by the original DP node indices.
+    """
+    pdk, config, corner_pdks, primary, corner_aware, table = payload
     dp = VectorizedInsertionDp(
         pdk,
         config,
@@ -1186,34 +1570,39 @@ def _dp_subtree_worker(payload) -> dict[int, CandidateFrontier]:
         primary_index=primary,
         corner_aware=corner_aware,
     )
-    frontiers: dict[int, CandidateFrontier] = {}
-    for node in VectorizedInsertionDp._nodes_from_tables(tables):
-        frontiers[node.index] = dp._generate(node, frontiers)
-    return frontiers
+    store = FrontierStore(dp._k)
+    dp._run_levels(VectorizedInsertionDp._nodes_from_tables(table), store)
+    return store.record()
 
 
 def _validate_subtree_frontiers(result, payload) -> None:
-    """``run_tasks`` validate hook: probe a worker's frontier dict pre-merge.
+    """``run_tasks`` validate hook: probe a worker's record pre-merge.
 
-    Cheap structural checks on the main process — exact key coverage of the
-    shipped subtree, non-empty frontiers, finite cost columns — so a
-    corrupting worker counts as a failed attempt (retried, then recomputed
-    inline) instead of poisoning the serial spine above it.
+    Cheap structural checks on the main process — exact, non-empty key
+    coverage of the shipped forest, counts that add up, finite cost
+    columns — so a corrupting worker counts as a failed attempt (retried,
+    then recomputed inline) instead of poisoning the serial spine above it.
     """
-    tables = payload[5]
-    expected = {row[0] for row in tables}
-    if not isinstance(result, dict) or set(result) != expected:
-        got = sorted(result) if isinstance(result, dict) else type(result).__name__
+    expected = set(payload[5].index.tolist())
+    if not isinstance(result, _LevelRecord):
+        raise RuntimeError(
+            f"worker returned {type(result).__name__}, not a DP forest record"
+        )
+    got = [key for key, count in zip(result.keys, result.counts) if count]
+    if len(got) != len(expected) or set(got) != expected:
         raise RuntimeError(
             f"worker frontier keys mismatch: expected {sorted(expected)}, "
-            f"got {got}"
+            f"got {sorted(got)}"
         )
-    for index, frontier in result.items():
-        if frontier.size == 0:
-            raise RuntimeError(f"DP node {index}: empty frontier from worker")
-        for name in ("cap", "max_delay", "min_delay"):
-            if not np.all(np.isfinite(getattr(frontier, name))):
-                raise RuntimeError(
-                    f"DP node {index}: non-finite {name} values in a "
-                    "worker frontier"
-                )
+    if sum(result.counts) != result.frontier.size:
+        raise RuntimeError("worker record sizes do not add up")
+    for name in ("cap", "max_delay", "min_delay"):
+        values = getattr(result.frontier, name)
+        if np.isfinite(values).all():
+            continue
+        bad = int(np.flatnonzero(~np.isfinite(values).all(axis=0))[0])
+        stops = np.cumsum(result.counts)
+        index = result.keys[int(np.searchsorted(stops, bad, side="right"))]
+        raise RuntimeError(
+            f"DP node {index}: non-finite {name} values in a worker frontier"
+        )

@@ -1,9 +1,14 @@
 """Unit tests for K-means and the dual-level clustering of Section III-B."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import KMeans, dual_level_clustering
+from repro.clustering.kmeans import KMeansResult
 from repro.geometry import Point
 from repro.netlist import ClockSink
 
@@ -80,6 +85,161 @@ class TestKMeans:
             [result.members(c) for c in range(result.cluster_count)]
         )
         assert sorted(all_members.tolist()) == list(range(len(pts)))
+
+
+# ------------------------------------------------- per-cluster reference
+def reference_balance(points, centroids, labels, max_size):
+    """The greedy balancing loop over every point (the test oracle)."""
+    k = centroids.shape[0]
+    n = points.shape[0]
+    labels = labels.copy()
+    sizes = np.bincount(labels, minlength=k)
+    distances = KMeans._distances(points, centroids)
+    order = np.argsort(distances[np.arange(n), labels])[::-1]
+    for idx in order:
+        cluster = labels[idx]
+        if sizes[cluster] <= max_size:
+            continue
+        for candidate in np.argsort(distances[idx]):
+            if candidate == cluster:
+                continue
+            if sizes[candidate] < max_size:
+                labels[idx] = candidate
+                sizes[cluster] -= 1
+                sizes[candidate] += 1
+                break
+    return labels
+
+
+def reference_fit(model: KMeans, points) -> KMeansResult:
+    """Lloyd's algorithm with one ``.mean`` per cluster (the test oracle)."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    k = min(model.n_clusters, n)
+    rng = np.random.default_rng(model.seed)
+    centroids = KMeans._kmeanspp_init(pts, k, rng)
+    point_norms = np.einsum("ij,ij->i", pts, pts)
+    labels = np.zeros(n, dtype=int)
+    iterations = 0
+    for iterations in range(1, model.max_iterations + 1):
+        centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
+        distances = point_norms[:, None] + centroid_norms[None, :]
+        distances -= 2.0 * (pts @ centroids.T)
+        np.maximum(distances, 0.0, out=distances)
+        labels = np.argmin(distances, axis=1)
+        new_centroids = centroids.copy()
+        order = np.argsort(labels, kind="stable")
+        grouped = pts[order]
+        counts = np.bincount(labels, minlength=k)
+        stops = np.cumsum(counts)
+        for cluster in range(k):
+            stop = stops[cluster]
+            if counts[cluster] > 0:
+                new_centroids[cluster] = grouped[stop - counts[cluster] : stop].mean(
+                    axis=0
+                )
+            else:
+                farthest = int(np.argmax(np.min(distances, axis=1)))
+                new_centroids[cluster] = pts[farthest]
+        shift = float(np.max(np.abs(new_centroids - centroids)))
+        centroids = new_centroids
+        if shift < model.tolerance:
+            break
+    if model.max_cluster_size is not None:
+        labels = reference_balance(pts, centroids, labels, model.max_cluster_size)
+        recomputed = centroids.copy()
+        for cluster in range(k):
+            members = pts[labels == cluster]
+            if len(members) > 0:
+                recomputed[cluster] = members.mean(axis=0)
+        centroids = recomputed
+    inertia = float(np.sum((pts - centroids[labels]) ** 2))
+    return KMeansResult(labels, centroids, inertia, iterations)
+
+
+def assert_fits_identical(got: KMeansResult, want: KMeansResult) -> None:
+    assert np.array_equal(got.labels, want.labels)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.inertia == want.inertia
+    assert got.iterations == want.iterations
+
+
+@st.composite
+def point_sets(draw):
+    """(n, 2) point sets: coarse grids full of duplicates, or free floats."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    if draw(st.booleans()):
+        grid = draw(st.integers(min_value=1, max_value=6))
+        scale = draw(st.sampled_from([0.37, 1.0, 12.5, 1e3]))
+        coords = draw(
+            st.lists(st.integers(0, grid), min_size=2 * n, max_size=2 * n)
+        )
+        return np.asarray(coords, float).reshape(n, 2) * scale
+    coords = draw(
+        st.lists(
+            st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False),
+            min_size=2 * n,
+            max_size=2 * n,
+        )
+    )
+    return np.asarray(coords, float).reshape(n, 2)
+
+
+class TestLloydUpdateParity:
+    """``KMeans.fit`` (one bincount pass per iteration) equals the
+    per-cluster ``.mean`` loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        points=point_sets(),
+        n_clusters=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**16),
+        slack=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    )
+    def test_fit_matches_per_cluster_loop(self, points, n_clusters, seed, slack):
+        max_size = None
+        if slack is not None:
+            k = min(n_clusters, len(points))
+            max_size = math.ceil(len(points) / k) + slack
+        model = KMeans(n_clusters=n_clusters, seed=seed, max_cluster_size=max_size)
+        assert_fits_identical(model.fit(points), reference_fit(model, points))
+
+    @pytest.mark.parametrize("max_cluster_size", [None, 3])
+    def test_empty_clusters_reseed_like_reference(self, max_cluster_size):
+        """Two distinct points, six clusters: k-means++ duplicates
+        centroids, so clusters go empty and the reseed runs."""
+        pts = np.array([[0.0, 0.0]] * 5 + [[1.5, 2.5]] * 5)
+        model = KMeans(n_clusters=6, seed=4, max_cluster_size=max_cluster_size)
+        result = model.fit(pts)
+        if max_cluster_size is None:
+            assert (result.cluster_sizes() == 0).any()
+        assert_fits_identical(result, reference_fit(model, pts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=point_sets(),
+        k=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**16),
+        slack=st.integers(min_value=0, max_value=2),
+    )
+    def test_balance_matches_full_loop(self, points, k, seed, slack):
+        """Visiting only members of overfull clusters moves the same points."""
+        rng = np.random.default_rng(seed)
+        k = min(k, len(points))
+        centroids = points[rng.choice(len(points), size=k, replace=False)]
+        labels = rng.integers(0, k, len(points))
+        max_size = math.ceil(len(points) / k) + slack
+        got = KMeans._balance(points, centroids, labels, max_size)
+        want = reference_balance(points, centroids, labels, max_size)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_groups_match_members(self):
+        result = KMeans(n_clusters=7, seed=3).fit(blob_points(per_cluster=20))
+        groups = result.groups()
+        assert len(groups) == result.cluster_count
+        for cluster, group in enumerate(groups):
+            assert np.array_equal(group, result.members(cluster))
 
 
 def make_sinks(count, extent=200.0, seed=0):

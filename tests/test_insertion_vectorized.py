@@ -14,6 +14,8 @@ timing engine on the realised design.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,8 @@ from repro.insertion.frontier import (
     default_dp_backend,
     resolve_dp_backend,
 )
+from repro.ir.design import KIND_SINK, KIND_STEINER, DesignArrays
+from repro.netlist.clock import ClockNet
 from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech import CornerSet
 from repro.tech.layers import Side
@@ -45,11 +49,69 @@ BACKENDS = ("reference", "vectorized")
 ENGINES = ("reference", "vectorized")
 
 
-def route(pdk, count=110, extent=150.0, seed=9):
-    """A routed, unbuffered design of a random sink cloud."""
-    clock_net = make_random_clock_net(count=count, extent=extent, seed=seed)
+def route(pdk, count=110, extent=150.0, seed=9, clock_net=None):
+    """A routed, unbuffered design of a random sink cloud (or ``clock_net``)."""
+    if clock_net is None:
+        clock_net = make_random_clock_net(count=count, extent=extent, seed=seed)
     config = CtsConfig(high_cluster_size=60, low_cluster_size=8)
     return HierarchicalClockRouter(pdk, config=config).route_design(clock_net).design
+
+
+def heavy_sink_net(pdk, heavy=(3, 40, 77)):
+    """A sink cloud where a few sinks alone exceed the driver-load cap.
+
+    ``split_by_capacitance`` isolates each of them in its own leaf net, and
+    no pattern can drive such a leaf within the cap: its DP node only gets
+    candidates through the relaxed (unchecked) fallback, while the other
+    nodes of its level prune normally.
+    """
+    net = make_random_clock_net(count=110, extent=150.0, seed=9)
+    sinks = [
+        replace(sink, capacitance=1.5 * pdk.max_capacitance) if i in heavy else sink
+        for i, sink in enumerate(net.sinks)
+    ]
+    return ClockNet(net.name, net.source, sinks)
+
+
+def multiway_design() -> DesignArrays:
+    """A hand-built design with every DP node shape the level batch merges.
+
+    ``hub`` merges three trunk edges and drives a sink; ``east`` and
+    ``aux_a`` have one predecessor plus a direct sink (merged and pruned,
+    not chains); ``south`` is a pure pass-through (a chain node); ``west``
+    and ``aux`` merge two.  Levels mix these shapes, so folds finish at
+    different steps within one level, and the clock root drives two DP
+    roots.  Edges longer than the segment length add segmentation chains.
+    """
+    design = DesignArrays(name="clk")
+    root = design.add_root("root", 0.0, 0.0)
+
+    def steiner(parent, name, x, y):
+        return design.add_child(parent, name, KIND_STEINER, x, y)
+
+    def sinks(parent, tag, x, y, count, cap=0.8):
+        for i in range(count):
+            design.add_child(
+                parent, f"s_{tag}{i}", KIND_SINK, x + 6 * i, y - 4 * i, capacitance=cap
+            )
+
+    hub = steiner(root, "hub", 120.0, 90.0)
+    sinks(hub, "hub", 125.0, 92.0, 1, cap=1.1)
+    west = steiner(hub, "west", 60.0, 150.0)
+    sinks(west, "w", 50.0, 160.0, 3)
+    sinks(steiner(west, "nw", 30.0, 200.0), "nw", 25.0, 210.0, 2)
+    sinks(steiner(west, "sw", 20.0, 120.0), "sw", 15.0, 118.0, 2)
+    east = steiner(hub, "east", 190.0, 160.0)
+    sinks(east, "e", 195.0, 150.0, 1, cap=0.9)
+    sinks(steiner(east, "far", 260.0, 240.0), "f", 255.0, 250.0, 4, cap=0.7)
+    south = steiner(hub, "south", 120.0, 20.0)
+    sinks(steiner(south, "low", 150.0, 5.0), "l", 145.0, 3.0, 2, cap=1.0)
+    aux = steiner(root, "aux", 10.0, 160.0)
+    aux_a = steiner(aux, "aux_a", 15.0, 250.0)
+    sinks(aux_a, "a", 18.0, 255.0, 1)
+    sinks(steiner(aux_a, "aux_leaf", 40.0, 330.0), "al", 45.0, 340.0, 3)
+    sinks(steiner(aux, "aux_b", 70.0, 230.0), "b", 75.0, 235.0, 2)
+    return design
 
 
 def tree_shape(design) -> list[tuple]:
@@ -75,11 +137,16 @@ def run_both(
     count=110,
     seed=9,
     fanout_threshold=None,
+    make_design=None,
 ):
-    """Run the DP with both backends on identical routed designs."""
+    """Run the DP with both backends on identical routed designs (or on
+    identical ``make_design()`` designs)."""
     results, shapes = {}, {}
     for backend in BACKENDS:
-        design = route(pdk, count=count, seed=seed)
+        if make_design is None:
+            design = route(pdk, count=count, seed=seed)
+        else:
+            design = make_design()
         config = InsertionConfig(dp_backend=backend, **(config_kwargs or {}))
         results[backend] = ConcurrentInserter(
             pdk, config, engine=engine, corners=corners
@@ -186,6 +253,69 @@ class TestBackendEquivalence:
         )
         assert_backends_identical(pdk, results, shapes)
 
+    @pytest.mark.parametrize("corners", [None, SIGNOFF])
+    def test_relaxed_fallback_identical(self, pdk, corners, monkeypatch):
+        """Nodes whose every candidate breaks the load cap re-insert
+        unchecked: per node in the spec, as one sub-batch of the level in
+        the frontier DP, next to the level's normally pruned nodes."""
+        spec_calls, batches = [], []
+        spec_insert = ConcurrentInserter._insert
+        level_insert = VectorizedInsertionDp._insert_level
+
+        def spy_spec(self, dp_node, merged, enforce_driver_load=True):
+            if not enforce_driver_load:
+                spec_calls.append(dp_node.index)
+            return spec_insert(self, dp_node, merged, enforce_driver_load)
+
+        def spy_level(self, merged, seg, nodes, enforce_driver_load=True):
+            if not enforce_driver_load:
+                batches.append((len(nodes), sorted({nodes[s].index for s in seg})))
+            return level_insert(self, merged, seg, nodes, enforce_driver_load)
+
+        monkeypatch.setattr(ConcurrentInserter, "_insert", spy_spec)
+        monkeypatch.setattr(VectorizedInsertionDp, "_insert_level", spy_level)
+        net = heavy_sink_net(pdk)
+        results, shapes = run_both(
+            pdk, corners=corners, make_design=lambda: route(pdk, clock_net=net)
+        )
+        assert len(spec_calls) >= 3
+        assert sorted(i for _, relaxed in batches for i in relaxed) == sorted(
+            spec_calls
+        )
+        # The fallback nodes share their level with normally pruned nodes.
+        assert any(level > len(relaxed) for level, relaxed in batches)
+        assert_backends_identical(pdk, results, shapes)
+
+    @pytest.mark.parametrize("corners", [None, SIGNOFF])
+    @pytest.mark.parametrize("max_segment_length", [None, 60.0])
+    def test_multiway_and_chain_nodes_identical(
+        self, pdk, corners, max_segment_length
+    ):
+        """Three-way folds, one-predecessor merges and chain nodes."""
+        results, shapes = run_both(
+            pdk,
+            {"max_segment_length": max_segment_length},
+            corners=corners,
+            make_design=multiway_design,
+        )
+        dp_tree = results["vectorized"].dp_tree
+        shapes_seen = {len(node.predecessors) for node in dp_tree.nodes}
+        assert shapes_seen >= {0, 1, 2, 3}
+        assert_backends_identical(pdk, results, shapes)
+
+    @pytest.mark.parametrize("keep_resource_diversity", [False, True])
+    def test_multiway_design_diversity_identical(self, pdk, keep_resource_diversity):
+        results, shapes = run_both(
+            pdk,
+            {
+                "keep_resource_diversity": keep_resource_diversity,
+                "max_segment_length": 60.0,
+                "max_candidates_per_side": 3,
+            },
+            make_design=multiway_design,
+        )
+        assert_backends_identical(pdk, results, shapes)
+
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_property_identical_on_random_nets(self, pdk, seed):
@@ -264,6 +394,18 @@ def random_candidates(rng, n, corner_count=0):
     return candidates
 
 
+def delayed(candidate: CandidateSolution, delta: float) -> CandidateSolution:
+    """``candidate`` with ``delta`` added to its max delay (every corner)."""
+    corner_max = candidate.corner_max_delay
+    if corner_max is not None:
+        corner_max = tuple(value + delta for value in corner_max)
+    return replace(
+        candidate,
+        max_delay=candidate.max_delay + delta,
+        corner_max_delay=corner_max,
+    )
+
+
 class TestPruneSweepParity:
     """frontier._prune implements exactly prune_per_side's rule and order."""
 
@@ -320,6 +462,70 @@ class TestPruneSweepParity:
                 for c in expected
             ]
             assert got == want, (trial, corner_count, keep_resource_diversity)
+
+
+    @pytest.mark.parametrize("corner_count", [0, 5])
+    @pytest.mark.parametrize("keep_resource_diversity", [False, True])
+    @pytest.mark.parametrize("beam", [None, 1, 4])
+    def test_segmented_prune_matches_per_node(
+        self, pdk, corner_count, keep_resource_diversity, beam
+    ):
+        """One segmented prune over many nodes == prune_per_side per node.
+
+        Delays carry sub-tolerance jitter, so the staircase meets near-ties
+        within 1e-9 (the exact sequential scan) as well as clear gaps.
+        """
+        rng = np.random.default_rng(77 + corner_count)
+        config = InsertionConfig(
+            keep_resource_diversity=keep_resource_diversity,
+            max_candidates_per_side=beam,
+        )
+        dp = VectorizedInsertionDp(
+            pdk, config, [pdk] * max(1, corner_count), corner_aware=bool(corner_count)
+        )
+        for trial in range(10):
+            groups = []
+            for _ in range(int(rng.integers(1, 9))):
+                count = int(rng.integers(1, 30))
+                candidates = random_candidates(rng, count, corner_count)
+                jitter = rng.choice([0.0, 4e-10, 8e-10, 1.6e-9], len(candidates))
+                groups.append([delayed(c, d) for c, d in zip(candidates, jitter)])
+            frontier = CandidateFrontier.concatenate(
+                [frontier_from_candidates(g, corner_count) for g in groups]
+            )
+            seg = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+            pruned, pruned_seg = dp._prune_segments(frontier, seg, max_capacitance=4.0)
+            for node, candidates in enumerate(groups):
+                expected = prune_per_side(
+                    candidates,
+                    max_capacitance=4.0,
+                    keep_resource_diversity=keep_resource_diversity,
+                    max_candidates_per_side=beam,
+                )
+                rows = np.flatnonzero(pruned_seg == node)
+                got = [
+                    (
+                        int(pruned.side[i]),
+                        tuple(pruned.cap[:, i]),
+                        tuple(pruned.max_delay[:, i]),
+                        int(pruned.buffers[i]),
+                        int(pruned.ntsvs[i]),
+                    )
+                    for i in rows
+                ]
+                want = [
+                    (
+                        0 if c.up_side is Side.FRONT else 1,
+                        tuple(c.corner_capacitance)
+                        if corner_count
+                        else (c.capacitance,),
+                        tuple(c.corner_max_delay) if corner_count else (c.max_delay,),
+                        c.buffer_count,
+                        c.ntsv_count,
+                    )
+                    for c in expected
+                ]
+                assert got == want, (trial, node)
 
 
 # -------------------------------------------------------- backend resolution

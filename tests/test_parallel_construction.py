@@ -15,8 +15,8 @@ import pytest
 
 from repro.flow.config import BackendSelection, CtsConfig
 from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig
-from repro.insertion.dp_tree import build_dp_tree
-from repro.insertion.frontier import VectorizedInsertionDp
+from repro.insertion.dp_tree import DpNode, DpTree, build_dp_tree
+from repro.insertion.frontier import _MIN_FOREST, VectorizedInsertionDp
 from repro.ir.design import DesignArrays
 from repro.parallel import WORKERS_ENV_VAR, resolve_workers
 from repro.routing.hierarchical import HierarchicalClockRouter
@@ -230,6 +230,54 @@ def test_dp_below_two_subtrees_runs_serial(pdk):
     assert set(frontiers) == set(serial_frontiers)
     for name in FRONTIER_FIELDS:
         assert np.array_equal(getattr(serial_root, name), getattr(root, name)), name
+
+
+def _chain_forest_tree(spine: int, chains: tuple[int, ...]) -> DpTree:
+    """A DP tree of ``chains`` (bottom-up chains of DP nodes) merging into
+    the bottom of a ``spine``-node chain; only the shape matters here."""
+    nodes: list[DpNode] = []
+
+    def add(predecessors: list[DpNode]) -> DpNode:
+        node = DpNode(
+            index=len(nodes),
+            tree_row=len(nodes),
+            length=1.0,
+            predecessors=predecessors,
+        )
+        nodes.append(node)
+        return node
+
+    tops = []
+    for length in chains:
+        below: list[DpNode] = []
+        for _ in range(length):
+            below = [add(below)]
+        tops.append(below[0])
+    top = add(tops)
+    for _ in range(spine - 1):
+        top = add([top])
+    return DpTree(nodes=nodes, root_nodes=[top], design=None)
+
+
+def test_dp_partition_deals_fewer_forests_than_min_size():
+    """Every shipped forest holds at least ``_MIN_FOREST`` DP nodes.
+
+    324 nodes at workers=2 give a 40-node subtree target, so the shipped
+    subtrees are the 40-, 20- and 4-node chains: dealt into two forests the
+    lighter one would carry 24 nodes, so they are dealt into one forest
+    fewer, and one forest ships nothing.  Into three workers a 100-, 100-
+    and 10-node split keeps two forests of 100 and 110 nodes.
+    """
+    assert _MIN_FOREST == 32
+    tree = _chain_forest_tree(260, (40, 20, 4))
+    assert len(tree.nodes) == 324
+    assert VectorizedInsertionDp._partition_dp_subtrees(tree, 2) == []
+
+    tree = _chain_forest_tree(1500, (100, 100, 10))
+    forests = VectorizedInsertionDp._partition_dp_subtrees(tree, 3)
+    assert sorted(len(forest) for forest in forests) == [100, 110]
+    for forest in forests:
+        assert [n.index for n in forest] == sorted(n.index for n in forest)
 
 
 def test_dp_subtree_tables_roundtrip(pdk):
