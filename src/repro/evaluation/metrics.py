@@ -166,7 +166,9 @@ def evaluate_tree(
         )
     if timing_engine is None:
         timing_engine = create_engine(pdk, engine, corners=corners)
-    timing = timing_engine.analyze(arrays)
+    # The metrics are scalars: no slews, so a warm engine never re-propagates
+    # them on its incremental path.
+    timing = timing_engine.analyze(arrays, with_slew=False)
     corner_skews: dict[str, float] = {}
     corner_latencies: dict[str, float] = {}
     if len(timing_engine.corners) > 1:

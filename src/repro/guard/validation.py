@@ -454,18 +454,22 @@ def edit_log_anomaly(design: DesignArrays) -> str | None:
 
 # ------------------------------------------------------------------ results
 def timing_anomaly(timing: "TimingResult | None") -> str | None:
-    """Non-finite or negative sink arrivals in a timing result."""
+    """Non-finite or negative sink arrivals in a timing result.
+
+    Screens the result's arrival array; sink names are looked up only for
+    an actual anomaly.
+    """
     if timing is None:
         return None
-    arrivals = timing.arrivals
-    values = np.fromiter(arrivals.values(), dtype=float, count=len(arrivals))
-    # Fast screen first; names are only materialized on an actual anomaly.
-    if np.isfinite(values).all() and not (values < 0).any():
+    values = timing.arrival_array
+    finite = np.isfinite(values)
+    if finite.all() and not (values < 0).any():
         return None
-    bad = [name for name, value in arrivals.items() if not math.isfinite(value)]
+    names = timing.sink_names
+    bad = [names[i] for i in np.flatnonzero(~finite)]
     if bad:
         return f"timing: {len(bad)} non-finite sink arrivals (e.g. {sorted(bad)[:3]})"
-    negative = [name for name, value in arrivals.items() if value < 0]
+    negative = [names[i] for i in np.flatnonzero(values < 0)]
     return (
         f"timing: {len(negative)} negative sink arrivals "
         f"(e.g. {sorted(negative)[:3]})"

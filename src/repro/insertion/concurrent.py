@@ -117,7 +117,8 @@ class InsertionResult:
 
     ``timing`` always reports the primary (nominal) corner;
     ``timing_per_corner`` carries one result per scenario when the DP ran
-    corner-aware (and is ``None`` for nominal-only runs).
+    corner-aware (and is ``None`` for nominal-only runs).  Both are analysed
+    without slews, so their ``slews`` are empty.
     """
 
     tree: DesignArrays
@@ -250,7 +251,9 @@ class ConcurrentInserter:
             selected = self._select(root_candidates)
             self._top_down(dp_tree, candidates, selected)
 
-        timing = self._engine.analyze(design)
+        # Only latency and skew of the closing analysis are read (and the
+        # guard screens its arrivals): no slews.
+        timing = self._engine.analyze(design, with_slew=False)
         timing_per_corner = (
             self._engine.analyze_corners(design, with_slew=False)
             if self._corner_aware

@@ -10,7 +10,11 @@ reply so pipelining clients can match answers to questions):
                 ``scale``) or an inline net ``{"name", "source": {"x","y"},
                 "sinks": [{"name","x","y","cap"}, ...]}``; optional
                 ``corners`` spec string.  Replies with the session ``key``,
-                ``cached`` flag, the metrics row, and build diagnostics.
+                ``cached`` flag, ``fingerprint``, the metrics row, and build
+                diagnostics.  A fresh build reports its flow's metrics; a
+                cached one reports the session's committed state, the row
+                a ``query`` gives (plus the build's ``runtime_s``), so its
+                metrics always match its ``fingerprint``.
 ``what_if``     apply hypothetical ``edits`` to a cached ``session`` and
                 reply with the re-evaluated metrics row; ``commit`` (default
                 false) keeps the edits, otherwise they are reverted after
@@ -21,7 +25,8 @@ reply so pipelining clients can match answers to questions):
 ``sessions``    list cached session keys and per-session stats.
 ``evict``       drop ``session`` from the cache.
 ``ping``        liveness probe.
-``shutdown``    stop the server after replying.
+``shutdown``    stop the server after replying: replies already being
+                computed are finished, idle connections are closed.
 ==============  =============================================================
 
 Replies are ``{"id": ..., "ok": true, "result": {...}}`` or ``{"id": ...,

@@ -196,12 +196,21 @@ class CtsServer:
             session = build_session(self.pdk, net, config, design_name=name)
             evicted = self.sessions.put(session)
         run = session.run
+        if cached:
+            # Committed what-ifs may have moved the session past its build:
+            # answer for the state the fingerprint names, as a query does.
+            state = session.query()
+            fingerprint = state["fingerprint"]
+            metrics = dict(state["metrics"], runtime_s=round(run.metrics.runtime, 3))
+        else:
+            fingerprint = session.fingerprint()
+            metrics = dict(run.metrics.as_row())
         result: dict[str, Any] = {
             "session": session.key,
             "cached": cached,
             "design": session.design_name,
-            "fingerprint": session.fingerprint(),
-            "metrics": dict(run.metrics.as_row()),
+            "fingerprint": fingerprint,
+            "metrics": metrics,
             "diagnostics": {
                 "guard": [asdict(d) for d in run.guard_diagnostics],
                 "parallel": {
@@ -238,24 +247,37 @@ class CtsServer:
         request line over :data:`MAX_REQUEST_BYTES` is answered with a
         ``RequestTooLarge`` error reply (``id`` null) and the connection
         reads on.
+
+        Shutdown drains: the connection that asked for it writes its reply
+        and then sets the stop event.  The listener closes, every reply
+        already being computed is finished and written, and idle
+        connections are closed without waiting for their clients.
         """
         loop = asyncio.get_running_loop()
         executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="dscts-serve"
         )
+        stop = asyncio.Event()
+        handlers: set[asyncio.Task] = set()
+        idle: set[asyncio.StreamWriter] = set()  # connections awaiting a request
 
         async def handle(
             reader: asyncio.StreamReader, writer: asyncio.StreamWriter
         ) -> None:
+            task = asyncio.current_task()
+            handlers.add(task)
             try:
-                while True:
+                while not stop.is_set():
+                    idle.add(writer)
                     try:
                         line = await _read_request(reader)
                     except RequestTooLarge as exc:
-                        reply = encode_reply(error_reply(None, exc))
-                    else:
-                        if not line:
-                            break
+                        line, reply = None, encode_reply(error_reply(None, exc))
+                    finally:
+                        idle.discard(writer)
+                    if stop.is_set() or line == b"":
+                        break  # end of stream, or closed while idle at shutdown
+                    if line is not None:
                         text = line.decode("utf-8", errors="replace")
                         if not text.strip():
                             continue
@@ -267,9 +289,12 @@ class CtsServer:
                     if self._shutdown.is_set():
                         break
             finally:
+                handlers.discard(task)
                 writer.close()
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
+                if self._shutdown.is_set():
+                    stop.set()
 
         server = await asyncio.start_server(
             handle, host, port, limit=MAX_REQUEST_BYTES
@@ -279,8 +304,15 @@ class CtsServer:
         print(f"serving on {bound[0]}:{bound[1]}", flush=True)
         try:
             async with server:
-                while not self._shutdown.is_set():
-                    await asyncio.sleep(0.05)
+                await stop.wait()
+                server.close()
+                # Closing an idle connection ends its pending read; busy ones
+                # write the reply they are computing, then stop.  This runs
+                # before ``__aexit__``: from Python 3.12.1 its ``wait_closed``
+                # waits until every connection has dropped.
+                for writer in list(idle):
+                    writer.close()
+                await asyncio.gather(*handlers, return_exceptions=True)
         finally:
             executor.shutdown(wait=True)
 

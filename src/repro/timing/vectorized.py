@@ -41,9 +41,11 @@ differential testing (see :mod:`repro.timing.factory`).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from repro.ir.design import KIND_BUFFER, KIND_NTSV, KIND_ROOT, KIND_SINK, DesignArrays
+from repro.ir.design import KIND_BUFFER, KIND_NTSV, KIND_ROOT, DesignArrays
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
@@ -75,27 +77,27 @@ class _EngineState:
         "slew_at",
         "slew_out",
         "slews_valid",
-        "result_version",
-        "result_arrivals",
-        "result_slews",
         "sink_rows_cache",
         "sink_arrival",
         "sink_col",
+        "sink_names",
     )
 
     def __init__(self, arrays: DesignArrays, corner_count: int) -> None:
         self.arrays = arrays
         self.version = -1
-        self.result_version = -1
-        self.result_arrivals: dict[str, float] | None = None
-        self.result_slews: dict[str, float] | None = None
         # Contiguous (corners, sinks) gather of the sink arrivals, kept fresh
         # across incremental edits so skew/latency queries skip the per-call
         # fancy-index gather (the dominant cost of the refinement trial loop
-        # on large trees).  None until the first query builds it.
+        # on large trees), and every timing result is a row copy of it.
+        # ``sink_col`` maps a row to its column (-1 for non-sinks) over the
+        # rows that existed when the matrix was built; ``sink_names`` is the
+        # name tuple results carry, built on the first ``analyze``.  All
+        # None until the first query builds the matrix, and dropped with it.
         self.sink_rows_cache: np.ndarray | None = None
         self.sink_arrival: np.ndarray | None = None
-        self.sink_col: dict[int, int] | None = None
+        self.sink_col: np.ndarray | None = None
+        self.sink_names: tuple[str, ...] | None = None
         n = arrays.capacity
         k = corner_count
         self.wire_cap = np.zeros((k, n))
@@ -113,6 +115,7 @@ class _EngineState:
         self.sink_rows_cache = None
         self.sink_arrival = None
         self.sink_col = None
+        self.sink_names = None
 
     def ensure_capacity(self) -> None:
         """Grow the numeric arrays in lockstep with the design's rows."""
@@ -479,7 +482,7 @@ class VectorizedElmoreEngine(ElmoreModel):
         rows = np.fromiter(changed, dtype=np.int64, count=len(changed))
         self._refresh_stage(state, rows)
         self._refresh_wire_delay(state, rows)
-        retimed: list[int] = []
+        retimed: list[np.ndarray] = []
         for top in self._merge_tops(state, tops):
             self._retime_cone(state, top, retimed)
         self._patch_sink_arrivals(state, retimed)
@@ -528,12 +531,12 @@ class VectorizedElmoreEngine(ElmoreModel):
         return merged
 
     def _retime_cone(
-        self, state: _EngineState, top: int, retimed: list[int] | None = None
+        self, state: _EngineState, top: int, retimed: list[np.ndarray]
     ) -> None:
         """Recompute arrivals (and slews when valid) strictly below ``top``.
 
-        ``retimed`` (when given) collects every row whose arrival was
-        rewritten, so the cached sink-arrival gather can be patched in place.
+        ``retimed`` collects the row arrays whose arrivals were rewritten, so
+        the cached sink-arrival gather can be patched in place.
         """
         arrays = state.arrays
         if state.slews_valid and arrays.kind[top] == KIND_BUFFER:
@@ -545,9 +548,8 @@ class VectorizedElmoreEngine(ElmoreModel):
                 )
         frontier = list(arrays.children_rows[top])
         while frontier:
-            if retimed is not None:
-                retimed.extend(frontier)
             rows = np.asarray(frontier, dtype=np.int64)
+            retimed.append(rows)
             parents = arrays.parent_row[rows]
             state.arrival[:, rows] = (
                 state.arrival[:, parents]
@@ -590,19 +592,23 @@ class VectorizedElmoreEngine(ElmoreModel):
             or state.sink_col is None
             or not self._sink_rows_current(state.sink_rows_cache, sink_rows)
         ):
-            state.sink_rows_cache = sink_rows
+            state.drop_sink_arrivals()
             state.sink_arrival = state.arrival[:, sink_rows].copy()
-            state.sink_col = {int(row): col for col, row in enumerate(sink_rows)}
-        else:
-            state.sink_rows_cache = sink_rows
+            state.sink_col = np.full(state.arrays.size, -1, dtype=np.int64)
+            state.sink_col[sink_rows] = np.arange(sink_rows.size)
+        state.sink_rows_cache = sink_rows
         return state.sink_arrival
 
-    def _patch_sink_arrivals(self, state: _EngineState, retimed: list[int]) -> None:
+    def _patch_sink_arrivals(
+        self, state: _EngineState, retimed: list[np.ndarray]
+    ) -> None:
         """Refresh the cached sink-arrival columns touched by an edit batch.
 
-        When the edit changed the sink *set* itself (a retimed row is not a
-        known column, or sinks vanished) — or the cached row vector is gone —
-        the cache is dropped and rebuilt on the next query.
+        When the edit changed the sink *set* itself — or the cached row
+        vector is gone — the cache is dropped and rebuilt on the next query.
+        Otherwise one gather/scatter through ``sink_col`` copies the retimed
+        sinks' arrivals into their columns; rows appended since the matrix
+        was built lie past ``sink_col`` and cannot be sinks it knows.
         """
         if state.sink_arrival is None or state.sink_col is None:
             return
@@ -611,75 +617,55 @@ class VectorizedElmoreEngine(ElmoreModel):
             state.drop_sink_arrivals()
             return
         state.sink_rows_cache = sink_rows
-        kind = state.arrays.kind
-        cols = []
-        rows = []
-        for row in retimed:
-            if kind[row] != KIND_SINK:
-                continue
-            col = state.sink_col.get(int(row))
-            if col is None:  # pragma: no cover - caught by the set check above
-                state.drop_sink_arrivals()
-                return
-            cols.append(col)
-            rows.append(row)
-        if cols:
-            state.sink_arrival[:, cols] = state.arrival[:, rows]
+        if not retimed:
+            return
+        rows = np.concatenate(retimed)
+        rows = rows[rows < state.sink_col.size]
+        cols = state.sink_col[rows]
+        known = cols >= 0
+        state.sink_arrival[:, cols[known]] = state.arrival[:, rows[known]]
+
+    @staticmethod
+    def _sink_names(state: _EngineState) -> tuple[str, ...]:
+        """The name tuple of the cached sink-arrival matrix's columns."""
+        if state.sink_names is None:
+            names = state.arrays.names
+            state.sink_names = tuple(
+                [names[row] for row in state.sink_rows_cache.tolist()]
+            )
+        return state.sink_names
 
     # ---------------------------------------------------------------- analyze
     def analyze(self, design: DesignArrays, with_slew: bool = True) -> TimingResult:
-        """Run a full (or incremental) analysis; reports the primary corner."""
-        state = self._sync(design, need_slews=with_slew)
-        arrays = state.arrays
-        sink_rows = self._checked_sink_rows(arrays)
-        if state.result_version != state.version:
-            state.result_version = state.version
-            state.result_arrivals = None
-            state.result_slews = None
-        if state.result_arrivals is None:
-            names = self._sink_names(arrays, sink_rows)
-            state.result_arrivals = dict(
-                zip(
-                    names,
-                    self._sink_arrival_matrix(state)[self._primary].tolist(),
-                )
-            )
-        slews: dict[str, float] = {}
-        if with_slew:
-            if state.result_slews is None:
-                names = list(state.result_arrivals)
-                state.result_slews = dict(
-                    zip(names, state.slew_at[self._primary][sink_rows].tolist())
-                )
-            slews = dict(state.result_slews)
-        # Hand out copies so callers mutating a TimingResult (the reference
-        # engine builds fresh dicts per call) cannot corrupt the cache.
-        return TimingResult(arrivals=dict(state.result_arrivals), slews=slews)
+        """Run a full (or incremental) analysis; reports the primary corner.
+
+        The result is a row copy of the cached sink-arrival matrix (plus the
+        sink slews when ``with_slew``); its dicts are built only if read.
+        """
+        return self._results(design, with_slew, (self._primary,))[0]
 
     def analyze_corners(
         self, design: DesignArrays, with_slew: bool = True
     ) -> dict[str, TimingResult]:
         """One batched pass, one :class:`TimingResult` per corner name."""
-        state = self._sync(design, need_slews=with_slew)
-        arrays = state.arrays
-        sink_rows = self._checked_sink_rows(arrays)
-        names = self._sink_names(arrays, sink_rows)
-        sink_arrival = self._sink_arrival_matrix(state)
-        results: dict[str, TimingResult] = {}
-        for k, scenario in enumerate(self.corners):
-            arrivals = dict(zip(names, sink_arrival[k].tolist()))
-            slews = (
-                dict(zip(names, state.slew_at[k, sink_rows].tolist()))
-                if with_slew
-                else {}
-            )
-            results[scenario.name] = TimingResult(arrivals=arrivals, slews=slews)
-        return results
+        results = self._results(design, with_slew, range(len(self.corners)))
+        return dict(zip(self.corners.names, results))
 
-    @staticmethod
-    def _sink_names(design: DesignArrays, sink_rows: np.ndarray) -> list[str]:
-        names = design.names
-        return [names[int(row)] for row in sink_rows]
+    def _results(
+        self, design: DesignArrays, with_slew: bool, corners: Iterable[int]
+    ) -> list[TimingResult]:
+        """One result per corner index, from the cached sink-arrival rows."""
+        state = self._sync(design, need_slews=with_slew)
+        self._checked_sink_rows(state.arrays)
+        sink_arrival = self._sink_arrival_matrix(state)
+        names = self._sink_names(state)
+        rows = state.sink_rows_cache
+        return [
+            TimingResult.from_arrays(
+                names, sink_arrival[k], state.slew_at[k, rows] if with_slew else None
+            )
+            for k in corners
+        ]
 
     @staticmethod
     def _checked_sink_rows(design: DesignArrays) -> np.ndarray:

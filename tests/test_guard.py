@@ -55,6 +55,7 @@ from repro.tech import CornerSet
 from repro.tech.corners import Scenario
 from repro.tech.layers import MetalStack
 from repro.tech.nldm import NldmTable
+from repro.timing import TimingResult
 from tests.conftest import make_random_clock_net
 from tests.harness import assert_clock_trees_identical
 
@@ -352,7 +353,7 @@ class TestResultProbes:
 
     @staticmethod
     def timing(arrivals):
-        return SimpleNamespace(arrivals=arrivals)
+        return TimingResult(arrivals=arrivals)
 
     def test_timing_clean_and_none(self):
         assert timing_anomaly(None) is None

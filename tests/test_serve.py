@@ -36,6 +36,7 @@ from repro.serve import (
 from repro.serve.protocol import SessionError
 from repro.serve.server import MAX_REQUEST_BYTES
 from repro.tech import asap7_backside
+from repro.timing import TimingResult
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +69,10 @@ def serving_tcp(server: CtsServer):
     """Run ``server.serve_tcp`` on an ephemeral port in a thread.
 
     Yields the port scraped from the announced discovery line (the same
-    contract clients rely on); on exit, asks a still-running server to shut
-    down and checks that it stopped.
+    contract clients rely on); on exit, asks a server no client has shut
+    down to stop, and checks that it stopped.  A server that already
+    answered a ``shutdown`` is only waited for: it closes its listener
+    while it stops, so a second request would race that close.
     """
     printed: list[str] = []
     original_print = builtins.print
@@ -98,7 +101,7 @@ def serving_tcp(server: CtsServer):
     try:
         yield port
     finally:
-        if thread.is_alive():
+        if not server._shutdown.is_set():
             with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
                 sock.sendall(b'{"op": "shutdown"}\n')
                 sock.makefile("rb").readline()
@@ -165,6 +168,23 @@ class TestBuildAndCache:
         assert second["ok"]
         assert second["result"]["cached"] is True
         assert second["result"]["session"] == first["result"]["session"]
+
+    def test_cached_build_reports_the_committed_state(self, pdk):
+        """A cached build answers for the state its fingerprint names."""
+        server = CtsServer(pdk, CtsConfig())
+        spec = net_spec(random_sink_cloud(40, seed=5))
+        first = rpc(server, op="build", design=spec)["result"]
+        key = first["session"]
+        committed = rpc(server, op="what_if", session=key, edits=EDITS, commit=True)
+        assert committed["result"]["committed"] is True
+        again = rpc(server, op="build", design=spec)["result"]
+        query = rpc(server, op="query", session=key)["result"]
+        assert again["cached"] is True
+        assert again["fingerprint"] == query["fingerprint"] != first["fingerprint"]
+        assert set(again["metrics"]) == set(first["metrics"])
+        assert again["metrics"]["buffers"] == first["metrics"]["buffers"] + 1
+        assert again["metrics"].pop("runtime_s") == first["metrics"]["runtime_s"]
+        assert again["metrics"] == query["metrics"]
 
     def test_different_corners_are_different_sessions(self, pdk):
         server = CtsServer(pdk, CtsConfig())
@@ -286,6 +306,33 @@ class TestWhatIf:
             session.what_if([{"kind": "insert_buffer", "node": sink}])
         assert engine.full_compiles == compiles
         assert engine.incremental_updates > 0
+
+    def test_session_engine_skips_slews_and_name_dicts(self, pdk, monkeypatch):
+        """Warm replies read only scalars: the session's engine never
+        propagates slews, and no reply builds a per-sink arrivals dict."""
+        built: list[TimingResult] = []
+        arrivals = TimingResult.arrivals
+        monkeypatch.setattr(
+            TimingResult,
+            "arrivals",
+            property(lambda result: built.append(result) or arrivals.fget(result)),
+        )
+        server = CtsServer(pdk, CtsConfig())
+        spec = net_spec(random_sink_cloud(60, seed=2))
+        key = rpc(server, op="build", design=spec)["result"]["session"]
+        session = server.sessions.get(key)
+        engine = session._engine(session._corner_set(None))
+        assert rpc(server, op="query", session=key)["ok"]
+        assert engine._state.slews_valid is False
+        sinks = [session.design.names[r] for r in session.design.sink_rows().tolist()]
+        built.clear()  # the flow's own stages may read dicts; replies may not
+        for i in range(100):
+            edit = {"kind": "insert_buffer", "node": sinks[(7 * i) % len(sinks)]}
+            reply = rpc(server, op="what_if", session=key, edits=[edit])
+            assert reply["ok"], reply
+            assert engine._state.slews_valid is False
+        assert built == []
+        assert engine.full_compiles == 1
 
     def test_bad_edits_surface_and_leave_design_intact(self, pdk):
         net = random_sink_cloud(30, seed=3)
@@ -477,6 +524,79 @@ class TestConcurrency:
                 replies = [json.loads(stream.readline()) for _ in requests]
         assert [r["id"] for r in replies] == [1, 2, 3]
         assert all(r["ok"] for r in replies)
+
+
+class SlowShutdown(CtsServer):
+    """Replies to ``shutdown`` 0.2 s after raising the stop flag."""
+
+    def _op_shutdown(self, request):
+        reply = super()._op_shutdown(request)
+        time.sleep(0.2)
+        return reply
+
+
+class SlowPing(CtsServer):
+    """Takes 0.3 s to answer ``ping``; ``started`` is set once it runs."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.started = threading.Event()
+
+    def _op_ping(self, request):
+        self.started.set()
+        time.sleep(0.3)
+        return super()._op_ping(request)
+
+
+class TestShutdownDrain:
+    """``shutdown`` over TCP: its own reply and replies being computed are
+    written; idle connections are closed without waiting for their clients."""
+
+    @pytest.fixture(autouse=True)
+    def wait_closed_waits_for_connections(self, monkeypatch):
+        """Give ``asyncio.Server.wait_closed`` its Python >= 3.12.1 meaning.
+
+        From 3.12.1 it also waits for every accepted connection to drop;
+        before, it returns once the listener is closed.  On an older Python
+        the method is replaced by the 3.12.1 body, so a drain that closes
+        idle connections only after ``wait_closed`` hangs on every version.
+        """
+        if sys.version_info >= (3, 12, 1):
+            return
+
+        async def wait_closed(server):
+            if server._waiters is None:
+                return
+            waiter = server._loop.create_future()
+            server._waiters.append(waiter)
+            await waiter
+
+        monkeypatch.setattr(asyncio.base_events.Server, "wait_closed", wait_closed)
+
+    def test_shutdown_reply_survives_a_slow_reply_path(self, pdk):
+        with serving_tcp(SlowShutdown(pdk, CtsConfig())) as port:
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b'{"op": "shutdown", "id": 1}\n')
+                reply = sock.makefile("rb").readline()
+        assert json.loads(reply) == {"id": 1, "ok": True, "result": {"stopping": True}}
+
+    def test_in_flight_reply_is_finished_and_idle_connection_closed(self, pdk):
+        server = SlowPing(pdk, CtsConfig(), workers=2)
+        with serving_tcp(server) as port, contextlib.ExitStack() as stack:
+            idle = stack.enter_context(
+                socket.create_connection(("127.0.0.1", port), timeout=30)
+            )
+            busy = stack.enter_context(
+                socket.create_connection(("127.0.0.1", port), timeout=30)
+            )
+            busy.sendall(b'{"op": "ping", "id": 1}\n')
+            assert server.started.wait(30), "the ping never started"
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b'{"op": "shutdown", "id": 2}\n')
+                assert json.loads(sock.makefile("rb").readline())["ok"]
+            pong = json.loads(busy.makefile("rb").readline())
+            assert pong["id"] == 1 and pong["result"]["pong"] is True
+            assert idle.makefile("rb").readline() == b""
 
 
 class TestOversizedRequests:
