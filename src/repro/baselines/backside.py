@@ -9,8 +9,7 @@ between the methods, so this module exposes one :func:`assign_backside` over
 an explicit edge list.
 
 An edge is named by the row of its downstream (child) node in a
-:class:`~repro.ir.design.DesignArrays`.  A timing query may compact the
-design and renumber its rows, so methods select rows after their last one.
+:class:`~repro.ir.design.DesignArrays`.
 """
 
 from __future__ import annotations

@@ -45,11 +45,7 @@ class TimingCriticalBacksideOptimizer(BacksideOptimizerBase):
         return list(selected)
 
     def _critical_endpoints(self, design: DesignArrays) -> list[int]:
-        """The ``critical_fraction`` most critical end-point rows, worst first.
-
-        Ranking times ``design``, which may compact it and renumber its rows:
-        callers read every other row after this call.
-        """
+        """The ``critical_fraction`` most critical end-point rows, worst first."""
         endpoints = self._rank_endpoints(design)
         if not endpoints:
             return []

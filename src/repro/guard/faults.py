@@ -98,8 +98,13 @@ def poke_negative_capacitance(design: DesignArrays) -> None:
 
 
 def drop_sink(design: DesignArrays) -> None:
-    """Silently lose one sink subtree (the PR-5 silent-sink-drop bug class)."""
-    design.detach_subtree(int(design.sink_rows()[0]))
+    """Silently lose one sink (the silent-sink-drop bug class).
+
+    The first sink row turns into a Steiner leaf: the tree stays connected
+    and valid, but one flip-flop is no longer clocked.
+    """
+    design.kind[int(design.sink_rows()[0])] = KIND_STEINER
+    design._invalidate()  # touch() alone keeps the cached sink_rows()
     design.touch()
 
 

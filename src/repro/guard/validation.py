@@ -83,8 +83,8 @@ def design_cache_key(
     built tree — plus the PDK and corner identity, so two requests share a
     session exactly when they would build the same tree and time it the same
     way.  Floats hash by ``float.hex()`` (exact, no repr rounding) and built
-    designs hash their *alive* rows in name order with parent *names*, so
-    tombstones, row renumbering, and compaction never change the key.
+    designs hash their rows in name order with parent *names*, so the order
+    the rows were created in never changes the key.
     """
     hasher = hashlib.sha256()
     if isinstance(design, DesignArrays):
@@ -421,8 +421,8 @@ def edit_log_anomaly(design: DesignArrays) -> str | None:
     The log must carry known edit kinds with strictly increasing versions,
     splice/rewire entries must name their row, and the newest entry must
     match the design version (an edited design with a pruned or stale log
-    would silently desync every incremental consumer).  ``compact()``'s
-    collapsed single-touch log is coherent.
+    would silently desync every incremental consumer).  ``restore()``'s
+    single-touch log is coherent.
     """
     edits = design.edit_log
     if not edits:

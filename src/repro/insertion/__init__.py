@@ -16,17 +16,15 @@ This package contains the paper's primary contribution:
   Fig. 10 comparison.
 * :mod:`repro.insertion.concurrent` — the multi-objective dynamic program:
   bottom-up generation, multi-objective selection, top-down decision, and
-  realisation of the chosen patterns on the design rows.
+  realisation of the chosen patterns on the design rows.  The paper's "Our
+  Buffered Clock Tree" is the same DP on a front-side-only PDK
+  (:class:`repro.flow.SingleSideCTS`).
 * :mod:`repro.insertion.frontier` — the vectorized DP backend: candidate
   sets as :class:`CandidateFrontier` struct-of-arrays with broadcast merges,
   batched pattern costs, and vectorized pruning sweeps.  Selected via
   ``InsertionConfig.dp_backend`` / ``REPRO_DP_BACKEND`` (default
   ``vectorized``); the per-candidate DP in ``concurrent`` is the executable
   spec.
-* :mod:`repro.insertion.vanginneken` — the textbook van Ginneken algorithm
-  on a single wire, for testing and teaching.  The paper's "Our Buffered
-  Clock Tree" is the same concurrent DP on a front-side-only PDK
-  (:class:`repro.flow.SingleSideCTS`).
 """
 
 from repro.insertion.patterns import EdgePattern, InsertionMode, PATTERNS, patterns_for

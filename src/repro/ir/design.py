@@ -3,15 +3,21 @@
 :class:`DesignArrays` is the one design object the flow threads through
 clustering → topology → DME → insertion → refinement → evaluation, and the
 only representation both timing engines read:
-its ``parent_row`` / ``kind`` / ``edge_length`` / ``wire_front`` / ``cap`` /
-``alive`` columns, ``children_rows``, ``levels()`` and ``sink_rows()`` are
-what :class:`~repro.timing.VectorizedElmoreEngine`'s level-batched passes
-read directly, and :class:`~repro.timing.ElmoreTimingEngine` walks the same
-rows one at a time (wire lengths from the coordinates).  Beyond that timing
-view it carries what a *design* needs: names, coordinates, node sides, and
-the name counter behind every fresh node name.  It is the only editing API
-for clock trees (flow stages and baselines alike).  This module owns the
-row format, including the integer ``kind`` codes (:data:`KIND_CODE`).
+its ``parent_row`` / ``kind`` / ``edge_length`` / ``wire_front`` / ``cap``
+columns, ``children_rows``, ``levels()`` and ``sink_rows()`` are what
+:class:`~repro.timing.VectorizedElmoreEngine`'s level-batched passes read
+directly, and :class:`~repro.timing.ElmoreTimingEngine` walks the same rows
+one at a time (wire lengths from the coordinates).  Neither engine writes
+to the design.  Beyond that timing view it carries what a *design* needs:
+names, coordinates, node sides, and the name counter behind every fresh
+node name.  It is the only editing API for clock trees (flow stages and
+baselines alike).  This module owns the row format, including the integer
+``kind`` codes (:data:`KIND_CODE`).
+
+Rows are append-only: every new node takes the next row, and the only row
+that can be removed is the newest one (:meth:`remove_leaf`, which undoes a
+trial insertion).  A row number therefore names the same node for the
+design's whole life; only :meth:`restore` rewinds the rows.
 
 Structural edits are recorded in a bounded edit log (``mark_splice`` /
 ``mark_rewire`` / ``touch``) of ``(version, kind, row)`` entries, and the
@@ -26,6 +32,8 @@ coordinates, and the name counter are bit-preserved both ways), and
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro.clocktree.node import ClockTreeNode, NodeKind
@@ -33,9 +41,8 @@ from repro.clocktree.tree import ClockTree, ConnectivityError
 from repro.geometry import Point
 from repro.tech.layers import Side
 
-#: Edit-log length beyond which the log is collapsed into a single full
-#: invalidation (past this point a fresh compile is cheaper than replaying
-#: hundreds of patches).
+#: Edits the log keeps; the oldest entry drops out past this window, and an
+#: observer older than the window recompiles.
 _MAX_EDIT_LOG = 256
 
 #: Integer codes of :class:`NodeKind` stored in the ``kind`` column.
@@ -59,17 +66,11 @@ KIND_OF_CODE: tuple[NodeKind, ...] = tuple(
 class DesignArrays:
     """A persistent, editable struct-of-arrays clock-tree design.
 
-    Row 0 is always the clock root.  ``size`` counts allocated rows
-    including tombstones; ``alive`` filters.  Children order is part of the
-    design: it fixes the breadth-first row order the timing passes sum in,
-    and :meth:`to_clock_tree` realises it node for node.
-
-    .. warning:: Row indices are only stable between compactions.  Any
-       engine sync may compact (``VectorizedElmoreEngine._compile`` calls
-       :meth:`compact`, renumbering every row), so held row indices
-       must be re-resolved through ``name_to_row`` after handing the design
-       to an engine or crossing a stage boundary.  Names are the stable
-       handle; rows are a transient one.
+    Row 0 is always the clock root and rows ``0..size-1`` are the nodes,
+    in creation order (not breadth-first once a node is spliced in).
+    Children order is part of the design: it fixes the order the timing
+    passes sum each node's children in, and :meth:`to_clock_tree` realises
+    it node for node.
     """
 
     __slots__ = (
@@ -81,13 +82,11 @@ class DesignArrays:
         "edge_length",
         "wire_front",
         "cap",
-        "alive",
         "x",
         "y",
         "side_front",
         "children_rows",
         "name_to_row",
-        "dead_count",
         "_dup_names",
         "_counter",
         "_version",
@@ -95,34 +94,32 @@ class DesignArrays:
         "_levels",
         "_sink_rows",
         "_alive_rows",
-        "_bfs_clean",
     )
 
     def __init__(self, name: str = "clk", capacity: int = 64) -> None:
         capacity = max(1, int(capacity))
         self.name = name
         self.size = 0
-        self.names: list[str | None] = []
+        self.names: list[str] = []
         self.parent_row = np.full(capacity, -1, dtype=np.int64)
         self.kind = np.zeros(capacity, dtype=np.int8)
         self.edge_length = np.zeros(capacity, dtype=np.float64)
         self.wire_front = np.ones(capacity, dtype=bool)
         self.cap = np.zeros(capacity, dtype=np.float64)
-        self.alive = np.ones(capacity, dtype=bool)
         self.x = np.zeros(capacity, dtype=np.float64)
         self.y = np.zeros(capacity, dtype=np.float64)
         self.side_front = np.ones(capacity, dtype=bool)
         self.children_rows: list[list[int]] = []
         self.name_to_row: dict[str, int] = {}
-        self.dead_count = 0
         self._dup_names: set[str] = set()
         self._counter = 0
         self._version = 0
-        self._edits: list[tuple[int, str, int | None]] = []
+        self._edits: deque[tuple[int, str, int | None]] = deque(
+            maxlen=_MAX_EDIT_LOG
+        )
         self._levels: list[np.ndarray] | None = None
         self._sink_rows: np.ndarray | None = None
         self._alive_rows: np.ndarray | None = None
-        self._bfs_clean = True
 
     # ------------------------------------------------------- edit tracking
     @property
@@ -133,8 +130,6 @@ class DesignArrays:
     def _record(self, kind: str, row: int | None) -> None:
         self._version += 1
         self._edits.append((self._version, kind, row))
-        if len(self._edits) > _MAX_EDIT_LOG:
-            self._edits = [(self._version, "touch", None)]
 
     def mark_splice(self, row: int) -> None:
         """Record that ``row`` was spliced onto the edge above its only child."""
@@ -154,7 +149,8 @@ class DesignArrays:
         return tuple(self._edits)
 
     def edits_since(self, version: int) -> list[tuple[int, str, int | None]] | None:
-        """Edits recorded after ``version``, or None when the log was pruned."""
+        """Edits recorded after ``version``, or None when ``version`` is
+        older than the log's window (the caller recompiles)."""
         if version == self._version:
             return []
         if not self._edits or self._edits[0][0] > version + 1:
@@ -172,7 +168,7 @@ class DesignArrays:
         return int(self.parent_row.shape[0])
 
     def levels(self) -> list[np.ndarray]:
-        """Alive rows grouped by depth, root first (rebuilt after edits)."""
+        """Rows grouped by depth, root first (rebuilt after edits)."""
         if self._levels is None:
             levels: list[np.ndarray] = []
             frontier = [0]
@@ -183,25 +179,22 @@ class DesignArrays:
         return self._levels
 
     def sink_rows(self) -> np.ndarray:
-        """Rows of every alive sink node."""
+        """Rows of every sink node, ascending."""
         if self._sink_rows is None:
-            used = self.kind[: self.size]
-            mask = (used == KIND_SINK) & self.alive[: self.size]
-            self._sink_rows = np.flatnonzero(mask)
+            self._sink_rows = np.flatnonzero(self.kind[: self.size] == KIND_SINK)
         return self._sink_rows
 
     def alive_rows(self) -> np.ndarray:
-        """Every alive row (any order)."""
+        """Every row, ascending (``arange(size)``, cached)."""
         if self._alive_rows is None:
-            self._alive_rows = np.flatnonzero(self.alive[: self.size])
+            self._alive_rows = np.arange(self.size, dtype=np.int64)
         return self._alive_rows
 
     def kind_rows(self, code: int) -> np.ndarray:
-        rows = self.alive_rows()
-        return rows[self.kind[rows] == code]
+        return np.flatnonzero(self.kind[: self.size] == code)
 
     def rows_preorder(self) -> list[int]:
-        """Every alive row in pre-order (matches ``ClockTree.nodes()``)."""
+        """Every reachable row in pre-order (matches ``ClockTree.nodes()``)."""
         order: list[int] = []
         stack = [0]
         pop = stack.pop
@@ -213,23 +206,26 @@ class DesignArrays:
         return order
 
     def counts(self) -> tuple[int, int, int, int]:
-        """(nodes, sinks, buffers, ntsvs) over the alive rows."""
-        rows = self.alive_rows()
-        kinds = self.kind[rows]
+        """(nodes, sinks, buffers, ntsvs) over the rows."""
+        kinds = self.kind[: self.size]
         return (
-            int(rows.size),
+            self.size,
             int(np.count_nonzero(kinds == KIND_SINK)),
             int(np.count_nonzero(kinds == KIND_BUFFER)),
             int(np.count_nonzero(kinds == KIND_NTSV)),
         )
 
     def wirelength(self, side: Side | None = None) -> float:
-        """Total Manhattan wirelength (um), optionally on one side."""
-        rows = self.alive_rows()
-        mask = self.parent_row[rows] >= 0
+        """Total Manhattan wirelength (um), optionally on one side.
+
+        Sums the edges in row (creation) order, so the result does not
+        depend on which engine, if any, timed the design.
+        """
+        n = self.size
+        mask = self.parent_row[:n] >= 0
         if side is not None:
-            mask &= self.wire_front[rows] == (side is Side.FRONT)
-        return float(np.sum(self.edge_length[rows[mask]]))
+            mask &= self.wire_front[:n] == (side is Side.FRONT)
+        return float(np.sum(self.edge_length[:n][mask]))
 
     def location_of(self, row: int) -> Point:
         return Point(float(self.x[row]), float(self.y[row]))
@@ -245,7 +241,6 @@ class DesignArrays:
         self._levels = None
         self._sink_rows = None
         self._alive_rows = None
-        self._bfs_clean = False
 
     def _grow(self) -> None:
         grow = max(16, self.capacity)
@@ -256,7 +251,6 @@ class DesignArrays:
         self.edge_length = np.concatenate([self.edge_length, np.zeros(grow)])
         self.wire_front = np.concatenate([self.wire_front, np.ones(grow, bool)])
         self.cap = np.concatenate([self.cap, np.zeros(grow)])
-        self.alive = np.concatenate([self.alive, np.ones(grow, bool)])
         self.x = np.concatenate([self.x, np.zeros(grow)])
         self.y = np.concatenate([self.y, np.zeros(grow)])
         self.side_front = np.concatenate([self.side_front, np.ones(grow, bool)])
@@ -286,7 +280,6 @@ class DesignArrays:
         self.edge_length[row] = 0.0
         self.wire_front[row] = wire_front
         self.cap[row] = capacitance
-        self.alive[row] = True
         self.x[row] = x
         self.y[row] = y
         self.side_front[row] = side_front
@@ -371,7 +364,6 @@ class DesignArrays:
         )
         self.wire_front[start:stop] = True
         self.cap[start:stop] = caps
-        self.alive[start:stop] = True
         self.x[start:stop] = xs
         self.y[start:stop] = ys
         self.side_front[start:stop] = True
@@ -473,44 +465,37 @@ class DesignArrays:
         self._invalidate()
 
     def remove_leaf(self, row: int) -> None:
-        """Detach and tombstone a childless row (caller records the rewire)."""
+        """Pop the newest row, a leaf (caller records the rewire).
+
+        Only the newest row can go, so every other row keeps its number:
+        this undoes a trial :meth:`add_child` or :meth:`insert_on_edge`
+        once its children have moved back.  A rejected call changes
+        nothing.  Popping a sink also records a touch: a later append
+        reuses the row number, and per-sink caches keyed by row (the
+        vectorized engine's sink-arrival matrix) must not mistake the new
+        sink for the old one.
+        """
+        if row != self.size - 1:
+            raise ValueError(
+                f"row {row} is not the newest row {self.size - 1}; only the "
+                f"newest row can be removed"
+            )
         if self.children_rows[row]:
             raise ValueError(f"row {self.names[row]!r} still has children")
         parent = int(self.parent_row[row])
         if parent >= 0:
             self.children_rows[parent].remove(row)
+        self.children_rows.pop()
+        name = self.names.pop()
         self.parent_row[row] = -1
-        self.alive[row] = False
-        self.dead_count += 1
-        self._drop_name(row)
-        self._invalidate()
-
-    def _drop_name(self, row: int) -> None:
-        """Clear ``row``'s name and keep the index coherent for duplicates."""
-        name = self.names[row]
-        self.names[row] = None
-        if name is None:
-            return
+        self.size -= 1
         if self.name_to_row.get(name) == row:
             del self.name_to_row[name]
         if name in self._dup_names:
             self._reindex_duplicate(name)
-
-    def detach_subtree(self, row: int) -> None:
-        """Detach and tombstone a whole subtree (fault injection / pruning)."""
-        parent = int(self.parent_row[row])
-        if parent >= 0:
-            self.children_rows[parent].remove(row)
-        stack = [row]
-        while stack:
-            current = stack.pop()
-            stack.extend(self.children_rows[current])
-            self.children_rows[current] = []
-            self.parent_row[current] = -1
-            self.alive[current] = False
-            self.dead_count += 1
-            self._drop_name(current)
         self._invalidate()
+        if self.kind[row] == KIND_SINK:
+            self.touch()
 
     def rename(self, row: int, name: str) -> None:
         """Rename a row (duplicate names allowed, like the object tree).
@@ -529,7 +514,7 @@ class DesignArrays:
             return
         self.names[row] = name
         self.touch()
-        if old is not None and self.name_to_row.get(old) == row:
+        if self.name_to_row.get(old) == row:
             del self.name_to_row[old]
             if old in self._dup_names:
                 self._reindex_duplicate(old)
@@ -556,8 +541,6 @@ class DesignArrays:
         index: dict[str, int] = {}
         duplicated = False
         for row, name in enumerate(self.names):
-            if name is None:
-                continue
             if name in index:
                 duplicated = True
             else:
@@ -567,8 +550,6 @@ class DesignArrays:
             index = {}
             for row in self.rows_preorder():
                 name = self.names[row]
-                if name is None:
-                    continue
                 if name in index:
                     self._dup_names.add(name)
                 else:
@@ -576,63 +557,11 @@ class DesignArrays:
         self.name_to_row = index
 
     # --------------------------------------------------------- maintenance
-    def compact(self) -> None:
-        """Renumber every alive row into breadth-first order (root first).
-
-        After compaction the row order, and therefore the level grouping
-        every vectorized pass reduces over, is exactly what
-        :meth:`from_clock_tree` produces for the equivalent object tree — so
-        a design and its compiled realisation time bit-identically.
-
-        A compaction that actually permutes rows is a *structural edit*:
-        the version bumps (through :meth:`_record`) and the edit log
-        collapses to that one covering touch (old entries reference old
-        row numbers), so an engine that synced just before the compaction
-        can never mistake the renumbered rows for "nothing changed".  A
-        no-op compaction (rows already breadth-first, no tombstones)
-        leaves the version and log untouched.
-        """
-        if self._bfs_clean and not self.dead_count:
-            return
-        order: list[int] = []
-        frontier = [0]
-        while frontier:
-            order.extend(frontier)
-            frontier = [c for row in frontier for c in self.children_rows[row]]
-        if not self.dead_count and order == list(range(self.size)):
-            self._bfs_clean = True
-            return
-        remap = np.full(self.size, -1, dtype=np.int64)
-        for new, old in enumerate(order):
-            remap[old] = new
-        perm = np.asarray(order, dtype=np.int64)
-        n = len(order)
-        old_parent = self.parent_row[perm]
-        self.parent_row[:n] = np.where(old_parent >= 0, remap[old_parent], -1)
-        self.parent_row[n:] = -1
-        for column in ("kind", "edge_length", "wire_front", "cap", "x", "y",
-                       "side_front"):
-            values = getattr(self, column)
-            values[:n] = values[perm]
-        self.alive[:n] = True
-        self.names = [self.names[old] for old in order]
-        self.children_rows = [
-            [int(remap[c]) for c in self.children_rows[old]] for old in order
-        ]
-        self.size = n
-        self.dead_count = 0
-        self._rebuild_name_index()
-        self._record("touch", None)
-        self._edits = self._edits[-1:]
-        self._invalidate()
-        self._bfs_clean = True
-
     def snapshot(self) -> dict:
         """A cheap full copy of the design state (guard degrade recovery)."""
         n = self.size
         return {
             "size": n,
-            "dead_count": self.dead_count,
             "counter": self._counter,
             "version": self._version,
             "edits": list(self._edits),
@@ -646,7 +575,6 @@ class DesignArrays:
                     "edge_length",
                     "wire_front",
                     "cap",
-                    "alive",
                     "x",
                     "y",
                     "side_front",
@@ -668,16 +596,14 @@ class DesignArrays:
         """
         n = snapshot["size"]
         self.size = n
-        self.dead_count = snapshot["dead_count"]
         self._counter = snapshot["counter"]
         self._version = max(self._version, snapshot["version"])
-        self._edits = []
+        self._edits.clear()
         self.names = list(snapshot["names"])
         self.children_rows = [list(rows) for rows in snapshot["children_rows"]]
         for column, values in snapshot["columns"].items():
             getattr(self, column)[:n] = values
         self.parent_row[n:] = -1
-        self.alive[n:] = True
         self._rebuild_name_index()
         self._invalidate()
         self._record("touch", None)
@@ -689,16 +615,17 @@ class DesignArrays:
         The one connectivity validator (:meth:`ClockTree.validate` compiles
         the tree and calls it): raises
         :class:`ConnectivityError` on a missing root, cycles, unreachable
-        alive rows, broken parent links (a row whose ``parent_row``
-        disagrees with the ``children_rows`` entry listing it), duplicate
-        names, back-side sinks or buffers, and the paper's shared-vertex
-        side constraint.  The walk is bounded by the alive-row count, so a
-        corrupted ``children_rows`` cycle raises instead of spinning.
+        rows (a row its parent no longer lists), broken parent links (a row
+        whose ``parent_row`` disagrees with the ``children_rows`` entry
+        listing it), duplicate names, back-side sinks or buffers, and the
+        paper's shared-vertex side constraint.  The walk is bounded by the
+        row count, so a corrupted ``children_rows`` cycle raises instead of
+        spinning.
         """
         # Not the cached alive_rows(): a corruption bypasses the caches.
-        rows = np.flatnonzero(self.alive[: self.size])
-        if not rows.size or self.kind[0] != KIND_ROOT or not self.alive[0]:
-            raise ConnectivityError("design has no alive root row")
+        rows = np.arange(self.size)
+        if not rows.size or self.kind[0] != KIND_ROOT:
+            raise ConnectivityError("design has no root row")
         children = self.children_rows
         order = [0]
         frontier = [0]
@@ -709,7 +636,7 @@ class DesignArrays:
                 raise ConnectivityError("cycle detected in the design rows")
         if len(order) != rows.size:
             raise ConnectivityError(
-                f"{rows.size - len(order)} alive rows unreachable from the root"
+                f"{rows.size - len(order)} rows unreachable from the root"
             )
         # Breadth-first, the i-th listed child belongs to the i-th parent
         # slot, so each row's listing parent is one repeat away.

@@ -25,10 +25,9 @@ is scored by one corner-batched (incremental) engine pass — the engine is
 created once and never re-instantiated in the loop.
 
 The refiner edits a :class:`~repro.ir.design.DesignArrays` in place with
-either timing engine (both walk the design's rows).
-End-points and trial buffers are tracked by *name*, because the vectorized
-engine compacts the design and renumbers its rows.  Compile an object tree
-with :meth:`DesignArrays.from_clock_tree` first.
+either timing engine (both walk the design's rows).  A rejected trial pops
+the buffer rows it appended, newest first.  Compile an object tree with
+:meth:`DesignArrays.from_clock_tree` first.
 """
 
 from __future__ import annotations
@@ -250,7 +249,7 @@ class SkewRefiner:
             return 0, before
         after = self._measure(design)
         if not self._improves(after, before, before):
-            for endpoint, buffer_name in inserted:
+            for endpoint, buffer_name in reversed(inserted):
                 self._remove_endpoint_buffer(design, endpoint, buffer_name)
             return 0, before
         self._attach_arrivals(after, design)
@@ -537,8 +536,7 @@ class SkewRefiner:
     ) -> None:
         """Undo :meth:`_insert_endpoint_buffer` (used when a trial is rejected).
 
-        Rows are looked up by name afresh: the measuring engine may have
-        compacted the design since the insertion.
+        The buffer must be the design's newest row.
         """
         buffer_row = design.name_to_row[buffer_name]
         endpoint_row = design.name_to_row[endpoint]

@@ -70,8 +70,7 @@ class HierarchicalRoutingResult:
 class DesignRoutingResult:
     """The routed (unbuffered) design plus the clustering used to build it.
 
-    Taps are recorded by *name* (rows are renumbered whenever the design is
-    compacted, names are stable for the lifetime of the node).
+    Taps are recorded by name.
     """
 
     design: DesignArrays

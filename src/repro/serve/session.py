@@ -73,9 +73,9 @@ def apply_edit(
 
     Every mutation goes through the :class:`DesignArrays` mutators and
     records its covering edit, so both the apply and the revert ride the
-    timing engine's incremental replay.  Undo closures look rows up by name
-    at revert time — the engine may compact the design in between, and names
-    are the stable handle across renumbering.
+    timing engine's incremental replay.  Undo closures must run newest edit
+    first: undoing ``insert_buffer`` pops the buffer, which must be the
+    design's newest row.
     """
     kind = edit.get("kind")
     if kind not in EDIT_KINDS:
@@ -232,7 +232,7 @@ class DesignSession:
     def fingerprint(self) -> str:
         """The canonical sha of the session's *committed* design state.
 
-        Cached: the canonical hash walks every alive row, which would
+        Cached: the canonical hash walks every row, which would
         otherwise dominate a warm reply.  Only a commit changes the
         committed state, so only a commit invalidates it — trial edits are
         reverted before any reply is assembled.

@@ -8,8 +8,8 @@ without shielding — exactly matching Eq. (1) and Eq. (2).
 
 The engine walks the design's rows one scalar at a time: loads bottom-up
 over the breadth-first levels, arrivals and slews top-down in pre-order,
-wire lengths from the coordinates.  It never edits, compacts or caches the
-design.  A :class:`~repro.clocktree.ClockTree` it is given is compiled with
+wire lengths from the coordinates.  It never edits or caches the design.
+A :class:`~repro.clocktree.ClockTree` it is given is compiled with
 :meth:`DesignArrays.from_clock_tree` first.
 """
 

@@ -11,6 +11,10 @@ PERI slew propagation) on the columns of a
 * arrivals and slews are one top-down sweep (one gather per level),
 * repeated queries on an unchanged design reuse the cached arrays outright.
 
+The engine only reads the design.  It times the rows where they sit: a
+level lists each node's children in children order, so no result depends
+on how the rows are numbered.
+
 On top of the full pass the engine supports **incremental re-timing**: when
 the design records structural edits through its edit log
 (:meth:`DesignArrays.mark_splice` / :meth:`DesignArrays.mark_rewire`), the
@@ -246,19 +250,20 @@ class VectorizedElmoreEngine(ElmoreModel):
         return state
 
     def _compile(self, design: DesignArrays) -> _EngineState:
-        """From-scratch passes over the design's columns.
+        """From-scratch passes over the design's columns, rows as they sit.
 
-        ``design.compact()`` first renumbers the rows breadth-first, so every
-        level-batched reduction below sums in the order a fresh
-        :meth:`DesignArrays.from_clock_tree` of the equivalent object tree
-        would: a design and its realised tree time bit-identically.
+        Each level lists every node's children in children order, so the
+        level-batched reductions below sum each node's children in the
+        order :meth:`DesignArrays.from_clock_tree` of the realised tree
+        would: a design and its realised tree time bit-identically, however
+        its rows are numbered.
         """
-        design.compact()
         state = _EngineState(design, len(self.corners))
-        self._refresh_wire(state, design.alive_rows())
+        rows = design.alive_rows()
+        self._refresh_wire(state, rows)
         self._full_caps(state)
-        self._refresh_stage(state, design.alive_rows())
-        self._refresh_wire_delay(state, design.alive_rows())
+        self._refresh_stage(state, rows)
+        self._refresh_wire_delay(state, rows)
         self._full_arrivals(state)
         state.slews_valid = False
         state.version = design.version
@@ -425,8 +430,6 @@ class VectorizedElmoreEngine(ElmoreModel):
         if len(edits) > _MAX_INCREMENTAL_EDITS:
             return False
         design = state.arrays
-        if design.dead_count * 2 > design.size:
-            return False  # mostly tombstones: recompile to compact the rows
         changed: set[int] = set()
         tops: list[int] = []
         for _version, edit_kind, row in edits:
@@ -607,8 +610,10 @@ class VectorizedElmoreEngine(ElmoreModel):
         When the edit changed the sink *set* itself — or the cached row
         vector is gone — the cache is dropped and rebuilt on the next query.
         Otherwise one gather/scatter through ``sink_col`` copies the retimed
-        sinks' arrivals into their columns; rows appended since the matrix
-        was built lie past ``sink_col`` and cannot be sinks it knows.
+        sinks' arrivals into their columns.  A row appended since the matrix
+        was built lies past ``sink_col`` or reuses a popped non-sink row
+        (popping a sink records a touch, which recompiles), so it cannot be
+        a sink the matrix knows.
         """
         if state.sink_arrival is None or state.sink_col is None:
             return
@@ -746,8 +751,13 @@ class VectorizedElmoreEngine(ElmoreModel):
 
 
 def _row_attached(design: DesignArrays, row: int) -> bool:
-    """True when ``row`` is alive and reachable from the design root."""
-    if row >= design.size or not design.alive[row]:
+    """True when ``row`` exists and is reachable from the design root.
+
+    A logged edit may name a row popped since (:meth:`DesignArrays.remove_leaf`):
+    past ``size`` it fails here and the engine recompiles; if a later append
+    reused the row, that append's own edit covers the new node.
+    """
+    if row >= design.size:
         return False
     while design.parent_row[row] >= 0:
         row = int(design.parent_row[row])

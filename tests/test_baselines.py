@@ -147,11 +147,10 @@ class TestOptimizerInput:
     def test_substrate_row_order_does_not_matter(
         self, pdk, single_side_result, optimizer
     ):
-        """Ranking compacts the working copy and renumbers its rows, so the
-        trunk rows must be read after it: an uncompacted substrate and its
-        compacted copy give the same run.  A buffer spliced above the
-        root's first child moves to the end of the root's children, so
-        compaction renumbers nearly every row."""
+        """A substrate whose rows are not breadth-first and its
+        breadth-first renumbered copy give the same run.  A buffer spliced
+        above the root's first child moves to the end of the root's
+        children, so the copy renumbers nearly every row."""
         loose = copy_of(single_side_result.design)
         top = loose.children_rows[0][0]
         loose.add_buffer(
@@ -159,11 +158,11 @@ class TestOptimizerInput:
         )
         breadth_first = [int(r) for level in loose.levels() for r in level]
         assert breadth_first != list(range(loose.size))
-        compact = copy_of(loose)
-        compact.compact()
+        renumbered = DesignArrays.from_clock_tree(loose.to_clock_tree())
+        assert renumbered.names != loose.names
 
         a = optimizer(pdk).run(loose, design_name="unit")
-        b = optimizer(pdk).run(compact, design_name="unit")
+        b = optimizer(pdk).run(renumbered, design_name="unit")
         assert a.assignment.flipped_edges > 0
         assert a.metrics.latency == b.metrics.latency
         assert a.metrics.skew == b.metrics.skew

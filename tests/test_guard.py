@@ -208,7 +208,7 @@ def routed_design(pdk):
 
 
 def _kill_root(design):
-    design.alive[0] = False
+    design.kind[0] = KIND_STEINER
 
 
 def _cycle(design):
@@ -259,9 +259,9 @@ def _broken_parent_link(design):
 
 #: (corruption, expected message) of every DesignArrays.validate branch.
 INVARIANT_CASES = [
-    (_kill_root, "no alive root row"),
+    (_kill_root, "no root row"),
     (_cycle, "cycle detected"),
-    (_orphan, "1 alive rows unreachable"),
+    (_orphan, "1 rows unreachable"),
     (_duplicate_name, "duplicate node name"),
     (_back_side_sink, "sink .* is on the back side"),
     (_back_side_buffer, "buffer .* is on the back side"),

@@ -1,11 +1,14 @@
 """Regression tests: the ``DesignArrays`` edit-version contract.
 
-Versions are monotonic per design object — ``restore`` and ``compact`` are
-*structural edits* and must be observable through ``edits_since``: an
-observer holding any pre-edit version gets a non-empty edit list or ``None``
-(recompile), never ``[]``.  Before the fix both calls could rewind or reuse
-the version counter, so a cached :class:`VectorizedElmoreEngine` would serve
-timing computed for the *previous* structure.
+Versions are monotonic per design object — ``restore`` is a *structural
+edit* and must be observable through ``edits_since``: an observer holding
+any pre-edit version gets a non-empty edit list or ``None`` (recompile),
+never ``[]``.  Before the fix the call could rewind the version counter, so
+a cached :class:`VectorizedElmoreEngine` would serve timing computed for the
+*previous* structure.
+
+Rows are append-only: :meth:`DesignArrays.remove_leaf` pops only the newest
+row, and the edit log is a sliding window an old observer falls out of.
 
 Also pins the duplicate-name index semantics of :meth:`DesignArrays.rename`
 against the executable spec, :meth:`ClockTree.find` (first in *pre-order*
@@ -14,6 +17,7 @@ wins), with differential tests.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,44 +105,94 @@ class TestRestoreVersionMonotonic:
             assert stale.arrivals[name] == pytest.approx(value, abs=1e-9)
 
 
-# ----------------------------------------------------------------- compact
-class TestCompactBumpsVersion:
-    def test_confirmed_repro_compact_bumps_when_rows_permute(self):
+# ----------------------------------------------------------- append-only
+class TestAppendOnlyRows:
+    def test_remove_leaf_rejects_any_row_but_the_newest(self):
         design = small_design()
-        # insert_on_edge appends the new row at the end -> rows leave
-        # breadth-first order, so compaction must renumber.
         design.add_buffer(design.name_to_row["s0"], 5.0, 0.0, 0.8)
-        cached = design.version
-        names_before = dict(design.name_to_row)
-        design.compact()
-        assert any(new != names_before[name] for name, new in
-                   design.name_to_row.items()), "compact did not permute"
-        assert design.version > cached
-        assert design.edits_since(cached) != []
-
-    def test_identity_compact_is_silent(self):
-        # A design already in BFS order with no tombstones must not bump.
-        design = small_design()
-        design.compact()  # settles into BFS order (possibly bumping once)
+        before = design.snapshot()
         version = design.version
-        log = design.edit_log
-        design.compact()
+        for row in (design.name_to_row["s5"], 0, design.size):
+            with pytest.raises(ValueError, match=f"row {row} is not the newest"):
+                design.remove_leaf(row)
+        # The newest row has a child: rejected too, and nothing moved.
+        with pytest.raises(ValueError, match="still has children"):
+            design.remove_leaf(design.size - 1)
+        after = design.snapshot()
         assert design.version == version
-        assert design.edit_log == log
+        assert after["size"] == before["size"]
+        assert after["names"] == before["names"]
+        assert after["children_rows"] == before["children_rows"]
+        assert after["edits"] == before["edits"]
+        for column, values in before["columns"].items():
+            assert np.array_equal(after["columns"][column], values), column
+        assert design.name_to_row == {n: r for r, n in enumerate(design.names)}
 
-    def test_engine_synced_at_compact_version_not_staled(self, pdk):
+    def test_remove_leaf_pops_the_newest_row(self):
+        design = small_design()
+        size = design.size
+        row = design.add_child(0, "trial", KIND_BUFFER, 1.0, 1.0, capacitance=0.5)
+        design.remove_leaf(row)
+        assert design.size == size
+        assert "trial" not in design.name_to_row
+        assert design.children_rows[0] == list(range(1, size))
+        # The freed row number is the next append's.
+        assert design.add_child(0, "again", KIND_BUFFER, 1.0, 1.0) == row
+
+    def test_engine_synced_before_a_sink_pop_is_not_staled(self, pdk):
         design = small_design()
         engine = VectorizedElmoreEngine(pdk)
-        engine.analyze(design)  # _compile compacts and records the version
-        # Tombstone a leaf then compact: rows renumber, the cached engine
-        # must observe it (via edits or a recompile), not serve stale rows.
-        row = design.name_to_row["s3"]
-        design.remove_leaf(row)
+        engine.analyze(design)
+        # Pop the newest sink: the cached engine must observe it (via edits
+        # or a recompile), not serve the popped row.
+        design.remove_leaf(design.name_to_row["s5"])
         design.mark_rewire(0)
-        design.compact()
         result = engine.analyze(design)
         fresh = VectorizedElmoreEngine(pdk).analyze(design)
+        assert "s5" not in result.arrivals
         assert result.arrivals == fresh.arrivals
+        assert result.slews == fresh.slews
+
+    def test_engine_synced_before_a_buffer_undo_is_not_staled(self, pdk):
+        # The refiner's rejected trial: splice a buffer above a sink, time
+        # it, move the sink back and pop the buffer.
+        design = small_design()
+        engine = VectorizedElmoreEngine(pdk)
+        engine.analyze(design)
+        sink = design.name_to_row["s0"]
+        buffer = design.add_buffer(sink, 5.0, 0.0, input_capacitance=0.8)
+        engine.analyze(design)
+        design.move_child(sink, 0)
+        design.remove_leaf(buffer)
+        design.mark_rewire(0)
+        result = engine.analyze(design)
+        assert engine.full_compiles == 1  # the undo replays incrementally
+        reference = ElmoreTimingEngine(pdk).analyze(design.to_clock_tree())
+        assert result.arrivals.keys() == reference.arrivals.keys()
+        for name, value in reference.arrivals.items():
+            assert result.arrivals[name] == pytest.approx(value, abs=1e-9)
+            assert result.slews[name] == pytest.approx(
+                reference.slews[name], abs=1e-9
+            )
+
+
+class TestEditLogWindow:
+    def test_log_drops_its_oldest_entries(self):
+        design = small_design()
+        start = design.version
+        for _ in range(300):
+            design.mark_rewire(0)
+        log = design.edit_log
+        assert len(log) == 256
+        assert [version for version, _, _ in log] == list(
+            range(design.version - 255, design.version + 1)
+        )
+        assert all(kind == "rewire" for _, kind, _ in log)
+        # An observer inside the window replays; an older one recompiles.
+        assert len(design.edits_since(design.version - 10)) == 10
+        assert len(design.edits_since(design.version - 256)) == 256
+        assert design.edits_since(design.version - 257) is None
+        assert design.edits_since(start) is None
 
 
 # ------------------------------------------------------------------ rename
@@ -228,7 +282,7 @@ class TestRenameReachesEngineCaches:
 # ------------------------------------------------- version monotonicity law
 _OPS = st.lists(
     st.sampled_from(("add", "buffer", "remove", "touch", "snapshot",
-                     "restore", "compact", "rename")),
+                     "restore", "rename")),
     min_size=1,
     max_size=24,
 )
@@ -243,7 +297,7 @@ class TestVersionMonotonicityProperty:
         last = design.version
         serial = 0
         for op in ops:
-            shape_before = (design.size, design.dead_count,
+            shape_before = (design.size,
                             tuple(tuple(c) for c in design.children_rows))
             version_before = design.version
             if op == "add":
@@ -253,34 +307,34 @@ class TestVersionMonotonicityProperty:
                 design.touch()
             elif op == "buffer":
                 leaves = [r for r in range(design.size)
-                          if design.alive[r] and not design.children_rows[r]
+                          if not design.children_rows[r]
                           and design.parent_row[r] >= 0]
                 if leaves:
                     design.add_buffer(leaves[0], 0.5, 0.5, 0.5)
             elif op == "remove":
+                newest = design.size - 1
                 leaves = [r for r in range(design.size)
-                          if design.alive[r] and not design.children_rows[r]
+                          if not design.children_rows[r]
                           and design.parent_row[r] >= 0]
-                if len(leaves) > 1:
-                    design.remove_leaf(leaves[-1])
-                    design.mark_rewire(0)
+                if len(leaves) > 1 and newest in leaves:
+                    parent = int(design.parent_row[newest])
+                    design.remove_leaf(newest)
+                    design.mark_rewire(parent)
             elif op == "touch":
                 design.touch()
             elif op == "snapshot":
                 snap = design.snapshot()
             elif op == "restore":
                 design.restore(snap)
-            elif op == "compact":
-                design.compact()
             elif op == "rename":
                 serial += 1
                 rows = [r for r in range(design.size)
-                        if design.alive[r] and design.parent_row[r] >= 0]
+                        if design.parent_row[r] >= 0]
                 if rows:
                     design.rename(rows[0], f"r{serial}")
             assert design.version >= last, f"{op} rewound the version"
             last = design.version
-            shape_after = (design.size, design.dead_count,
+            shape_after = (design.size,
                            tuple(tuple(c) for c in design.children_rows))
             if shape_after != shape_before:
                 # Structural change: every pre-change observer must see it.

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flow import BackendSelection, CtsConfig, SingleSideCTS
+from repro import load_design
+from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS, SingleSideCTS
 from repro.guard.policy import StageGuard
 from repro.ir.stages import InsertionStage, RoutingStage, StageContext
 from tests.harness import (
@@ -47,6 +48,25 @@ def test_default_flow_matches_all_reference_across_designs(pdk, design):
     single-cluster net and the multi-region nets build the spec's tree."""
     net = design.clock_net()
     assert_same_run(run_flow(pdk, net), run_flow(pdk, net, ALL_REFERENCE))
+
+
+def test_wirelength_is_bit_identical_across_timing_engines(pdk):
+    """Neither timing engine renumbers the design, so the flow's wirelength
+    sums the same rows in the same order under both: on full-size C5 the
+    unrounded sums agree to the last bit."""
+    design = load_design("C5", include_combinational=False)
+    sums = []
+    for timing in ("reference", "vectorized"):
+        config = CtsConfig(backends=BackendSelection(timing=timing))
+        metrics = DoubleSideCTS(pdk, config).run(design).metrics
+        sums.append(
+            (
+                metrics.wirelength.hex(),
+                metrics.front_wirelength.hex(),
+                metrics.back_wirelength.hex(),
+            )
+        )
+    assert sums[0] == sums[1]
 
 
 def run_single_side(front_pdk, combo=None):

@@ -126,19 +126,20 @@ def test_roundtrip_preserves_edge_lengths_and_counts(tree):
 
 @settings(max_examples=40, deadline=None)
 @given(tree=tree_strategy(max_nodes=20))
-def test_compact_after_tombstones_roundtrips(tree):
-    """Detaching a subtree then compacting still realises the live tree."""
+def test_popping_the_newest_row_roundtrips(tree):
+    """Popping the newest row, a leaf, still realises the remaining tree."""
     design = DesignArrays.from_clock_tree(tree)
-    rows = design.alive_rows()
-    # Detach the last non-root row's subtree (if the tree has one).
-    if rows.size > 1:
-        design.detach_subtree(int(rows[-1]))
-    design.compact()
+    popped = None
+    if design.size > 1:
+        popped = design.names[design.size - 1]
+        design.remove_leaf(design.size - 1)
     rebuilt = design.to_clock_tree()
-    expected = DesignArrays.from_clock_tree(rebuilt)
-    assert preorder_signature(rebuilt) == preorder_signature(
-        expected.to_clock_tree()
-    )
+    expected = [
+        (*facts[:-1], tuple(child for child in facts[-1] if child != popped))
+        for facts in preorder_signature(tree)
+        if facts[0] != popped
+    ]
+    assert preorder_signature(rebuilt) == expected
     assert design.counts() == rebuilt.counts()
 
 

@@ -59,7 +59,7 @@ def assert_designs_bit_equal(a: DesignArrays, b: DesignArrays) -> None:
     assert a.size == b.size
     assert a.names == b.names
     assert a.children_rows == b.children_rows
-    for column in ("kind", "parent_row", "x", "y", "edge_length", "cap", "alive"):
+    for column in ("kind", "parent_row", "x", "y", "edge_length", "cap"):
         assert np.array_equal(
             getattr(a, column)[: a.size], getattr(b, column)[: b.size]
         ), column

@@ -704,8 +704,13 @@ class TestFlowCacheFaults:
             computed = cache.warm(flows=("ours_moes", "single"), workers=2)
         assert computed == 2
         assert len(cache.parallel_diagnostics) == 2
-        assert all(d.action == "retried" for d in cache.parallel_diagnostics)
-        assert all(d.stage == "flow_cache" for d in cache.parallel_diagnostics)
+        # Name every task's rung, so a failure shows which attempt went wrong.
+        rungs = [
+            (d.task, d.action, d.attempts, d.cause)
+            for d in cache.parallel_diagnostics
+        ]
+        assert all(d.action == "retried" for d in cache.parallel_diagnostics), rungs
+        assert all(d.stage == "flow_cache" for d in cache.parallel_diagnostics), rungs
 
         lazy = FlowCache(pdk=pdk, designs=designs, config=config)
         warm_row = cache.ours("C4").metrics.as_row()

@@ -307,6 +307,31 @@ class TestWhatIf:
         assert engine.full_compiles == compiles
         assert engine.incremental_updates > 0
 
+    def test_reverted_what_ifs_keep_the_build_size(self, pdk):
+        """Reverting a trial buffer pops its row: a session never grows."""
+        session = build_session(pdk, random_sink_cloud(200, seed=5), CtsConfig())
+        design = session.design
+        size = design.size
+        sinks = [design.names[row] for row in design.sink_rows().tolist()]
+        for i in range(50):
+            edit = {"kind": "insert_buffer", "node": sinks[(7 * i) % len(sinks)]}
+            session.what_if([edit])
+        assert design.size == size
+
+    def test_long_session_never_recompiles(self, pdk):
+        """Past its window the edit log drops its oldest entry, so an engine
+        that syncs after every what_if stays on the incremental path."""
+        session = build_session(pdk, random_sink_cloud(60, seed=2), CtsConfig())
+        session.query()
+        engine = session._engine(session._corner_set(None))
+        design = session.design
+        sinks = [design.names[row] for row in design.sink_rows().tolist()]
+        for i in range(300):
+            edit = {"kind": "insert_buffer", "node": sinks[(7 * i) % len(sinks)]}
+            session.what_if([edit])
+        assert engine.full_compiles == 1
+        assert engine.incremental_updates >= 300
+
     def test_session_engine_skips_slews_and_name_dicts(self, pdk, monkeypatch):
         """Warm replies read only scalars: the session's engine never
         propagates slews, and no reply builds a per-sink arrivals dict."""

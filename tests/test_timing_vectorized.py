@@ -26,6 +26,18 @@ from repro.timing import (
 
 TOLERANCE = 1e-9
 
+#: Every per-row column of a :class:`DesignArrays`.
+DESIGN_COLUMNS = (
+    "parent_row",
+    "kind",
+    "edge_length",
+    "wire_front",
+    "cap",
+    "x",
+    "y",
+    "side_front",
+)
+
 
 # --------------------------------------------------------------- generators
 def random_tree(
@@ -225,16 +237,12 @@ def random_design_edit(design: DesignArrays, rng: np.random.Generator, pdk) -> s
             design.move_child(sink, buffer_row)
         design.mark_rewire(parent)
         return "rewire_insert"
-    # Undo-style rewire: dissolve a buffer back into its parent.
-    buffers = [
-        int(row)
-        for row in design.kind_rows(KIND_BUFFER)
-        if design.parent_row[row] >= 0 and design.children_rows[row]
-    ]
-    if not buffers:
+    # Undo-style rewire: dissolve the newest row, the only one a design can
+    # remove, back into its parent when it is a buffer.
+    buffer_row = design.size - 1
+    if design.kind[buffer_row] != KIND_BUFFER:
         design.mark_rewire(parent)
         return "rewire_noop"
-    buffer_row = buffers[int(rng.integers(len(buffers)))]
     parent = int(design.parent_row[buffer_row])
     for child in list(design.children_rows[buffer_row]):
         design.move_child(child, parent)
@@ -494,17 +502,50 @@ class TestClockTreeArguments:
         ref = ElmoreTimingEngine(pdk)
         assert ref.analyze(design) == ref.analyze(clean)
 
-    def test_reference_never_mutates_the_design(self, pdk):
+    @pytest.mark.parametrize("corners", [None, "tt,ss,ff"])
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_timing_never_mutates_the_design(self, pdk, engine, corners):
+        """Neither engine writes to a design it times, not even to put rows
+        that a splice left out of breadth-first order back in it."""
         design = random_design(np.random.default_rng(28), sinks=30, internals=10)
-        design.remove_leaf(int(design.sink_rows()[0]))
+        sink = int(design.sink_rows()[0])
+        design.add_buffer(sink, float(design.x[sink]), float(design.y[sink]), 0.8)
+        breadth_first = [int(row) for level in design.levels() for row in level]
+        assert breadth_first != list(range(design.size))
+
+        def state():
+            return (
+                design.version,
+                design.edit_log,
+                design.size,
+                list(design.names),
+                [list(children) for children in design.children_rows],
+                [getattr(design, column).tobytes() for column in DESIGN_COLUMNS],
+            )
+
+        before = state()
+        timer = create_engine(pdk, engine, corners=corners)
+        timer.analyze(design)
+        timer.analyze_corners(design)
+        timer.skew(design)
+        assert state() == before
+
+    def test_popped_sink_row_reused_by_a_new_sink(self, pdk):
+        """A row number freed by popping a sink and taken by a new sink must
+        not reach the warm engine's per-sink cache as the old sink."""
+        design = random_design(np.random.default_rng(29), sinks=20, internals=8)
+        parent = int(design.parent_row[int(design.sink_rows()[0])])
+        old = design.add_child(parent, "old_sink", KIND_SINK, 1.0, 2.0, capacitance=1.0)
+        design.mark_rewire(parent)
+        vec = VectorizedElmoreEngine(pdk)
+        assert "old_sink" in vec.analyze(design).arrivals
+        design.remove_leaf(old)
+        design.mark_rewire(parent)
+        new = design.add_child(0, "new_sink", KIND_SINK, 3.0, 4.0, capacitance=1.0)
         design.mark_rewire(0)
-        assert design.dead_count == 1
-        version, size = design.version, design.size
-        order = design.rows_preorder()
-        ElmoreTimingEngine(pdk, corners="tt,ss,ff").analyze_corners(design)
-        assert (design.version, design.size) == (version, size)
-        assert design.dead_count == 1
-        assert design.rows_preorder() == order
+        assert new == old
+        assert "old_sink" not in vec.analyze(design).arrivals
+        assert_design_engines_match(ElmoreTimingEngine(pdk), vec, design, "reuse")
 
 
 class TestEngineFactory:
