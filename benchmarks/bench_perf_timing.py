@@ -339,7 +339,7 @@ def bench_corner_refine(sink_count: int, pdk, spec: str = BENCH_CORNERS) -> dict
     """Corner-aware refinement trial scoring: batched vs. per-corner loop.
 
     Replays the skew refiner's inner loop — its end-point buffer edit
-    (``add_child``, ``move_child``, ``mark_rewire``) followed by the trial
+    (``add_child``, ``move_child``) followed by the trial
     score (per-corner skew *and* latency, exactly what
     ``SkewRefiner._measure`` reads) — and compares one corner-batched
     incremental engine (what ``SkewRefiner(corners=...)`` uses) against K
@@ -375,7 +375,6 @@ def bench_corner_refine(sink_count: int, pdk, spec: str = BENCH_CORNERS) -> dict
         ]
         for sink in leaf_sinks[:2]:
             design.move_child(sink, buffer_row)
-        design.mark_rewire(tap)
         start = time.perf_counter()
         worst_batched = max(batched.skew_per_corner(design).values())
         max(batched.latency_per_corner(design).values())

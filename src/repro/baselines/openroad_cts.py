@@ -211,4 +211,3 @@ class OpenRoadLikeCTS:
             )
             for sink in sinks:
                 design.move_child(sink, buffer)
-            design.mark_rewire(buffer)

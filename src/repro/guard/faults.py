@@ -132,8 +132,8 @@ def duplicate_node_name(design: DesignArrays) -> None:
     sink_name = design.names[int(design.sink_rows()[0])]
     for row in design.rows_preorder():
         if design.kind[row] in (KIND_STEINER, KIND_TAP):
-            # Bypass rename(): the simulated bug corrupts the name column
-            # without maintaining the lookup index.
+            # The simulated bug corrupts the name column without
+            # maintaining the lookup index.
             design.names[row] = sink_name
             design.touch()
             return

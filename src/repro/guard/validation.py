@@ -89,10 +89,7 @@ def design_cache_key(
     hasher = hashlib.sha256()
     if isinstance(design, DesignArrays):
         hasher.update(b"design-arrays")
-        rows = sorted(
-            (int(row) for row in design.alive_rows()),
-            key=lambda row: design.names[row],
-        )
+        rows = sorted(range(design.size), key=lambda row: design.names[row])
         for row in rows:
             parent = int(design.parent_row[row])
             parent_name = design.names[parent] if parent >= 0 else ""
@@ -363,7 +360,7 @@ def stage_anomaly(
     except ConnectivityError as exc:
         return f"invariant violation: {exc}"
     anomaly = edit_log_anomaly(design)
-    rows = design.alive_rows()
+    rows = np.arange(design.size)
     if anomaly is None:
         anomaly = _column_anomaly(design, rows, design.cap[rows], "node capacitance")
     if anomaly is None:

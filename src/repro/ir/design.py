@@ -19,10 +19,13 @@ that can be removed is the newest one (:meth:`remove_leaf`, which undoes a
 trial insertion).  A row number therefore names the same node for the
 design's whole life; only :meth:`restore` rewinds the rows.
 
-Structural edits are recorded in a bounded edit log (``mark_splice`` /
-``mark_rewire`` / ``touch``) of ``(version, kind, row)`` entries, and the
-structure is updated eagerly at edit time.  The vectorized engine replays
-the log to re-time only the dirty cone.
+Every structural mutator records the edit that covers it in a bounded
+edit log of ``(version, kind, row)`` entries, and the structure is updated
+eagerly at edit time: a ``splice`` names a row spliced onto an edge, a
+``rewire`` names a row whose subtree changed, and a ``touch`` covers the
+whole design.  The vectorized engine replays the log to re-time only the
+dirty cone.  Callers record nothing themselves, except a :meth:`touch`
+after writing a column in place.
 
 Object trees are read-only export views: :meth:`to_clock_tree` /
 :meth:`from_clock_tree` are lossless (names, children order, sides, caps,
@@ -87,13 +90,11 @@ class DesignArrays:
         "side_front",
         "children_rows",
         "name_to_row",
-        "_dup_names",
         "_counter",
         "_version",
         "_edits",
         "_levels",
         "_sink_rows",
-        "_alive_rows",
     )
 
     def __init__(self, name: str = "clk", capacity: int = 64) -> None:
@@ -111,7 +112,6 @@ class DesignArrays:
         self.side_front = np.ones(capacity, dtype=bool)
         self.children_rows: list[list[int]] = []
         self.name_to_row: dict[str, int] = {}
-        self._dup_names: set[str] = set()
         self._counter = 0
         self._version = 0
         self._edits: deque[tuple[int, str, int | None]] = deque(
@@ -119,7 +119,6 @@ class DesignArrays:
         )
         self._levels: list[np.ndarray] | None = None
         self._sink_rows: np.ndarray | None = None
-        self._alive_rows: np.ndarray | None = None
 
     # ------------------------------------------------------- edit tracking
     @property
@@ -131,16 +130,12 @@ class DesignArrays:
         self._version += 1
         self._edits.append((self._version, kind, row))
 
-    def mark_splice(self, row: int) -> None:
-        """Record that ``row`` was spliced onto the edge above its only child."""
-        self._record("splice", row)
-
-    def mark_rewire(self, row: int) -> None:
-        """Record that the subtree rooted at ``row`` changed arbitrarily."""
-        self._record("rewire", row)
-
     def touch(self) -> None:
-        """Record an unscoped structural change (forces full re-analysis)."""
+        """Record an unscoped change (forces full re-analysis).
+
+        The mutators record their own edits; call this only after writing
+        a column in place.
+        """
         self._record("touch", None)
 
     @property
@@ -183,12 +178,6 @@ class DesignArrays:
         if self._sink_rows is None:
             self._sink_rows = np.flatnonzero(self.kind[: self.size] == KIND_SINK)
         return self._sink_rows
-
-    def alive_rows(self) -> np.ndarray:
-        """Every row, ascending (``arange(size)``, cached)."""
-        if self._alive_rows is None:
-            self._alive_rows = np.arange(self.size, dtype=np.int64)
-        return self._alive_rows
 
     def kind_rows(self, code: int) -> np.ndarray:
         return np.flatnonzero(self.kind[: self.size] == code)
@@ -240,7 +229,6 @@ class DesignArrays:
     def _invalidate(self) -> None:
         self._levels = None
         self._sink_rows = None
-        self._alive_rows = None
 
     def _grow(self) -> None:
         grow = max(16, self.capacity)
@@ -292,6 +280,7 @@ class DesignArrays:
             raise ValueError("design already has a root row")
         row = self._append_row(name, KIND_ROOT, x, y, True, 0.0, True)
         self._invalidate()
+        self._record("touch", None)
         return row
 
     def add_child(
@@ -313,6 +302,7 @@ class DesignArrays:
         self.edge_length[row] = self._edge(row, parent)
         self.children_rows[parent].append(row)
         self._invalidate()
+        self._record("rewire", parent)
         return row
 
     def add_children(
@@ -373,6 +363,7 @@ class DesignArrays:
         for offset, name in enumerate(names):
             self.name_to_row[name] = start + offset
         self._invalidate()
+        self._record("rewire", parent)
         return np.arange(start, stop, dtype=np.int64)
 
     def insert_on_edge(
@@ -418,7 +409,7 @@ class DesignArrays:
         self.edge_length[row] = self._edge(row, parent)
         self.edge_length[child] = self._edge(child, row)
         self._invalidate()
-        self.mark_splice(row)
+        self._record("splice", row)
         return row
 
     def add_buffer(
@@ -449,23 +440,38 @@ class DesignArrays:
             wire_front=upstream_front,
         )
 
-    def move_child(self, row: int, new_parent: int) -> None:
-        """Detach ``row`` from its parent and append it under ``new_parent``.
+    def move_child(
+        self, row: int, new_parent: int, index: int | None = None
+    ) -> None:
+        """Detach ``row`` from its parent and re-attach it under ``new_parent``.
 
-        The caller is responsible for recording the covering rewire edit
-        (:meth:`mark_rewire`).
+        The row goes to position ``index`` among ``new_parent``'s children
+        (an undo passes the slot it recorded), or at the end by default.
+        Records a rewire of both parents, or of only the upper one when one
+        parent sits directly under the other: a rewire re-sums its whole
+        subtree, so it covers the lower parent too.
         """
         old_parent = int(self.parent_row[row])
         if old_parent < 0:
             raise ValueError(f"row {self.names[row]!r} has no parent to detach")
         self.children_rows[old_parent].remove(row)
-        self.children_rows[new_parent].append(row)
+        if index is None:
+            self.children_rows[new_parent].append(row)
+        else:
+            self.children_rows[new_parent].insert(index, row)
         self.parent_row[row] = new_parent
         self.edge_length[row] = self._edge(row, new_parent)
         self._invalidate()
+        if new_parent == old_parent or self.parent_row[old_parent] == new_parent:
+            self._record("rewire", new_parent)
+        elif self.parent_row[new_parent] == old_parent:
+            self._record("rewire", old_parent)
+        else:
+            self._record("rewire", old_parent)
+            self._record("rewire", new_parent)
 
     def remove_leaf(self, row: int) -> None:
-        """Pop the newest row, a leaf (caller records the rewire).
+        """Pop the newest row, a leaf, and record a rewire of its parent.
 
         Only the newest row can go, so every other row keeps its number:
         this undoes a trial :meth:`add_child` or :meth:`insert_on_edge`
@@ -491,70 +497,11 @@ class DesignArrays:
         self.size -= 1
         if self.name_to_row.get(name) == row:
             del self.name_to_row[name]
-        if name in self._dup_names:
-            self._reindex_duplicate(name)
         self._invalidate()
-        if self.kind[row] == KIND_SINK:
-            self.touch()
-
-    def rename(self, row: int, name: str) -> None:
-        """Rename a row (duplicate names allowed, like the object tree).
-
-        Duplicate names resolve like :meth:`ClockTree.find`: the first
-        holder in *pre-order* owns the ``name_to_row`` entry.
-        Duplicates only ever arise through renames (appends reject them),
-        so the pre-order rescan runs only on an actual collision and the
-        unique-name fast path stays O(1).
-
-        A rename records a ``touch``: engines cache name-keyed results per
-        version, so the new name must reach them.
-        """
-        old = self.names[row]
-        if old == name:
-            return
-        self.names[row] = name
-        self.touch()
-        if self.name_to_row.get(old) == row:
-            del self.name_to_row[old]
-            if old in self._dup_names:
-                self._reindex_duplicate(old)
-        existing = self.name_to_row.get(name)
-        if existing is None:
-            self.name_to_row[name] = row
-        elif existing != row:
-            self._dup_names.add(name)
-            self._reindex_duplicate(name)
-
-    def _reindex_duplicate(self, name: str) -> None:
-        """Point ``name_to_row[name]`` at the first pre-order holder."""
-        rows = [r for r in self.rows_preorder() if self.names[r] == name]
-        if not rows:
-            self._dup_names.discard(name)
-            self.name_to_row.pop(name, None)
-            return
-        if len(rows) == 1:
-            self._dup_names.discard(name)
-        self.name_to_row[name] = rows[0]
-
-    def _rebuild_name_index(self) -> None:
-        """Rebuild ``name_to_row`` from ``names`` (pre-order for duplicates)."""
-        index: dict[str, int] = {}
-        duplicated = False
-        for row, name in enumerate(self.names):
-            if name in index:
-                duplicated = True
-            else:
-                index[name] = row
-        self._dup_names = set()
-        if duplicated:
-            index = {}
-            for row in self.rows_preorder():
-                name = self.names[row]
-                if name in index:
-                    self._dup_names.add(name)
-                else:
-                    index[name] = row
-        self.name_to_row = index
+        if parent >= 0:
+            self._record("rewire", parent)
+        if parent < 0 or self.kind[row] == KIND_SINK:
+            self._record("touch", None)
 
     # --------------------------------------------------------- maintenance
     def snapshot(self) -> dict:
@@ -604,7 +551,7 @@ class DesignArrays:
         for column, values in snapshot["columns"].items():
             getattr(self, column)[:n] = values
         self.parent_row[n:] = -1
-        self._rebuild_name_index()
+        self.name_to_row = {name: row for row, name in enumerate(self.names)}
         self._invalidate()
         self._record("touch", None)
 
@@ -622,7 +569,6 @@ class DesignArrays:
         row count, so a corrupted ``children_rows`` cycle raises instead of
         spinning.
         """
-        # Not the cached alive_rows(): a corruption bypasses the caches.
         rows = np.arange(self.size)
         if not rows.size or self.kind[0] != KIND_ROOT:
             raise ConnectivityError("design has no root row")
@@ -727,7 +673,8 @@ class DesignArrays:
         """Compile an object tree into a fresh design (BFS row order).
 
         Raises :class:`ConnectivityError` when the walk reaches a node twice
-        (a cycle).  A parent outside the tree compiles to "no parent", which
+        (a cycle) or two nodes share a name (the message :meth:`validate`
+        gives).  A parent outside the tree compiles to "no parent", which
         :meth:`validate` reports as a broken link.
         """
         order: list[ClockTreeNode] = []
@@ -744,7 +691,8 @@ class DesignArrays:
         for row, node in enumerate(order):
             design.names.append(node.name)
             design.children_rows.append([row_of[id(c)] for c in node.children])
-            design.name_to_row.setdefault(node.name, row)
+            if design.name_to_row.setdefault(node.name, row) != row:
+                raise ConnectivityError(f"duplicate node name {node.name!r}")
             design.parent_row[row] = row_of.get(id(node.parent), -1)
             design.kind[row] = KIND_CODE[node.kind]
             design.edge_length[row] = node.edge_length()
@@ -755,10 +703,6 @@ class DesignArrays:
             design.side_front[row] = node.side is Side.FRONT
         design.size = len(order)
         design._counter = tree._counter
-        if len(design.name_to_row) != len(order):
-            # Pathological duplicate names: redo the index in pre-order so
-            # lookups match ClockTree.find's pre-order scan.
-            design._rebuild_name_index()
         return design
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -403,9 +403,11 @@ def respawn_pool(workers: int) -> ProcessPoolExecutor:
 
 
 #: What a spawn raises when the fork server it forks through is gone: a
-#: dying server's closed listener, its socket file removed, or the server
-#: exiting before it answers with the new worker's pid.
-_DEAD_FORK_SERVER = (ConnectionRefusedError, FileNotFoundError, EOFError)
+#: dying server's closed listener (refused), its socket file removed, the
+#: server exiting between the spawn's ``connect`` and its fd handshake or
+#: data write (a broken pipe or reset connection), or before it answers
+#: with the new worker's pid.
+_DEAD_FORK_SERVER = (ConnectionError, FileNotFoundError, EOFError)
 
 
 def _submit_round(pool, stage, fn, payloads, pending, attempt, faults) -> dict:
@@ -434,12 +436,12 @@ def _submit_live(pool_size: int, pool, *round_args) -> tuple:
     of a pool that lost a worker (a crash, an OOM kill, the ``broken_pool``
     injector) while the main thread is still spawning into it.  Until the
     dying server is reaped, ``ensure_running`` still sees its pid, so every
-    spawn is refused or loses its pid reply.  Such a spawn shuts the pool
-    down, reaps the server (``_stop`` closes this process's end of its
-    alive pipe and waits for it to exit; no worker of ours keeps it alive
-    once the pool is down) and resubmits the round once on a fresh pool,
-    within the same attempt.  Returns the pool the round ran on and its
-    futures.
+    spawn is refused, breaks its pipe mid-handshake or loses its pid
+    reply.  Such a spawn shuts the pool down, reaps the server (``_stop``
+    closes this process's end of its alive pipe and waits for it to exit;
+    no worker of ours keeps it alive once the pool is down) and resubmits
+    the round once on a fresh pool, within the same attempt.  Returns the
+    pool the round ran on and its futures.
     """
     try:
         return pool, _submit_round(pool, *round_args)

@@ -46,6 +46,10 @@ from repro.tech.corners import CornerSet, Scenario
 from repro.tech.pdk import Pdk
 from repro.timing import TimingResult, create_engine
 
+#: An end-point buffer trial: the buffer's name and the ``(slot, row)`` of
+#: every sink it adopted from the end-point.
+_EndpointBuffer = tuple[str, list[tuple[int, int]]]
+
 
 @dataclass
 class _TimingSnapshot:
@@ -187,8 +191,8 @@ class SkewRefiner:
         self.nominal_skew_budget = nominal_skew_budget
         # The refiner's trial loop re-times the design after every endpoint
         # edit; the (default) vectorized engine serves those queries from its
-        # incremental re-timing path because every edit below is recorded
-        # with ``design.mark_rewire`` — corner-batched when corners are given,
+        # incremental re-timing path because every design mutator records
+        # the edit that covers it — corner-batched when corners are given,
         # so one pass scores all K corners of a trial.
         self._engine = create_engine(pdk, engine, corners=corners)
         self._corner_aware = corners is not None and len(self._engine.corners) > 1
@@ -240,17 +244,17 @@ class SkewRefiner:
         improves skew without degrading latency (worst-corner skew/latency
         when the refiner runs corner-aware).
         """
-        inserted: list[tuple[str, str]] = []
+        inserted: list[tuple[str, _EndpointBuffer]] = []
         for endpoint in ranked:
-            buffer_name = self._insert_endpoint_buffer(design, endpoint, before)
-            if buffer_name is not None:
-                inserted.append((endpoint, buffer_name))
+            edit = self._insert_endpoint_buffer(design, endpoint, before)
+            if edit is not None:
+                inserted.append((endpoint, edit))
         if not inserted:
             return 0, before
         after = self._measure(design)
         if not self._improves(after, before, before):
-            for endpoint, buffer_name in reversed(inserted):
-                self._remove_endpoint_buffer(design, endpoint, buffer_name)
+            for endpoint, edit in reversed(inserted):
+                self._remove_endpoint_buffer(design, endpoint, edit)
             return 0, before
         self._attach_arrivals(after, design)
         return len(inserted), after
@@ -267,8 +271,8 @@ class SkewRefiner:
         for endpoint in ranked:
             if not self.force and not current.violates(self.skew_trigger_fraction):
                 break
-            buffer_name = self._insert_endpoint_buffer(design, endpoint, current)
-            if buffer_name is None:
+            edit = self._insert_endpoint_buffer(design, endpoint, current)
+            if edit is None:
                 continue
             trial = self._measure(design)
             if self._improves(trial, current, before):
@@ -279,7 +283,7 @@ class SkewRefiner:
                 current = trial
                 added += 1
             else:
-                self._remove_endpoint_buffer(design, endpoint, buffer_name)
+                self._remove_endpoint_buffer(design, endpoint, edit)
         return added, current
 
     # --------------------------------------------------------------- internals
@@ -503,16 +507,24 @@ class SkewRefiner:
 
     def _insert_endpoint_buffer(
         self, design: DesignArrays, endpoint: str, snapshot: _TimingSnapshot
-    ) -> str | None:
+    ) -> _EndpointBuffer | None:
         """Insert one buffer at the end-point, re-parenting (part of) its leaf net.
 
-        Returns the inserted buffer's name, or None when no sink of the
+        Returns the inserted buffer's name with the ``(slot, row)`` of each
+        sink it adopted (``slot`` is the sink's position among the
+        end-point's children, ascending), or None when no sink of the
         cluster can profit from the buffer.
         """
         endpoint_row = design.name_to_row[endpoint]
         padded = self._padded_sinks(design, endpoint_row, snapshot)
         if not padded:
             return None
+        adopted = set(padded)
+        slots = [
+            (slot, child)
+            for slot, child in enumerate(design.children_rows[endpoint_row])
+            if child in adopted
+        ]
         buffer_name = design.new_name("sr_buf")
         location = design.location_of(endpoint_row)
         buffer_row = design.add_child(
@@ -527,20 +539,20 @@ class SkewRefiner:
         )
         for sink in padded:
             design.move_child(sink, buffer_row)
-        design.mark_rewire(endpoint_row)
-        return buffer_name
+        return buffer_name, slots
 
     @staticmethod
     def _remove_endpoint_buffer(
-        design: DesignArrays, endpoint: str, buffer_name: str
+        design: DesignArrays, endpoint: str, edit: _EndpointBuffer
     ) -> None:
         """Undo :meth:`_insert_endpoint_buffer` (used when a trial is rejected).
 
-        The buffer must be the design's newest row.
+        Each sink goes back to its slot, in ascending slot order, so the
+        end-point's children order is restored exactly.  The buffer must be
+        the design's newest row.
         """
-        buffer_row = design.name_to_row[buffer_name]
+        buffer_name, slots = edit
         endpoint_row = design.name_to_row[endpoint]
-        for sink in list(design.children_rows[buffer_row]):
-            design.move_child(sink, endpoint_row)
-        design.remove_leaf(buffer_row)
-        design.mark_rewire(endpoint_row)
+        for slot, sink in slots:
+            design.move_child(sink, endpoint_row, slot)
+        design.remove_leaf(design.name_to_row[buffer_name])

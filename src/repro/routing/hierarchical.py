@@ -354,25 +354,26 @@ class HierarchicalClockRouter:
         top_node,
         sub_roots: "list[tuple[DmeEmbedding | EmbeddedNode, list[Cluster]]]",
         tap_names: list[str],
-    ) -> int:
-        """Materialise the top-level DME; its leaves expand into sub-DMEs."""
+    ) -> None:
+        """Materialise the top-level DME; its leaves expand into sub-DMEs.
 
-        def expand(parent_row: int, node) -> int:
+        An explicit stack with children pushed in reverse creates the rows
+        in pre-order, as a recursive walk would.  It holds no reference
+        cycle, so the embeddings are freed as soon as routing drops them.
+        """
+        stack = [(root_row, top_node)]
+        while stack:
+            parent_row, node = stack.pop()
             if node.is_leaf:
                 index = int(node.terminal.name.split("_")[1])
                 embedding, lows = sub_roots[index]
-                return _materialise_sub_design(
-                    design, parent_row, embedding, lows, tap_names
-                )
+                _materialise_sub_design(design, parent_row, embedding, lows, tap_names)
+                continue
             location = node.location
             steiner = design.add_child(
                 parent_row, design.new_name("st"), KIND_STEINER, location.x, location.y
             )
-            for child in node.children:
-                expand(steiner, child)
-            return steiner
-
-        return expand(root_row, top_node)
+            stack.extend((steiner, child) for child in reversed(node.children))
 
     def _materialise_flat_design(
         self,

@@ -71,11 +71,13 @@ def apply_edit(
 ) -> Callable[[], None]:
     """Apply one what-if edit and return the callable that reverts it.
 
-    Every mutation goes through the :class:`DesignArrays` mutators and
-    records its covering edit, so both the apply and the revert ride the
-    timing engine's incremental replay.  Undo closures must run newest edit
-    first: undoing ``insert_buffer`` pops the buffer, which must be the
-    design's newest row.
+    Every mutation goes through the :class:`DesignArrays` mutators, which
+    record their own covering edits, so both the apply and the revert ride
+    the timing engine's incremental replay.  The undo puts the edited node
+    back in the slot it held among its parent's children, so a reverted
+    edit leaves the design exactly as it found it.  Undo closures must run
+    newest edit first: undoing ``insert_buffer`` pops the buffer, which
+    must be the design's newest row.
     """
     kind = edit.get("kind")
     if kind not in EDIT_KINDS:
@@ -100,6 +102,7 @@ def apply_edit(
         if name is not None and not isinstance(name, str):
             raise ProtocolError(f"insert_buffer name must be a string, got {name!r}")
         name = name or _fresh_name(design, f"wi_buf_{node}")
+        slot = design.children_rows[parent].index(row)
         design.insert_on_edge(
             row,
             KIND_BUFFER,
@@ -114,9 +117,8 @@ def apply_edit(
             buffer_row = design.name_to_row[name]
             buffer_parent = int(design.parent_row[buffer_row])
             child = design.children_rows[buffer_row][0]
-            design.move_child(child, buffer_parent)
+            design.move_child(child, buffer_parent, slot)
             design.remove_leaf(buffer_row)
-            design.mark_rewire(buffer_parent)
 
         return undo
 
@@ -139,19 +141,13 @@ def apply_edit(
         walk = int(design.parent_row[walk])
     old_parent = int(design.parent_row[row])
     old_parent_name = design.names[old_parent]
-    target_name = design.names[target]
+    slot = design.children_rows[old_parent].index(row)
     design.move_child(row, target)
-    # Both cones changed: the donor lost load, the receiver gained it.
-    design.mark_rewire(old_parent)
-    design.mark_rewire(target)
 
     def undo() -> None:
         moved = design.name_to_row[node]
         donor = design.name_to_row[old_parent_name]
-        receiver = design.name_to_row[target_name]
-        design.move_child(moved, donor)
-        design.mark_rewire(receiver)
-        design.mark_rewire(donor)
+        design.move_child(moved, donor, slot)
 
     return undo
 

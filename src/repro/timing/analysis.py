@@ -19,8 +19,8 @@ class TimingResult:
 
     A result holds an immutable tuple of sink names and float64 arrays of
     their arrivals (and slews) that it owns: it keeps no engine state and no
-    design, so it pickles, and a later edit, ``rename`` or ``restore()`` of
-    the design it timed never changes it.
+    design, so it pickles, and a later edit or ``restore()`` of the design
+    it timed never changes it.
 
     :attr:`latency`, :attr:`min_arrival`, :attr:`skew`, :attr:`max_slew`
     and ``summary()["sinks"]`` read the arrays, so a non-finite arrival

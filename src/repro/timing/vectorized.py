@@ -15,9 +15,9 @@ The engine only reads the design.  It times the rows where they sit: a
 level lists each node's children in children order, so no result depends
 on how the rows are numbered.
 
-On top of the full pass the engine supports **incremental re-timing**: when
-the design records structural edits through its edit log
-(:meth:`DesignArrays.mark_splice` / :meth:`DesignArrays.mark_rewire`), the
+On top of the full pass the engine supports **incremental re-timing**: every
+:class:`DesignArrays` mutator records the splice or rewire that covers it in
+the design's edit log, and from it the
 next query patches only the affected rows, walks capacitance changes up to
 the first shielding buffer (or the root), and re-times just that driver's
 cone instead of the whole tree.  A single end-point buffer insertion on a
@@ -259,7 +259,7 @@ class VectorizedElmoreEngine(ElmoreModel):
         its rows are numbered.
         """
         state = _EngineState(design, len(self.corners))
-        rows = design.alive_rows()
+        rows = np.arange(design.size, dtype=np.int64)
         self._refresh_wire(state, rows)
         self._full_caps(state)
         self._refresh_stage(state, rows)
@@ -307,7 +307,7 @@ class VectorizedElmoreEngine(ElmoreModel):
         """Bottom-up subtree capacitances and driver loads, level by level."""
         arrays = state.arrays
         capacity = state.load.shape[1]
-        state.load[:, arrays.alive_rows()] = 0.0
+        state.load[:, : arrays.size] = 0.0
         for rows in reversed(arrays.levels()):
             down = arrays.cap[rows][None, :] + state.load[:, rows]
             shielded = arrays.kind[rows] == KIND_BUFFER
@@ -426,15 +426,25 @@ class VectorizedElmoreEngine(ElmoreModel):
         whole subtree bottom-up.  Either walks the capacitance change up to
         the first shielding buffer and re-times that driver's cone.  Returns
         False to request a recompile.
+
+        A trial logs the same row once per mutation, so the batch is first
+        reduced to its distinct ``(kind, row)`` pairs in first-seen order.
+        An entry naming a row at or past ``size`` is dropped: that row was
+        popped, and :meth:`DesignArrays.remove_leaf` logged a rewire of its
+        parent, which covers it.
         """
-        if len(edits) > _MAX_INCREMENTAL_EDITS:
-            return False
         design = state.arrays
-        changed: set[int] = set()
-        tops: list[int] = []
+        distinct: dict[tuple[str, int], None] = {}
         for _version, edit_kind, row in edits:
             if row is None or edit_kind == "touch":
                 return False
+            if row < design.size:
+                distinct[edit_kind, row] = None
+        if len(distinct) > _MAX_INCREMENTAL_EDITS:
+            return False
+        changed: set[int] = set()
+        tops: list[int] = []
+        for edit_kind, row in distinct:
             row = int(row)
             if not _row_attached(design, row):
                 return False
@@ -751,14 +761,11 @@ class VectorizedElmoreEngine(ElmoreModel):
 
 
 def _row_attached(design: DesignArrays, row: int) -> bool:
-    """True when ``row`` exists and is reachable from the design root.
+    """True when ``row`` (below ``size``) is reachable from the design root.
 
-    A logged edit may name a row popped since (:meth:`DesignArrays.remove_leaf`):
-    past ``size`` it fails here and the engine recompiles; if a later append
-    reused the row, that append's own edit covers the new node.
+    A logged edit may name a row popped since and reused by a later append;
+    that append's own edit covers the new node.
     """
-    if row >= design.size:
-        return False
     while design.parent_row[row] >= 0:
         row = int(design.parent_row[row])
     return row == 0

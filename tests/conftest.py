@@ -12,6 +12,12 @@ import os
 import signal
 
 import pytest
+from hypothesis import settings
+
+#: ``--hypothesis-profile=stateful`` runs the edit-contract state machine
+#: (tests/test_ir_stateful.py) on ten times hypothesis's default 100
+#: examples; the CI ``stateful`` job selects it.
+settings.register_profile("stateful", max_examples=1000)
 
 # Debugging hook for runs that hang (a stuck worker, an interpreter-exit
 # deadlock): `REPRO_HANG_DEBUG=1 pytest ... &` then `kill -USR1 <pid>` dumps

@@ -1,18 +1,16 @@
 """Regression tests: the ``DesignArrays`` edit-version contract.
 
-Versions are monotonic per design object — ``restore`` is a *structural
-edit* and must be observable through ``edits_since``: an observer holding
-any pre-edit version gets a non-empty edit list or ``None`` (recompile),
-never ``[]``.  Before the fix the call could rewind the version counter, so
-a cached :class:`VectorizedElmoreEngine` would serve timing computed for the
+Every structural mutator records the edit that covers it, so callers do no
+bookkeeping and a warm :class:`VectorizedElmoreEngine` never answers from a
+stale cache.  Versions are monotonic per design object — ``restore`` is a
+*structural edit* and must be observable through ``edits_since``: an
+observer holding any pre-edit version gets a non-empty edit list or
+``None`` (recompile), never ``[]``.  Before the fix the call could rewind
+the version counter, so a cached engine would serve timing computed for the
 *previous* structure.
 
 Rows are append-only: :meth:`DesignArrays.remove_leaf` pops only the newest
 row, and the edit log is a sliding window an old observer falls out of.
-
-Also pins the duplicate-name index semantics of :meth:`DesignArrays.rename`
-against the executable spec, :meth:`ClockTree.find` (first in *pre-order*
-wins), with differential tests.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clocktree import ClockTree, ClockTreeNode, NodeKind
-from repro.geometry import Point
 from repro.ir.design import KIND_BUFFER, KIND_SINK, DesignArrays
 from repro.tech import asap7_backside
 from repro.timing import ElmoreTimingEngine, VectorizedElmoreEngine
@@ -105,6 +101,58 @@ class TestRestoreVersionMonotonic:
             assert stale.arrivals[name] == pytest.approx(value, abs=1e-9)
 
 
+# -------------------------------------------------------- self-recording
+class TestMutatorsRecordTheirEdits:
+    def test_warm_engine_sees_a_bare_add_child(self, pdk):
+        # A sink appended with add_child alone used to record no edit: the
+        # warm engine kept its two-sink state and timed the new sink at 0.
+        design = small_design(sinks=2)
+        engine = VectorizedElmoreEngine(pdk)
+        engine.analyze(design)
+        version = design.version
+        design.add_child(0, "late", KIND_SINK, 200.0, 200.0, capacitance=5.0)
+        assert design.edits_since(version) != []
+        warm = engine.analyze(design)
+        fresh = VectorizedElmoreEngine(pdk).analyze(design)
+        reference = ElmoreTimingEngine(pdk).analyze(design)
+        assert engine.full_compiles == 1  # served on the incremental path
+        assert warm.arrivals == fresh.arrivals
+        assert warm.arrivals.keys() == reference.arrivals.keys()
+        for name, value in reference.arrivals.items():
+            assert warm.arrivals[name] == pytest.approx(value, abs=1e-9)
+        assert warm.skew == pytest.approx(reference.skew, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.add_child(0, "s1", KIND_SINK, 1.0, 1.0),
+            lambda d: d.add_children(
+                0, ["n0", "s3"], KIND_SINK, [1.0, 2.0], [1.0, 2.0]
+            ),
+            lambda d: d.add_children(
+                0, ["n0", "n0"], KIND_SINK, [1.0, 2.0], [1.0, 2.0]
+            ),
+            lambda d: d.insert_on_edge(
+                d.name_to_row["s2"], KIND_BUFFER, 1.0, 1.0, name="s0"
+            ),
+        ],
+        ids=["add_child", "add_children", "add_children_batch", "insert_on_edge"],
+    )
+    def test_a_duplicate_name_changes_and_records_nothing(self, mutate):
+        # Names are unique per design; a rejected mutator must leave no
+        # partial row behind and log no edit.
+        design = small_design()
+        names, log = list(design.names), design.edit_log
+        parents = design.parent_row[: design.size].copy()
+        with pytest.raises(ValueError, match="duplicate node name"):
+            mutate(design)
+        assert design.names == names
+        assert design.edit_log == log
+        assert list(design.name_to_row) == names
+        assert (design.parent_row[: design.size] == parents).all()
+        assert design.children_rows[0] == list(range(1, len(names)))
+
+
 # ----------------------------------------------------------- append-only
 class TestAppendOnlyRows:
     def test_remove_leaf_rejects_any_row_but_the_newest(self):
@@ -146,7 +194,6 @@ class TestAppendOnlyRows:
         # Pop the newest sink: the cached engine must observe it (via edits
         # or a recompile), not serve the popped row.
         design.remove_leaf(design.name_to_row["s5"])
-        design.mark_rewire(0)
         result = engine.analyze(design)
         fresh = VectorizedElmoreEngine(pdk).analyze(design)
         assert "s5" not in result.arrivals
@@ -164,7 +211,6 @@ class TestAppendOnlyRows:
         engine.analyze(design)
         design.move_child(sink, 0)
         design.remove_leaf(buffer)
-        design.mark_rewire(0)
         result = engine.analyze(design)
         assert engine.full_compiles == 1  # the undo replays incrementally
         reference = ElmoreTimingEngine(pdk).analyze(design.to_clock_tree())
@@ -181,13 +227,13 @@ class TestEditLogWindow:
         design = small_design()
         start = design.version
         for _ in range(300):
-            design.mark_rewire(0)
+            design.touch()
         log = design.edit_log
         assert len(log) == 256
         assert [version for version, _, _ in log] == list(
             range(design.version - 255, design.version + 1)
         )
-        assert all(kind == "rewire" for _, kind, _ in log)
+        assert all(kind == "touch" for _, kind, _ in log)
         # An observer inside the window replays; an older one recompiles.
         assert len(design.edits_since(design.version - 10)) == 10
         assert len(design.edits_since(design.version - 256)) == 256
@@ -195,94 +241,10 @@ class TestEditLogWindow:
         assert design.edits_since(start) is None
 
 
-# ------------------------------------------------------------------ rename
-def mirrored_pair() -> tuple[DesignArrays, ClockTree]:
-    """The same tree as a design and as an object tree.
-
-    Pre-order is root, p, c, q — while rows (append order) are root, p, q,
-    c.  The two orders disagree on which duplicate comes "first", which is
-    exactly what the differential pins down.
-    """
-    design = DesignArrays(name="clk")
-    design.add_root("root", 0.0, 0.0)
-    design.add_child(0, "p", KIND_BUFFER, 1.0, 0.0, capacitance=0.5)
-    design.add_child(0, "q", KIND_SINK, 2.0, 0.0, capacitance=1.0)
-    design.add_child(1, "c", KIND_SINK, 3.0, 0.0, capacitance=1.0)
-
-    root = ClockTreeNode("root", NodeKind.ROOT, Point(0.0, 0.0))
-    tree = ClockTree(root)
-    p = ClockTreeNode("p", NodeKind.BUFFER, Point(1.0, 0.0), capacitance=0.5)
-    q = ClockTreeNode("q", NodeKind.SINK, Point(2.0, 0.0), capacitance=1.0)
-    c = ClockTreeNode("c", NodeKind.SINK, Point(3.0, 0.0), capacitance=1.0)
-    root.add_child(p)
-    root.add_child(q)
-    p.add_child(c)
-    return design, tree
-
-
-class TestRenameDuplicateSemantics:
-    def test_collision_keeps_first_in_preorder_like_find(self):
-        design, tree = mirrored_pair()
-        # Rename c -> "q": c precedes q in pre-order, so find("q") serves c.
-        design.rename(design.name_to_row["c"], "q")
-        tree.find("c").name = "q"
-        node = tree.find("q")
-        row = design.name_to_row["q"]
-        assert design.names[row] == "q"
-        assert design.location_of(row) == node.location
-
-    def test_collision_where_existing_row_wins(self):
-        design, tree = mirrored_pair()
-        # Rename q -> "c": c (under p) still precedes q in pre-order.
-        design.rename(design.name_to_row["q"], "c")
-        tree.find("q").name = "c"
-        node = tree.find("c")
-        row = design.name_to_row["c"]
-        assert design.location_of(row) == node.location
-
-    def test_rename_away_releases_to_remaining_duplicate(self):
-        design, tree = mirrored_pair()
-        design.rename(design.name_to_row["c"], "q")
-        tree.find("c").name = "q"
-        # Two rows are now named "q"; rename the pre-order-first holder
-        # away — the other must take the index entry over, as find's
-        # pre-order scan does.
-        design.rename(design.name_to_row["q"], "solo")
-        tree.find("q").name = "solo"
-        node = tree.find("q")
-        row = design.name_to_row["q"]
-        assert design.names[row] == "q"
-        assert design.location_of(row) == node.location
-
-    def test_plain_rename_is_exact(self):
-        design, _ = mirrored_pair()
-        row = design.name_to_row["c"]
-        design.rename(row, "renamed")
-        assert design.name_to_row["renamed"] == row
-        assert "c" not in design.name_to_row
-
-
-class TestRenameReachesEngineCaches:
-    def test_analyze_reports_a_renamed_sink_under_its_new_name(self, pdk):
-        # analyze() caches its name-keyed arrivals per design version; a
-        # rename used to record no edit, so the old name was served.
-        design = small_design()
-        engine = VectorizedElmoreEngine(pdk)
-        engine.analyze(design)
-        version = design.version
-        design.rename(design.name_to_row["s2"], "renamed_sink")
-        assert design.edits_since(version) != []
-        arrivals = engine.analyze(design).arrivals
-        assert "renamed_sink" in arrivals and "s2" not in arrivals
-        assert arrivals == ElmoreTimingEngine(pdk).analyze(design).arrivals
-        (nominal,) = engine.analyze_corners(design).values()
-        assert arrivals == nominal.arrivals
-
-
 # ------------------------------------------------- version monotonicity law
 _OPS = st.lists(
     st.sampled_from(("add", "buffer", "remove", "touch", "snapshot",
-                     "restore", "rename")),
+                     "restore")),
     min_size=1,
     max_size=24,
 )
@@ -304,7 +266,6 @@ class TestVersionMonotonicityProperty:
                 serial += 1
                 design.add_child(0, f"x{serial}", KIND_SINK,
                                  float(serial), 1.0, capacitance=1.0)
-                design.touch()
             elif op == "buffer":
                 leaves = [r for r in range(design.size)
                           if not design.children_rows[r]
@@ -317,21 +278,13 @@ class TestVersionMonotonicityProperty:
                           if not design.children_rows[r]
                           and design.parent_row[r] >= 0]
                 if len(leaves) > 1 and newest in leaves:
-                    parent = int(design.parent_row[newest])
                     design.remove_leaf(newest)
-                    design.mark_rewire(parent)
             elif op == "touch":
                 design.touch()
             elif op == "snapshot":
                 snap = design.snapshot()
             elif op == "restore":
                 design.restore(snap)
-            elif op == "rename":
-                serial += 1
-                rows = [r for r in range(design.size)
-                        if design.parent_row[r] >= 0]
-                if rows:
-                    design.rename(rows[0], f"r{serial}")
             assert design.version >= last, f"{op} rewound the version"
             last = design.version
             shape_after = (design.size,

@@ -114,7 +114,7 @@ def test_roundtrip_preserves_edge_lengths_and_counts(tree):
     # tolerance (np.sum is pairwise, the object walk sums sequentially).
     lengths = {
         design.names[int(row)]: float(design.edge_length[int(row)])
-        for row in design.alive_rows()
+        for row in range(design.size)
     }
     for node in tree.root.iter_subtree():
         assert lengths[node.name] == node.edge_length()

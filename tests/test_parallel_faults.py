@@ -19,10 +19,11 @@ crash-on-pickle, exit-mid-task, broken pool) through every pool consumer
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import time
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import forkserver
+from multiprocessing import forkserver, reduction
 
 import numpy as np
 import pytest
@@ -362,6 +363,44 @@ class TestRunTasks:
                 run_tasks("teststage", _double, [1, 2], 2, policy=STRICT)
         assert "injected worker crash" in excinfo.value.cause
         assert run_tasks("teststage", _double, [1, 2], 2, policy=STRICT) == [2, 4]
+
+    def test_fork_server_dying_mid_handshake_costs_no_attempt(self, monkeypatch):
+        """The fork server can exit between a spawn's ``connect`` and its fd
+        handshake; the spawn then breaks its pipe.  That is a dead fork
+        server like any other: the round moves to a fresh pool within the
+        same attempt, so nothing is retried and a strict error still names
+        the task's own failure."""
+        send = reduction.sendfds
+
+        def kill_server_then_send(sock, fds):
+            monkeypatch.setattr(reduction, "sendfds", send)  # one spawn only
+            pid = forkserver._forkserver._forkserver_pid
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, unreaped
+            return send(sock, fds)
+
+        def arm_kill_on_next_spawn():
+            shutdown_pool()
+            run_tasks("teststage", _double, [1, 2], 2, policy=RETRY)
+            shutdown_pool()  # the next round spawns through the live server
+            monkeypatch.setattr(reduction, "sendfds", kill_server_then_send)
+
+        arm_kill_on_next_spawn()
+        sink: list = []
+        results = run_tasks(
+            "teststage", _double, [1, 2], 2, policy=RETRY, diagnostics=sink
+        )
+        assert reduction.sendfds is send  # the server was killed mid-spawn
+        assert results == [2, 4]
+        assert sink == []
+
+        arm_kill_on_next_spawn()
+        fault = WorkerFault(stage="teststage", kind="crash", fail_attempts=99)
+        with arm_worker_faults(fault):
+            with pytest.raises(ParallelError) as excinfo:
+                run_tasks("teststage", _double, [1, 2], 2, policy=STRICT)
+        assert reduction.sendfds is send
+        assert "injected worker crash" in excinfo.value.cause
 
     def test_break_pool_fails_the_next_submit_fast(self):
         # A submit racing the executor's teardown would spawn a worker the

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.designs import random_sink_cloud
 from repro.flow import DoubleSideCTS
-from repro.ir.design import DesignArrays
+from repro.ir.design import KIND_SINK, DesignArrays
 from repro.refinement import (
     SkewRefiner,
     adaptive_scale_factor,
@@ -150,3 +151,37 @@ class TestSkewRefiner:
         assert reports["reference"].after.skew == pytest.approx(
             reports["vectorized"].after.skew, abs=1e-9
         )
+
+    def test_rejected_trial_restores_the_endpoint_children_order(
+        self, pdk, small_config, monkeypatch
+    ):
+        """A rejected trial puts every adopted sink back in its slot among
+        the end-point's children, also when the buffer adopted only some of
+        the end-point's sinks."""
+        children_before: dict[str, list[int]] = {}
+        partial: list[tuple[list[int], list[int]]] = []
+        insert = SkewRefiner._insert_endpoint_buffer
+        remove = SkewRefiner._remove_endpoint_buffer
+
+        def traced_insert(self, design, endpoint, snapshot):
+            row = design.name_to_row[endpoint]
+            children_before[endpoint] = list(design.children_rows[row])
+            return insert(self, design, endpoint, snapshot)
+
+        def traced_remove(design, endpoint, *trial):
+            row = design.name_to_row[endpoint]
+            adopted = len(design.children_rows[design.size - 1])  # the buffer
+            before = children_before[endpoint]
+            sinks = sum(design.kind[child] == KIND_SINK for child in before)
+            remove(design, endpoint, *trial)
+            if adopted < sinks:
+                partial.append((before, list(design.children_rows[row])))
+
+        monkeypatch.setattr(SkewRefiner, "_insert_endpoint_buffer", traced_insert)
+        monkeypatch.setattr(
+            SkewRefiner, "_remove_endpoint_buffer", staticmethod(traced_remove)
+        )
+        DoubleSideCTS(pdk, small_config).run(random_sink_cloud(200, seed=5))
+        assert partial, "no rejected trial adopted a strict subset of sinks"
+        for before, after in partial:
+            assert after == before

@@ -1,12 +1,16 @@
 """Unit tests for the hierarchical clock router (Section III-B)."""
 
+import gc
+
 import pytest
 
 from repro.clocktree import NodeKind
+from repro.designs import random_sink_cloud
 from repro.flow import BackendSelection, CtsConfig
 from repro.geometry import Point
 from repro.netlist import ClockNet, ClockSink, ClockSource
 from repro.routing import DME_BACKEND_NAMES, HierarchicalClockRouter
+from repro.routing.dme_arrays import DmeEmbedding
 from repro.tech.layers import Side
 from tests.conftest import make_random_clock_net
 from tests.harness import clock_tree_fingerprint
@@ -219,3 +223,24 @@ class TestRouteAdapter:
         assert routed.trunk_wirelength == expected.trunk_wirelength
         assert routed.leaf_wirelength == expected.leaf_wirelength
         assert bool(routed.tap_nodes) is hierarchical
+
+
+class TestReferenceCycles:
+    def test_routing_frees_its_embeddings_without_the_cyclic_collector(self, pdk):
+        """A multi-cluster route leaves no DME embedding for a cyclic
+        collection to free (a self-referencing closure once kept the
+        top-level ones alive until a generation-2 collection)."""
+        router = make_router(
+            pdk, dme="vectorized", high_cluster_size=80, low_cluster_size=10
+        )
+        net = random_sink_cloud(400, seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            result = router.route_design(net)
+            assert len(result.clustering.high_clusters) == 5
+            del result
+            alive = sum(isinstance(o, DmeEmbedding) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0

@@ -318,6 +318,28 @@ class TestWhatIf:
             session.what_if([edit])
         assert design.size == size
 
+    @pytest.mark.parametrize("kind", ["insert_buffer", "retarget"])
+    def test_reverted_what_if_restores_children_order(self, pdk, kind):
+        """A reverted edit puts the node back in its slot among its
+        parent's children: children order is part of the design."""
+        session = build_session(pdk, random_sink_cloud(200, seed=5), CtsConfig())
+        design = session.design
+
+        def realised() -> list[tuple[str, list[str]]]:
+            return [
+                (node.name, [child.name for child in node.children])
+                for node in design.to_clock_tree().nodes()
+            ]
+
+        built = realised()
+        parent = int(design.parent_row[design.name_to_row["ff_56"]])
+        assert design.names[design.children_rows[parent][0]] == "ff_56"
+        edit = {"kind": kind, "node": "ff_56"}
+        if kind == "retarget":
+            edit["new_parent"] = design.names[0]
+        session.what_if([edit])
+        assert realised() == built
+
     def test_long_session_never_recompiles(self, pdk):
         """Past its window the edit log drops its oldest entry, so an engine
         that syncs after every what_if stays on the incremental path."""

@@ -256,13 +256,16 @@ class TestBatchedIncremental:
         vec = VectorizedElmoreEngine(pdk, corners=SIGNOFF)
         ref = ElmoreTimingEngine(pdk, corners=SIGNOFF)
         assert_corners_match(ref, vec, design, context="initial")
+        changed = 0
         for step in range(15):
             kind = random_design_edit(design, rng, pdk)
+            changed += kind != "rewire_noop"
             assert_corners_match(ref, vec, design, context=f"step {step} ({kind})")
         # The whole sequence must have been served incrementally: one compile
-        # for the initial analysis, then corner-batched dirty-cone updates.
+        # for the initial analysis, then one corner-batched dirty-cone update
+        # per step that changed the design.
         assert vec.full_compiles == 1
-        assert vec.incremental_updates >= 15
+        assert vec.incremental_updates >= changed
 
     def test_batched_edits_between_queries(self, pdk):
         rng = np.random.default_rng(123)

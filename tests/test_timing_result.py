@@ -50,7 +50,6 @@ def add_sink(design: DesignArrays, serial: int) -> None:
     design.add_child(
         parent, f"extra{serial}", KIND_SINK, 5.0 * serial, 3.0, capacitance=1.0
     )
-    design.mark_rewire(parent)
 
 
 class TestReductionParity:
@@ -141,7 +140,7 @@ class TestReductionParity:
 class TestSnapshots:
     """A result never changes after it is returned, and it pickles."""
 
-    @pytest.mark.parametrize("change", ["edit", "rename", "remove", "restore"])
+    @pytest.mark.parametrize("change", ["edit", "remove", "restore"])
     @pytest.mark.parametrize("engine_name", sorted(ENGINES))
     def test_later_design_changes_do_not_reach_a_result(
         self, pdk, engine_name, change
@@ -165,8 +164,6 @@ class TestSnapshots:
             sink = int(design.sink_rows()[3])
             x, y = float(design.x[sink]), float(design.y[sink])
             design.add_buffer(sink, x, y, 0.8)
-        elif change == "rename":
-            design.rename(int(design.sink_rows()[0]), "renamed_sink")
         elif change == "remove":
             # Dissolve the newest row, the only one a design can remove.
             newest = design.size - 1
@@ -174,7 +171,6 @@ class TestSnapshots:
             for child in list(design.children_rows[newest]):
                 design.move_child(child, parent)
             design.remove_leaf(newest)
-            design.mark_rewire(parent)
         else:
             design.restore(snap)
         engine.analyze(design)  # the engine moves on to the changed design
