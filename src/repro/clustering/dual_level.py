@@ -49,7 +49,8 @@ class Cluster:
 
         Shared by every per-cluster vectorized pass (tap-terminal lumping,
         leaf-net estimates) so the sink objects are walked at most once per
-        cluster.  Treat the arrays as read-only.
+        cluster; ``dual_level_clustering`` seeds it with the rows it already
+        gathered.  Treat the arrays as read-only.
         """
         if self._columns is None:
             self._columns = (
@@ -127,83 +128,100 @@ def split_by_capacitance(
     whose star-net load exceeds ``max_capacitance`` are bisected with K-means
     until every piece fits (or is a single sink).
     """
+    members: list[ClockSink] = []
+    blocks = []
+    for centroid, group in groups:
+        blocks.append((centroid, np.arange(len(members), len(members) + len(group))))
+        members.extend(group)
+    pieces = _split_rows(
+        _sink_columns(members), blocks, max_capacitance, unit_wire_capacitance, seed
+    )
+    return [
+        (centroid, [members[i] for i in rows.tolist()]) for centroid, rows in pieces
+    ]
+
+
+def _sink_columns(sinks: list[ClockSink]) -> np.ndarray:
+    """The (n, 3) float block of every sink's x, y and pin cap, in order."""
+    block = [(s.location.x, s.location.y, s.capacitance) for s in sinks]
+    return np.array(block, dtype=float).reshape(len(sinks), 3)
+
+
+def _split_rows(
+    columns: np.ndarray,
+    groups: list[tuple[Point, np.ndarray]],
+    max_capacitance: float,
+    unit_wire_capacitance: float,
+    seed: int,
+) -> list[tuple[Point, np.ndarray]]:
+    """``split_by_capacitance`` over member rows of the ``_sink_columns`` block.
+
+    Groups are popped last first (a LIFO queue), and each split pushes its
+    two halves in label order.
+    """
     if max_capacitance <= 0:
         raise ValueError("max capacitance must be positive")
-    result: list[tuple[Point, list[ClockSink]]] = []
-    # Each queue entry carries (x, y, cap) columns alongside the member
-    # list: splits gather sub-columns instead of re-walking sink objects.
-    queue = []
-    for centroid, members in groups:
-        xs = np.asarray([s.location.x for s in members])
-        ys = np.asarray([s.location.y for s in members])
-        caps = np.asarray([s.capacitance for s in members])
-        queue.append((centroid, members, xs, ys, caps))
+    result: list[tuple[Point, np.ndarray]] = []
+    queue = list(groups)
     while queue:
-        centroid, members, xs, ys, caps = queue.pop()
+        centroid, rows = queue.pop()
+        block = columns[rows]
+        xs, ys = block[:, 0], block[:, 1]
         # Bit-equal twin of ``estimate_leaf_load``: per-element |dx| + |dy|
         # matches ``Point.manhattan`` and the Python sums run in member
         # order, so the load compare sees the identical float.
         dists = np.abs(centroid.x - xs) + np.abs(centroid.y - ys)
-        load = sum(dists.tolist()) * unit_wire_capacitance + sum(caps.tolist())
-        if load <= max_capacitance or len(members) <= 1:
-            result.append((centroid, members))
+        load = sum(dists.tolist()) * unit_wire_capacitance + sum(block[:, 2].tolist())
+        if load <= max_capacitance or rows.size <= 1:
+            result.append((centroid, rows))
             continue
-        points = np.column_stack((xs, ys))
-        labels = KMeans(n_clusters=2, seed=seed).fit(points).labels
-        idx_halves = [np.flatnonzero(labels == part) for part in (0, 1)]
-        if any(idx.size == 0 for idx in idx_halves):
+        labels = KMeans(n_clusters=2, seed=seed).fit(block[:, :2]).labels
+        halves = [np.flatnonzero(labels == part) for part in (0, 1)]
+        if any(half.size == 0 for half in halves):
             # K-means failed to separate identical points: split arbitrarily.
-            idx_halves = [
-                np.arange(0, len(members), 2),
-                np.arange(1, len(members), 2),
-            ]
-        for idx in idx_halves:
-            if idx.size == 0:
+            halves = [np.arange(0, rows.size, 2), np.arange(1, rows.size, 2)]
+        for half in halves:
+            if half.size == 0:
                 continue
-            half_x, half_y = xs[idx], ys[idx]
-            new_centroid = Point(float(np.mean(half_x)), float(np.mean(half_y)))
-            queue.append(
-                (new_centroid, [members[i] for i in idx], half_x, half_y, caps[idx])
-            )
+            half_centroid = Point(float(np.mean(xs[half])), float(np.mean(ys[half])))
+            queue.append((half_centroid, rows[half]))
     return result
 
 
-def _cluster_sinks(
-    sinks: list[ClockSink],
+def _cluster_rows(
+    columns: np.ndarray,
+    rows: np.ndarray,
     target_size: int,
     seed: int,
     balanced: bool,
-) -> list[tuple[Point, list[ClockSink]]]:
-    """Cluster ``sinks`` into groups of roughly ``target_size`` members."""
-    if not sinks:
-        return []
-    count = max(1, math.ceil(len(sinks) / target_size))
+) -> list[tuple[Point, np.ndarray]]:
+    """Cluster the sinks at ``rows`` of the ``_sink_columns`` block into
+    groups of roughly ``target_size`` members: (centroid, member rows) each."""
+    count = max(1, math.ceil(rows.size / target_size))
     if count == 1:
-        pts = [s.location for s in sinks]
+        # Python sums in member order, like a sum over the sink objects.
         centroid = Point(
-            sum(p.x for p in pts) / len(pts), sum(p.y for p in pts) / len(pts)
+            sum(columns[rows, 0].tolist()) / rows.size,
+            sum(columns[rows, 1].tolist()) / rows.size,
         )
-        return [(centroid, list(sinks))]
-    points = np.array([[s.location.x, s.location.y] for s in sinks])
+        return [(centroid, rows)]
+    points = columns[rows, :2]
     max_size = None
     if balanced:
         # Allow some slack above the target so balancing stays feasible.
-        max_size = max(target_size, math.ceil(len(sinks) / count) + 1)
+        max_size = max(target_size, math.ceil(rows.size / count) + 1)
     result = KMeans(
         n_clusters=count, seed=seed, max_cluster_size=max_size
     ).fit(points)
-    groups: list[tuple[Point, list[ClockSink]]] = []
+    groups: list[tuple[Point, np.ndarray]] = []
     for member_idx in result.groups():
         if len(member_idx) == 0:
             continue
-        members = [sinks[i] for i in member_idx]
-        # Means over gathered coordinate columns — the same values in the
-        # same order as the per-member list comprehensions (bit-equal).
         centroid = Point(
             float(np.mean(points[member_idx, 0])),
             float(np.mean(points[member_idx, 1])),
         )
-        groups.append((centroid, members))
+        groups.append((centroid, rows[member_idx]))
     return groups
 
 
@@ -242,28 +260,40 @@ def dual_level_clustering(
     if low_size > high_size:
         raise ValueError("low-level cluster size cannot exceed the high-level size")
 
-    high_groups = _cluster_sinks(sinks, high_size, seed, balanced)
+    # Every sink object is read once; each group gathers its block by row.
+    columns = _sink_columns(sinks)
+    high_groups = _cluster_rows(
+        columns, np.arange(len(sinks)), high_size, seed, balanced
+    )
     high_clusters: list[Cluster] = []
     low_clusters: list[Cluster] = []
-    for high_index, (high_centroid, members) in enumerate(high_groups):
+    for high_index, (high_centroid, high_rows) in enumerate(high_groups):
         high_clusters.append(
-            Cluster(index=high_index, centroid=high_centroid, sinks=members)
-        )
-        low_groups = _cluster_sinks(members, low_size, seed + high_index + 1, balanced)
-        if max_leaf_capacitance is not None:
-            low_groups = split_by_capacitance(
-                low_groups,
-                max_capacitance=max_leaf_capacitance,
-                unit_wire_capacitance=unit_wire_capacitance,
-                seed=seed + high_index + 1,
+            Cluster(
+                index=high_index,
+                centroid=high_centroid,
+                sinks=[sinks[i] for i in high_rows.tolist()],
             )
-        for low_centroid, low_members in low_groups:
+        )
+        low_seed = seed + high_index + 1
+        low_groups = _cluster_rows(columns, high_rows, low_size, low_seed, balanced)
+        if max_leaf_capacitance is not None:
+            low_groups = _split_rows(
+                columns,
+                low_groups,
+                max_leaf_capacitance,
+                unit_wire_capacitance,
+                low_seed,
+            )
+        for low_centroid, low_rows in low_groups:
+            xs, ys, caps = columns[low_rows].T
             low_clusters.append(
                 Cluster(
                     index=len(low_clusters),
                     centroid=low_centroid,
-                    sinks=low_members,
+                    sinks=[sinks[i] for i in low_rows.tolist()],
                     parent_index=high_index,
+                    _columns=(xs, ys, caps),
                 )
             )
 
