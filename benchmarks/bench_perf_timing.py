@@ -338,13 +338,15 @@ def bench_corners(sink_count: int, pdk, spec: str = BENCH_CORNERS) -> dict:
 def bench_corner_refine(sink_count: int, pdk, spec: str = BENCH_CORNERS) -> dict:
     """Corner-aware refinement trial scoring: batched vs. per-corner loop.
 
-    Replays the skew refiner's inner loop — its end-point buffer edit
-    (``add_child``, ``move_child``) followed by the trial
-    score (per-corner skew *and* latency, exactly what
-    ``SkewRefiner._measure`` reads) — and compares one corner-batched
+    Replays the shape of the skew refiner's inner loop — its end-point
+    buffer edit (``add_child``, ``move_child``) followed by a trial score of
+    per-corner skew *and* latency — and compares one corner-batched
     incremental engine (what ``SkewRefiner(corners=...)`` uses) against K
     sequential single-corner vectorized engines that each replay the same
-    edit (what a naive per-corner wrapper would do).
+    edit (what a naive per-corner wrapper would do).  The score here reads
+    ``skew_per_corner`` / ``latency_per_corner``; the refiner itself reads
+    one ``analyze_corners(with_slew=False)`` pass per trial, the same
+    batched incremental sync plus one sink-arrival row copy per corner.
     """
     design = DesignArrays.from_clock_tree(synthetic_tree(sink_count))
     corners = CornerSet.parse(spec)

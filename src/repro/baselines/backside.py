@@ -26,6 +26,7 @@ from repro.ir.design import (
     KIND_STEINER,
     KIND_TAP,
     DesignArrays,
+    subtree_totals,
 )
 from repro.tech.pdk import Pdk
 
@@ -47,16 +48,6 @@ class BacksideAssignment:
             "inserted_ntsvs": self.inserted_ntsvs,
             "back_wirelength_um": round(self.back_wirelength, 1),
         }
-
-
-def subtree_totals(
-    design: DesignArrays, values: np.ndarray, ufunc: np.ufunc = np.add
-) -> np.ndarray:
-    """Reduce per-row ``values`` over every row's subtree (the row included)."""
-    totals = np.array(values)
-    for rows in reversed(design.levels()[1:]):
-        ufunc.at(totals, design.parent_row[rows], totals[rows])
-    return totals
 
 
 def trunk_edges(design: DesignArrays) -> list[int]:

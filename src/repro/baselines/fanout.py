@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.backside import subtree_totals, trunk_edges
+from repro.baselines.backside import trunk_edges
 from repro.baselines.veloso import BacksideOptimizerBase
-from repro.ir.design import KIND_SINK, DesignArrays
+from repro.ir.design import KIND_SINK, DesignArrays, subtree_totals
 
 
 class FanoutBacksideOptimizer(BacksideOptimizerBase):

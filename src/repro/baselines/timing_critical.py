@@ -3,22 +3,25 @@
 The original work trains a graph neural network to identify the flip-flops
 with the worst timing and flips the nets feeding their leaf buffers to the
 back side.  The GNN only acts as a selector, so this reproduction replaces it
-with a delay-criticality oracle: end-points (taps / leaf buffers) are ranked
-by their worst sink arrival time and the top ``critical_fraction`` of them is
-selected (0.5 in Table III, swept 0.2..0.9 in Fig. 12).  Every trunk edge on
-the root-to-end-point path of a selected end-point is flipped, in the order
-the walks up from the end-points first reach them.
+with a delay-criticality oracle: the end-points are ranked latest-first by
+their worst sink arrival with the skew refiner's own ranking
+(:func:`~repro.refinement.skew_refinement.rank_end_points`: taps, or the
+parents of sinks on a tree without taps, keyed by the latest arrival over
+each one's whole subtree, ties in end-point order), and the top
+``critical_fraction`` of them is selected (0.5 in Table III, swept 0.2..0.9
+in Fig. 12).  Every trunk edge on the root-to-end-point path of a selected
+end-point is flipped, in the order the walks up from the end-points first
+reach them.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
-from repro.baselines.backside import subtree_totals, trunk_edges
+from repro.baselines.backside import trunk_edges
 from repro.baselines.veloso import BacksideOptimizerBase
-from repro.ir.design import KIND_ROOT, KIND_SINK, KIND_TAP, DesignArrays
+from repro.ir.design import DesignArrays
+from repro.refinement.skew_refinement import arrivals_by_row, rank_end_points
 from repro.timing import create_engine
 
 
@@ -46,7 +49,10 @@ class TimingCriticalBacksideOptimizer(BacksideOptimizerBase):
 
     def _critical_endpoints(self, design: DesignArrays) -> list[int]:
         """The ``critical_fraction`` most critical end-point rows, worst first."""
-        endpoints = self._rank_endpoints(design)
+        timing = create_engine(self.pdk).analyze(design, with_slew=False)
+        endpoints = rank_end_points(
+            design, arrivals_by_row(design, timing), latest_first=True
+        )
         if not endpoints:
             return []
         count = max(1, int(round(len(endpoints) * self.critical_fraction)))
@@ -58,23 +64,3 @@ class TimingCriticalBacksideOptimizer(BacksideOptimizerBase):
         while design.parent_row[row] >= 0:
             yield row
             row = int(design.parent_row[row])
-
-    def _rank_endpoints(self, design: DesignArrays) -> list[int]:
-        """End-point rows ordered from most to least timing critical."""
-        engine = create_engine(self.pdk)
-        timing = engine.analyze(design, with_slew=False)
-        order = design.rows_preorder()
-        kind = design.kind
-        endpoints = [row for row in order if kind[row] == KIND_TAP]
-        if not endpoints:
-            parents = dict.fromkeys(
-                int(design.parent_row[row]) for row in order if kind[row] == KIND_SINK
-            )
-            endpoints = [row for row in parents if row >= 0 and kind[row] != KIND_ROOT]
-        arrival = np.full(design.size, -np.inf)
-        for name, value in timing.arrivals.items():
-            arrival[design.name_to_row[name]] = value
-        worst = subtree_totals(design, arrival, np.maximum)
-        scored = [(worst[row], row) for row in endpoints if worst[row] > -np.inf]
-        scored.sort(key=lambda item: item[0], reverse=True)
-        return [row for _score, row in scored]

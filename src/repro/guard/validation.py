@@ -54,20 +54,12 @@ _EDIT_KINDS = ("splice", "rewire", "touch")
 def design_fingerprint(clock_net: ClockNet) -> str:
     """A short stable fingerprint of a clock net (name, source, sinks).
 
-    Attached to guard errors and diagnostics so anomalies reported from
-    long-running sweeps or services can be traced back to their input.
+    The first 12 hex digits of :func:`design_cache_key`, which hashes the
+    same fields exactly.  Attached to guard errors and diagnostics so
+    anomalies reported from long-running sweeps or services can be traced
+    back to their input.
     """
-    hasher = hashlib.sha1()
-    source = clock_net.source
-    hasher.update(
-        f"{clock_net.name}|{source.name}:{source.location.x}:{source.location.y}"
-        f":{source.drive_resistance}:{source.output_slew}".encode()
-    )
-    for sink in clock_net.sinks:
-        hasher.update(
-            f"|{sink.name}:{sink.location.x}:{sink.location.y}:{sink.capacitance}".encode()
-        )
-    return hasher.hexdigest()[:12]
+    return design_cache_key(clock_net)[:12]
 
 
 def design_cache_key(
@@ -75,7 +67,7 @@ def design_cache_key(
     pdk: Pdk | None = None,
     corners: CornerSet | None = None,
 ) -> str:
-    """:func:`design_fingerprint` extended into a stable cache key.
+    """The sha of a design's identity, optionally with its PDK and corners.
 
     Keys the serve tier's :class:`~repro.serve.session.SessionCache`: the sha
     of the design's identity — the full-precision clock-net columns for a
@@ -152,13 +144,19 @@ def _positive(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
+def _finite_point(point) -> bool:
+    # Both coordinates are checked, so a non-number raises a TypeError
+    # whatever the other one holds, as design_fingerprint would.
+    return all([math.isfinite(point.x), math.isfinite(point.y)])
+
+
 def clock_net_problems(clock_net: ClockNet) -> list[str]:
     """Every validation problem of a design's clock net (empty when clean)."""
     problems: list[str] = []
     if not clock_net.sinks:
         problems.append(f"clock net {clock_net.name!r} has no sinks")
     source = clock_net.source
-    if not (math.isfinite(source.location.x) and math.isfinite(source.location.y)):
+    if not _finite_point(source.location):
         problems.append(f"source {source.name!r}: location is not finite")
     if not _positive(source.drive_resistance):
         problems.append(
@@ -175,7 +173,7 @@ def clock_net_problems(clock_net: ClockNet) -> list[str]:
         if sink.name in seen:
             problems.append(f"duplicate sink name {sink.name!r}")
         seen.add(sink.name)
-        if not (math.isfinite(sink.location.x) and math.isfinite(sink.location.y)):
+        if not _finite_point(sink.location):
             problems.append(f"sink {sink.name!r}: location is not finite")
         if not _positive(sink.capacitance):
             problems.append(

@@ -713,8 +713,19 @@ class DesignArrays:
         )
 
 
+def subtree_totals(
+    design: DesignArrays, values: np.ndarray, ufunc: np.ufunc = np.add
+) -> np.ndarray:
+    """Reduce per-row ``values`` over every row's subtree (the row included)."""
+    totals = np.array(values)
+    for rows in reversed(design.levels()[1:]):
+        ufunc.at(totals, design.parent_row[rows], totals[rows])
+    return totals
+
+
 __all__ = [
     "DesignArrays",
+    "subtree_totals",
     "KIND_CODE",
     "KIND_OF_CODE",
     "KIND_ROOT",

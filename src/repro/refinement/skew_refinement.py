@@ -16,23 +16,38 @@ Two orderings are provided (see DESIGN.md, "Interpretation notes"):
   buffer decouples the leaf-net load from the trunk, which can reduce the
   slow paths when the shielding gain exceeds the buffer delay.
 
+**End-points.**  :func:`end_point_rows` and :func:`rank_end_points` define
+the end-points once, on design rows, for the refiner and for the
+criticality oracle of baselines [6] and [29]
+(:mod:`repro.baselines.timing_critical`, latest-first).  The end-points are
+the taps in pre-order; a design without taps (the flat DME ablation, an
+OpenROAD-like tree) uses the non-root parents of its sinks.  Each is keyed
+by the minimum (earliest-first) or maximum (latest-first) sink arrival over
+its whole subtree, one reduction up the design's levels, and a stable sort
+keeps end-point order among equal keys.  Whole subtrees, not each sink's
+nearest end-point: flat DME trees can hang one sink parent below another.
+
 **Corner-aware refinement.**  Pass ``corners=`` to optimise the worst corner
 of a PVT batch instead of the nominal point: end-points are ranked by the
 arrivals of the *worst-skew corner*, and an edit is accepted only when it
 improves the worst-corner skew without degrading the worst-corner latency
-or regressing the nominal skew beyond ``nominal_skew_budget``.  Every trial
-is scored by one corner-batched (incremental) engine pass — the engine is
-created once and never re-instantiated in the loop.
+or regressing the nominal skew beyond ``nominal_skew_budget``.  Every
+measurement is one corner-batched (incremental) ``analyze_corners`` pass,
+and nominal refinement is its one-corner case: the worst corner is the
+nominal one and the budget clause follows from the skew clause.  The
+engine is created once and never re-instantiated in the loop.
 
 The refiner edits a :class:`~repro.ir.design.DesignArrays` in place with
-either timing engine (both walk the design's rows).  A rejected trial pops
-the buffer rows it appended, newest first.  Compile an object tree with
-:meth:`DesignArrays.from_clock_tree` first.
+either timing engine (both walk the design's rows).  A trial records the
+row of the buffer it appended, and a rejected trial pops it again.  Compile
+an object tree with :meth:`DesignArrays.from_clock_tree` first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.ir.design import (
     KIND_BUFFER,
@@ -40,43 +55,94 @@ from repro.ir.design import (
     KIND_SINK,
     KIND_TAP,
     DesignArrays,
+    subtree_totals,
 )
 from repro.refinement.adaptive import refined_endpoint_count
 from repro.tech.corners import CornerSet, Scenario
 from repro.tech.pdk import Pdk
 from repro.timing import TimingResult, create_engine
 
-#: An end-point buffer trial: the buffer's name and the ``(slot, row)`` of
+#: An end-point buffer trial: the buffer's row and the ``(slot, row)`` of
 #: every sink it adopted from the end-point.
-_EndpointBuffer = tuple[str, list[tuple[int, int]]]
+_EndpointBuffer = tuple[int, list[tuple[int, int]]]
+
+
+def end_point_rows(design: DesignArrays) -> list[int]:
+    """The end-point rows of ``design``: its taps, in pre-order.
+
+    A design without taps (the flat DME ablation, an OpenROAD-like tree)
+    uses the non-root parents of its sinks instead, ordered by where each
+    parent's first sink falls in pre-order.
+    """
+    order = np.asarray(design.rows_preorder(), dtype=np.int64)
+    kinds = design.kind[order]
+    taps = order[kinds == KIND_TAP]
+    if taps.size:
+        return taps.tolist()
+    parents = design.parent_row[order[kinds == KIND_SINK]]
+    _unique, first = np.unique(parents, return_index=True)
+    parents = parents[np.sort(first)]
+    return parents[(parents >= 0) & (design.kind[parents] != KIND_ROOT)].tolist()
+
+
+def arrivals_by_row(design: DesignArrays, timing: TimingResult) -> np.ndarray:
+    """``timing``'s sink arrivals on ``design``'s rows (NaN off the sinks)."""
+    arrivals = np.full(design.size, np.nan)
+    arrivals[[design.name_to_row[name] for name in timing.sink_names]] = (
+        timing.arrival_array
+    )
+    return arrivals
+
+
+def rank_end_points(
+    design: DesignArrays, arrivals: np.ndarray, latest_first: bool = False
+) -> list[int]:
+    """:func:`end_point_rows` ordered by the sink arrivals below each one.
+
+    Earliest-first keys every end-point by the minimum sink arrival over its
+    whole subtree and sorts ascending; latest-first keys it by the maximum
+    and sorts descending.  The sort is stable, so equal keys keep
+    end-point order, and an end-point without a sink below it is dropped.
+    ``arrivals`` holds one value per row (:func:`arrivals_by_row`); only
+    the sink rows are read.
+    """
+    fill = -np.inf if latest_first else np.inf
+    sinks = design.kind[: design.size] == KIND_SINK
+    keys = subtree_totals(
+        design,
+        np.where(sinks, arrivals, fill),
+        np.maximum if latest_first else np.minimum,
+    ).tolist()
+    rows = [row for row in end_point_rows(design) if keys[row] != fill]
+    return sorted(rows, key=keys.__getitem__, reverse=latest_first)
 
 
 @dataclass
 class _TimingSnapshot:
-    """One measurement of the tree: per-corner skew/latency scalars.
+    """One measurement of the tree: one corner-batched analysis.
 
-    The trial loop only ever needs these scalars (one batched
-    ``skew_per_corner``/``latency_per_corner`` pass each, served from the
-    engine's cached sink-arrival matrix); the full per-sink ``nominal`` and
-    ``ranking`` results are attached — by :meth:`SkewRefiner._attach_arrivals`
-    while the design is in this snapshot's state — only where arrivals are
-    actually consulted: the initial measurement, accepted trials, and the
-    report.  Nominal-only refinement carries a single (primary) corner.
+    ``results`` holds one :class:`TimingResult` per corner (a single one for
+    nominal refinement).  The worst-skew corner's arrivals by row, which
+    ranking and padded-sink selection read, are built on first use.
     """
 
-    corner_skews: dict[str, float]
-    corner_latencies: dict[str, float]
+    results: dict[str, TimingResult]
     primary: str
-    nominal: TimingResult | None = None
-    ranking: TimingResult | None = None
+    corner_skews: dict[str, float] = field(init=False)
+    corner_latencies: dict[str, float] = field(init=False)
+    arrivals: np.ndarray | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        self.corner_skews = {name: r.skew for name, r in self.results.items()}
+        self.corner_latencies = {name: r.latency for name, r in self.results.items()}
+
+    @property
+    def nominal(self) -> TimingResult:
+        return self.results[self.primary]
 
     @property
     def nominal_skew(self) -> float:
         return self.corner_skews[self.primary]
-
-    @property
-    def nominal_latency(self) -> float:
-        return self.corner_latencies[self.primary]
 
     @property
     def worst_skew(self) -> float:
@@ -91,10 +157,19 @@ class _TimingSnapshot:
         """Name of the worst-skew corner (the primary when nominal-only)."""
         return max(self.corner_skews, key=self.corner_skews.__getitem__)
 
+    @property
+    def ranking(self) -> TimingResult:
+        """The worst-skew corner's result, the one end-points are ranked by."""
+        return self.results[self.worst_corner]
+
+    def ranking_arrivals(self, design: DesignArrays) -> np.ndarray:
+        """:attr:`ranking`'s sink arrivals on ``design``'s rows."""
+        if self.arrivals is None:
+            self.arrivals = arrivals_by_row(design, self.ranking)
+        return self.arrivals
+
     def violates(self, fraction: float) -> bool:
         """Skew-trigger check: any corner exceeding ``fraction`` x latency."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
         return any(
             self.corner_skews[name] > fraction * self.corner_latencies[name]
             for name in self.corner_skews
@@ -179,6 +254,8 @@ class SkewRefiner:
     ) -> None:
         if not 0 < skew_trigger_fraction <= 1:
             raise ValueError("the skew trigger fraction must be in (0, 1]")
+        if max_endpoints < 1:
+            raise ValueError("the maximum end-point count must be at least 1")
         if strategy not in ("pad_fast", "shield_slow"):
             raise ValueError(f"unknown refinement strategy {strategy!r}")
         if nominal_skew_budget < 0:
@@ -192,15 +269,12 @@ class SkewRefiner:
         # The refiner's trial loop re-times the design after every endpoint
         # edit; the (default) vectorized engine serves those queries from its
         # incremental re-timing path because every design mutator records
-        # the edit that covers it — corner-batched when corners are given,
-        # so one pass scores all K corners of a trial.
+        # the edit that covers it, and one corner-batched pass scores all K
+        # corners of a trial (K = 1 for nominal refinement).
         self._engine = create_engine(pdk, engine, corners=corners)
-        self._corner_aware = corners is not None and len(self._engine.corners) > 1
         self._primary_name = self._engine.corners[self._engine.primary_index].name
-        self._corner_pdks = (
-            dict(zip(self._engine.corners.names, self._engine.corner_pdks))
-            if self._corner_aware
-            else {}
+        self._corner_pdks = dict(
+            zip(self._engine.corners.names, self._engine.corner_pdks)
         )
 
     # ----------------------------------------------------------------- public
@@ -216,14 +290,17 @@ class SkewRefiner:
                 "SkewRefiner.refine edits a DesignArrays; compile object trees "
                 "with DesignArrays.from_clock_tree(tree)"
             )
-        before = self._measure(design, with_arrivals=True)
+        before = self._measure(design)
         if not self.force and not before.violates(self.skew_trigger_fraction):
             return self._report(False, 0, 0, before, before)
 
-        endpoints = self._end_points(design)
         sink_count = int(design.sink_rows().size)
         budget = refined_endpoint_count(sink_count, self.max_endpoints)
-        ranked = self._rank_endpoints(design, endpoints, before.ranking)[:budget]
+        ranked = rank_end_points(
+            design,
+            before.ranking_arrivals(design),
+            latest_first=self.strategy == "shield_slow",
+        )[:budget]
 
         added, after = self._refine_batch(design, ranked, before)
         if added == 0:
@@ -233,7 +310,7 @@ class SkewRefiner:
     def _refine_batch(
         self,
         design: DesignArrays,
-        ranked: list[str],
+        ranked: list[int],
         before: _TimingSnapshot,
     ) -> tuple[int, _TimingSnapshot]:
         """Refine all budgeted end-points at once.
@@ -241,10 +318,10 @@ class SkewRefiner:
         The end-point buffers interact through the shared trunk (shielding a
         leaf net speeds up every sibling path), so refining them together
         lets those interactions cancel; the batch is accepted only when it
-        improves skew without degrading latency (worst-corner skew/latency
-        when the refiner runs corner-aware).
+        improves the worst-corner skew without degrading the worst-corner
+        latency.
         """
-        inserted: list[tuple[str, _EndpointBuffer]] = []
+        inserted: list[tuple[int, _EndpointBuffer]] = []
         for endpoint in ranked:
             edit = self._insert_endpoint_buffer(design, endpoint, before)
             if edit is not None:
@@ -256,13 +333,12 @@ class SkewRefiner:
             for endpoint, edit in reversed(inserted):
                 self._remove_endpoint_buffer(design, endpoint, edit)
             return 0, before
-        self._attach_arrivals(after, design)
         return len(inserted), after
 
     def _refine_greedy(
         self,
         design: DesignArrays,
-        ranked: list[str],
+        ranked: list[int],
         before: _TimingSnapshot,
     ) -> tuple[int, _TimingSnapshot]:
         """Refine end-points one at a time, keeping only improving insertions."""
@@ -276,10 +352,6 @@ class SkewRefiner:
                 continue
             trial = self._measure(design)
             if self._improves(trial, current, before):
-                # The accepted trial becomes the snapshot later padded-sink
-                # selections consult, so it needs arrivals (the design is in
-                # exactly this trial's state here).
-                self._attach_arrivals(trial, design)
                 current = trial
                 added += 1
             else:
@@ -287,52 +359,15 @@ class SkewRefiner:
         return added, current
 
     # --------------------------------------------------------------- internals
-    def _measure(
-        self, design: DesignArrays, with_arrivals: bool = False
-    ) -> _TimingSnapshot:
-        """One engine pass over the design (corner-batched when corner-aware).
+    def _measure(self, design: DesignArrays) -> _TimingSnapshot:
+        """One corner-batched engine pass over the design.
 
-        The corner-aware per-trial hot path reads only per-corner
-        skew/latency scalars — both batched calls sync the same cached
-        engine state (the vectorized engine serves them from its cached
-        sink-arrival matrix), so a trial never builds K per-sink
-        dictionaries.  The nominal path keeps the classic single
-        ``analyze`` per trial (one full traversal on the reference engine),
-        which also makes its arrivals free to attach.  Slews are skipped
-        throughout: nothing in the refiner reads them.
+        Slews are skipped: nothing in the refiner reads them.
         """
-        if not self._corner_aware:
-            nominal = self._engine.analyze(design, with_slew=False)
-            return _TimingSnapshot(
-                corner_skews={self._primary_name: nominal.skew},
-                corner_latencies={self._primary_name: nominal.latency},
-                primary=self._primary_name,
-                nominal=nominal,
-                ranking=nominal,
-            )
-        snapshot = _TimingSnapshot(
-            corner_skews=self._engine.skew_per_corner(design),
-            corner_latencies=self._engine.latency_per_corner(design),
-            primary=self._primary_name,
+        return _TimingSnapshot(
+            self._engine.analyze_corners(design, with_slew=False),
+            self._primary_name,
         )
-        if with_arrivals:
-            self._attach_arrivals(snapshot, design)
-        return snapshot
-
-    def _attach_arrivals(
-        self, snapshot: _TimingSnapshot, design: DesignArrays
-    ) -> None:
-        """Materialise the per-sink results arrivals consumers need.
-
-        Must be called while ``design`` is in exactly the state ``snapshot``
-        measured — i.e. on the initial snapshot, on an accepted trial, or on
-        the final state — never on a rejected (reverted) trial.
-        """
-        if snapshot.nominal is not None:
-            return  # nominal-path snapshots are born with arrivals
-        per_corner = self._engine.analyze_corners(design, with_slew=False)
-        snapshot.nominal = per_corner[snapshot.primary]
-        snapshot.ranking = per_corner[snapshot.worst_corner]
 
     def _improves(
         self,
@@ -342,16 +377,11 @@ class SkewRefiner:
     ) -> bool:
         """Accept/reject rule for one trial edit (or the whole batch).
 
-        Nominal runs keep the classic rule: skew strictly improves, latency
-        does not degrade.  Corner-aware runs apply the same rule to the
-        worst-corner skew/latency, plus a guard that the *nominal* skew never
-        regresses more than ``nominal_skew_budget`` past its initial value.
+        The worst-corner skew strictly improves, the worst-corner latency
+        does not degrade, and the *nominal* skew never regresses more than
+        ``nominal_skew_budget`` past its initial value.  With one corner the
+        last clause follows from the first: skew only ever decreases.
         """
-        if not self._corner_aware:
-            return (
-                trial.nominal_skew < current.nominal_skew - 1e-9
-                and trial.nominal_latency <= current.nominal_latency + 1e-6
-            )
         return (
             trial.worst_skew < current.worst_skew - 1e-9
             and trial.worst_latency <= current.worst_latency + 1e-6
@@ -367,7 +397,7 @@ class SkewRefiner:
         before: _TimingSnapshot,
         after: _TimingSnapshot,
     ) -> SkewRefinementReport:
-        corner_aware = self._corner_aware
+        corner_aware = len(self.corners) > 1
         return SkewRefinementReport(
             triggered=triggered,
             refined_endpoints=refined_endpoints,
@@ -377,82 +407,6 @@ class SkewRefiner:
             corner_skews_before=dict(before.corner_skews) if corner_aware else {},
             corner_skews_after=dict(after.corner_skews) if corner_aware else {},
         )
-
-    @staticmethod
-    def _end_points(design: DesignArrays) -> list[str]:
-        """Names of the end-points eligible for refinement: tap nodes (low
-        centroids), in pre-order.
-
-        Trees built without dual-level clustering (e.g. the flat DME
-        ablation) have no taps; the parents of sinks act as end-points then.
-        """
-        preorder = design.rows_preorder()
-        taps = [design.names[row] for row in preorder if design.kind[row] == KIND_TAP]
-        if taps:
-            return taps
-        parent_rows: dict[int, None] = {}
-        for row in preorder:
-            parent = int(design.parent_row[row])
-            if design.kind[row] == KIND_SINK and parent >= 0:
-                parent_rows.setdefault(parent, None)
-        return [
-            design.names[parent]
-            for parent in parent_rows
-            if design.kind[parent] != KIND_ROOT
-        ]
-
-    def _rank_endpoints(
-        self,
-        design: DesignArrays,
-        endpoints: list[str],
-        timing: TimingResult,
-    ) -> list[str]:
-        """Order end-points by refinement priority according to the strategy.
-
-        ``pad_fast`` processes the clusters whose sinks arrive earliest (they
-        define the minimum arrival and therefore the skew); ``shield_slow``
-        processes the clusters whose sinks arrive latest.  Corner-aware runs
-        rank by the worst-skew corner's arrivals (``timing`` is that
-        corner's result then).
-        """
-        scored: list[tuple[float, str]] = []
-        for endpoint in endpoints:
-            arrivals = self._sink_arrivals(
-                design, design.name_to_row[endpoint], timing
-            )
-            if not arrivals:
-                continue
-            key = min(arrivals) if self.strategy == "pad_fast" else max(arrivals)
-            scored.append((key, endpoint))
-        reverse = self.strategy == "shield_slow"
-        scored.sort(key=lambda item: item[0], reverse=reverse)
-        return [endpoint for _score, endpoint in scored]
-
-    @staticmethod
-    def _sink_arrivals(
-        design: DesignArrays, row: int, timing: TimingResult
-    ) -> list[float]:
-        """Arrivals of the sinks in the subtree below ``row``."""
-        arrivals: list[float] = []
-        stack = [row]
-        while stack:
-            current = stack.pop()
-            stack.extend(design.children_rows[current])
-            if design.kind[current] == KIND_SINK:
-                name = design.names[current]
-                if name in timing.arrivals:
-                    arrivals.append(timing.arrivals[name])
-        return arrivals
-
-    def _estimation_pdk(self, snapshot: _TimingSnapshot) -> Pdk:
-        """Technology used to estimate the padded-sink buffer delay.
-
-        Corner-aware runs estimate at the worst-skew corner — the operating
-        point the accept/reject rule is trying to improve.
-        """
-        if not self._corner_aware:
-            return self.pdk
-        return self._corner_pdks[snapshot.worst_corner]
 
     def _padded_sinks(
         self,
@@ -465,8 +419,10 @@ class SkewRefiner:
         ``pad_fast`` must not increase latency (Fig. 11), so only the sinks
         that remain below the tree latency after gaining the buffer delay are
         moved behind the new buffer; slower sinks stay directly on the tap.
-        ``shield_slow`` moves the whole leaf net behind the buffer so the
-        trunk is shielded from its load.
+        The buffer delay is estimated at the worst-skew corner, the operating
+        point the accept rule is trying to improve.  ``shield_slow`` moves
+        the whole leaf net behind the buffer so the trunk is shielded from
+        its load.
         """
         sink_children = [
             child
@@ -477,11 +433,9 @@ class SkewRefiner:
             return []
         if self.strategy == "shield_slow":
             return sink_children
-        timing = snapshot.ranking
-        if timing is None:  # pragma: no cover - internal misuse guard
-            raise RuntimeError("padded-sink selection needs an arrivals snapshot")
-        est_pdk = self._estimation_pdk(snapshot)
-        latency = timing.latency
+        arrivals = snapshot.ranking_arrivals(design)
+        latency = snapshot.ranking.latency
+        est_pdk = self._corner_pdks[snapshot.worst_corner]
         layer = est_pdk.front_layer
         endpoint_location = design.location_of(endpoint_row)
         selected = sink_children
@@ -498,24 +452,22 @@ class SkewRefiner:
             selected = [
                 child
                 for child in sink_children
-                if timing.arrivals.get(design.names[child], latency) + added_delay
-                <= latency + 1e-9
+                if arrivals[child] + added_delay <= latency + 1e-9
             ]
             if not selected:
                 return []
         return selected
 
     def _insert_endpoint_buffer(
-        self, design: DesignArrays, endpoint: str, snapshot: _TimingSnapshot
+        self, design: DesignArrays, endpoint_row: int, snapshot: _TimingSnapshot
     ) -> _EndpointBuffer | None:
         """Insert one buffer at the end-point, re-parenting (part of) its leaf net.
 
-        Returns the inserted buffer's name with the ``(slot, row)`` of each
+        Returns the inserted buffer's row with the ``(slot, row)`` of each
         sink it adopted (``slot`` is the sink's position among the
         end-point's children, ascending), or None when no sink of the
         cluster can profit from the buffer.
         """
-        endpoint_row = design.name_to_row[endpoint]
         padded = self._padded_sinks(design, endpoint_row, snapshot)
         if not padded:
             return None
@@ -525,11 +477,10 @@ class SkewRefiner:
             for slot, child in enumerate(design.children_rows[endpoint_row])
             if child in adopted
         ]
-        buffer_name = design.new_name("sr_buf")
         location = design.location_of(endpoint_row)
         buffer_row = design.add_child(
             endpoint_row,
-            buffer_name,
+            design.new_name("sr_buf"),
             KIND_BUFFER,
             location.x,
             location.y,
@@ -539,11 +490,11 @@ class SkewRefiner:
         )
         for sink in padded:
             design.move_child(sink, buffer_row)
-        return buffer_name, slots
+        return buffer_row, slots
 
     @staticmethod
     def _remove_endpoint_buffer(
-        design: DesignArrays, endpoint: str, edit: _EndpointBuffer
+        design: DesignArrays, endpoint_row: int, edit: _EndpointBuffer
     ) -> None:
         """Undo :meth:`_insert_endpoint_buffer` (used when a trial is rejected).
 
@@ -551,8 +502,7 @@ class SkewRefiner:
         end-point's children order is restored exactly.  The buffer must be
         the design's newest row.
         """
-        buffer_name, slots = edit
-        endpoint_row = design.name_to_row[endpoint]
+        buffer_row, slots = edit
         for slot, sink in slots:
             design.move_child(sink, endpoint_row, slot)
-        design.remove_leaf(design.name_to_row[buffer_name])
+        design.remove_leaf(buffer_row)

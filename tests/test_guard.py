@@ -21,6 +21,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clocktree import ConnectivityError
 from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS
@@ -47,7 +49,8 @@ from repro.guard.faults import (
     poke_nan_location,
     poke_negative_capacitance,
 )
-from repro.netlist import ClockNet, ClockSource
+from repro.guard.validation import design_cache_key
+from repro.netlist import ClockNet, ClockSink, ClockSource
 from repro.geometry import Point
 from repro.ir.design import KIND_STEINER
 from repro.routing.hierarchical import HierarchicalClockRouter
@@ -197,6 +200,36 @@ class TestInputValidation:
         assert design_fingerprint(net_a) == design_fingerprint(small_net(seed=5))
         assert design_fingerprint(net_a) != design_fingerprint(net_b)
         assert len(design_fingerprint(net_a)) == 12
+
+    @settings(deadline=None)
+    @given(
+        source=st.tuples(*[st.one_of(st.floats(), st.integers(-3, 3))] * 4),
+        sinks=st.lists(st.tuples(*[st.one_of(st.floats(), st.integers(-3, 3))] * 3)),
+        duplicate=st.booleans(),
+    )
+    def test_every_checked_net_gets_a_fingerprint(self, source, sinks, duplicate):
+        """Whatever clock_net_problems reports on, the guard error it feeds
+        can carry the net's fingerprint: a prefix of its cache key."""
+        x, y, drive, slew = source
+        net = ClockNet("clk", ClockSource("root", Point(x, y), drive, slew))
+        for index, (sx, sy, cap) in enumerate(sinks):
+            sink = ClockSink(f"ff{index}", Point(0.0, 0.0))
+            object.__setattr__(sink, "location", Point(sx, sy))
+            object.__setattr__(sink, "capacitance", cap)
+            net.sinks.append(sink)
+        if duplicate and net.sinks:
+            net.sinks.append(net.sinks[0])
+        clock_net_problems(net)
+        fingerprint = design_fingerprint(net)
+        assert re.fullmatch("[0-9a-f]{12}", fingerprint)
+        assert fingerprint == design_cache_key(net)[:12]
+
+    @pytest.mark.parametrize("location", [Point(None, 0.0), Point(float("nan"), None)])
+    def test_a_non_numeric_coordinate_is_a_type_error(self, location):
+        net = small_net()
+        object.__setattr__(net.sinks[0], "location", location)
+        with pytest.raises(TypeError):
+            clock_net_problems(net)
 
 
 # ------------------------------------------------------------ stage anomalies

@@ -76,6 +76,8 @@ class TestSkewRefiner:
             SkewRefiner(pdk, skew_trigger_fraction=1.5)
         with pytest.raises(ValueError):
             SkewRefiner(pdk, strategy="bogus")
+        with pytest.raises(ValueError, match="end-point count must be at least 1"):
+            SkewRefiner(pdk, max_endpoints=0)
 
     def test_object_tree_rejected(self, pdk, unrefined):
         with pytest.raises(TypeError, match=r"DesignArrays\.from_clock_tree"):
@@ -158,24 +160,22 @@ class TestSkewRefiner:
         """A rejected trial puts every adopted sink back in its slot among
         the end-point's children, also when the buffer adopted only some of
         the end-point's sinks."""
-        children_before: dict[str, list[int]] = {}
+        children_before: dict[int, list[int]] = {}
         partial: list[tuple[list[int], list[int]]] = []
         insert = SkewRefiner._insert_endpoint_buffer
         remove = SkewRefiner._remove_endpoint_buffer
 
-        def traced_insert(self, design, endpoint, snapshot):
-            row = design.name_to_row[endpoint]
-            children_before[endpoint] = list(design.children_rows[row])
-            return insert(self, design, endpoint, snapshot)
+        def traced_insert(self, design, endpoint_row, snapshot):
+            children_before[endpoint_row] = list(design.children_rows[endpoint_row])
+            return insert(self, design, endpoint_row, snapshot)
 
-        def traced_remove(design, endpoint, *trial):
-            row = design.name_to_row[endpoint]
+        def traced_remove(design, endpoint_row, *trial):
             adopted = len(design.children_rows[design.size - 1])  # the buffer
-            before = children_before[endpoint]
+            before = children_before[endpoint_row]
             sinks = sum(design.kind[child] == KIND_SINK for child in before)
-            remove(design, endpoint, *trial)
+            remove(design, endpoint_row, *trial)
             if adopted < sinks:
-                partial.append((before, list(design.children_rows[row])))
+                partial.append((before, list(design.children_rows[endpoint_row])))
 
         monkeypatch.setattr(SkewRefiner, "_insert_endpoint_buffer", traced_insert)
         monkeypatch.setattr(
