@@ -6,20 +6,20 @@ to keep going upward (side at the upstream end, effective capacitance, path
 delays) and everything the multi-objective selection needs (buffer and nTSV
 counts), together with back-pointers for the top-down decision step.
 
-**Multi-corner candidates.**  When the insertion DP runs corner-aware
-(``ConcurrentInserter(..., corners=...)``), every candidate additionally
-carries per-corner tuples of (capacitance, max delay, min delay) — one entry
-per scenario of the resolved :class:`~repro.tech.corners.CornerSet`, in
-corner order.  The scalar fields then mirror the *primary* (nominal) corner,
-so nominal-only consumers keep working unchanged, while dominance pruning
-and the multi-objective selection switch to the ``worst_*`` properties
-(worst corner across the batch).  Candidates without corner tuples behave
-exactly as before: the worst values degenerate to the scalar fields.
+**Per-corner tuples.**  Every candidate carries per-corner tuples of
+(capacitance, max delay, min delay) — one entry per scenario of the DP's
+resolved :class:`~repro.tech.corners.CornerSet`, in corner order.  A nominal
+DP runs the one-corner set, so its tuples hold a single entry.  The scalar
+fields mirror the *primary* (nominal) corner for readers that want one
+number; dominance pruning and the multi-objective selection read the tuples
+through the ``worst_*`` properties (the worst corner of the batch, which is
+the only entry at one corner).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 from typing import TYPE_CHECKING, Optional
 
 from repro.tech.layers import Side
@@ -28,11 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.insertion.patterns import EdgePattern
 
 #: The three per-corner tuples of a candidate (cap, max delay, min delay).
-CornerTuples = tuple[
-    "tuple[float, ...] | None",
-    "tuple[float, ...] | None",
-    "tuple[float, ...] | None",
-]
+CornerTuples = tuple["tuple[float, ...]", "tuple[float, ...]", "tuple[float, ...]"]
 
 
 def merged_corner_tuples(
@@ -41,16 +37,21 @@ def merged_corner_tuples(
     """Element-wise merge of two candidates' corner tuples at a shared vertex.
 
     Capacitances add, the worst path delay is the per-corner max, the best
-    the per-corner min — the multi-corner form of the classic merge rule.
-    Returns ``(None, None, None)`` when either side is nominal-only.
+    the per-corner min — the classic merge rule, once per corner.
     """
-    if a.corner_capacitance is None or b.corner_capacitance is None:
-        return None, None, None
-    return (
-        tuple(x + y for x, y in zip(a.corner_capacitance, b.corner_capacitance)),
-        tuple(max(x, y) for x, y in zip(a.corner_max_delay, b.corner_max_delay)),
-        tuple(min(x, y) for x, y in zip(a.corner_min_delay, b.corner_min_delay)),
-    )
+    per_corner = [
+        (cap_a + cap_b, max(max_a, max_b), min(min_a, min_b))
+        for cap_a, cap_b, max_a, max_b, min_a, min_b in zip(
+            a.corner_capacitance,
+            b.corner_capacitance,
+            a.corner_max_delay,
+            b.corner_max_delay,
+            a.corner_min_delay,
+            b.corner_min_delay,
+        )
+    ]
+    caps, max_delays, min_delays = zip(*per_corner)
+    return caps, max_delays, min_delays
 
 
 @dataclass
@@ -71,9 +72,9 @@ class CandidateSolution:
             base solution of a leaf DP node before its first insertion).
         children: the predecessor-node candidates this one was merged from;
             recorded dependencies for the top-down decision (Step 4).
-        corner_capacitance / corner_max_delay / corner_min_delay: optional
-            per-corner tuples (one entry per scenario, corner order) carried
-            by corner-aware DP runs; ``None`` for nominal-only candidates.
+        corner_capacitance / corner_max_delay / corner_min_delay: per-corner
+            tuples (one entry per scenario, corner order).  A caller that
+            passes none gets the one-corner tuples of the scalar fields.
     """
 
     up_side: Side
@@ -95,17 +96,22 @@ class CandidateSolution:
             raise ValueError("candidate min delay exceeds max delay")
         if self.buffer_count < 0 or self.ntsv_count < 0:
             raise ValueError("candidate resource counts must be non-negative")
-        corner_fields = (
-            self.corner_capacitance,
-            self.corner_max_delay,
-            self.corner_min_delay,
-        )
-        present = [f for f in corner_fields if f is not None]
-        if present and (
-            len(present) != 3 or len({len(f) for f in present}) != 1
+        caps = self.corner_capacitance
+        maxs = self.corner_max_delay
+        mins = self.corner_min_delay
+        if caps is None and maxs is None and mins is None:
+            self.corner_capacitance = (self.capacitance,)
+            self.corner_max_delay = (self.max_delay,)
+            self.corner_min_delay = (self.min_delay,)
+        elif (
+            caps is None
+            or maxs is None
+            or mins is None
+            or not 0 < len(caps) == len(maxs) == len(mins)
         ):
             raise ValueError(
-                "corner tuples must be given together and share one length"
+                "corner tuples must be given together and share one "
+                "non-zero length"
             )
 
     @property
@@ -119,72 +125,56 @@ class CandidateSolution:
         return self.buffer_count + self.ntsv_count
 
     # -------------------------------------------------- worst-corner views
+    # The pruning sweeps read these per candidate; on a single entry an
+    # index is several times cheaper than ``max``.
     @property
     def worst_capacitance(self) -> float:
         """Largest effective capacitance across the corner batch (fF)."""
-        if self.corner_capacitance is None:
-            return self.capacitance
-        return max(self.corner_capacitance)
+        caps = self.corner_capacitance
+        return caps[0] if len(caps) == 1 else max(caps)
 
     @property
     def worst_max_delay(self) -> float:
         """Largest worst-path delay across the corner batch (ps)."""
-        if self.corner_max_delay is None:
-            return self.max_delay
-        return max(self.corner_max_delay)
+        delays = self.corner_max_delay
+        return delays[0] if len(delays) == 1 else max(delays)
 
     @property
     def worst_skew(self) -> float:
         """Largest per-corner subtree skew across the corner batch (ps)."""
-        if self.corner_max_delay is None or self.corner_min_delay is None:
-            return self.skew
-        return max(
-            hi - lo
-            for hi, lo in zip(self.corner_max_delay, self.corner_min_delay)
-        )
+        return max(map(sub, self.corner_max_delay, self.corner_min_delay))
 
     def dominates(self, other: "CandidateSolution", tol: float = 1e-9) -> bool:
-        """Van Ginneken dominance on (capacitance, max delay).
+        """Van Ginneken dominance on (capacitance, max delay), per corner.
 
         A candidate dominates another when it is no worse in both effective
-        capacitance and worst path delay (and the two share the same upstream
-        side, which the caller is responsible for grouping by).  Corner-aware
-        candidates compare *per corner*: dominance requires being no worse in
-        both dimensions at every corner of the batch.  This vector rule is
-        the sound one — downstream pattern/merge deltas are per-corner
-        monotone, so a per-corner dominator stays at least as good at every
-        corner, whereas comparing only worst-corner scalars could discard a
-        candidate that a corner-skewed downstream edge would have made the
-        better sign-off tree.
+        capacitance and worst path delay at every corner of the batch (and
+        the two share the same upstream side, which the caller is
+        responsible for grouping by); at one corner this is the classic
+        rule.  The vector rule is the sound one — downstream pattern/merge
+        deltas are per-corner monotone, so a per-corner dominator stays at
+        least as good at every corner, whereas comparing only worst-corner
+        scalars could discard a candidate that a corner-skewed downstream
+        edge would have made the better sign-off tree.
         """
-        if self.corner_capacitance is not None and other.corner_capacitance is not None:
-            return all(
-                a <= b + tol
-                for a, b in zip(self.corner_capacitance, other.corner_capacitance)
-            ) and all(
-                a <= b + tol
-                for a, b in zip(self.corner_max_delay, other.corner_max_delay)
-            )
-        return (
-            self.capacitance <= other.capacitance + tol
-            and self.max_delay <= other.max_delay + tol
-        )
+        for mine, theirs in zip(self.corner_capacitance, other.corner_capacitance):
+            if not mine <= theirs + tol:
+                return False
+        for mine, theirs in zip(self.corner_max_delay, other.corner_max_delay):
+            if not mine <= theirs + tol:
+                return False
+        return True
 
     def strictly_dominates(self, other: "CandidateSolution", tol: float = 1e-9) -> bool:
         """Dominates *and* is strictly better in at least one dimension."""
         if not self.dominates(other, tol):
             return False
-        if self.corner_capacitance is not None and other.corner_capacitance is not None:
-            return any(
-                a < b - tol
-                for a, b in zip(self.corner_capacitance, other.corner_capacitance)
-            ) or any(
-                a < b - tol
-                for a, b in zip(self.corner_max_delay, other.corner_max_delay)
-            )
-        return (
-            self.capacitance < other.capacitance - tol
-            or self.max_delay < other.max_delay - tol
+        return any(
+            a < b - tol
+            for a, b in zip(self.corner_capacitance, other.corner_capacitance)
+        ) or any(
+            a < b - tol
+            for a, b in zip(self.corner_max_delay, other.corner_max_delay)
         )
 
     def with_pattern(
@@ -220,8 +210,8 @@ class CandidateSolution:
 
         The merge is only legal when both upstream sides agree (the paper's
         connectivity constraint); the caller must enforce that before calling.
-        Corner tuples, when present on both, merge element-wise (sum of
-        capacitances, max/min of the path delays per corner).
+        Corner tuples merge element-wise (sum of capacitances, max/min of the
+        path delays per corner), and the scalars by the same rule.
         """
         if a.up_side is not b.up_side:
             raise ValueError(

@@ -22,24 +22,25 @@ The DP reads and edits only a :class:`~repro.ir.design.DesignArrays`: both
 backends walk the same :class:`~repro.insertion.dp_tree.DpNode` fields and
 realise their decisions through the one row-level :meth:`_realize_pattern`.
 
-**Corner-aware construction.**  Pass ``corners=`` (a
-:class:`~repro.tech.corners.CornerSet`, a scenario, or a spec string) to run
-the whole DP against a PVT corner batch: every candidate carries per-corner
-(capacitance, max delay, min delay) tuples evaluated against the
-``scenario.apply_to(pdk)`` corner PDKs, pruning switches to worst-corner
-dominance, and the MOES / min-latency selection scores the worst-corner
-delay — so the selected tree optimises what multi-corner sign-off actually
-measures.  The scalar candidate fields keep mirroring the primary (nominal)
-corner, and a nominal-only run (``corners=None``) is bit-identical to the
-classic single-corner DP.
+**One corner model.**  The DP always runs against the timing engine's
+resolved PVT corner batch: every candidate carries per-corner (capacitance,
+max delay, min delay) tuples evaluated against the ``scenario.apply_to(pdk)``
+corner PDKs, pruning keeps the per-corner vector-dominance front, and the
+MOES / min-latency selection scores the worst-corner delay — so the selected
+tree optimises what multi-corner sign-off actually measures.  Pass
+``corners=`` (a :class:`~repro.tech.corners.CornerSet`, a scenario, or a
+spec string) to choose the batch; ``corners=None`` is the one-corner nominal
+batch, whose only PDK is ``pdk`` itself, and on which every rule reduces to
+the classic single-corner DP (van Ginneken's staircase, the scalar merge).
+The scalar candidate fields mirror the primary (nominal) corner.
 
 **Two DP backends.**  The per-candidate DP implemented in this module
 (:class:`~repro.insertion.candidate.CandidateSolution` objects) is the
 executable spec; :mod:`repro.insertion.frontier` provides the
 production ``vectorized`` backend (struct-of-arrays candidate frontiers,
 broadcast merges, batched pattern costs, vectorized pruning) which builds an
-identical tree several-fold faster — close to corner-count-independent for
-corner-aware runs.  Select per inserter (``dp_backend=``), per config
+identical tree several-fold faster — close to corner-count-independent on
+multi-corner batches.  Select per inserter (``dp_backend=``), per config
 (``InsertionConfig.dp_backend`` / ``CtsConfig.backends.dp``), from the CLI
 (``dscts --dp-backend``), or globally via ``REPRO_DP_BACKEND``; the default
 is ``vectorized``.
@@ -48,6 +49,7 @@ is ``vectorized``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Sequence
 
 from repro.geometry.point import point_toward
@@ -81,7 +83,8 @@ class InsertionConfig:
             before the DP; ``None`` keeps the routed edges untouched.
         keep_resource_diversity: keep cheaper-but-slower candidates alongside
             the (cap, delay) Pareto staircase so the root set stays diverse.
-        max_candidates_per_side: beam width per side and DP node; bounds the
+        max_candidates_per_side: beam width per side and DP node (an
+            integer of at least 1, or ``None`` for no beam); bounds the
             quadratic merge cost.
         default_mode: insertion mode applied to every DP node unless a
             mode assignment callable or fanout threshold overrides it.
@@ -109,6 +112,14 @@ class InsertionConfig:
                 f"unknown DP backend {self.dp_backend!r}; "
                 f"expected one of {DP_BACKEND_NAMES}"
             )
+        beam = self.max_candidates_per_side
+        if beam is not None and (
+            isinstance(beam, bool) or not isinstance(beam, int) or beam < 1
+        ):
+            raise ValueError(
+                "max_candidates_per_side must be None or an integer >= 1, "
+                f"got {beam!r}"
+            )
 
 
 @dataclass
@@ -116,9 +127,10 @@ class InsertionResult:
     """Outcome of the concurrent buffer and nTSV insertion.
 
     ``timing`` always reports the primary (nominal) corner;
-    ``timing_per_corner`` carries one result per scenario when the DP ran
-    corner-aware (and is ``None`` for nominal-only runs).  Both are analysed
-    without slews, so their ``slews`` are empty.
+    ``timing_per_corner`` carries one result per scenario when the DP's
+    corner batch holds more than one (and is ``None`` for the one-corner
+    nominal batch).  Both are analysed without slews, so their ``slews`` are
+    empty.
     """
 
     tree: DesignArrays
@@ -201,13 +213,11 @@ class ConcurrentInserter:
         self._engine = create_engine(pdk, engine, corners=corners)
         # The engine resolves the corner set (nominal prepended when absent)
         # and derives the per-corner PDKs, so DP candidate tuples and engine
-        # corner batches share one order and one technology.
+        # corner batches share one order and one technology.  ``None``
+        # resolves to the nominal set, whose only PDK is ``pdk`` itself.
         self.corners = self._engine.corners
-        self._corner_aware = corners is not None and len(self.corners) > 1
         self._primary = self._engine.primary_index
-        self._corner_pdks = (
-            self._engine.corner_pdks if self._corner_aware else [pdk]
-        )
+        self._corner_pdks = self._engine.corner_pdks
 
     # ----------------------------------------------------------------- public
     def run(
@@ -235,7 +245,7 @@ class ConcurrentInserter:
             self.pdk,
             max_segment_length=self.config.max_segment_length,
             default_mode=self.config.default_mode,
-            corner_pdks=self._corner_pdks if self._corner_aware else None,
+            corner_pdks=self._corner_pdks,
         )
         if mode_of is not None:
             dp_tree.configure_modes(mode_of)
@@ -256,7 +266,7 @@ class ConcurrentInserter:
         timing = self._engine.analyze(design, with_slew=False)
         timing_per_corner = (
             self._engine.analyze_corners(design, with_slew=False)
-            if self._corner_aware
+            if len(self.corners) > 1
             else None
         )
         _nodes, _sinks, buffers, ntsvs = design.counts()
@@ -287,11 +297,7 @@ class ConcurrentInserter:
         object backend, so both backends build bit-identical trees.
         """
         dp = VectorizedInsertionDp(
-            self.pdk,
-            self.config,
-            self._corner_pdks,
-            primary_index=self._primary if self._corner_aware else 0,
-            corner_aware=self._corner_aware,
+            self.pdk, self.config, self._corner_pdks, primary_index=self._primary
         )
         frontiers, root = dp.run(
             dp_tree, workers=self.workers, parallel_policy=self.parallel_policy
@@ -347,71 +353,20 @@ class ConcurrentInserter:
         lists one candidate per predecessor, in predecessor order, which is
         what the top-down decision retraces.
         """
-        corner_aware = self._corner_aware
         if dp_node.is_leaf:
             return [
-                CandidateSolution(
-                    up_side=Side.FRONT,
-                    capacitance=dp_node.base_capacitance,
-                    max_delay=dp_node.base_max_delay,
-                    min_delay=dp_node.base_min_delay,
-                    corner_capacitance=(
-                        dp_node.corner_base_capacitance if corner_aware else None
-                    ),
-                    corner_max_delay=(
-                        dp_node.corner_base_max_delay if corner_aware else None
-                    ),
-                    corner_min_delay=(
-                        dp_node.corner_base_min_delay if corner_aware else None
-                    ),
+                self._candidate(
+                    Side.FRONT,
+                    dp_node.corner_base_capacitance,
+                    dp_node.corner_base_max_delay,
+                    dp_node.corner_base_min_delay,
                 )
             ]
 
-        combos: list[CandidateSolution] = []
-        first = True
-        for pred in dp_node.predecessors:
-            pred_cands = candidates[pred.index]
-            if first:
-                combos = [
-                    CandidateSolution(
-                        up_side=c.up_side,
-                        capacitance=c.capacitance,
-                        max_delay=c.max_delay,
-                        min_delay=c.min_delay,
-                        buffer_count=c.buffer_count,
-                        ntsv_count=c.ntsv_count,
-                        children=(c,),
-                        corner_capacitance=c.corner_capacitance,
-                        corner_max_delay=c.corner_max_delay,
-                        corner_min_delay=c.corner_min_delay,
-                    )
-                    for c in pred_cands
-                ]
-                first = False
-                continue
-            next_combos: list[CandidateSolution] = []
-            for combo in combos:
-                for cand in pred_cands:
-                    if cand.up_side is not combo.up_side:
-                        continue  # connectivity constraint at the shared vertex
-                    corner_cap, corner_max, corner_min = merged_corner_tuples(
-                        combo, cand
-                    )
-                    next_combos.append(
-                        CandidateSolution(
-                            up_side=combo.up_side,
-                            capacitance=combo.capacitance + cand.capacitance,
-                            max_delay=max(combo.max_delay, cand.max_delay),
-                            min_delay=min(combo.min_delay, cand.min_delay),
-                            buffer_count=combo.buffer_count + cand.buffer_count,
-                            ntsv_count=combo.ntsv_count + cand.ntsv_count,
-                            children=combo.children + (cand,),
-                            corner_capacitance=corner_cap,
-                            corner_max_delay=corner_max,
-                            corner_min_delay=corner_min,
-                        )
-                    )
-            combos = next_combos
+        first, *rest = dp_node.predecessors
+        combos = self._combos(candidates[first.index])
+        for pred in rest:
+            combos = self._combine(combos, candidates[pred.index])
             if not combos:
                 raise RuntimeError(
                     f"DP node {dp_node.name}: predecessors have no side-compatible "
@@ -419,48 +374,27 @@ class ConcurrentInserter:
                 )
 
         # Add the static load at the vertex (pin cap + direct leaf net).
+        base_cap = dp_node.corner_base_capacitance
+        base_max = dp_node.corner_base_max_delay
+        base_min = dp_node.corner_base_min_delay
         finalized: list[CandidateSolution] = []
         for combo in combos:
-            max_delay = combo.max_delay
-            min_delay = combo.min_delay
             corner_max = combo.corner_max_delay
             corner_min = combo.corner_min_delay
             if dp_node.has_direct_sinks:
                 if combo.up_side is not Side.FRONT:
                     continue  # leaf nets are front-side: the vertex must be front
-                max_delay = max(max_delay, dp_node.base_max_delay)
-                min_delay = min(min_delay, dp_node.base_min_delay)
-                if corner_aware:
-                    corner_max = tuple(
-                        max(a, b)
-                        for a, b in zip(corner_max, dp_node.corner_base_max_delay)
-                    )
-                    corner_min = tuple(
-                        min(a, b)
-                        for a, b in zip(corner_min, dp_node.corner_base_min_delay)
-                    )
+                corner_max = tuple(map(max, corner_max, base_max))
+                corner_min = tuple(map(min, corner_min, base_min))
             finalized.append(
-                CandidateSolution(
-                    up_side=combo.up_side,
-                    capacitance=combo.capacitance + dp_node.base_capacitance,
-                    max_delay=max_delay,
-                    min_delay=min_delay,
-                    buffer_count=combo.buffer_count,
-                    ntsv_count=combo.ntsv_count,
-                    children=combo.children,
-                    corner_capacitance=(
-                        tuple(
-                            cap + base
-                            for cap, base in zip(
-                                combo.corner_capacitance,
-                                dp_node.corner_base_capacitance,
-                            )
-                        )
-                        if corner_aware
-                        else None
-                    ),
-                    corner_max_delay=corner_max,
-                    corner_min_delay=corner_min,
+                self._candidate(
+                    combo.up_side,
+                    tuple(map(add, combo.corner_capacitance, base_cap)),
+                    corner_max,
+                    corner_min,
+                    combo.buffer_count,
+                    combo.ntsv_count,
+                    combo.children,
                 )
             )
         if not finalized:
@@ -575,45 +509,29 @@ class ConcurrentInserter:
     ) -> CandidateSolution | None:
         """Electrical effect of implementing one edge with ``pattern``.
 
-        Nominal runs evaluate the single-corner cost; corner-aware runs
-        evaluate the per-corner loop over the corner PDKs (the executable
-        spec of the corner cost model) and keep the scalar fields mirroring
-        the primary corner.  A pattern illegal at *any* corner (buffer
-        overload) is rejected outright — the constraint is physical.
+        Evaluates the per-corner loop over the corner PDKs (the executable
+        spec of the corner cost model) and mirrors the primary corner in the
+        scalar fields.  A pattern illegal at *any* corner (buffer overload)
+        is rejected outright — the constraint is physical.
         """
-        if not self._corner_aware:
-            cost = self._pattern_cost(
-                pattern, length, base.capacitance, self.pdk, enforce_driver_load
-            )
-            if cost is None:
-                return None
-            delay, cap = cost
-            return base.with_pattern(
-                pattern,
-                capacitance=cap,
-                max_delay=base.max_delay + delay,
-                min_delay=base.min_delay + delay,
-                added_buffers=pattern.buffer_count,
-                added_ntsvs=pattern.ntsv_count,
-            )
-
         caps: list[float] = []
         max_delays: list[float] = []
         min_delays: list[float] = []
-        for k, corner_pdk in enumerate(self._corner_pdks):
+        for cap, max_delay, min_delay, corner_pdk in zip(
+            base.corner_capacitance,
+            base.corner_max_delay,
+            base.corner_min_delay,
+            self._corner_pdks,
+        ):
             cost = self._pattern_cost(
-                pattern,
-                length,
-                base.corner_capacitance[k],
-                corner_pdk,
-                enforce_driver_load,
+                pattern, length, cap, corner_pdk, enforce_driver_load
             )
             if cost is None:
                 return None
             delay, cap = cost
             caps.append(cap)
-            max_delays.append(base.corner_max_delay[k] + delay)
-            min_delays.append(base.corner_min_delay[k] + delay)
+            max_delays.append(max_delay + delay)
+            min_delays.append(min_delay + delay)
         primary = self._primary
         return base.with_pattern(
             pattern,
@@ -627,6 +545,67 @@ class ConcurrentInserter:
             corner_min_delay=tuple(min_delays),
         )
 
+    def _combos(self, cands: list[CandidateSolution]) -> list[CandidateSolution]:
+        """The first predecessor's candidates as one-child merge combos."""
+        return [
+            self._candidate(
+                c.up_side,
+                c.corner_capacitance,
+                c.corner_max_delay,
+                c.corner_min_delay,
+                c.buffer_count,
+                c.ntsv_count,
+                (c,),
+            )
+            for c in cands
+        ]
+
+    def _combine(
+        self, combos: list[CandidateSolution], cands: list[CandidateSolution]
+    ) -> list[CandidateSolution]:
+        """Merge every combo with every candidate of the next predecessor
+        whose side matches (the connectivity constraint at the shared
+        vertex), combo-major; each merge appends the candidate to the
+        combo's ``children``."""
+        return [
+            self._candidate(
+                combo.up_side,
+                *merged_corner_tuples(combo, cand),
+                combo.buffer_count + cand.buffer_count,
+                combo.ntsv_count + cand.ntsv_count,
+                combo.children + (cand,),
+            )
+            for combo in combos
+            for cand in cands
+            if cand.up_side is combo.up_side
+        ]
+
+    def _candidate(
+        self,
+        up_side: Side,
+        corner_capacitance: tuple[float, ...],
+        corner_max_delay: tuple[float, ...],
+        corner_min_delay: tuple[float, ...],
+        buffer_count: int = 0,
+        ntsv_count: int = 0,
+        children: tuple[CandidateSolution, ...] = (),
+    ) -> CandidateSolution:
+        """A pattern-less candidate whose scalars mirror the primary corner."""
+        primary = self._primary
+        return CandidateSolution(
+            up_side,
+            corner_capacitance[primary],
+            corner_max_delay[primary],
+            corner_min_delay[primary],
+            buffer_count,
+            ntsv_count,
+            None,
+            children,
+            corner_capacitance,
+            corner_max_delay,
+            corner_min_delay,
+        )
+
     # -------------------------------------------------------- step 3: selection
     def _root_candidates(
         self,
@@ -634,9 +613,7 @@ class ConcurrentInserter:
         candidates: dict[int, list[CandidateSolution]],
     ) -> list[CandidateSolution]:
         """Combine the root DP nodes at the clock source (front side only)."""
-        corner_aware = self._corner_aware
-        combos: list[CandidateSolution] = []
-        first = True
+        fronts: list[list[CandidateSolution]] = []
         for root_dp in dp_tree.root_nodes:
             cands = [
                 c for c in candidates[root_dp.index] if c.up_side is Side.FRONT
@@ -645,81 +622,27 @@ class ConcurrentInserter:
                 raise RuntimeError(
                     f"root DP node {root_dp.name} has no front-side candidate"
                 )
-            if first:
-                combos = [
-                    CandidateSolution(
-                        up_side=Side.FRONT,
-                        capacitance=c.capacitance,
-                        max_delay=c.max_delay,
-                        min_delay=c.min_delay,
-                        buffer_count=c.buffer_count,
-                        ntsv_count=c.ntsv_count,
-                        children=(c,),
-                        corner_capacitance=c.corner_capacitance,
-                        corner_max_delay=c.corner_max_delay,
-                        corner_min_delay=c.corner_min_delay,
-                    )
-                    for c in cands
-                ]
-                first = False
-                continue
-            next_combos = []
-            for combo in combos:
-                for cand in cands:
-                    corner_cap, corner_max, corner_min = merged_corner_tuples(
-                        combo, cand
-                    )
-                    next_combos.append(
-                        CandidateSolution(
-                            up_side=Side.FRONT,
-                            capacitance=combo.capacitance + cand.capacitance,
-                            max_delay=max(combo.max_delay, cand.max_delay),
-                            min_delay=min(combo.min_delay, cand.min_delay),
-                            buffer_count=combo.buffer_count + cand.buffer_count,
-                            ntsv_count=combo.ntsv_count + cand.ntsv_count,
-                            children=combo.children + (cand,),
-                            corner_capacitance=corner_cap,
-                            corner_max_delay=corner_max,
-                            corner_min_delay=corner_min,
-                        )
-                    )
-            combos = next_combos
+            fronts.append(cands)
+        combos = self._combos(fronts[0])
+        for cands in fronts[1:]:
+            combos = self._combine(combos, cands)
         # Account for the clock source driving the root load.  The source
         # drive resistance is corner-independent, but the driven load is not,
         # so each corner gets its own source delay.
         final = []
         for combo in combos:
-            source_delay = ROOT_DRIVE_RESISTANCE * combo.capacitance
+            source_delay = [
+                ROOT_DRIVE_RESISTANCE * cap for cap in combo.corner_capacitance
+            ]
             final.append(
-                CandidateSolution(
-                    up_side=Side.FRONT,
-                    capacitance=combo.capacitance,
-                    max_delay=combo.max_delay + source_delay,
-                    min_delay=combo.min_delay + source_delay,
-                    buffer_count=combo.buffer_count,
-                    ntsv_count=combo.ntsv_count,
-                    children=combo.children,
-                    corner_capacitance=combo.corner_capacitance,
-                    corner_max_delay=(
-                        tuple(
-                            d + ROOT_DRIVE_RESISTANCE * cap
-                            for d, cap in zip(
-                                combo.corner_max_delay, combo.corner_capacitance
-                            )
-                        )
-                        if corner_aware
-                        else None
-                    ),
-                    corner_min_delay=(
-                        tuple(
-                            d + ROOT_DRIVE_RESISTANCE * cap
-                            for d, cap in zip(
-                                combo.corner_min_delay, combo.corner_capacitance
-                            )
-                        )
-                        if corner_aware
-                        else None
-                    ),
+                self._candidate(
+                    Side.FRONT,
+                    combo.corner_capacitance,
+                    tuple(map(add, combo.corner_max_delay, source_delay)),
+                    tuple(map(add, combo.corner_min_delay, source_delay)),
+                    combo.buffer_count,
+                    combo.ntsv_count,
+                    combo.children,
                 )
             )
         return final

@@ -13,7 +13,9 @@ a physically long route (part of the double-side design space formulation).
 
 Both DP backends read only the :class:`DpNode` fields built here and realise
 their decisions on the same design rows, so the DP has one input and one
-output representation.
+output representation.  Every node's static leaf-net base is a per-corner
+tuple over the DP's corner batch (one entry for the nominal DP), filled in
+the same single walk that builds the tree.
 """
 
 from __future__ import annotations
@@ -40,18 +42,19 @@ class DpNode:
         mode: insertion mode restricting the selectable patterns.
         fanout: number of sinks in the subtree below the edge (used by the
             DSE fanout threshold).
-        base_capacitance: static load at the downstream vertex that is not
-            covered by predecessor DP nodes: the vertex's own pin capacitance
-            plus the leaf-net wire and sink-pin capacitance of direct sink
-            children (the leaf net stays on the front side).
-        base_max_delay / base_min_delay: worst / best delay (ps) from the
-            downstream vertex through the leaf net to its direct sinks.
-        corner_base_capacitance / corner_base_max_delay /
-        corner_base_min_delay: per-corner tuples of the same three base
-            quantities, populated by :func:`attach_corner_bases` for
-            corner-aware DP runs; ``None`` on nominal-only trees.
+        corner_base_capacitance: per corner, the static load at the
+            downstream vertex that is not covered by predecessor DP nodes:
+            the vertex's own pin capacitance plus the leaf-net wire and
+            sink-pin capacitance of direct sink children (the leaf net stays
+            on the front side).
+        corner_base_max_delay / corner_base_min_delay: per corner, the worst
+            / best delay (ps) from the downstream vertex through the leaf net
+            to its direct sinks.
         has_direct_sinks: True when the downstream vertex drives a leaf net
             directly.
+
+    The three base tuples hold one entry per corner of the DP's batch, in
+    corner order.
     """
 
     index: int
@@ -60,18 +63,22 @@ class DpNode:
     predecessors: list["DpNode"] = field(default_factory=list)
     mode: InsertionMode = InsertionMode.FULL
     fanout: int = 0
-    base_capacitance: float = 0.0
-    base_max_delay: float = 0.0
-    base_min_delay: float = 0.0
-    corner_base_capacitance: tuple[float, ...] | None = None
-    corner_base_max_delay: tuple[float, ...] | None = None
-    corner_base_min_delay: tuple[float, ...] | None = None
+    corner_base_capacitance: tuple[float, ...] = (0.0,)
+    corner_base_max_delay: tuple[float, ...] = (0.0,)
+    corner_base_min_delay: tuple[float, ...] = (0.0,)
     has_direct_sinks: bool = False
 
     @property
     def is_leaf(self) -> bool:
         """True when the DP node has no trunk-edge predecessors."""
         return not self.predecessors
+
+    @property
+    def has_static_load(self) -> bool:
+        """True when merging at the downstream vertex adds a base: a pin
+        capacitance or a direct leaf net (without direct sinks the base is
+        the pin capacitance at every corner)."""
+        return self.has_direct_sinks or any(self.corner_base_capacitance)
 
     @property
     def name(self) -> str:
@@ -174,54 +181,40 @@ def segment_long_edges(design: DesignArrays, max_segment_length: float) -> int:
 
 
 def _leaf_net_bases(
-    design: DesignArrays, row: int, layers: Sequence
-) -> tuple[list[float], list[float], list[float]]:
-    """Static (cap, max delay, min delay) of one vertex's direct leaf net,
-    evaluated against several front clock layers in a single child pass.
+    row: int,
+    kinds: list[int],
+    edges: list[float],
+    caps: list[float],
+    child_rows: Sequence[int],
+    layers: Sequence,
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """Static (cap, max delay, min delay) tuples of one vertex's direct leaf
+    net, evaluated against several front clock layers in a single child pass.
 
     The leaf net stays on the front side, so the only technology input is the
-    front clock layer — which is what varies per corner when the DP runs
-    corner-aware (see :func:`attach_corner_bases`).  The per-layer
-    accumulation order matches a per-layer loop exactly, so the multi-layer
-    pass is bit-identical to repeated single-layer evaluations.
+    front clock layer — which is what varies per corner.  The per-layer
+    accumulation order matches :func:`build_dp_tree`'s fused one-layer loop
+    exactly, so every entry is bit-identical to a one-layer evaluation.
     """
     count = len(layers)
-    caps = [float(design.cap[row])] * count
+    base_caps = [caps[row]] * count
     maxs = [0.0] * count
     mins = [float("inf")] * count
     has_sink_child = False
-    for child in design.children_rows[row]:
-        if design.kind[child] != KIND_SINK:
+    for child in child_rows:
+        if kinds[child] != KIND_SINK:
             continue
         has_sink_child = True
-        length = float(design.edge_length[child])
-        child_cap = float(design.cap[child])
+        length = edges[child]
+        child_cap = caps[child]
         for i, layer in enumerate(layers):
-            caps[i] += layer.wire_capacitance(length) + child_cap
+            base_caps[i] += layer.wire_capacitance(length) + child_cap
             delay = layer.wire_delay(length, child_cap)
             maxs[i] = max(maxs[i], delay)
             mins[i] = min(mins[i], delay)
     if not has_sink_child:
         mins = [0.0] * count
-    return caps, maxs, mins
-
-
-def attach_corner_bases(dp_tree: DpTree, corner_pdks: Sequence[Pdk]) -> None:
-    """Populate per-corner leaf-net bases on every DP node.
-
-    ``corner_pdks`` is the corner-scaled PDK list (one
-    ``scenario.apply_to(pdk)`` per scenario, corner order) of a resolved
-    :class:`~repro.tech.corners.CornerSet`.  Idempotent: re-attaching with a
-    different corner set simply overwrites the tuples, so a DP tree built
-    nominal-only (or for another corner set) can be reused.
-    """
-    layers = [corner_pdk.front_layer for corner_pdk in corner_pdks]
-    design = dp_tree.design
-    for dp_node in dp_tree.nodes:
-        caps, maxs, mins = _leaf_net_bases(design, dp_node.tree_row, layers)
-        dp_node.corner_base_capacitance = tuple(caps)
-        dp_node.corner_base_max_delay = tuple(maxs)
-        dp_node.corner_base_min_delay = tuple(mins)
+    return tuple(base_caps), tuple(maxs), tuple(mins)
 
 
 def build_dp_tree(
@@ -240,8 +233,10 @@ def build_dp_tree(
         max_segment_length: maximum trunk edge length (um) before the edge is
             subdivided; ``None`` disables segmentation.
         default_mode: initial insertion mode of every DP node.
-        corner_pdks: when given, per-corner leaf-net bases are attached for a
-            corner-aware DP run (see :func:`attach_corner_bases`).
+        corner_pdks: the corner-scaled PDKs of the DP's corner batch (one
+            ``scenario.apply_to(pdk)`` per scenario, corner order); every
+            node's base tuples hold one entry per PDK.  ``None`` is the
+            one-corner batch ``[pdk]``.
 
     Returns:
         The :class:`DpTree` with nodes listed in bottom-up (children before
@@ -250,7 +245,7 @@ def build_dp_tree(
     if max_segment_length is not None:
         segment_long_edges(design, max_segment_length)
 
-    front_layer = pdk.front_layer
+    layers = [corner_pdk.front_layer for corner_pdk in (corner_pdks or [pdk])]
     dp_by_row: dict[int, DpNode] = {}
     nodes: list[DpNode] = []
     sink_counts: dict[int, int] = {}
@@ -265,8 +260,8 @@ def build_dp_tree(
     caps_col = design.cap[:n].tolist()
     parents = design.parent_row[:n].tolist()
     children = design.children_rows
-    wire_capacitance = front_layer.wire_capacitance
-    wire_delay = front_layer.wire_delay
+    wire_capacitance = layers[0].wire_capacitance
+    wire_delay = layers[0].wire_delay
     for row in reversed(bfs_rows):
         is_sink = kinds[row] == KIND_SINK
         fanout = 1 if is_sink else 0
@@ -298,6 +293,9 @@ def build_dp_tree(
                 predecessors.append(dp_by_row[child])
         if not has_sink_child:
             base_min = 0.0
+        bases = (base_cap,), (base_max,), (base_min,)
+        if len(layers) > 1:
+            bases = _leaf_net_bases(row, kinds, edges, caps_col, child_rows, layers)
         dp_node = DpNode(
             index=len(nodes),
             tree_row=row,
@@ -305,9 +303,9 @@ def build_dp_tree(
             predecessors=predecessors,
             mode=default_mode,
             fanout=fanout,
-            base_capacitance=base_cap,
-            base_max_delay=base_max,
-            base_min_delay=base_min,
+            corner_base_capacitance=bases[0],
+            corner_base_max_delay=bases[1],
+            corner_base_min_delay=bases[2],
             has_direct_sinks=has_sink_child,
         )
         dp_by_row[row] = dp_node
@@ -318,7 +316,4 @@ def build_dp_tree(
     ]
     if not root_nodes:
         raise ValueError("the clock tree has no trunk edges to optimise")
-    dp_tree = DpTree(nodes=nodes, root_nodes=root_nodes, design=design)
-    if corner_pdks is not None:
-        attach_corner_bases(dp_tree, corner_pdks)
-    return dp_tree
+    return DpTree(nodes=nodes, root_nodes=root_nodes, design=design)

@@ -23,9 +23,9 @@ as a segment id, instead of one small-array pass per node.
   into per-node order.
 * **Prune** is one segmented sweep over (node, side) segments: the
   maximum driven-capacitance mask, one stable ``lexsort`` keyed by node and
-  side, a segmented running-min staircase for nominal runs (the exact
+  side, a segmented running-min staircase for one-corner batches (the exact
   tolerance scan only where records tie within it), per-segment calls of
-  the vector-dominance and resource-diversity sweeps for corner-aware and
+  the vector-dominance and resource-diversity sweeps for multi-corner and
   diversity runs, and a beam sample from per-count index tables.
 
 Nodes whose every candidate breaks the load cap re-run insert and prune
@@ -130,8 +130,8 @@ class CandidateFrontier:
 
     The arrays mirror :class:`CandidateSolution` fields, with the per-corner
     tuples widened to a leading scenario axis: ``cap`` / ``max_delay`` /
-    ``min_delay`` are ``(K, n)`` matrices (``K = 1`` for nominal runs; the
-    primary row mirrors the object backend's scalar fields).
+    ``min_delay`` are ``(K, n)`` matrices (``K = 1`` for the nominal batch;
+    the primary row mirrors the object backend's scalar fields).
 
     Attributes:
         side: ``(n,)`` upstream-side codes (``SIDE_FRONT`` / ``SIDE_BACK``).
@@ -221,7 +221,7 @@ class VectorizedInsertionDp:
     """The array-based insertion DP: batched costs, masked filters, sweeps.
 
     Instantiated by :class:`~repro.insertion.concurrent.ConcurrentInserter`
-    with the engine-resolved corner PDK list (``[pdk]`` for nominal runs), so
+    with the engine-resolved corner PDK list (``[pdk]`` for the nominal batch), so
     both DP backends share one corner order and one technology.
     """
 
@@ -231,11 +231,9 @@ class VectorizedInsertionDp:
         config,
         corner_pdks: Sequence[Pdk],
         primary_index: int = 0,
-        corner_aware: bool = False,
     ) -> None:
         self.pdk = pdk
         self.config = config
-        self.corner_aware = corner_aware
         self.primary = primary_index
         self._buffers = [corner_pdk.buffer for corner_pdk in corner_pdks]
         self._k = len(corner_pdks)
@@ -445,13 +443,13 @@ class VectorizedInsertionDp:
         """Flatten a forest into columns for the process boundary.
 
         Recursive :class:`DpNode` graphs and the live design never cross
-        into a worker: the table carries every node's own scalars, its
-        design row and direct-sink flag, and its predecessor links as
-        positions into this same table.
+        into a worker: the table carries every node's own scalars and base
+        tuples, its design row and direct-sink flag, and its predecessor
+        links as positions into this same table.
         """
         local = {node.index: i for i, node in enumerate(nodes)}
         modes = tuple(InsertionMode)
-        corner_aware = bool(nodes) and nodes[0].corner_base_capacitance is not None
+        k = len(nodes[0].corner_base_capacitance) if nodes else 1
         return _ForestTable(
             index=np.asarray([node.index for node in nodes], np.int64),
             tree_row=np.asarray([node.tree_row for node in nodes], np.int64),
@@ -459,22 +457,12 @@ class VectorizedInsertionDp:
             fanout=np.asarray([node.fanout for node in nodes], np.int64),
             base=np.asarray(
                 [
-                    [node.base_capacitance for node in nodes],
-                    [node.base_max_delay for node in nodes],
-                    [node.base_min_delay for node in nodes],
-                ],
-                float,
-            ).reshape(3, len(nodes)),
-            corner_base=np.asarray(
-                [
                     [node.corner_base_capacitance for node in nodes],
                     [node.corner_base_max_delay for node in nodes],
                     [node.corner_base_min_delay for node in nodes],
                 ],
                 float,
-            )
-            if corner_aware
-            else None,
+            ).reshape(3, len(nodes), k),
             direct=np.asarray([node.has_direct_sinks for node in nodes], bool),
             mode=np.asarray([modes.index(node.mode) for node in nodes], np.int64),
             modes=modes,
@@ -494,11 +482,6 @@ class VectorizedInsertionDp:
         The fields go in positionally, in ``DpNode`` declaration order
         (about twice as fast as keywords on the worker's critical path).
         """
-        size = table.index.size
-        if table.corner_base is None:
-            corners = [(None, None, None)] * size
-        else:
-            corners = zip(*[map(tuple, rows) for rows in table.corner_base.tolist()])
         modes = [table.modes[m] for m in table.mode.tolist()]
         pred = table.pred.tolist()
         nodes: list[DpNode] = []
@@ -513,7 +496,6 @@ class VectorizedInsertionDp:
             base_cap,
             base_max,
             base_min,
-            (corner_cap, corner_max, corner_min),
             has_direct_sinks,
         ) in zip(
             table.index.tolist(),
@@ -522,8 +504,7 @@ class VectorizedInsertionDp:
             table.pred_stop.tolist(),
             modes,
             table.fanout.tolist(),
-            *table.base.tolist(),
-            corners,
+            *[map(tuple, rows) for rows in table.base.tolist()],
             table.direct.tolist(),
         ):
             nodes.append(
@@ -537,9 +518,6 @@ class VectorizedInsertionDp:
                     base_cap,
                     base_max,
                     base_min,
-                    corner_cap,
-                    corner_max,
-                    corner_min,
                     has_direct_sinks,
                 )
             )
@@ -571,7 +549,6 @@ class VectorizedInsertionDp:
                 self.config,
                 self._corner_pdks,
                 self.primary,
-                self.corner_aware,
                 self._subtree_tables(nodes),
             )
             for nodes in subtrees
@@ -584,7 +561,7 @@ class VectorizedInsertionDp:
             policy=policy,
             validate=_validate_subtree_frontiers,
             diagnostics=diagnostics,
-            label=lambda i, payload: f"subtree {i} ({payload[5].index.size} nodes)",
+            label=lambda i, payload: f"subtree {i} ({payload[4].index.size} nodes)",
         )
 
     def materialize_root(self, root: CandidateFrontier) -> list[CandidateSolution]:
@@ -594,28 +571,27 @@ class VectorizedInsertionDp:
         back-pointer arrays instead); scalar fields mirror the primary corner
         exactly as in the object backend.
         """
-        out: list[CandidateSolution] = []
         primary = self.primary
-        for i in range(root.size):
-            corner_cap = corner_max = corner_min = None
-            if self.corner_aware:
-                corner_cap = tuple(float(v) for v in root.cap[:, i])
-                corner_max = tuple(float(v) for v in root.max_delay[:, i])
-                corner_min = tuple(float(v) for v in root.min_delay[:, i])
-            out.append(
-                CandidateSolution(
-                    up_side=Side.FRONT,
-                    capacitance=float(root.cap[primary, i]),
-                    max_delay=float(root.max_delay[primary, i]),
-                    min_delay=float(root.min_delay[primary, i]),
-                    buffer_count=int(root.buffers[i]),
-                    ntsv_count=int(root.ntsvs[i]),
-                    corner_capacitance=corner_cap,
-                    corner_max_delay=corner_max,
-                    corner_min_delay=corner_min,
-                )
+        return [
+            CandidateSolution(
+                up_side=Side.FRONT,
+                capacitance=cap[primary],
+                max_delay=max_delay[primary],
+                min_delay=min_delay[primary],
+                buffer_count=buffers,
+                ntsv_count=ntsvs,
+                corner_capacitance=tuple(cap),
+                corner_max_delay=tuple(max_delay),
+                corner_min_delay=tuple(min_delay),
             )
-        return out
+            for cap, max_delay, min_delay, buffers, ntsvs in zip(
+                root.cap.T.tolist(),
+                root.max_delay.T.tolist(),
+                root.min_delay.T.tolist(),
+                root.buffers.tolist(),
+                root.ntsvs.tolist(),
+            )
+        ]
 
     def realize(
         self,
@@ -667,11 +643,7 @@ class VectorizedInsertionDp:
         for node in nodes:
             if node.is_leaf:
                 leaves.append(node)
-            elif (
-                len(node.predecessors) == 1
-                and node.base_capacitance == 0.0
-                and not node.has_direct_sinks
-            ):
+            elif len(node.predecessors) == 1 and not node.has_static_load:
                 chains.append(node)
             else:
                 merges.append(node)
@@ -683,16 +655,10 @@ class VectorizedInsertionDp:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(K, len(nodes))`` static leaf-net base quantities, one column
         per node."""
-        if self.corner_aware:
-            return (
-                np.asarray([n.corner_base_capacitance for n in nodes], float).T,
-                np.asarray([n.corner_base_max_delay for n in nodes], float).T,
-                np.asarray([n.corner_base_min_delay for n in nodes], float).T,
-            )
         return (
-            np.asarray([[n.base_capacitance for n in nodes]], float),
-            np.asarray([[n.base_max_delay for n in nodes]], float),
-            np.asarray([[n.base_min_delay for n in nodes]], float),
+            np.asarray([n.corner_base_capacitance for n in nodes], float).T,
+            np.asarray([n.corner_base_max_delay for n in nodes], float).T,
+            np.asarray([n.corner_base_min_delay for n in nodes], float).T,
         )
 
     def _merge_level(
@@ -778,9 +744,7 @@ class VectorizedInsertionDp:
         merging = nodes[first:]
         local = seg - first
         base_cap, base_max, base_min = self._base_rows(merging)
-        add = np.asarray(
-            [n.base_capacitance != 0.0 or n.has_direct_sinks for n in merging]
-        )
+        add = np.asarray([n.has_static_load for n in merging])
         direct = np.asarray([n.has_direct_sinks for n in merging])
         cap = merged.cap
         if add.any():
@@ -1087,7 +1051,7 @@ class VectorizedInsertionDp:
         if scalar and not self.config.keep_resource_diversity:
             kept = self._staircase(sorted_delay, starts, sizes)
         else:
-            # Corner-aware and diversity runs sweep one segment at a time, so
+            # Multi-corner and diversity runs sweep one segment at a time, so
             # each kept-set rule stays written once.
             pieces = []
             for start, size in zip(starts.tolist(), sizes.tolist()):
@@ -1159,7 +1123,7 @@ class VectorizedInsertionDp:
         return positions[keep]
 
     def _corner_sweep(self, caps: np.ndarray, delays: np.ndarray) -> np.ndarray:
-        """Vector-dominance sweep over a sorted corner-aware side block.
+        """Vector-dominance sweep over a sorted multi-corner side block.
 
         The pairwise broadcast decides almost every candidate in O(1) numpy
         calls: a candidate with an earlier tolerance-free dominator is
@@ -1411,9 +1375,9 @@ class _ForestTable(NamedTuple):
     """A shipped forest as flat columns (see ``_subtree_tables``).
 
     ``pred[pred_stop[i - 1]:pred_stop[i]]`` are node ``i``'s predecessors as
-    positions into the table; ``base`` stacks the nominal base capacitance,
-    max and min delay, ``corner_base`` their per-corner tuples (``None`` on
-    nominal trees), and ``mode`` indexes ``modes``.
+    positions into the table; ``base`` is the ``(3, n, K)`` stack of the
+    per-corner base capacitance, max and min delay, and ``mode`` indexes
+    ``modes``.
     """
 
     index: np.ndarray
@@ -1421,7 +1385,6 @@ class _ForestTable(NamedTuple):
     length: np.ndarray
     fanout: np.ndarray
     base: np.ndarray
-    corner_base: np.ndarray | None
     direct: np.ndarray
     mode: np.ndarray
     modes: tuple[InsertionMode, ...]
@@ -1562,14 +1525,8 @@ def _dp_subtree_worker(payload) -> _LevelRecord:
     nodes, then runs the serial spine's level driver over them.  Returns
     the forest's store as one record keyed by the original DP node indices.
     """
-    pdk, config, corner_pdks, primary, corner_aware, table = payload
-    dp = VectorizedInsertionDp(
-        pdk,
-        config,
-        corner_pdks,
-        primary_index=primary,
-        corner_aware=corner_aware,
-    )
+    pdk, config, corner_pdks, primary, table = payload
+    dp = VectorizedInsertionDp(pdk, config, corner_pdks, primary_index=primary)
     store = FrontierStore(dp._k)
     dp._run_levels(VectorizedInsertionDp._nodes_from_tables(table), store)
     return store.record()
@@ -1583,7 +1540,7 @@ def _validate_subtree_frontiers(result, payload) -> None:
     columns — so a corrupting worker counts as a failed attempt (retried,
     then recomputed inline) instead of poisoning the serial spine above it.
     """
-    expected = set(payload[5].index.tolist())
+    expected = set(payload[4].index.tolist())
     if not isinstance(result, _LevelRecord):
         raise RuntimeError(
             f"worker returned {type(result).__name__}, not a DP forest record"

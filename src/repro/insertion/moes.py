@@ -9,10 +9,10 @@ final solution is the candidate minimising
 with the paper's defaults alpha=1, beta=10, gamma=1.  A pure minimum-latency
 selector is also provided for the Fig. 10 comparison (w/ vs w/o MOES).
 
-Corner-aware DP runs score the latency term on the candidate's *worst-corner*
-delay (``CandidateSolution.worst_max_delay``), so the selected tree signs off
-across the whole corner batch; nominal-only candidates reduce to the classic
-scalar behaviour because their worst values equal the scalar fields.
+The latency term is the candidate's *worst-corner* delay
+(``CandidateSolution.worst_max_delay``), so the selected tree signs off
+across the whole corner batch; on the one-corner nominal batch it is the
+classic scalar latency.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def select_min_latency(candidates: Sequence[CandidateSolution]) -> CandidateSolu
     """Return the root candidate with the smallest worst-path delay.
 
     Ties are broken by fewer resources, which mirrors how a latency-only
-    objective would still prefer cheaper implementations.  Corner-aware
-    candidates are ranked by their worst-corner delay.
+    objective would still prefer cheaper implementations.  Candidates are
+    ranked by their worst-corner delay.
     """
     if not candidates:
         raise ValueError("cannot select from an empty candidate set")
@@ -75,33 +75,3 @@ def select_min_latency(candidates: Sequence[CandidateSolution]) -> CandidateSolu
         key=lambda c: (c.worst_max_delay, c.resource_count, c.worst_capacitance),
     )
 
-
-def pareto_front(
-    candidates: Sequence[CandidateSolution],
-) -> list[CandidateSolution]:
-    """Return the candidates not dominated on (latency, buffers, nTSVs).
-
-    Used by the DSE reporting to show the shape of the root candidate set
-    (Fig. 10 plots the full set together with the two selections).
-    """
-    front: list[CandidateSolution] = []
-    for cand in candidates:
-        dominated = False
-        for other in candidates:
-            if other is cand:
-                continue
-            if (
-                other.max_delay <= cand.max_delay
-                and other.buffer_count <= cand.buffer_count
-                and other.ntsv_count <= cand.ntsv_count
-                and (
-                    other.max_delay < cand.max_delay
-                    or other.buffer_count < cand.buffer_count
-                    or other.ntsv_count < cand.ntsv_count
-                )
-            ):
-                dominated = True
-                break
-        if not dominated:
-            front.append(cand)
-    return front

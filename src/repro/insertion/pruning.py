@@ -7,13 +7,13 @@ on the same side can never be part of an optimal-latency solution and is
 dropped.  A separate filter removes candidates violating the maximum
 driven-capacitance constraint.
 
-Corner-aware DP runs prune on **per-corner vector dominance**
+The rule is **per-corner vector dominance**
 (:meth:`CandidateSolution.dominates`): a candidate dies only when another
 same-side candidate is no worse in capacitance *and* delay at every corner
 of the batch — the sound multi-corner extension, since downstream deltas are
-per-corner monotone.  The maximum-load filter likewise must hold at every
-corner (worst-corner capacitance).  Nominal-only candidates keep the classic
-scalar staircase unchanged.
+per-corner monotone.  At one corner (the nominal DP) it is exactly the
+classic scalar staircase, which the sweep runs in O(n).  The maximum-load
+filter likewise must hold at every corner (worst-corner capacitance).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def filter_max_cap(
 ) -> list[CandidateSolution]:
     """Drop candidates whose effective capacitance exceeds the PDK limit.
 
-    Corner-aware candidates are filtered on their worst-corner capacitance:
-    the constraint is physical and must hold at every operating point.
+    Candidates are filtered on their worst-corner capacitance: the
+    constraint is physical and must hold at every operating point.
     """
     if max_capacitance <= 0:
         raise ValueError("max capacitance must be positive")
@@ -47,16 +47,16 @@ def prune_dominated(
 
     The sweep visits candidates sorted by (worst capacitance, worst delay,
     resource count) and drops every candidate dominated by an already-kept
-    one (:meth:`CandidateSolution.dominates` — the scalar staircase for
-    nominal sets, per-corner vector dominance for corner-aware sets).
+    one (:meth:`CandidateSolution.dominates`, which at one corner is the
+    scalar staircase the sweep then runs directly).
 
     **Resource-diversity rule.**  With ``keep_resource_diversity`` a
     dominated candidate still survives when its resource count (buffers +
     nTSVs) is strictly lower than the *minimum resource count among the kept
     candidates that dominate it*.  The bound is dominator-relative on
     purpose: a kept candidate that does **not** dominate the contender (a
-    cheap solution elsewhere on the staircase, or — corner-aware — one that
-    loses at some corner) says nothing about whether the contender buys a
+    cheap solution elsewhere on the staircase, or one that loses at some
+    corner) says nothing about whether the contender buys a
     resource saving over the solutions that actually beat it, so it must not
     veto the survival.  Survivors join the kept set and participate as
     dominators for later candidates.  This single definition is the
@@ -66,41 +66,46 @@ def prune_dominated(
     """
     if not candidates:
         return []
-    corner_aware = candidates[0].corner_capacitance is not None
-    # Sort by capacitance, then delay (worst-corner values for corner-aware
-    # sets; identical to the scalars otherwise): a sweep keeps the
+    scalar = len(candidates[0].corner_capacitance) == 1
+    # Sort by worst-corner capacitance, then delay: a sweep keeps the
     # lower-left staircase.
     ordered = sorted(
         candidates,
         key=lambda c: (c.worst_capacitance, c.worst_max_delay, c.resource_count),
     )
     kept: list[CandidateSolution] = []
+    kept_delays: list[float] = []
     best_delay = float("inf")
     for cand in ordered:
+        delay = cand.worst_max_delay
         dominators: list[CandidateSolution] | None = None
-        if corner_aware and keep_resource_diversity:
+        if scalar:
+            # Sorted by capacitance, so every kept candidate is no worse in
+            # cap: the staircase test against the best kept delay is exactly
+            # "some kept candidate dominates this one".
+            dominated = delay >= best_delay - tol
+        elif keep_resource_diversity:
             # The diversity exception needs the dominator set anyway, so
             # collect it in one pass instead of re-testing dominance below.
             dominators = [k for k in kept if k.dominates(cand, tol)]
             dominated = bool(dominators)
-        elif corner_aware:
+        else:
             # Vector dominance: a per-corner dominator sorts no later than
             # its victims (up to tol), so testing against the kept set
             # suffices.
             dominated = any(keeper.dominates(cand, tol) for keeper in kept)
-        else:
-            # Sorted by capacitance, so every kept candidate is no worse in
-            # cap: the staircase test against the best kept delay is exactly
-            # "some kept candidate dominates this one".
-            dominated = cand.max_delay >= best_delay - tol
         if dominated and keep_resource_diversity:
             if dominators is None:
-                dominators = [k for k in kept if k.dominates(cand, tol)]
+                # One corner: a kept candidate dominates iff it is no slower.
+                dominators = [
+                    k for k, d in zip(kept, kept_delays) if d <= delay + tol
+                ]
             resource_floor = min(k.resource_count for k in dominators)
             dominated = cand.resource_count >= resource_floor
         if not dominated:
             kept.append(cand)
-            best_delay = min(best_delay, cand.max_delay)
+            kept_delays.append(delay)
+            best_delay = min(best_delay, delay)
     return kept
 
 
@@ -151,8 +156,8 @@ def _beam_select(
     high-capacitance solutions that leave no head-room for the wires above
     them, so the beam samples the staircase evenly: the lowest-capacitance
     and the lowest-delay candidates are always retained and the rest are
-    taken at even intervals in between.  Corner-aware runs walk the
-    worst-corner staircase, matching the dominance sweep.
+    taken at even intervals in between, along the worst-corner staircase
+    the dominance sweep sorted by.
     """
     ordered = sorted(
         candidates, key=lambda c: (c.worst_capacitance, c.worst_max_delay)

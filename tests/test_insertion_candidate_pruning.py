@@ -1,9 +1,17 @@
 """Unit tests for DP candidates, dominance pruning, and MOES selection."""
 
-import pytest
+from collections import defaultdict
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dse.pareto import pareto_front
 from repro.insertion import (
+    PATTERNS,
     CandidateSolution,
+    ConcurrentInserter,
     MoesWeights,
     filter_max_cap,
     prune_dominated,
@@ -11,7 +19,6 @@ from repro.insertion import (
     select_by_moes,
     select_min_latency,
 )
-from repro.insertion.moes import pareto_front
 from repro.insertion.patterns import P_BUFFER
 from repro.tech.layers import Side
 
@@ -188,7 +195,10 @@ class TestSelection:
         a = cand(dmax=100.0, buffers=1, ntsvs=1)
         b = cand(dmax=90.0, buffers=2, ntsvs=1)
         c = cand(dmax=95.0, buffers=3, ntsvs=2)  # dominated by b
-        front = pareto_front([a, b, c])
+        front = pareto_front(
+            [a, b, c],
+            lambda c: (c.worst_max_delay, c.buffer_count, c.ntsv_count),
+        )
         assert a in front and b in front and c not in front
 
 
@@ -248,3 +258,204 @@ class TestResourceDiversityRule:
         c3 = cand(cap=3.0, dmax=8.0, buffers=1)  # dominated by c2, equal cost
         kept = prune_dominated([c1, c2, c3], keep_resource_diversity=True)
         assert kept == [c1, c2]
+
+
+# ------------------------------------------------- the one-corner rule spec
+def scalar_prune_dominated(candidates, keep_resource_diversity=False, tol=1e-9):
+    """The classic scalar dominance sweep: van Ginneken's staircase on
+    (capacitance, max delay), with the dominator-relative diversity rule."""
+    ordered = sorted(
+        candidates, key=lambda c: (c.capacitance, c.max_delay, c.resource_count)
+    )
+    kept = []
+    best_delay = float("inf")
+    for cand in ordered:
+        dominated = cand.max_delay >= best_delay - tol
+        if dominated and keep_resource_diversity:
+            dominators = [
+                k
+                for k in kept
+                if k.capacitance <= cand.capacitance + tol
+                and k.max_delay <= cand.max_delay + tol
+            ]
+            dominated = cand.resource_count >= min(k.resource_count for k in dominators)
+        if not dominated:
+            kept.append(cand)
+            best_delay = min(best_delay, cand.max_delay)
+    return kept
+
+
+def scalar_beam_select(candidates, beam_width):
+    """The classic scalar beam: an even sample of the (cap, delay) staircase,
+    or the fastest candidate at width 1."""
+    ordered = sorted(candidates, key=lambda c: (c.capacitance, c.max_delay))
+    if beam_width <= 1:
+        return [min(ordered, key=lambda c: c.max_delay)]
+    last = len(ordered) - 1
+    indices = {round(i * last / (beam_width - 1)) for i in range(beam_width)}
+    return [ordered[i] for i in sorted(indices)]
+
+
+def scalar_prune_per_side(
+    candidates,
+    max_capacitance=None,
+    keep_resource_diversity=False,
+    max_candidates_per_side=None,
+):
+    """The classic scalar per-side pruning: load filter, sweep, beam."""
+    pool = list(candidates)
+    if max_capacitance is not None:
+        pool = [c for c in pool if c.capacitance <= max_capacitance + 1e-9]
+    by_side = defaultdict(list)
+    for cand in pool:
+        by_side[cand.up_side].append(cand)
+    result = []
+    for side in (Side.FRONT, Side.BACK):
+        pruned = scalar_prune_dominated(by_side[side], keep_resource_diversity)
+        beam = max_candidates_per_side
+        if beam is not None and len(pruned) > beam:
+            pruned = scalar_beam_select(pruned, beam)
+        result.extend(pruned)
+    return result
+
+
+#: Sub- and super-tolerance offsets on a coarse grid: exact duplicates, ties
+#: within 1e-9 and clear gaps all occur.
+JITTER = st.sampled_from([0.0, 4e-10, 8e-10, 1.6e-9])
+
+
+@st.composite
+def one_corner_candidates(draw, min_size=0):
+    """One-corner candidates on both sides; half pass their 1-tuples
+    explicitly, half leave them to ``__post_init__``, and some repeat an
+    earlier candidate's values as a new object.  Staircase-shaped sets
+    (delay falling as capacitance grows) keep more candidates than the beam
+    width, so the beam samples them."""
+    staircase = draw(st.booleans())
+    candidates = []
+    for _ in range(draw(st.integers(min_size, 32))):
+        if candidates and draw(st.integers(0, 4)) == 0:
+            candidates.append(replace(draw(st.sampled_from(candidates))))
+            continue
+        step = draw(st.integers(1, 16))
+        cap = step * 0.5 + draw(JITTER)
+        if staircase:
+            rank = 17 - step + draw(st.integers(0, 2))
+        else:
+            rank = draw(st.integers(1, 16))
+        max_delay = rank * 2.0 + draw(JITTER)
+        min_delay = max_delay - draw(st.sampled_from([0.0, 1.0, 2.0]))
+        corners = (
+            {
+                "corner_capacitance": (cap,),
+                "corner_max_delay": (max_delay,),
+                "corner_min_delay": (min_delay,),
+            }
+            if draw(st.booleans())
+            else {}
+        )
+        candidates.append(
+            CandidateSolution(
+                draw(st.sampled_from([Side.FRONT, Side.BACK])),
+                cap,
+                max_delay,
+                min_delay,
+                buffer_count=draw(st.integers(0, 3)),
+                ntsv_count=draw(st.integers(0, 3)),
+                **corners,
+            )
+        )
+    return candidates
+
+
+def ids(candidates):
+    return [id(c) for c in candidates]
+
+
+class TestOneCornerRule:
+    """At one corner the per-corner rules are the classic scalar DP: the
+    vector dominance sweep keeps exactly the staircase, the beam samples the
+    same candidates, and merged or pattern-extended candidates mirror their
+    only corner in the scalar fields."""
+
+    @settings(deadline=None)
+    @given(
+        candidates=one_corner_candidates(),
+        keep_resource_diversity=st.booleans(),
+        beam=st.one_of(st.none(), st.integers(1, 6)),
+        max_capacitance=st.sampled_from([None, 2.5]),
+    )
+    def test_prune_per_side_is_the_scalar_rule(
+        self, candidates, keep_resource_diversity, beam, max_capacitance
+    ):
+        got = prune_per_side(
+            candidates,
+            max_capacitance=max_capacitance,
+            keep_resource_diversity=keep_resource_diversity,
+            max_candidates_per_side=beam,
+        )
+        want = scalar_prune_per_side(
+            candidates,
+            max_capacitance=max_capacitance,
+            keep_resource_diversity=keep_resource_diversity,
+            max_candidates_per_side=beam,
+        )
+        assert ids(got) == ids(want)
+
+    @settings(deadline=None)
+    @given(
+        steps=st.lists(st.integers(1, 40), min_size=1, max_size=40, unique=True),
+        beam=st.integers(1, 6),
+    )
+    def test_beam_samples_the_scalar_staircase(self, steps, beam):
+        # Every candidate is on the staircase, so the beam sees all of them.
+        candidates = [
+            CandidateSolution(Side.FRONT, step * 0.5, (41 - step) * 2.0, 0.0)
+            for step in steps
+        ]
+        got = prune_per_side(candidates, max_candidates_per_side=beam)
+        want = scalar_prune_per_side(candidates, max_candidates_per_side=beam)
+        assert ids(got) == ids(want)
+
+    @settings(deadline=None)
+    @given(
+        candidates=one_corner_candidates(), keep_resource_diversity=st.booleans()
+    )
+    def test_prune_dominated_is_the_scalar_sweep(
+        self, candidates, keep_resource_diversity
+    ):
+        got = prune_dominated(candidates, keep_resource_diversity)
+        want = scalar_prune_dominated(candidates, keep_resource_diversity)
+        assert ids(got) == ids(want)
+
+    @settings(deadline=None)
+    @given(
+        candidates=one_corner_candidates(min_size=2),
+        pattern=st.sampled_from(PATTERNS),
+        length=st.sampled_from([0.0, 7.5, 37.0, 180.0]),
+    )
+    def test_merge_and_with_pattern_mirror_their_only_corner(
+        self, pdk, candidates, pattern, length
+    ):
+        a, b = candidates[0], replace(candidates[1], up_side=candidates[0].up_side)
+        merged = CandidateSolution.merge(a, b)
+        assert merged.corner_capacitance == (a.capacitance + b.capacitance,)
+        assert merged.corner_max_delay == (max(a.max_delay, b.max_delay),)
+        assert merged.corner_min_delay == (min(a.min_delay, b.min_delay),)
+        derived = a.with_pattern(pattern, 2.0, 60.0, 55.0, 1, 0)
+        assert derived.corner_capacitance == (derived.capacitance,)
+        assert derived.corner_max_delay == (derived.max_delay,)
+        assert derived.corner_min_delay == (derived.min_delay,)
+        # The DP's pattern step on the nominal batch equals the scalar cost.
+        inserter = ConcurrentInserter(pdk)
+        applied = inserter._apply_pattern(pattern, length, a)
+        cost = inserter._pattern_cost(pattern, length, a.capacitance, pdk, True)
+        assert (applied is None) == (cost is None)
+        if applied is not None:
+            delay, cap = cost
+            assert applied.capacitance == cap
+            assert applied.max_delay == a.max_delay + delay
+            assert applied.min_delay == a.min_delay + delay
+            assert applied.corner_capacitance == (applied.capacitance,)
+            assert applied.corner_max_delay == (applied.max_delay,)
+            assert applied.corner_min_delay == (applied.min_delay,)

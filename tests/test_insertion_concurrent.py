@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flow import CtsConfig
+from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS
 from repro.insertion import ConcurrentInserter, InsertionMode
 from repro.insertion.concurrent import InsertionConfig
 from repro.insertion.moes import MoesWeights
@@ -125,6 +125,24 @@ class TestConcurrentInsertion:
     def test_invalid_selection_rejected(self):
         with pytest.raises(ValueError):
             InsertionConfig(selection="bogus")
+
+    @pytest.mark.parametrize("dp_backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("width", [0, -3, True])
+    def test_beam_width_below_one_rejected(self, pdk, dp_backend, width):
+        """A beam narrower than one candidate is a config error on both DP
+        backends, not a silent width-1 beam on one and a crash on the other."""
+        config = CtsConfig(
+            max_candidates_per_side=width,
+            backends=BackendSelection(dp=dp_backend),
+        )
+        clock_net = make_random_clock_net(count=40, extent=80.0, seed=2)
+        with pytest.raises(ValueError, match="max_candidates_per_side"):
+            DoubleSideCTS(pdk, config).run(clock_net)
+
+    def test_beam_width_accepts_none_and_positive_integers(self):
+        for width in (None, 1, 6):
+            config = InsertionConfig(max_candidates_per_side=width)
+            assert config.max_candidates_per_side == width
 
     def test_segmentation_config_changes_buffer_opportunities(self, pdk):
         coarse = ConcurrentInserter(

@@ -70,8 +70,12 @@ class TestBuildDpTree:
     def test_leaf_dp_nodes_carry_leaf_net_load(self, pdk, design):
         dp_tree = build_dp_tree(design, pdk, max_segment_length=None)
         for leaf in dp_tree.leaves():
-            assert leaf.base_capacitance > 0
-            assert leaf.base_max_delay >= leaf.base_min_delay >= 0
+            # The nominal batch: one corner per base tuple.
+            (cap,) = leaf.corner_base_capacitance
+            (max_delay,) = leaf.corner_base_max_delay
+            (min_delay,) = leaf.corner_base_min_delay
+            assert cap > 0
+            assert max_delay >= min_delay >= 0
             assert leaf.has_direct_sinks
 
     def test_fanout_counts_sinks_downstream(self, pdk, design):

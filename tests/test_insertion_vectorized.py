@@ -188,17 +188,12 @@ def assert_backends_identical(pdk, results, shapes):
         assert a.capacitance == pytest.approx(b.capacitance, abs=TOLERANCE)
         assert a.max_delay == pytest.approx(b.max_delay, abs=TOLERANCE)
         assert a.min_delay == pytest.approx(b.min_delay, abs=TOLERANCE)
-        assert (a.corner_capacitance is None) == (b.corner_capacitance is None)
-        if a.corner_capacitance is not None:
-            assert a.corner_capacitance == pytest.approx(
-                b.corner_capacitance, abs=TOLERANCE
-            )
-            assert a.corner_max_delay == pytest.approx(
-                b.corner_max_delay, abs=TOLERANCE
-            )
-            assert a.corner_min_delay == pytest.approx(
-                b.corner_min_delay, abs=TOLERANCE
-            )
+        assert len(a.corner_capacitance) == len(b.corner_capacitance)
+        assert a.corner_capacitance == pytest.approx(
+            b.corner_capacitance, abs=TOLERANCE
+        )
+        assert a.corner_max_delay == pytest.approx(b.corner_max_delay, abs=TOLERANCE)
+        assert a.corner_min_delay == pytest.approx(b.corner_min_delay, abs=TOLERANCE)
     assert ref.timing.skew == pytest.approx(vec.timing.skew, abs=TOLERANCE)
     assert ref.timing.latency == pytest.approx(vec.timing.latency, abs=TOLERANCE)
     if ref.timing_per_corner is not None:
@@ -330,17 +325,14 @@ class TestBackendEquivalence:
 def frontier_from_candidates(
     candidates: list[CandidateSolution], corner_count: int
 ) -> CandidateFrontier:
-    """Pack object candidates into a frontier (the test-only direction)."""
-    k = max(1, corner_count)
-    if corner_count:
-        cap = np.asarray([c.corner_capacitance for c in candidates], float).T
-        dmax = np.asarray([c.corner_max_delay for c in candidates], float).T
-        dmin = np.asarray([c.corner_min_delay for c in candidates], float).T
-    else:
-        cap = np.asarray([[c.capacitance for c in candidates]], float)
-        dmax = np.asarray([[c.max_delay for c in candidates]], float)
-        dmin = np.asarray([[c.min_delay for c in candidates]], float)
-    assert cap.shape[0] == k
+    """Pack object candidates into a frontier (the test-only direction).
+
+    ``corner_count`` 0 packs nominal candidates: their one-corner tuples.
+    """
+    cap = np.asarray([c.corner_capacitance for c in candidates], float).T
+    dmax = np.asarray([c.corner_max_delay for c in candidates], float).T
+    dmin = np.asarray([c.corner_min_delay for c in candidates], float).T
+    assert cap.shape[0] == max(1, corner_count)
     n = len(candidates)
     return CandidateFrontier(
         side=np.asarray(
@@ -396,13 +388,10 @@ def random_candidates(rng, n, corner_count=0):
 
 def delayed(candidate: CandidateSolution, delta: float) -> CandidateSolution:
     """``candidate`` with ``delta`` added to its max delay (every corner)."""
-    corner_max = candidate.corner_max_delay
-    if corner_max is not None:
-        corner_max = tuple(value + delta for value in corner_max)
     return replace(
         candidate,
         max_delay=candidate.max_delay + delta,
-        corner_max_delay=corner_max,
+        corner_max_delay=tuple(value + delta for value in candidate.corner_max_delay),
     )
 
 
@@ -429,12 +418,7 @@ class TestPruneSweepParity:
                 keep_resource_diversity=keep_resource_diversity,
                 max_candidates_per_side=6,
             )
-            dp = VectorizedInsertionDp(
-                pdk,
-                config,
-                [pdk] * max(1, corner_count),
-                corner_aware=bool(corner_count),
-            )
+            dp = VectorizedInsertionDp(pdk, config, [pdk] * max(1, corner_count))
             pruned = dp._prune(
                 frontier_from_candidates(candidates, corner_count),
                 max_capacitance=max_capacitance,
@@ -452,10 +436,8 @@ class TestPruneSweepParity:
             want = [
                 (
                     0 if c.up_side is Side.FRONT else 1,
-                    tuple(c.corner_capacitance)
-                    if corner_count
-                    else (c.capacitance,),
-                    tuple(c.corner_max_delay) if corner_count else (c.max_delay,),
+                    c.corner_capacitance,
+                    c.corner_max_delay,
                     c.buffer_count,
                     c.ntsv_count,
                 )
@@ -480,9 +462,7 @@ class TestPruneSweepParity:
             keep_resource_diversity=keep_resource_diversity,
             max_candidates_per_side=beam,
         )
-        dp = VectorizedInsertionDp(
-            pdk, config, [pdk] * max(1, corner_count), corner_aware=bool(corner_count)
-        )
+        dp = VectorizedInsertionDp(pdk, config, [pdk] * max(1, corner_count))
         for trial in range(10):
             groups = []
             for _ in range(int(rng.integers(1, 9))):
@@ -516,10 +496,8 @@ class TestPruneSweepParity:
                 want = [
                     (
                         0 if c.up_side is Side.FRONT else 1,
-                        tuple(c.corner_capacitance)
-                        if corner_count
-                        else (c.capacitance,),
-                        tuple(c.corner_max_delay) if corner_count else (c.max_delay,),
+                        c.corner_capacitance,
+                        c.corner_max_delay,
                         c.buffer_count,
                         c.ntsv_count,
                     )

@@ -20,6 +20,7 @@ from repro.insertion.frontier import _MIN_FOREST, VectorizedInsertionDp
 from repro.ir.design import DesignArrays
 from repro.parallel import WORKERS_ENV_VAR, resolve_workers
 from repro.routing.hierarchical import HierarchicalClockRouter
+from repro.tech.corners import CornerSet
 from repro.tech.pdk import asap7_backside
 from tests.conftest import make_random_clock_net
 from tests.harness import (
@@ -291,14 +292,30 @@ def test_dp_subtree_tables_roundtrip(pdk):
         assert copy.length == original.length
         assert copy.mode is original.mode
         assert copy.fanout == original.fanout
-        assert copy.base_capacitance == original.base_capacitance
-        assert copy.base_max_delay == original.base_max_delay
-        assert copy.base_min_delay == original.base_min_delay
+        assert copy.corner_base_capacitance == original.corner_base_capacitance
+        assert copy.corner_base_max_delay == original.corner_base_max_delay
+        assert copy.corner_base_min_delay == original.corner_base_min_delay
         assert copy.tree_row == original.tree_row
         assert copy.has_direct_sinks == original.has_direct_sinks
         assert [p.index for p in copy.predecessors] == [
             p.index for p in original.predecessors
         ]
+
+
+def test_dp_subtree_tables_roundtrip_corner_batch(pdk):
+    """A multi-corner tree ships its base tuples, one entry per corner."""
+    clock_net = make_random_clock_net(count=140, extent=320.0, seed=3)
+    routed = _route(pdk, clock_net)
+    corner_pdks = [scenario.apply_to(pdk) for scenario in CornerSet.signoff()]
+    dp_tree = build_dp_tree(routed.design, pdk, corner_pdks=corner_pdks)
+    rebuilt = VectorizedInsertionDp._nodes_from_tables(
+        VectorizedInsertionDp._subtree_tables(dp_tree.nodes)
+    )
+    for original, copy in zip(dp_tree.nodes, rebuilt, strict=True):
+        assert len(copy.corner_base_capacitance) == len(corner_pdks)
+        assert copy.corner_base_capacitance == original.corner_base_capacitance
+        assert copy.corner_base_max_delay == original.corner_base_max_delay
+        assert copy.corner_base_min_delay == original.corner_base_min_delay
 
 
 def test_concurrent_inserter_workers_identical_tree(pdk):
