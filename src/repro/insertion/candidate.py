@@ -19,7 +19,7 @@ the only entry at one corner).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import sub
+from operator import add, sub
 from typing import TYPE_CHECKING, Optional
 
 from repro.tech.layers import Side
@@ -39,19 +39,11 @@ def merged_corner_tuples(
     Capacitances add, the worst path delay is the per-corner max, the best
     the per-corner min — the classic merge rule, once per corner.
     """
-    per_corner = [
-        (cap_a + cap_b, max(max_a, max_b), min(min_a, min_b))
-        for cap_a, cap_b, max_a, max_b, min_a, min_b in zip(
-            a.corner_capacitance,
-            b.corner_capacitance,
-            a.corner_max_delay,
-            b.corner_max_delay,
-            a.corner_min_delay,
-            b.corner_min_delay,
-        )
-    ]
-    caps, max_delays, min_delays = zip(*per_corner)
-    return caps, max_delays, min_delays
+    return (
+        tuple(map(add, a.corner_capacitance, b.corner_capacitance)),
+        tuple(map(max, a.corner_max_delay, b.corner_max_delay)),
+        tuple(map(min, a.corner_min_delay, b.corner_min_delay)),
+    )
 
 
 @dataclass

@@ -260,6 +260,7 @@ def build_dp_tree(
     caps_col = design.cap[:n].tolist()
     parents = design.parent_row[:n].tolist()
     children = design.children_rows
+    one_layer = len(layers) == 1
     wire_capacitance = layers[0].wire_capacitance
     wire_delay = layers[0].wire_delay
     for row in reversed(bfs_rows):
@@ -271,30 +272,34 @@ def build_dp_tree(
         sink_counts[row] = fanout
         if parents[row] < 0 or is_sink:
             continue
-        # Inlined single-layer ``_leaf_net_bases``, fused with the
-        # predecessor scan — same child order, same floats.
-        predecessors = []
-        base_cap = caps_col[row]
-        base_max = 0.0
-        base_min = float("inf")
-        has_sink_child = False
-        for child in child_rows:
-            if kinds[child] == KIND_SINK:
-                has_sink_child = True
-                length = edges[child]
-                child_cap = caps_col[child]
-                base_cap += wire_capacitance(length) + child_cap
-                delay = wire_delay(length, child_cap)
-                if delay > base_max:
-                    base_max = delay
-                if delay < base_min:
-                    base_min = delay
-            elif child in dp_by_row:
-                predecessors.append(dp_by_row[child])
-        if not has_sink_child:
-            base_min = 0.0
-        bases = (base_cap,), (base_max,), (base_min,)
-        if len(layers) > 1:
+        if one_layer:
+            # Inlined one-layer ``_leaf_net_bases``, fused with the
+            # predecessor scan — same child order, same floats.
+            predecessors = []
+            base_cap = caps_col[row]
+            base_max = 0.0
+            base_min = float("inf")
+            has_sink_child = False
+            for child in child_rows:
+                if kinds[child] == KIND_SINK:
+                    has_sink_child = True
+                    length = edges[child]
+                    child_cap = caps_col[child]
+                    base_cap += wire_capacitance(length) + child_cap
+                    delay = wire_delay(length, child_cap)
+                    if delay > base_max:
+                        base_max = delay
+                    if delay < base_min:
+                        base_min = delay
+                elif child in dp_by_row:
+                    predecessors.append(dp_by_row[child])
+            if not has_sink_child:
+                base_min = 0.0
+            bases = (base_cap,), (base_max,), (base_min,)
+        else:
+            # Sinks are never DP nodes, so this is the same predecessor list.
+            predecessors = [dp_by_row[c] for c in child_rows if c in dp_by_row]
+            has_sink_child = any(kinds[c] == KIND_SINK for c in child_rows)
             bases = _leaf_net_bases(row, kinds, edges, caps_col, child_rows, layers)
         dp_node = DpNode(
             index=len(nodes),

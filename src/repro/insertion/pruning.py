@@ -74,7 +74,6 @@ def prune_dominated(
         key=lambda c: (c.worst_capacitance, c.worst_max_delay, c.resource_count),
     )
     kept: list[CandidateSolution] = []
-    kept_delays: list[float] = []
     best_delay = float("inf")
     for cand in ordered:
         delay = cand.worst_max_delay
@@ -96,15 +95,15 @@ def prune_dominated(
             dominated = any(keeper.dominates(cand, tol) for keeper in kept)
         if dominated and keep_resource_diversity:
             if dominators is None:
-                # One corner: a kept candidate dominates iff it is no slower.
-                dominators = [
-                    k for k, d in zip(kept, kept_delays) if d <= delay + tol
-                ]
+                # One corner: every kept candidate sorts no later in cap, so
+                # it dominates exactly when it is no slower.  This is
+                # ``dominates`` without the two tuple walks that made this
+                # list the one-corner diversity sweep's main cost.
+                dominators = [k for k in kept if k.worst_max_delay <= delay + tol]
             resource_floor = min(k.resource_count for k in dominators)
             dominated = cand.resource_count >= resource_floor
         if not dominated:
             kept.append(cand)
-            kept_delays.append(delay)
             best_delay = min(best_delay, delay)
     return kept
 
